@@ -61,7 +61,7 @@ def _reject_extras(d: dict, allowed: set[str], ctx: str) -> None:
 def _load_column_csv(path: str, ncols: int) -> np.ndarray:
     try:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read CSV {path}: {exc}") from None
     if data.shape[1] != ncols:
         raise ConfigError(f"CSV {path} must have {ncols} column(s)")
@@ -292,7 +292,7 @@ def cmd_embed(cfg: RunConfig, field_path: str, dump_paths: int = 0) -> int:
 def cmd_verify(cfg: RunConfig, results_path: str) -> int:
     try:
         data = np.loadtxt(results_path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read results CSV: {exc}") from None
     if data.shape[1] != 4:
         raise ConfigError("results CSV must have 4 columns "
@@ -325,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dump-paths", type=int, default=0,
                            help="dump the first K simulated paths as CSV")
         if name == "embed":
-            p.add_argument("--field", required=True, help="field CSV from solve")
+            p.add_argument("--field", required=True,
+                           help="field.csv from solve (field.json beside it)")
         if name == "verify":
             p.add_argument("--results", required=True, help="embedding CSV")
     return ap

@@ -11,7 +11,9 @@ Derived objects:
   condition of the backward equation.
 
 Integrals are trapezoid sums on a grid of at least ``MIN_QUAD_POINTS`` nodes;
-inversion is monotone bisection (safe at kinks of tabulated ``beta^2``).
+the inverse clock interpolates the same table with the axes swapped (the
+table is strictly increasing, so this is exact inversion of the piecewise
+linear clock, kinks of tabulated ``beta^2`` included).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = ["TimeFunction", "ProcessCoefficients", "DelayedDrift",
            "clock_H", "clock_H_inv", "delayed_drift_delta"]
 
 MIN_QUAD_POINTS = 4096
-_BISECT_ITERS = 50
 
 # names allowed in "expr" time functions; evaluated with numpy semantics
 _EXPR_NS = {
@@ -184,7 +185,8 @@ class ProcessCoefficients:
         return float(res) if np.ndim(t) == 0 else res
 
     def clock_H_inv(self, x) -> np.ndarray | float:
-        """Inverse clock by monotone bisection; Lipschitz <= 1/beta_floor^2."""
+        """Inverse clock by interpolation of the strictly increasing clock
+        table (slope >= beta_floor^2); Lipschitz <= 1/beta_floor^2."""
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(xa < -1e-12):
             raise DomainError("clock inverse argument must be non-negative")
@@ -194,15 +196,7 @@ class ProcessCoefficients:
                 f"horizon too short: H(T_phys) = {self.h_max:.6g} < {float(xa.max()):.6g}",
                 required_t_phys=self.t_phys + overshoot / self.beta_floor**2,
             )
-        xa = np.clip(xa, 0.0, self.h_max)
-        lo = np.zeros_like(xa)
-        hi = np.full_like(xa, self.t_phys)
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            below = np.interp(mid, self._grid, self._h_tab) < xa
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        res = 0.5 * (lo + hi)
+        res = np.interp(xa, self._h_tab, self._grid)
         return float(res[0]) if np.ndim(x) == 0 else res
 
     # -- drift ---------------------------------------------------------------

@@ -22,6 +22,7 @@ restriction dt <= CFL_SAFETY * dx2 / L_g^2.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -38,7 +39,7 @@ CFL_SAFETY = 0.9
 Z_BOUND_TOL = 1e-2          # tolerance on sup|u1| <= L_g
 U2_BOUND_TOL = 1e-2         # tolerance on sup|u2| <= sup|delta'|
 _FORMAT_TAG = "skofbsde-field"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -166,15 +167,6 @@ class DecouplingField:
 # difference operators
 # ----------------------------------------------------------------------------
 
-def _d1(w: np.ndarray, dx1: float) -> np.ndarray:
-    """d/dx1, central inside, one-sided at the box edges."""
-    out = np.empty_like(w)
-    out[1:-1] = (w[2:] - w[:-2]) / (2.0 * dx1)
-    out[0] = (w[1] - w[0]) / dx1
-    out[-1] = (w[-1] - w[-2]) / dx1
-    return out
-
-
 def _d2_up(w: np.ndarray, dx2: float) -> np.ndarray:
     """d/dx2 one-sided towards larger x2 (where information comes from in the
     backward sweep); the top row falls back to a difference from below."""
@@ -235,7 +227,7 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
         w = unext
         residuals = []
         for _ in range(cfg.fixpoint_max_iter):
-            z = _d1(w, dx1)
+            z = np.gradient(w, dx1, axis=0)
             zc = np.clip(z, -cfg.cutoff_H, cfg.cutoff_H)
             rhs = unext + dt * (zc * zc) * v2
             unew = solve_banded((1, 1), ab, rhs)
@@ -255,28 +247,22 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
                 f"max |z| = {np.abs(z).max():.6g} >= {cfg.cutoff_H:.6g}")
         u[n] = w
 
+    u1, u2 = _fd_derivatives(u, x1, x2)
     f = DecouplingField(
-        t_grid=t_grid, x1_grid=x1, x2_grid=x2, u=u,
-        u1=np.empty_like(u), u2=np.empty_like(u),
+        t_grid=t_grid, x1_grid=x1, x2_grid=x2, u=u, u1=u1, u2=u2,
         g_lipschitz=float(L_g),
         delta_deriv_sup=float(getattr(delta, "deriv_sup", np.nan)),
         cutoff_H=cfg.cutoff_H, deriv_floor_eps=cfg.deriv_floor_eps)
-    _fd_derivatives(f)
     if np.abs(f.u1).max() >= cfg.cutoff_H:
         raise CutoffActiveError("cutoff not passive: sup |u1| reached the cutoff radius")
     return f
 
 
-def _fd_derivatives(f: DecouplingField) -> None:
-    dx1 = f.x1_grid[1] - f.x1_grid[0]
-    dx2 = f.x2_grid[1] - f.x2_grid[0]
-    u = f.u
-    f.u1[:, 1:-1, :] = (u[:, 2:, :] - u[:, :-2, :]) / (2.0 * dx1)
-    f.u1[:, 0, :] = (u[:, 1, :] - u[:, 0, :]) / dx1
-    f.u1[:, -1, :] = (u[:, -1, :] - u[:, -2, :]) / dx1
-    f.u2[:, :, 1:-1] = (u[:, :, 2:] - u[:, :, :-2]) / (2.0 * dx2)
-    f.u2[:, :, 0] = (u[:, :, 1] - u[:, :, 0]) / dx2
-    f.u2[:, :, -1] = (u[:, :, -1] - u[:, :, -2]) / dx2
+def _fd_derivatives(u: np.ndarray, x1_grid: np.ndarray, x2_grid: np.ndarray):
+    """(u1, u2) of u: central differences inside, one-sided at the box
+    edges.  This is the stencil ``solve`` keeps and ``load_field`` redoes."""
+    return np.gradient(u, x1_grid[1] - x1_grid[0], x2_grid[1] - x2_grid[0],
+                       axis=(1, 2))
 
 
 def _coupled_system_derivatives(f: DecouplingField, g, delta):
@@ -307,7 +293,8 @@ def _coupled_system_derivatives(f: DecouplingField, g, delta):
         b_coef = 2.0 * f.u1[n + 1] * f.u2[n + 1]
         for v in (v1, v2f):
             vn = v[n + 1]
-            rhs = vn + dt * (a_coef * _d2_up(vn, dx2) + b_coef * _d1(vn, dx1))
+            rhs = vn + dt * (a_coef * _d2_up(vn, dx2)
+                             + b_coef * np.gradient(vn, dx1, axis=0))
             v[n] = solve_banded((1, 1), ab, rhs)
     return v1, v2f
 
@@ -323,16 +310,15 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
     dt + dx1^2 + dx2.  Returns the (mutated) field for convenience.
     """
     if method == "finite_difference":
-        _fd_derivatives(f)
+        f.u1, f.u2 = _fd_derivatives(f.u, f.x1_grid, f.x2_grid)
         return f
     if method != "coupled_system":
         raise ConfigError(f"unknown derivative method {method!r}")
     if g is None or delta is None:
         raise ConfigError("coupled_system needs g and delta with .derivative")
 
-    _fd_derivatives(f)
-    u1_fd = f.u1.copy()
-    u2_fd = f.u2.copy()
+    # the coupled system freezes its coefficients from the FD derivatives
+    f.u1, f.u2 = u1_fd, u2_fd = _fd_derivatives(f.u, f.x1_grid, f.x2_grid)
     v1, v2 = _coupled_system_derivatives(f, g, delta)
 
     dt = f.t_grid[1] - f.t_grid[0]
@@ -456,11 +442,10 @@ def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostic
 
 
 # ----------------------------------------------------------------------------
-# export / import: CSV header block (grids) + CSV body, JSON sidecar
+# export / import: CSV matrix of u, JSON sidecar with grids and metadata
 # ----------------------------------------------------------------------------
 
-def _fmt(values: np.ndarray) -> str:
-    return ",".join(repr(float(v)) for v in values)
+_ROWS_PER_WRITE = 4096
 
 
 def sidecar_path(path: str) -> str:
@@ -469,28 +454,31 @@ def sidecar_path(path: str) -> str:
 
 
 def save_field(f: DecouplingField, path: str) -> None:
-    """Write the field as text CSV plus a JSON diagnostics sidecar.
+    """Write ``u`` as a text CSV matrix plus a JSON sidecar.
 
-    Header block: format tag, then one line per grid.  Body: for each of
-    u, u1, u2 an ``array,<name>`` marker followed by one row of nx2 values
-    per (t, x1) pair, t outer, x1 middle, x2 inner.  Floats are written with
-    shortest round-trip precision, so save/load is exact.
+    The CSV holds ``u`` only: one row of nx2 comma-separated values per
+    (t, x1) pair, t outer, x1 middle, so (nt + 1) * nx1 rows.  Floats are
+    written with shortest round-trip precision, so save/load is exact.  The
+    sidecar holds the format tag and version, the shape, the three grids as
+    exact JSON lists, the bound metadata and the diagnostics.
+
+    ``u1`` and ``u2`` are not stored: :func:`load_field` recomputes them with
+    the finite-difference stencil, which is what ``skofbsde solve`` keeps.
+    A field carrying coupled-system derivatives reloads with FD ones.
     """
     nt1, nx1, nx2 = f.u.shape
+    rows = f.u.reshape(nt1 * nx1, nx2)
     with open(path, "w") as fh:
-        fh.write(f"{_FORMAT_TAG},{_FORMAT_VERSION}\n")
-        fh.write("t," + _fmt(f.t_grid) + "\n")
-        fh.write("x1," + _fmt(f.x1_grid) + "\n")
-        fh.write("x2," + _fmt(f.x2_grid) + "\n")
-        for name, arr in (("u", f.u), ("u1", f.u1), ("u2", f.u2)):
-            fh.write(f"array,{name}\n")
-            flat = arr.reshape(nt1 * nx1, nx2)
-            fh.write("\n".join(",".join(repr(float(v)) for v in row) for row in flat))
-            fh.write("\n")
+        for start in range(0, rows.shape[0], _ROWS_PER_WRITE):
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in
+                             rows[start:start + _ROWS_PER_WRITE].tolist()))
     meta = {
         "format": _FORMAT_TAG,
         "version": _FORMAT_VERSION,
         "shape": [nt1, nx1, nx2],
+        "t_grid": f.t_grid.tolist(),
+        "x1_grid": f.x1_grid.tolist(),
+        "x2_grid": f.x2_grid.tolist(),
         "g_lipschitz": f.g_lipschitz,
         "delta_deriv_sup": f.delta_deriv_sup,
         "cutoff_H": f.cutoff_H,
@@ -502,43 +490,54 @@ def save_field(f: DecouplingField, path: str) -> None:
         fh.write("\n")
 
 
-def load_field(path: str) -> DecouplingField:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != _FORMAT_TAG or int(header[1]) != _FORMAT_VERSION:
-            raise ConfigError(f"not a {_FORMAT_TAG} v{_FORMAT_VERSION} file: {path}")
-
-        def grid_line(tag):
-            parts = fh.readline().strip().split(",")
-            if parts[0] != tag:
-                raise ConfigError(f"malformed field file: expected {tag} grid")
-            return np.array([float(v) for v in parts[1:]])
-
-        t_grid = grid_line("t")
-        x1_grid = grid_line("x1")
-        x2_grid = grid_line("x2")
-        shape = (t_grid.size, x1_grid.size, x2_grid.size)
-        arrays = {}
-        for _ in range(3):
-            marker = fh.readline().strip().split(",")
-            if marker[0] != "array":
-                raise ConfigError("malformed field file: missing array marker")
-            rows = [fh.readline() for _ in range(shape[0] * shape[1])]
-            arrays[marker[1]] = np.array(
-                [[float(v) for v in row.strip().split(",")] for row in rows]
-            ).reshape(shape)
+def _read_sidecar(path: str) -> dict:
+    side = sidecar_path(path)
     try:
-        with open(sidecar_path(path)) as fh:
+        with open(side) as fh:
             meta = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"missing field sidecar {sidecar_path(path)}") from None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read field sidecar {side}: {exc}") from None
+    if not isinstance(meta, dict) or meta.get("format") != _FORMAT_TAG:
+        raise ConfigError(f"not a {_FORMAT_TAG} sidecar: {side}")
+    if meta.get("version") != _FORMAT_VERSION:
+        raise ConfigError(
+            f"{side} is field format version {meta.get('version')}, this "
+            f"program reads version {_FORMAT_VERSION}; re-run skofbsde solve")
+    return meta
 
-    f = DecouplingField(
-        t_grid=t_grid, x1_grid=x1_grid, x2_grid=x2_grid,
-        u=arrays["u"], u1=arrays["u1"], u2=arrays["u2"],
-        g_lipschitz=float(meta["g_lipschitz"]),
-        delta_deriv_sup=float(meta["delta_deriv_sup"]),
-        cutoff_H=float(meta["cutoff_H"]),
-        deriv_floor_eps=float(meta["deriv_floor_eps"]))
+
+def load_field(path: str) -> DecouplingField:
+    """Read a field written by :func:`save_field`; ``u1`` and ``u2`` are
+    recomputed with the finite-difference stencil.  A missing, malformed or
+    mis-shaped file raises :class:`ConfigError`."""
+    meta = _read_sidecar(path)
+    try:
+        grids = [np.array(meta[k], dtype=float)
+                 for k in ("t_grid", "x1_grid", "x2_grid")]
+        shape = tuple(int(n) for n in meta["shape"])
+        scalars = {k: float(meta[k]) for k in ("g_lipschitz", "delta_deriv_sup",
+                                              "cutoff_H", "deriv_floor_eps")}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed field sidecar for {path}: "
+                          f"{exc!r}") from None
+    if tuple(g.size for g in grids) != shape:
+        raise ConfigError(f"field sidecar for {path}: grid sizes do not match "
+                          f"shape {shape}")
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            complete = fh.read(1) == b"\n"
+        u = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read field file {path}: {exc}") from None
+    expected = (shape[0] * shape[1], shape[2])
+    if not complete or u.shape != expected:
+        raise ConfigError(f"field file {path} is truncated or mis-shaped: "
+                          f"{u.shape[0]} x {u.shape[1]} values, expected "
+                          f"{expected[0]} x {expected[1]}")
+    u = u.reshape(shape)
+    u1, u2 = _fd_derivatives(u, grids[1], grids[2])
+    f = DecouplingField(t_grid=grids[0], x1_grid=grids[1], x2_grid=grids[2],
+                        u=u, u1=u1, u2=u2, **scalars)
     field_diagnostics(f)
     return f

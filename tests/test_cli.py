@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -196,3 +198,70 @@ def test_shipped_example_configs_parse():
                  "normal_sindrift.json", "smoke_small.json"):
         rc = RunConfig.from_file(os.path.join(root, name))
         assert rc.solver.T == 1.0
+
+
+def _bad_table_cell(tmp_path, cfg, field_dir):
+    table = tmp_path / "beta.csv"
+    table.write_text("0.0,1.0\n1.0,one\n2.0,1.0\n")
+    bad = write_config(tmp_path, "table.json", coefficients={
+        "G0": 0.0,
+        "alpha": {"kind": "const", "value": 0.1},
+        "beta": {"kind": "table", "csv": str(table)},
+        "beta_floor": 1.0,
+    })
+    return ["solve", "--config", bad, "--out", str(tmp_path / "t")]
+
+
+def _truncated_field(tmp_path, cfg, field_dir):
+    path = field_dir / "field.csv"
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    return ["embed", "--config", cfg, "--out", str(field_dir),
+            "--field", str(path)]
+
+
+def _wrong_row_count(tmp_path, cfg, field_dir):
+    path = field_dir / "field.csv"
+    rows = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(rows[:-1]))
+    return ["embed", "--config", cfg, "--out", str(field_dir),
+            "--field", str(path)]
+
+
+def _version_1_sidecar(tmp_path, cfg, field_dir):
+    side = field_dir / "field.json"
+    meta = json.loads(side.read_text())
+    meta["version"] = 1
+    side.write_text(json.dumps(meta))
+    return ["embed", "--config", cfg, "--out", str(field_dir),
+            "--field", str(field_dir / "field.csv")]
+
+
+def _bad_results_cell(tmp_path, cfg, field_dir):
+    results = tmp_path / "results.csv"
+    results.write_text("seed,tau_weak,tau_strong,stopped_value\n"
+                       "0,0.1,0.1,0.5\n1,0.1,0.1,half\n")
+    return ["verify", "--config", cfg, "--out", str(field_dir),
+            "--results", str(results)]
+
+
+@pytest.mark.parametrize("breaker", [_bad_table_cell, _truncated_field,
+                                     _wrong_row_count, _version_1_sidecar,
+                                     _bad_results_cell])
+def test_malformed_input_exits_1(tmp_path, capsys, breaker):
+    cfg = write_config(tmp_path)
+    field_dir = tmp_path / "f"
+    assert main(["solve", "--config", cfg, "--out", str(field_dir)]) == 0
+    capsys.readouterr()
+    argv = breaker(tmp_path, cfg, field_dir)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "skofbsde.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    if breaker is _version_1_sidecar:
+        assert "re-run skofbsde solve" in lines[0]

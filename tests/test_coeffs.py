@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skofbsde.coeffs import (ProcessCoefficients, TimeFunction, clock_H,
                              clock_H_inv, delayed_drift_delta)
@@ -111,3 +112,46 @@ def test_beta_floor_enforced():
         ProcessCoefficients(0.0, TimeFunction.const(0.0),
                             TimeFunction.expression("sin(s)"),
                             beta_floor=0.5, t_phys=3.0)
+
+
+@st.composite
+def clocks(draw):
+    """Coefficients with a random const, table or expression beta that
+    respects its floor, on a random horizon."""
+    floor = draw(st.floats(0.3, 2.0))
+    kind = draw(st.sampled_from(["const", "table", "expr"]))
+    if kind == "const":
+        beta = TimeFunction.const(floor * draw(st.floats(1.0, 2.0)))
+    elif kind == "table":
+        steps = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=8))
+        t = np.concatenate([[0.0], np.cumsum(steps)])
+        v = floor * np.array(draw(st.lists(st.floats(1.0, 2.0),
+                                           min_size=t.size, max_size=t.size)))
+        beta = TimeFunction.table(t, v)
+    else:
+        a = draw(st.floats(0.0, 0.5))
+        w = draw(st.floats(0.1, 10.0))
+        beta = TimeFunction.expression(
+            f"{floor!r} * ({1.0 + a!r} + {a!r} * sin({w!r} * s))")
+    t_phys = draw(st.floats(0.5, 3.0))
+    return ProcessCoefficients(0.0, TimeFunction.const(0.0), beta, floor,
+                               t_phys=t_phys)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(clocks(), st.integers(0, 2**32 - 1))
+def test_clock_round_trip_property(c, seed):
+    ts = np.random.default_rng(seed).uniform(0.0, c.t_phys, 200)
+    ts = np.concatenate([ts, [0.0, c.t_phys]])
+    assert np.abs(c.clock_H_inv(c.clock_H(ts)) - ts).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(clocks())
+def test_clock_monotone_property(c):
+    ts = np.linspace(0.0, c.t_phys, 1001)
+    assert np.all(np.diff(c.clock_H(ts)) > 0)
+    xs = np.linspace(0.0, c.h_max, 1001)
+    inv = c.clock_H_inv(xs)
+    assert np.all(np.diff(inv) > 0)
+    assert inv[0] == 0.0 and inv[-1] == pytest.approx(c.t_phys, abs=1e-12)

@@ -6,7 +6,7 @@ from skofbsde.errors import (ConfigError, CutoffActiveError, DomainError,
                              NonLipschitzError)
 from skofbsde.field import (SolverConfig, derivative_fields, eval_field,
                             field_diagnostics, load_field, save_field,
-                            solve_field)
+                            sidecar_path, solve_field)
 from skofbsde.measure import TargetMeasure, make_g
 from skofbsde.verify import OracleField
 
@@ -193,12 +193,31 @@ def test_save_load_round_trip(tmp_path, case_uniform_k05):
     path = str(tmp_path / "field.csv")
     save_field(f, path)
     g2 = load_field(path)
-    assert np.array_equal(f.u, g2.u)
-    assert np.array_equal(f.u1, g2.u1)
-    assert np.array_equal(f.u2, g2.u2)
-    assert np.array_equal(f.t_grid, g2.t_grid)
+    for name in ("u", "u1", "u2", "t_grid", "x1_grid", "x2_grid"):
+        assert np.array_equal(getattr(f, name), getattr(g2, name)), name
     assert g2.g_lipschitz == f.g_lipschitz
     assert (tmp_path / "field.json").exists()
+    nt1, nx1, nx2 = f.u.shape
+    lines = (tmp_path / "field.csv").read_text().splitlines()
+    assert len(lines) == nt1 * nx1
+    assert all(line.count(",") == nx2 - 1 for line in lines)
+    again = str(tmp_path / "again.csv")
+    save_field(f, again)
+    for a, b in ((path, again), (sidecar_path(path), sidecar_path(again))):
+        assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_load_recomputes_fd_derivatives(tmp_path, case_uniform_k05):
+    # only u is stored: coupled-system derivatives reload as the FD ones
+    c = case_uniform_k05.value
+    f = solve_field(c["g"], c["delta"], small_cfg(c["g"].lipschitz))
+    u1_fd, u2_fd = f.u1.copy(), f.u2.copy()
+    derivative_fields(f, "coupled_system", g=c["g"], delta=c["delta"])
+    assert not np.array_equal(f.u1, u1_fd)
+    path = str(tmp_path / "field.csv")
+    save_field(f, path)
+    g2 = load_field(path)
+    assert np.array_equal(g2.u1, u1_fd) and np.array_equal(g2.u2, u2_fd)
 
 
 def test_load_missing_sidecar(tmp_path, case_uniform_k05):
