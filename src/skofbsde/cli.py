@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -60,9 +61,14 @@ def _reject_extras(d: dict, allowed: set[str], ctx: str) -> None:
 
 def _load_column_csv(path: str, ncols: int) -> np.ndarray:
     try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is reported below, not by loadtxt's UserWarning
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read CSV {path}: {exc}") from None
+    if data.size == 0:
+        raise ConfigError(f"CSV {path} has no data")
     if data.shape[1] != ncols:
         raise ConfigError(f"CSV {path} must have {ncols} column(s)")
     return data

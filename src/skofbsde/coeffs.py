@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, HorizonError
 
-__all__ = ["TimeFunction", "ProcessCoefficients", "DelayedDrift",
-           "clock_H", "clock_H_inv", "delayed_drift_delta"]
+__all__ = ["TimeFunction", "ProcessCoefficients", "DelayedDrift"]
 
 MIN_QUAD_POINTS = 4096
 
@@ -224,16 +223,3 @@ class ProcessCoefficients:
             lipschitz_bound=self.alpha_sup / self.beta_floor**2,
             d2_estimate=d2,
         )
-
-
-# Operation aliases mirroring the module surface.
-def clock_H(c: ProcessCoefficients, t):
-    return c.clock_H(t)
-
-
-def clock_H_inv(c: ProcessCoefficients, x):
-    return c.clock_H_inv(x)
-
-
-def delayed_drift_delta(c: ProcessCoefficients, x):
-    return c.delta(x)

@@ -34,7 +34,8 @@ import numpy as np
 
 from .coeffs import ProcessCoefficients
 from .errors import ConfigError, LocalizationError
-from .fbsde import FbsdePath, normal_increments, path_seed, simulate_block
+from .fbsde import (FbsdePath, increment_block, map_blocks, normal_increments,
+                    path_seed, simulate_block)
 from .field import DecouplingField, eval_field
 
 __all__ = ["WeakEmbedding", "StrongStop", "EmbeddingResult", "weak_embed",
@@ -49,6 +50,11 @@ SIGMA_RATE_TOL = 1e-3
 CLAMP_WARN_FRACTION = 1e-3
 _WEAK_B_STEPS = 512
 _STRONG_SEED_SALT = 0xD1FF5EED0001
+# paths per block of the three ensemble routines; measured trade-offs between
+# per-call overhead and block memory
+_WEAK_BLOCK = 256
+_STRONG_BLOCK = 2048
+_ROUND_TRIP_BLOCK = 128
 
 
 def _warn_if_clamped(fraction: float, where: str) -> None:
@@ -118,32 +124,25 @@ def weak_embed(p: FbsdePath, coeffs: ProcessCoefficients, g=None,
 
 
 def weak_embed_ensemble(f: DecouplingField, coeffs: ProcessCoefficients,
-                        n_paths: int, n_steps: int, seed: int, g=None,
-                        block: int = 256) -> dict:
+                        n_paths: int, n_steps: int, seed: int, g=None) -> dict:
     """Weak embedding of a whole seeded ensemble.
 
     Returns per-path arrays: ``seeds``, ``tau_weak``, ``stopped_value``,
     ``identity_residual``, ``z_abs_max_raw`` and ``X2_T``.
     """
-    seeds = np.empty(n_paths, dtype=np.uint64)
-    tau_w = np.empty(n_paths)
-    stopped = np.empty(n_paths)
-    resid = np.empty(n_paths)
-    z_raw = np.empty(n_paths)
-    x2_T = np.empty(n_paths)
-    for lo in range(0, n_paths, block):
-        hi = min(lo + block, n_paths)
-        for j, p in enumerate(simulate_block(f, seed, range(lo, hi), n_steps)):
-            we = weak_embed(p, coeffs, g=g)
-            k = lo + j
-            seeds[k] = p.seed
-            tau_w[k] = we.tau_weak
-            stopped[k] = we.stopped_value
-            resid[k] = we.identity_residual
-            z_raw[k] = p.z_abs_max_raw
-            x2_T[k] = p.X2[-1]
-    return {"seeds": seeds, "tau_weak": tau_w, "stopped_value": stopped,
-            "identity_residual": resid, "z_abs_max_raw": z_raw, "X2_T": x2_T}
+    def run_block(lo: int, hi: int):
+        paths = simulate_block(f, seed, range(lo, hi), n_steps)
+        embs = [weak_embed(p, coeffs, g=g) for p in paths]
+        return (np.array([p.seed for p in paths], dtype=np.uint64),
+                [we.tau_weak for we in embs],
+                [we.stopped_value for we in embs],
+                [we.identity_residual for we in embs],
+                [p.z_abs_max_raw for p in paths],
+                [p.X2[-1] for p in paths])
+
+    keys = ("seeds", "tau_weak", "stopped_value", "identity_residual",
+            "z_abs_max_raw", "X2_T")
+    return dict(zip(keys, map_blocks(n_paths, _WEAK_BLOCK, run_block)))
 
 
 # ----------------------------------------------------------------------------
@@ -245,9 +244,9 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
         Sigma_tau[ai] = Sigma[ai]
         ibw_tau[ai] = ibw[ai]
 
-    clamp_fraction = clamp_hits / max(total_steps, 1)
     out = {"tau": tau, "Sigma_tau": Sigma_tau, "int_beta_dB": ibw_tau,
-           "guard": guard, "clamp_fraction": clamp_fraction}
+           "guard": guard, "clamp_hits": clamp_hits,
+           "total_steps": total_steps}
     if keep_paths:
         out["sigma_path"] = np.stack(paths[0], axis=1)
         out["Sigma_path"] = np.stack(paths[1], axis=1)
@@ -278,13 +277,14 @@ def strong_stopping_time(f: DecouplingField, coeffs: ProcessCoefficients,
         raise LocalizationError(
             "localization breach: |Sigma| reached K2 before the time change "
             "finished; enlarge K2")
-    _warn_if_clamped(res["clamp_fraction"], "stopping-time")
+    clamp_fraction = res["clamp_hits"] / max(res["total_steps"], 1)
+    _warn_if_clamped(clamp_fraction, "stopping-time")
     return StrongStop(tau=float(res["tau"][0]),
                       Sigma_tau=float(res["Sigma_tau"][0]),
                       guard={0: "none", 1: "K1", 2: "K2"}[int(res["guard"][0])],
                       sigma_path=res["sigma_path"][0],
                       Sigma_path=res["Sigma_path"][0],
-                      clamp_fraction=float(res["clamp_fraction"]))
+                      clamp_fraction=clamp_fraction)
 
 
 @dataclass
@@ -327,8 +327,8 @@ class EmbeddingResult:
 
 def strong_embed_on_W(f: DecouplingField, coeffs: ProcessCoefficients,
                       n_paths: int, n_steps: int, seed: int,
-                      g=None, K1: float | None = None, K2: float | None = None,
-                      block: int = 2048) -> EmbeddingResult:
+                      g=None, K1: float | None = None,
+                      K2: float | None = None) -> EmbeddingResult:
     """Draw fresh driving noise, run the stopping rule on each path, and
     collect the stopped values c + delta_hat(tau) + int_0^tau beta dW.
 
@@ -347,29 +347,21 @@ def strong_embed_on_W(f: DecouplingField, coeffs: ProcessCoefficients,
             f"increase the embedding n_steps")
 
     c = float(eval_field(f, 0.0, 0.0, 0.0, "u"))
-    seeds = np.array([path_seed(seed ^ _STRONG_SEED_SALT, i)
-                      for i in range(n_paths)], dtype=np.uint64)
-    tau = np.empty(n_paths)
-    Sigma_tau = np.empty(n_paths)
-    ibw = np.empty(n_paths)
-    guards = np.empty(n_paths, dtype=np.int8)
-    clamp_acc = 0.0
-    blocks = 0
-    for lo in range(0, n_paths, block):
-        hi = min(lo + block, n_paths)
-        dB = np.empty((hi - lo, n_steps))
-        for i in range(lo, hi):
-            dB[i - lo] = normal_increments(int(seeds[i]), n_steps, dr)
-        res = _integrate_strong(f, coeffs, dB, dr, K1, K2)
-        tau[lo:hi] = res["tau"]
-        Sigma_tau[lo:hi] = res["Sigma_tau"]
-        ibw[lo:hi] = res["int_beta_dB"]
-        guards[lo:hi] = res["guard"]
-        clamp_acc += res["clamp_fraction"]
-        blocks += 1
+    seeds = path_seed(seed ^ _STRONG_SEED_SALT, np.arange(n_paths))
+    clamp = [0, 0]                      # clamp hits, integration steps
 
+    def run_block(lo: int, hi: int):
+        res = _integrate_strong(f, coeffs,
+                                increment_block(seeds[lo:hi], n_steps, dr),
+                                dr, K1, K2)
+        clamp[0] += res["clamp_hits"]
+        clamp[1] += res["total_steps"]
+        return res["tau"], res["Sigma_tau"], res["int_beta_dB"], res["guard"]
+
+    tau, Sigma_tau, ibw, guards = map_blocks(n_paths, _STRONG_BLOCK, run_block)
     stopped = c + np.asarray(coeffs.delta_hat(np.minimum(tau, coeffs.t_phys))) + ibw
-    _warn_if_clamped(clamp_acc / max(blocks, 1), "embedding")
+    clamp_fraction = clamp[0] / max(clamp[1], 1)
+    _warn_if_clamped(clamp_fraction, "embedding")
     counts = {"K1": int(np.count_nonzero(guards == 1)),
               "K2": int(np.count_nonzero(guards == 2))}
     extras = {}
@@ -379,13 +371,13 @@ def strong_embed_on_W(f: DecouplingField, coeffs: ProcessCoefficients,
     return EmbeddingResult(c=c, tau_bound=tau_bound(f, coeffs), seeds=seeds,
                            tau_strong=tau, stopped_value=stopped,
                            guard_counts=counts,
-                           clamp_fraction=clamp_acc / max(blocks, 1),
+                           clamp_fraction=clamp_fraction,
                            dr=dr, extras=extras)
 
 
 def coupled_round_trip(f: DecouplingField, coeffs: ProcessCoefficients,
                        n_paths: int, n_steps: int, seed: int,
-                       dr: float | None = None, block: int = 128) -> dict:
+                       dr: float | None = None) -> dict:
     """Feed each path's reconstructed embedding noise back into the strong
     stopping rule and compare the two times path by path.
 
@@ -401,28 +393,28 @@ def coupled_round_trip(f: DecouplingField, coeffs: ProcessCoefficients,
     r_max = min(K1, coeffs.t_phys * (1.0 - 1e-9))
     M = int(np.ceil(r_max / dr))
 
-    tau_w = np.empty(n_paths)
-    tau_s = np.empty(n_paths)
-    resid = np.empty(n_paths)
-    for lo in range(0, n_paths, block):
-        hi = min(lo + block, n_paths)
+    r_u = np.arange(M + 1) * dr
+
+    def run_block(lo: int, hi: int):
         paths = simulate_block(f, seed, range(lo, hi), n_steps)
+        tau_w = np.empty(hi - lo)
+        resid = np.empty(hi - lo)
         dB = np.empty((hi - lo, M))
         for j, p in enumerate(paths):
             we = weak_embed(p, coeffs)
-            tau_w[lo + j] = we.tau_weak
-            resid[lo + j] = we.identity_residual
-            r_u = np.arange(M + 1) * dr
-            B_u = np.interp(r_u, we.r_grid, we.B)
-            dB[j] = np.diff(B_u)
+            tau_w[j] = we.tau_weak
+            resid[j] = we.identity_residual
+            dB[j] = np.diff(np.interp(r_u, we.r_grid, we.B))
             n_inside = max(int(np.floor(we.tau_weak / dr)), 0)
             if n_inside < M:
-                fresh = normal_increments(
+                dB[j, n_inside:] = normal_increments(
                     path_seed(p.seed ^ _STRONG_SEED_SALT, 1), M - n_inside, dr)
-                dB[j, n_inside:] = fresh
-        res = _integrate_strong(f, coeffs, dB, dr, K1, K2)
-        tau_s[lo:hi] = res["tau"]
+        # free the block's paths before the strong pass
+        del paths, p
+        tau_s = _integrate_strong(f, coeffs, dB, dr, K1, K2)["tau"]
+        return tau_w, tau_s, resid
 
+    tau_w, tau_s, resid = map_blocks(n_paths, _ROUND_TRIP_BLOCK, run_block)
     diff = np.abs(tau_w - tau_s)
     return {"tau_weak": tau_w, "tau_strong": tau_s,
             "mean_abs_diff": float(diff.mean()),

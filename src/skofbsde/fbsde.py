@@ -11,12 +11,15 @@ a Philox 4x64 counter-based generator; uniforms are 53-bit integers mapped to
 (0, 1) and normal increments come from the package's own inverse normal CDF.
 By certified bound, |Z| <= L_g; evaluated controls are projected onto that
 interval (raw magnitudes are recorded for the bound diagnostics).
+
+Every path ensemble here and in the embeddings runs through ``map_blocks``:
+blocks of consecutive path indices are processed one after another and their
+per-path results copied into whole-ensemble arrays in path order, so outputs
+do not depend on the block size.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,31 +29,51 @@ from .field import DecouplingField, eval_field
 from .measure import phi_inv
 
 __all__ = ["FbsdePath", "EnsembleResult", "MartingaleReport", "path_seed",
-           "normal_increments", "simulate_path", "simulate_block",
-           "simulate_ensemble", "backward_residual", "martingale_check",
-           "worker_count"]
+           "normal_increments", "increment_block", "map_blocks",
+           "simulate_path", "simulate_block", "simulate_ensemble",
+           "backward_residual", "martingale_check"]
 
-_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
-_BLOCK_PATHS = 1024
+_ENSEMBLE_BLOCK = 1024
 N_CHECKPOINTS = 8
 
 
-def worker_count() -> int:
-    """Thread cap from SKOFBSDE_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("SKOFBSDE_THREADS", "1")))
-    except ValueError:
-        return 1
+def path_seed(base_seed: int, index):
+    """SplitMix64 finalizer of base_seed + (index + 1) * gamma: independent
+    per-path keys from one base seed.  ``index`` may be an int (returns an
+    int) or an array of indices (returns a uint64 array); uint64 array
+    arithmetic wraps modulo 2^64 without overflow warnings."""
+    idx = np.asarray(index)
+    z = (np.uint64(int(base_seed) & _MASK64)
+         + (np.atleast_1d(idx).astype(np.uint64) + np.uint64(1))
+         * np.uint64(0x9E3779B97F4A7C15))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return int(z[0]) if idx.ndim == 0 else z
 
 
-def path_seed(base_seed: int, index: int) -> int:
-    """SplitMix64 finalizer of base_seed + index * gamma: independent per-path
-    keys from one base seed."""
-    z = (int(base_seed) + (index + 1) * _SPLITMIX_GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+def map_blocks(n_paths: int, block: int, fn) -> tuple[np.ndarray, ...]:
+    """Call ``fn(lo, hi)`` on consecutive blocks of path indices and copy the
+    per-path arrays it returns (each with leading length hi - lo) into
+    whole-ensemble arrays, in path order.
+
+    The copy means ``fn`` may return views into its block's temporaries; they
+    are released before the next block starts.
+    """
+    if n_paths < 1:
+        raise ConfigError("n_paths must be >= 1")
+    out = None
+    for lo in range(0, n_paths, block):
+        hi = min(lo + block, n_paths)
+        parts = [np.asarray(a) for a in fn(lo, hi)]
+        if out is None:
+            out = tuple(np.empty((n_paths,) + a.shape[1:], dtype=a.dtype)
+                        for a in parts)
+        for whole, a in zip(out, parts):
+            whole[lo:hi] = a
+        del parts
+    return out
 
 
 def _uniforms(seed: int, shape) -> np.ndarray:
@@ -60,11 +83,21 @@ def _uniforms(seed: int, shape) -> np.ndarray:
     return (v.astype(np.float64) + 0.5) * 2.0**-53
 
 
-def normal_increments(seed: int, n_steps: int, dt: float,
-                      n_paths: int | None = None) -> np.ndarray:
-    """Seeded N(0, dt) increments, shape (n_steps,) or (n_paths, n_steps)."""
-    shape = (n_steps,) if n_paths is None else (n_paths, n_steps)
-    return np.sqrt(dt) * np.asarray(phi_inv(_uniforms(seed, shape)))
+def normal_increments(seed: int, n_steps: int, dt: float) -> np.ndarray:
+    """Seeded N(0, dt) increments, shape (n_steps,)."""
+    return np.sqrt(dt) * np.asarray(phi_inv(_uniforms(seed, n_steps)))
+
+
+def increment_block(seeds, n_steps: int, dt: float) -> np.ndarray:
+    """One row of ``normal_increments`` per seed, shape (len(seeds), n_steps).
+
+    Rows are written one at a time into the result, so the only temporaries
+    are row-sized.
+    """
+    dW = np.empty((len(seeds), n_steps))
+    for row, s in zip(dW, seeds):
+        row[:] = normal_increments(int(s), n_steps, dt)
+    return dW
 
 
 @dataclass
@@ -89,9 +122,7 @@ def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
     T = f.T
     dt = T / n_steps
     n = seeds.size
-    dW = np.empty((n, n_steps))
-    for i, s in enumerate(seeds):
-        dW[i] = normal_increments(int(s), n_steps, dt)
+    dW = increment_block(seeds, n_steps, dt)
 
     t_grid = np.linspace(0.0, T, n_steps + 1)
     W = np.zeros((n, n_steps + 1))
@@ -133,14 +164,13 @@ def simulate_block(f: DecouplingField, base_seed: int, indices,
                    n_steps: int, x1_0: float = 0.0, x2_0: float = 0.0,
                    clip_z: bool = True) -> list[FbsdePath]:
     """Simulate the paths with the given indices (seeds derived per path)."""
-    idx = np.asarray(indices, dtype=int)
-    seeds = np.array([path_seed(base_seed, int(i)) for i in idx], dtype=np.uint64)
+    seeds = path_seed(base_seed, np.asarray(indices, dtype=int))
     t_grid, W, X1, X2, Y, Z, zmax = _simulate_arrays(
         f, seeds, n_steps, x1_0, x2_0, clip_z)
     return [FbsdePath(t_grid=t_grid, W=W[i], X1=X1[i], X2=X2[i], Y=Y[i],
                       Z=Z[i], seed=int(seeds[i]), z_abs_max_raw=float(zmax[i]),
                       z_clip=f.g_lipschitz if clip_z else None)
-            for i in range(idx.size)]
+            for i in range(seeds.size)]
 
 
 @dataclass
@@ -163,52 +193,31 @@ class EnsembleResult:
 
 def simulate_ensemble(f: DecouplingField, n_paths: int, n_steps: int,
                       seed: int, x1_0: float = 0.0, x2_0: float = 0.0,
-                      clip_z: bool = True,
-                      block: int = _BLOCK_PATHS) -> EnsembleResult:
-    """Embarrassingly parallel ensemble; blocks of paths are simulated
-    independently (optionally on a small thread pool) and reduced in fixed
-    order, so results do not depend on the worker count."""
+                      clip_z: bool = True) -> EnsembleResult:
+    """Embarrassingly parallel ensemble, simulated block by block through
+    ``map_blocks`` and reduced to checkpoint and terminal statistics."""
     if n_steps % N_CHECKPOINTS:
         raise ConfigError(f"n_steps must be divisible by {N_CHECKPOINTS}")
-    T = f.T
-    dt = T / n_steps
+    dt = f.T / n_steps
     ck = (np.arange(1, N_CHECKPOINTS + 1) * (n_steps // N_CHECKPOINTS))
-    res = EnsembleResult(
+    seeds = path_seed(seed, np.arange(n_paths))
+
+    def run_block(lo: int, hi: int):
+        t_grid, W, X1, X2, Y, Z, zmax = _simulate_arrays(
+            f, seeds[lo:hi], n_steps, x1_0, x2_0, clip_z)
+        qv = np.cumsum(np.diff(Y, axis=1) ** 2, axis=1)
+        sz2 = np.cumsum(Z[:, :-1] ** 2 * dt, axis=1)
+        return (Y[:, ck], sz2[:, ck - 1], qv[:, ck - 1], X1[:, -1], X2[:, -1],
+                Y[:, -1], zmax)
+
+    Y_ck, sz2_ck, qv_ck, X1_T, X2_T, Y_T, zmax = map_blocks(
+        n_paths, _ENSEMBLE_BLOCK, run_block)
+    return EnsembleResult(
         n_paths=n_paths, n_steps=n_steps,
         y0=float(eval_field(f, 0.0, x1_0, x2_0, "u")),
-        t_checkpoints=ck * dt,
-        Y_checkpoints=np.empty((n_paths, N_CHECKPOINTS)),
-        sumZ2_checkpoints=np.empty((n_paths, N_CHECKPOINTS)),
-        qv_checkpoints=np.empty((n_paths, N_CHECKPOINTS)),
-        X1_T=np.empty(n_paths), X2_T=np.empty(n_paths), Y_T=np.empty(n_paths),
-        z_abs_max_raw=np.empty(n_paths),
-        seeds=np.array([path_seed(seed, i) for i in range(n_paths)],
-                       dtype=np.uint64))
-
-    def run_block(lo: int) -> None:
-        hi = min(lo + block, n_paths)
-        t_grid, W, X1, X2, Y, Z, zmax = _simulate_arrays(
-            f, res.seeds[lo:hi], n_steps, x1_0, x2_0, clip_z)
-        dY2 = np.diff(Y, axis=1) ** 2
-        qv = np.cumsum(dY2, axis=1)
-        sz2 = np.cumsum(Z[:, :-1] ** 2 * dt, axis=1)
-        res.Y_checkpoints[lo:hi] = Y[:, ck]
-        res.qv_checkpoints[lo:hi] = qv[:, ck - 1]
-        res.sumZ2_checkpoints[lo:hi] = sz2[:, ck - 1]
-        res.X1_T[lo:hi] = X1[:, -1]
-        res.X2_T[lo:hi] = X2[:, -1]
-        res.Y_T[lo:hi] = Y[:, -1]
-        res.z_abs_max_raw[lo:hi] = zmax
-
-    starts = range(0, n_paths, block)
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_block, starts))
-    else:
-        for lo in starts:
-            run_block(lo)
-    return res
+        t_checkpoints=ck * dt, Y_checkpoints=Y_ck, sumZ2_checkpoints=sz2_ck,
+        qv_checkpoints=qv_ck, X1_T=X1_T, X2_T=X2_T, Y_T=Y_T,
+        z_abs_max_raw=zmax, seeds=seeds)
 
 
 def backward_residual(p: FbsdePath) -> float:

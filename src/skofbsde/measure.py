@@ -31,8 +31,6 @@ __all__ = [
     "Smoothness",
     "TargetMeasure",
     "QuantileTransform",
-    "cdf",
-    "quantile",
     "make_g",
 ]
 
@@ -355,15 +353,6 @@ class TargetMeasure:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TargetMeasure({self.kind}, support={self.support})"
-
-
-# Module-level aliases matching the operation names used elsewhere.
-def cdf(m: TargetMeasure, x):
-    return m.cdf(x)
-
-
-def quantile(m: TargetMeasure, y):
-    return m.quantile(y)
 
 
 # ----------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .field import DecouplingField
 from .measure import TargetMeasure
 
 __all__ = ["LawReport", "ks_statistic", "wasserstein1", "law_report",
-           "histogram_csv", "OracleField", "oracle_field", "shifted_field",
+           "histogram_csv", "OracleField", "shifted_field",
            "KS_COEFF_1PCT", "KS_COEFF_5PCT", "KS_DISCRETIZATION_ALLOWANCE"]
 
 KS_COEFF_1PCT = 1.63
@@ -188,11 +188,6 @@ class OracleField:
                     f"oracle self-check failed at (t={t}, x1={x1}): "
                     f"quad={quad:.6g} mc={mc:.6g} se={se:.2e}")
         return report
-
-
-def oracle_field(kind: str, g, kappa: float, t, x1, x2, T: float = 1.0):
-    """Functional form of :class:`OracleField` for one-off evaluations."""
-    return OracleField(kind, g, kappa=kappa, T=T)(t, x1, x2)
 
 
 # ----------------------------------------------------------------------------

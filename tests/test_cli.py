@@ -212,6 +212,28 @@ def _bad_table_cell(tmp_path, cfg, field_dir):
     return ["solve", "--config", bad, "--out", str(tmp_path / "t")]
 
 
+def _empty_table_csv(tmp_path, cfg, field_dir):
+    table = tmp_path / "beta.csv"
+    table.write_text("")
+    bad = write_config(tmp_path, "table.json", coefficients={
+        "G0": 0.0,
+        "alpha": {"kind": "const", "value": 0.1},
+        "beta": {"kind": "table", "csv": str(table)},
+        "beta_floor": 1.0,
+    })
+    return ["solve", "--config", bad, "--out", str(tmp_path / "t")]
+
+
+def _empty_empirical_csv(tmp_path, cfg, field_dir):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("")
+    raw = json.loads(open(cfg).read())
+    raw["measure"] = {"kind": "empirical", "csv": str(samples)}
+    bad = tmp_path / "empirical.json"
+    bad.write_text(json.dumps(raw))
+    return ["solve", "--config", str(bad), "--out", str(tmp_path / "e")]
+
+
 def _truncated_field(tmp_path, cfg, field_dir):
     path = field_dir / "field.csv"
     text = path.read_text()
@@ -237,6 +259,11 @@ def _version_1_sidecar(tmp_path, cfg, field_dir):
             "--field", str(field_dir / "field.csv")]
 
 
+def _zero_paths(tmp_path, cfg, field_dir):
+    return ["embed", "--config", cfg, "--out", str(field_dir),
+            "--field", str(field_dir / "field.csv"), "--paths", "0"]
+
+
 def _bad_results_cell(tmp_path, cfg, field_dir):
     results = tmp_path / "results.csv"
     results.write_text("seed,tau_weak,tau_strong,stopped_value\n"
@@ -245,9 +272,10 @@ def _bad_results_cell(tmp_path, cfg, field_dir):
             "--results", str(results)]
 
 
-@pytest.mark.parametrize("breaker", [_bad_table_cell, _truncated_field,
+@pytest.mark.parametrize("breaker", [_bad_table_cell, _empty_table_csv,
+                                     _empty_empirical_csv, _truncated_field,
                                      _wrong_row_count, _version_1_sidecar,
-                                     _bad_results_cell])
+                                     _zero_paths, _bad_results_cell])
 def test_malformed_input_exits_1(tmp_path, capsys, breaker):
     cfg = write_config(tmp_path)
     field_dir = tmp_path / "f"

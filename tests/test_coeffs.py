@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skofbsde.coeffs import (ProcessCoefficients, TimeFunction, clock_H,
-                             clock_H_inv, delayed_drift_delta)
+from skofbsde.coeffs import ProcessCoefficients, TimeFunction
 from skofbsde.errors import ConfigError, DomainError, HorizonError
 
 
@@ -14,28 +13,28 @@ def const_coeffs(alpha=0.0, beta=1.0, t_phys=2.0, G0=0.0):
 
 
 def test_clock_examples():
-    assert clock_H(const_coeffs(beta=1.0), 0.7) == pytest.approx(0.7, abs=1e-12)
-    assert clock_H(const_coeffs(beta=2.0), 1.0) == pytest.approx(4.0, abs=1e-10)
+    assert const_coeffs(beta=1.0).clock_H(0.7) == pytest.approx(0.7, abs=1e-12)
+    assert const_coeffs(beta=2.0).clock_H(1.0) == pytest.approx(4.0, abs=1e-10)
     ramp = ProcessCoefficients(0.0, TimeFunction.const(0.0),
                                TimeFunction.expression("1+s"), 1.0, t_phys=2.0)
     # composite quadrature against the closed form ((1+t)^3 - 1)/3
-    assert clock_H(ramp, 1.0) == pytest.approx(7.0 / 3.0, abs=1e-5)
+    assert ramp.clock_H(1.0) == pytest.approx(7.0 / 3.0, abs=1e-5)
 
 
 def test_clock_domain():
     c = const_coeffs()
     with pytest.raises(DomainError):
-        clock_H(c, -0.5)
+        c.clock_H(-0.5)
     with pytest.raises(DomainError):
-        clock_H(c, 2.5)
+        c.clock_H(2.5)
 
 
 def test_clock_inverse_examples():
-    assert clock_H_inv(const_coeffs(beta=1.0), 0.3) == pytest.approx(0.3, abs=1e-10)
-    assert clock_H_inv(const_coeffs(beta=2.0), 4.0) == pytest.approx(1.0, abs=1e-10)
+    assert const_coeffs(beta=1.0).clock_H_inv(0.3) == pytest.approx(0.3, abs=1e-10)
+    assert const_coeffs(beta=2.0).clock_H_inv(4.0) == pytest.approx(1.0, abs=1e-10)
     ramp = ProcessCoefficients(0.0, TimeFunction.const(0.0),
                                TimeFunction.expression("1+s"), 1.0, t_phys=2.0)
-    assert clock_H_inv(ramp, 7.0 / 3.0) == pytest.approx(1.0, abs=1e-5)
+    assert ramp.clock_H_inv(7.0 / 3.0) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_round_trip_and_monotone():
@@ -43,29 +42,29 @@ def test_round_trip_and_monotone():
                             TimeFunction.expression("1 + 0.5*cos(3*s)"),
                             beta_floor=0.5, t_phys=3.0)
     ts = np.random.default_rng(11).uniform(0.0, 3.0, 100)
-    assert np.abs(np.asarray(clock_H_inv(c, clock_H(c, ts))) - ts).max() < 1e-8
+    assert np.abs(np.asarray(c.clock_H_inv(c.clock_H(ts))) - ts).max() < 1e-8
     grid = np.linspace(0, 3, 500)
-    assert np.all(np.diff(np.asarray(clock_H(c, grid))) > 0)
+    assert np.all(np.diff(np.asarray(c.clock_H(grid))) > 0)
     xs = np.linspace(0, c.h_max, 500)
-    assert np.all(np.diff(np.asarray(clock_H_inv(c, xs))) >= 0)
+    assert np.all(np.diff(np.asarray(c.clock_H_inv(xs))) >= 0)
 
 
 def test_horizon_error_carries_requirement():
     c = const_coeffs(beta=1.0, t_phys=1.0)
     with pytest.raises(HorizonError) as exc:
-        clock_H_inv(c, 2.0)
+        c.clock_H_inv(2.0)
     assert exc.value.required_t_phys >= 2.0 - 1e-9
 
 
 def test_delta_examples():
-    assert delayed_drift_delta(const_coeffs(alpha=0.0, G0=0.7), 1.0) == \
+    assert const_coeffs(alpha=0.0, G0=0.7).delta(1.0) == \
         pytest.approx(0.7, abs=1e-12)
     lin = const_coeffs(alpha=0.4)
     xs = np.linspace(0, 1.5, 7)
-    assert np.abs(np.asarray(delayed_drift_delta(lin, xs)) - 0.4 * xs).max() < 1e-9
+    assert np.abs(np.asarray(lin.delta(xs)) - 0.4 * xs).max() < 1e-9
     sin = ProcessCoefficients(0.0, TimeFunction.expression("sin(s)"),
                               TimeFunction.const(1.0), 1.0, t_phys=3.0)
-    assert delayed_drift_delta(sin, 1.0) == pytest.approx(1.0 - np.cos(1.0), abs=1e-6)
+    assert sin.delta(1.0) == pytest.approx(1.0 - np.cos(1.0), abs=1e-6)
 
 
 def test_delta_lipschitz_estimate():
@@ -95,7 +94,7 @@ def test_table_time_function(tmp_path):
     assert tf(3.0) == pytest.approx(1.5)  # held constant beyond the table
     c = ProcessCoefficients(0.0, TimeFunction.const(0.0), tf, 1.0, t_phys=2.0)
     # trapezoid of the piecewise-linear table is exact
-    assert clock_H(c, 2.0) == pytest.approx(
+    assert c.clock_H(2.0) == pytest.approx(
         np.trapezoid(np.interp(np.linspace(0, 2, 4097), t, v) ** 2,
                      np.linspace(0, 2, 4097)), abs=1e-5)
 

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from skofbsde import embed
 from skofbsde.embed import (coupled_round_trip, strong_embed_on_W,
                             strong_stopping_time, tau_bound, weak_embed,
                             weak_embed_ensemble)
 from skofbsde.errors import ConfigError, LocalizationError
-from skofbsde.fbsde import normal_increments, simulate_block, simulate_path
+from skofbsde.fbsde import (increment_block, normal_increments, simulate_block,
+                            simulate_path)
 
 
 def test_weak_embed_trivial(case_trivial):
@@ -70,6 +74,24 @@ def test_strong_embed_constants(case_uniform_k025):
     assert er.extras["strong_identity_mean"] < 1e-2
 
 
+def test_clamp_fraction_weighted_per_step(case_uniform_k025, monkeypatch):
+    # a floor above most of u1 makes the clamp fire on a sizeable share of
+    # steps; the fraction is total hits over total active steps
+    c = case_uniform_k025.value
+    f = replace(c["field"], deriv_floor_eps=0.3)
+    fractions = []
+    for block in (5, 16):                 # 37 paths: a multiple of neither
+        monkeypatch.setattr(embed, "_STRONG_BLOCK", block)
+        with pytest.warns(RuntimeWarning, match="clamp"):
+            er = strong_embed_on_W(f, c["coeffs"], 37, 2048, seed=12)
+        fractions.append(er.clamp_fraction)
+    K1, K2 = embed._default_guards(f, c["coeffs"])
+    whole = embed._integrate_strong(
+        f, c["coeffs"], increment_block(er.seeds, 2048, er.dr), er.dr, K1, K2)
+    assert whole["clamp_hits"] > 0
+    assert fractions == [whole["clamp_hits"] / whole["total_steps"]] * 2
+
+
 def test_strong_embed_dr_rule_enforced(case_uniform_k025):
     c = case_uniform_k025.value
     with pytest.raises(ConfigError):
@@ -105,7 +127,6 @@ def test_weak_ensemble_fields(case_uniform_k025):
 
 
 def test_embeddings_require_unit_horizon(case_uniform_k025):
-    from dataclasses import replace
     c = case_uniform_k025.value
     f2 = replace(c["field"], t_grid=c["field"].t_grid * 2.0)
     with pytest.raises(ConfigError):

@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from skofbsde import embed, fbsde
+from skofbsde.embed import (_STRONG_SEED_SALT, coupled_round_trip,
+                            strong_embed_on_W, weak_embed_ensemble)
 from skofbsde.fbsde import (backward_residual, martingale_check,
                             normal_increments, path_seed, simulate_block,
                             simulate_ensemble, simulate_path)
@@ -25,6 +30,27 @@ def test_increment_moments():
 def test_path_seed_spreads():
     seeds = {path_seed(42, i) for i in range(10_000)}
     assert len(seeds) == 10_000
+
+
+def _splitmix_reference(base, index):
+    mask = (1 << 64) - 1
+    z = (base + (index + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("base", [0, 2**64 - 1, 55 ^ _STRONG_SEED_SALT])
+def test_path_seed_arrays(base):
+    n = 5000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seeds = path_seed(base, np.arange(n))
+        scalar = [path_seed(base, i) for i in range(n)]
+    assert seeds.dtype == np.uint64
+    assert all(type(s) is int for s in scalar)
+    assert seeds.tolist() == scalar
+    assert scalar == [_splitmix_reference(base, i) for i in range(n)]
 
 
 def test_trivial_path(case_trivial):
@@ -91,12 +117,34 @@ def test_z_and_x2_bounds(case_uniform_k05):
         assert np.abs(inc - p.Z[:-1] ** 2 * dt).max() < 1e-15
 
 
-def test_ensemble_block_invariance(case_linear):
-    f = case_linear.value["field"]
-    a = simulate_ensemble(f, 96, 256, seed=55, block=16)
-    b = simulate_ensemble(f, 96, 256, seed=55, block=96)
-    assert np.array_equal(a.Y_checkpoints, b.Y_checkpoints)
-    assert np.array_equal(a.X2_T, b.X2_T)
+# each ensemble routine, its block-size constant, and a small unit-horizon run
+_ENSEMBLES = {
+    "simulate_ensemble": (fbsde, "_ENSEMBLE_BLOCK", lambda c: simulate_ensemble(
+        c["field"], 37, 256, seed=55)),
+    "weak_embed_ensemble": (embed, "_WEAK_BLOCK", lambda c: weak_embed_ensemble(
+        c["field"], c["coeffs"], 37, 256, seed=55, g=c["g"])),
+    "strong_embed_on_W": (embed, "_STRONG_BLOCK", lambda c: strong_embed_on_W(
+        c["field"], c["coeffs"], 37, 2048, seed=55, g=c["g"])),
+    "coupled_round_trip": (embed, "_ROUND_TRIP_BLOCK", lambda c: coupled_round_trip(
+        c["field"], c["coeffs"], 37, 1024, seed=55)),
+}
+
+
+@pytest.mark.parametrize("routine", list(_ENSEMBLES))
+def test_ensemble_block_invariance(case_uniform_k025, monkeypatch, routine):
+    module, constant, run = _ENSEMBLES[routine]
+    results = []
+    for block in (5, 16):                 # 37 paths: a multiple of neither
+        monkeypatch.setattr(module, constant, block)
+        res = run(case_uniform_k025.value)
+        results.append(res if isinstance(res, dict) else vars(res))
+    a, b = results
+    assert a.keys() == b.keys()
+    for key in a:
+        if isinstance(a[key], np.ndarray):
+            assert np.array_equal(a[key], b[key]), key
+        else:
+            assert a[key] == b[key], key
 
 
 def test_martingale_check_passes(case_linear):

@@ -4,8 +4,7 @@ from scipy.stats import norm
 
 from skofbsde.errors import DiracMeasureError, DomainError
 from skofbsde.fbsde import normal_increments
-from skofbsde.measure import (PHI_ABS_TOL, TargetMeasure, cdf, make_g, phi,
-                              phi_inv, quantile)
+from skofbsde.measure import PHI_ABS_TOL, TargetMeasure, make_g, phi, phi_inv
 from skofbsde.verify import ks_statistic
 
 PHI_196 = 0.9750021048517795
@@ -38,12 +37,12 @@ def test_phi_inv_domain():
 
 
 def test_cdf_examples():
-    assert cdf(TargetMeasure.normal(0, 1), 0.0) == 0.5
-    assert cdf(TargetMeasure.uniform(0, 1), 0.25) == 0.25
+    assert TargetMeasure.normal(0, 1).cdf(0.0) == 0.5
+    assert TargetMeasure.uniform(0, 1).cdf(0.25) == 0.25
     # brute-force count <= x over n
     emp = TargetMeasure.empirical([1.0, 2.0, 3.0])
-    assert cdf(emp, 2.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert cdf(emp, 0.5) == 0.0 and cdf(emp, 3.5) == 1.0
+    assert emp.cdf(2.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert emp.cdf(0.5) == 0.0 and emp.cdf(3.5) == 1.0
 
 
 def test_cdf_monotone_and_limits():
@@ -56,18 +55,18 @@ def test_cdf_monotone_and_limits():
 
 
 def test_quantile_examples():
-    assert quantile(TargetMeasure.uniform(0, 1), 0.7) == pytest.approx(0.7)
-    assert quantile(TargetMeasure.normal(2, 3), 0.5) == pytest.approx(2.0)
+    assert TargetMeasure.uniform(0, 1).quantile(0.7) == pytest.approx(0.7)
+    assert TargetMeasure.normal(2, 3).quantile(0.5) == pytest.approx(2.0)
     # inf{x : F(x) >= 0.5} for the 3-point sample, by scan: F(1)=1/3 < 0.5,
     # F(2)=2/3 >= 0.5
-    assert quantile(TargetMeasure.empirical([1, 2, 3]), 0.5) == 2.0
+    assert TargetMeasure.empirical([1, 2, 3]).quantile(0.5) == 2.0
 
 
 def test_quantile_domain():
     m = TargetMeasure.normal(0, 1)
     for bad in (0.0, 1.0, -0.1, 2.0):
         with pytest.raises(DomainError):
-            quantile(m, bad)
+            m.quantile(bad)
 
 
 def test_composition_consistency():

@@ -7,7 +7,7 @@ from skofbsde.errors import DomainError
 from skofbsde.fbsde import normal_increments
 from skofbsde.measure import TargetMeasure, make_g
 from skofbsde.verify import (LawReport, OracleField, ks_statistic, law_report,
-                             oracle_field, shifted_field, wasserstein1)
+                             shifted_field, wasserstein1)
 
 
 def test_ks_stratified_quantiles():
@@ -59,7 +59,7 @@ def test_w1_seeded_reproducible():
 
 def test_oracle_identity_no_drift():
     g = make_g(TargetMeasure.normal(0, 1))
-    assert oracle_field("no_drift", g, 0.0, 0.3, 1.2, 0.0) == \
+    assert OracleField("no_drift", g)(0.3, 1.2, 0.0) == \
         pytest.approx(1.2, abs=1e-12)
 
 
@@ -69,7 +69,7 @@ def test_oracle_identity_linear_drift_mgf():
     g = make_g(TargetMeasure.normal(0, 1))
     for t, x1, x2 in ((0.0, 0.3, 0.0), (0.4, -1.0, 0.2)):
         want = x1 - 0.5 * (1.0 - t) - 0.5 * x2
-        assert oracle_field("linear_drift", g, 0.5, t, x1, x2) == \
+        assert OracleField("linear_drift", g, kappa=0.5)(t, x1, x2) == \
             pytest.approx(want, abs=1e-9)
 
 
@@ -82,7 +82,7 @@ def test_oracle_uniform_dual_method():
 
 def test_oracle_no_overflow_large_kappa():
     g = make_g(TargetMeasure.normal(0, 5.0))
-    val = oracle_field("linear_drift", g, 40.0, 0.0, 0.0, 0.0)
+    val = OracleField("linear_drift", g, kappa=40.0)(0.0, 0.0, 0.0)
     assert np.isfinite(val)
 
 
