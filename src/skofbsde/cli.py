@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -47,9 +48,12 @@ def _take(d: dict, key: str, default=_REQUIRED, kind=None):
             raise ConfigError(f"missing required config key {key!r}")
         return default
     v = d[key]
-    if kind is not None and not isinstance(v, kind):
+    # bool is a subclass of int, but true/false is never a number here
+    if kind is not None and (not isinstance(v, kind) or isinstance(v, bool)):
         raise ConfigError(f"config key {key!r} has wrong type "
                           f"({type(v).__name__})")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(f"config key {key!r} must be a finite number")
     return v
 
 
@@ -75,6 +79,15 @@ def _load_column_csv(path: str, ncols: int) -> np.ndarray:
 
 
 def build_measure(spec: dict) -> measure_mod.TargetMeasure:
+    # DomainError (a ValueError) from the law's own checks, ValueError or
+    # TypeError from list entries that are not numbers
+    try:
+        return _build_measure(spec)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid measure: {exc}") from None
+
+
+def _build_measure(spec: dict) -> measure_mod.TargetMeasure:
     kind = _take(spec, "kind", kind=str)
     if kind == "normal":
         _reject_extras(spec, {"kind", "mu", "sigma"}, "measure")
@@ -146,8 +159,9 @@ def build_solver_config(spec: dict, g_lipschitz: float) -> field_mod.SolverConfi
         nt=_take(spec, "nt", 256, int),
         nx1=_take(spec, "nx1", 257, int),
         nx2=_take(spec, "nx2", 129, int))
-    overrides = {k: spec[k] for k in spec
-                 if k in _SOLVER_KEYS - {"T", "nt", "nx1", "nx2"}}
+    overrides = {k: _take(spec, k, kind=int if k == "fixpoint_max_iter"
+                          else (int, float))
+                 for k in spec if k in _SOLVER_KEYS - {"T", "nt", "nx1", "nx2"}}
     cfg = field_mod.SolverConfig(**{**vars(base), **overrides}) if overrides else base
     cfg.validate(g_lipschitz)
     return cfg
@@ -181,8 +195,7 @@ class RunConfig:
         self.n_paths = _take(sim, "n_paths", 10_000, int)
         self.n_steps = _take(sim, "n_steps", 4096, int)
         self.seed = _take(sim, "seed", 0, int)
-        if self.n_paths < 1 or self.n_steps < 1 or self.seed < 0:
-            raise ConfigError("simulation parameters out of range")
+        self.check_simulation()
 
         emb = dict(_take(raw, "embedding", {}, dict))
         _reject_extras(emb, {"n_steps", "K1", "K2"}, "embedding")
@@ -195,6 +208,13 @@ class RunConfig:
         out = _take(raw, "output_dir", "out", str)
         self.output_dir = out if os.path.isabs(out) else \
             os.path.join(base_dir, out)
+
+    def check_simulation(self) -> None:
+        """Range rule for the simulation keys, also applied to the CLI
+        ``--paths``/``--seed`` overrides."""
+        if self.n_paths < 1 or self.n_steps < 1 or self.seed < 0:
+            raise ConfigError("simulation parameters out of range "
+                              "(need n_paths >= 1, n_steps >= 1, seed >= 0)")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -348,6 +368,7 @@ def main(argv=None) -> int:
             cfg.n_paths = args.paths
         if getattr(args, "seed", None) is not None:
             cfg.seed = args.seed
+        cfg.check_simulation()
 
         if args.command == "solve":
             return cmd_solve(cfg)

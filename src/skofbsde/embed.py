@@ -200,8 +200,8 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
         if not active.any():
             break
         idx = np.nonzero(active)[0]
-        u1 = np.atleast_1d(np.asarray(eval_field(
-            f, np.clip(sigma[idx], 0.0, T), Sigma[idx], H_r[m], "u1")))
+        u1 = eval_field(f, np.clip(sigma[idx], 0.0, T), Sigma[idx], H_r[m],
+                        "u1")
         clamp_hits += int(np.count_nonzero(u1 < floor))
         total_steps += idx.size
         u1c = np.clip(u1, floor, L_g)

@@ -136,12 +136,11 @@ def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
     z_raw_max = np.zeros(n)
 
     for k in range(n_steps + 1):
-        zk = eval_field(f, t_grid[k], X1[:, k], X2[:, k], "u1")
+        zk, Y[:, k] = eval_field(f, t_grid[k], X1[:, k], X2[:, k], ("u1", "u"))
         z_raw_max = np.maximum(z_raw_max, np.abs(zk))
         if clip is not None:
             zk = np.clip(zk, -clip, clip)
         Z[:, k] = zk
-        Y[:, k] = eval_field(f, t_grid[k], X1[:, k], X2[:, k], "u")
         if k < n_steps:
             X2[:, k + 1] = X2[:, k] + zk * zk * dt
     return t_grid, W, X1, X2, Y, Z, z_raw_max

@@ -159,7 +159,7 @@ class DecouplingField:
     def T(self) -> float:
         return float(self.t_grid[-1])
 
-    def eval(self, t, x1, x2, which: str = "u"):
+    def eval(self, t, x1, x2, which: str | tuple[str, ...] = "u"):
         return eval_field(self, t, x1, x2, which)
 
 
@@ -348,17 +348,23 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
 # evaluation
 # ----------------------------------------------------------------------------
 
-def eval_field(f: DecouplingField, t, x1, x2, which: str = "u"):
+def eval_field(f: DecouplingField, t, x1, x2,
+               which: str | tuple[str, ...] = "u"):
     """Trilinear interpolation, exact at nodes.
 
     t must lie in [0, T].  x1 queries outside the box extrapolate linearly
     for ``u`` (the field is asymptotically affine) and clamp for the
     derivative fields (their certified bounds must not be amplified).  x2
-    clamps on both sides.
+    clamps on both sides.  ``which`` names one component (``"u"``, ``"u1"``
+    or ``"u2"``) or is a tuple of names; a tuple returns a tuple of results
+    read off one shared stencil.
     """
+    single = isinstance(which, str)
+    comps = {"u": f.u, "u1": f.u1, "u2": f.u2}
+    names = (which,) if single else which
     try:
-        arr = {"u": f.u, "u1": f.u1, "u2": f.u2}[which]
-    except KeyError:
+        arrs = [comps[name] for name in names]
+    except (KeyError, TypeError):
         raise DomainError(f"unknown field component {which!r}") from None
 
     T = f.T
@@ -368,33 +374,37 @@ def eval_field(f: DecouplingField, t, x1, x2, which: str = "u"):
     if np.any(tq < -1e-12) or np.any(tq > T * (1.0 + 1e-12)):
         raise DomainError(f"time query outside [0, {T}]")
     scalar = tq.ndim == 0 and x1q.ndim == 0 and x2q.ndim == 0
-    tq, x1q, x2q = np.broadcast_arrays(np.atleast_1d(tq), np.atleast_1d(x1q),
-                                       np.atleast_1d(x2q))
 
-    nt1, nx1, nx2 = arr.shape
+    # cell index and weight of each coordinate at that coordinate's own shape
+    nt1, nx1, nx2 = f.u.shape
     dt = f.t_grid[1] - f.t_grid[0]
     dx1 = f.x1_grid[1] - f.x1_grid[0]
     dx2 = f.x2_grid[1] - f.x2_grid[0]
-
     it = np.clip((tq / dt).astype(int), 0, nt1 - 2)
     wt = np.clip((tq - f.t_grid[it]) / dt, 0.0, 1.0)
     i1 = np.clip(((x1q - f.x1_grid[0]) / dx1).astype(int), 0, nx1 - 2)
     w1 = (x1q - f.x1_grid[i1]) / dx1
-    if which != "u":
-        w1 = np.clip(w1, 0.0, 1.0)
     i2 = np.clip((x2q / dx2).astype(int), 0, nx2 - 2)
     w2 = np.clip((x2q - f.x2_grid[i2]) / dx2, 0.0, 1.0)
+    w1_clip = np.clip(w1, 0.0, 1.0)
 
-    def corner(ot, o1, o2):
-        return arr[it + ot, i1 + o1, i2 + o2]
+    # flat indices of the 8 corners, row 4*ot + 2*o2 + o1 for offset
+    # (ot, o1, o2): x1 pairs are adjacent rows, x2 pairs rows two apart
+    base = (it * nx1 + i1) * nx2 + i2
+    s0 = nx1 * nx2
+    offsets = np.array([0, nx2, 1, nx2 + 1, s0, s0 + nx2, s0 + 1, s0 + nx2 + 1])
+    idx = base + offsets.reshape((8,) + (1,) * np.ndim(base))
+    a2, at = 1 - w2, 1 - wt
 
-    c00 = corner(0, 0, 0) * (1 - w1) + corner(0, 1, 0) * w1
-    c01 = corner(0, 0, 1) * (1 - w1) + corner(0, 1, 1) * w1
-    c10 = corner(1, 0, 0) * (1 - w1) + corner(1, 1, 0) * w1
-    c11 = corner(1, 0, 1) * (1 - w1) + corner(1, 1, 1) * w1
-    res = ((c00 * (1 - w2) + c01 * w2) * (1 - wt)
-           + (c10 * (1 - w2) + c11 * w2) * wt)
-    return float(res[0]) if scalar else res
+    out = []
+    for name, arr in zip(names, arrs):
+        w = w1 if name == "u" else w1_clip
+        v = np.take(arr.reshape(-1), idx)
+        c = v[0::2] * (1 - w) + v[1::2] * w
+        d = c[0::2] * a2 + c[1::2] * w2
+        res = d[0] * at + d[1] * wt
+        out.append(float(res) if scalar else res)
+    return out[0] if single else tuple(out)
 
 
 # ----------------------------------------------------------------------------

@@ -272,10 +272,47 @@ def _bad_results_cell(tmp_path, cfg, field_dir):
             "--results", str(results)]
 
 
-@pytest.mark.parametrize("breaker", [_bad_table_cell, _empty_table_csv,
-                                     _empty_empirical_csv, _truncated_field,
-                                     _wrong_row_count, _version_1_sidecar,
-                                     _zero_paths, _bad_results_cell])
+def _negative_seed(tmp_path, cfg, field_dir):
+    return ["embed", "--config", cfg, "--out", str(field_dir),
+            "--field", str(field_dir / "field.csv"), "--seed", "-5"]
+
+
+def _solve_with(name, **overrides):
+    def breaker(tmp_path, cfg, field_dir):
+        bad = write_config(tmp_path, "bad.json", **overrides)
+        return ["solve", "--config", bad, "--out", str(tmp_path / "b")]
+    breaker.__name__ = name     # the test id
+    return breaker
+
+
+_nan_G0 = _solve_with("_nan_G0", coefficients={"G0": float("nan")})
+_nan_beta_floor = _solve_with("_nan_beta_floor",
+                              coefficients={"beta_floor": float("nan")})
+_bool_n_paths = _solve_with("_bool_n_paths", simulation={"n_paths": True})
+_nan_fixpoint_tol = _solve_with("_nan_fixpoint_tol",
+                                solver={"fixpoint_tol": float("nan")})
+_uniform_lo_above_hi = _solve_with(
+    "_uniform_lo_above_hi", measure={"kind": "uniform", "lo": 2.0, "hi": 1.0})
+_normal_negative_sigma = _solve_with(
+    "_normal_negative_sigma",
+    measure={"kind": "normal", "mu": 0.0, "sigma": -1.0})
+_normal_nan_mu = _solve_with(
+    "_normal_nan_mu",
+    measure={"kind": "normal", "mu": float("nan"), "sigma": 1.0})
+_piecewise_nan_x = _solve_with(
+    "_piecewise_nan_x", measure={"kind": "piecewise_cdf",
+                                 "xs": [0.0, float("nan"), 2.0],
+                                 "Fs": [0.0, 0.5, 1.0]})
+_text_in_samples = _solve_with(
+    "_text_in_samples", measure={"kind": "empirical", "samples": [1, "x", 3]})
+
+
+@pytest.mark.parametrize("breaker", [
+    _bad_table_cell, _empty_table_csv, _empty_empirical_csv, _truncated_field,
+    _wrong_row_count, _version_1_sidecar, _zero_paths, _bad_results_cell,
+    _negative_seed, _nan_G0, _nan_beta_floor, _bool_n_paths, _nan_fixpoint_tol,
+    _uniform_lo_above_hi, _normal_negative_sigma, _normal_nan_mu,
+    _piecewise_nan_x, _text_in_samples])
 def test_malformed_input_exits_1(tmp_path, capsys, breaker):
     cfg = write_config(tmp_path)
     field_dir = tmp_path / "f"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skofbsde.coeffs import ProcessCoefficients, TimeFunction
 from skofbsde.errors import (ConfigError, CutoffActiveError, DomainError,
@@ -108,6 +109,65 @@ def test_eval_field_domain_errors(case_linear):
         eval_field(f, 1.01, 0.0, 0.0)
     with pytest.raises(DomainError):
         eval_field(f, 0.5, 0.0, 0.0, "nope")
+    with pytest.raises(DomainError):
+        eval_field(f, 0.5, 0.0, 0.0, ("u1", "nope"))
+
+
+def _tuple_query_shapes(f):
+    """The argument shapes eval_field serves, with x1 outside the box (u
+    extrapolates, u1/u2 clamp) and x2 outside [0, x2_hi]."""
+    rng = np.random.default_rng(11)
+    T, lo, hi = f.T, f.x1_grid[0], f.x1_grid[-1]
+    x2_hi = f.x2_grid[-1]
+    n = 400
+    t = rng.uniform(0.0, T, n)
+    x1 = rng.uniform(lo - 2.0, hi + 2.0, n)
+    x2 = rng.uniform(-0.2, x2_hi + 0.2, n)
+    return {
+        "sweep": (0.4375, x1, x2),
+        "strong_rule": (t, x1, 0.3 * x2_hi),
+        "broadcast_2d": (t[:20, None], x1[None, :30], x2[:30]),
+        "outside_box": (T, np.array([lo - 1.5, hi + 1.5, 0.1]),
+                        np.array([-0.5, x2_hi + 0.5, x2_hi])),
+        "scalar": (0.3, hi + 3.0, -1.0),
+    }
+
+
+@pytest.mark.parametrize("shape", ["sweep", "strong_rule", "broadcast_2d",
+                                   "outside_box", "scalar"])
+def test_eval_field_tuple_matches_per_name(case_uniform_k05, shape):
+    f = case_uniform_k05.value["field"]
+    args = _tuple_query_shapes(f)[shape]
+    names = ("u1", "u", "u2")
+    got = eval_field(f, *args, names)
+    assert isinstance(got, tuple) and len(got) == 3
+    for name, res in zip(names, got):
+        assert np.array_equal(res, eval_field(f, *args, name))
+    if shape == "scalar":
+        assert all(type(v) is float for v in got)
+    if shape == "outside_box":
+        u, u1 = got[1], got[0]
+        # u extrapolates past the x1 box, u1 clamps to its edge values
+        assert u[0] != eval_field(f, args[0], f.x1_grid[0], args[2][0])
+        assert u1[0] == eval_field(f, args[0], f.x1_grid[0], args[2][0], "u1")
+        assert u1[1] == eval_field(f, args[0], f.x1_grid[-1], args[2][1], "u1")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_eval_field_exact_at_nodes_property(case_uniform_k05, data):
+    # up to the rounding of the cell weights (u keeps its x1 weight
+    # unclipped, so a node can read w1 = 1 - 1 ulp of the cell below)
+    f = case_uniform_k05.value["field"]
+    nt1, nx1, nx2 = f.u.shape
+    it = data.draw(st.integers(0, nt1 - 1))
+    i1 = data.draw(st.integers(0, nx1 - 1))
+    i2 = data.draw(st.integers(0, nx2 - 1))
+    q = (f.t_grid[it], f.x1_grid[i1], f.x2_grid[i2])
+    names = ("u", "u1", "u2")
+    for name, got in zip(names, eval_field(f, *q, names)):
+        assert got == pytest.approx(getattr(f, name)[it, i1, i2],
+                                    rel=1e-14, abs=1e-14)
 
 
 def test_derivative_methods_agree(case_uniform_k05):
