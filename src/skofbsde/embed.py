@@ -34,8 +34,8 @@ import numpy as np
 
 from .coeffs import ProcessCoefficients
 from .errors import ConfigError, LocalizationError
-from .fbsde import (FbsdePath, increment_block, map_blocks, normal_increments,
-                    path_seed, simulate_block)
+from .fbsde import (FbsdePath, _simulate_arrays, increment_block, map_blocks,
+                    normal_increments, path_seed)
 from .field import DecouplingField, eval_field
 
 __all__ = ["WeakEmbedding", "StrongStop", "EmbeddingResult", "weak_embed",
@@ -51,10 +51,16 @@ CLAMP_WARN_FRACTION = 1e-3
 _WEAK_B_STEPS = 512
 _STRONG_SEED_SALT = 0xD1FF5EED0001
 # paths per block of the three ensemble routines; measured trade-offs between
-# per-call overhead and block memory
-_WEAK_BLOCK = 256
+# per-call overhead and block memory.  A block of the weak or round-trip sweep
+# holds three (block, n_steps + 1) arrays (W, X2, Y).  Peak RSS of one pass on
+# the perfbench many_paths field (64x65x33 grid, 4096 steps; Linux, numpy
+# 2.4), 62.5 MB before it: weak, 2048 paths, 86.8 / 110.7 / 135.0 / 158.9 MB
+# at blocks 256 / 512 / 768 / 1024; round trip, 500 paths, 77.0 / 117.8 MB at
+# blocks 128 / 512; strong, 2048 paths in one block, 127.0 MB.  The weak block
+# stays below the strong pass, which sets the peak of `skofbsde embed`.
+_WEAK_BLOCK = 512
 _STRONG_BLOCK = 2048
-_ROUND_TRIP_BLOCK = 128
+_ROUND_TRIP_BLOCK = 512
 
 
 def _warn_if_clamped(fraction: float, where: str) -> None:
@@ -84,25 +90,22 @@ class WeakEmbedding:
     sigma_inverse_defect: float
 
 
-def weak_embed(p: FbsdePath, coeffs: ProcessCoefficients, g=None,
-               b_steps: int = _WEAK_B_STEPS) -> WeakEmbedding:
-    """Time-change one simulated path into an embedding.
-
-    When ``g`` is provided the identity residual compares the reconstructed
-    stopped value against g(W_1); otherwise it measures the internal
-    consistency of the reconstruction.
-    """
-    X2_T = float(p.X2[-1])
+def _time_change(coeffs: ProcessCoefficients, t_grid: np.ndarray,
+                 X2: np.ndarray, Y: np.ndarray, X1_T: float, g,
+                 b_steps: int = _WEAK_B_STEPS) -> WeakEmbedding:
+    """``weak_embed`` on one path's arrays; ``X2`` and ``Y`` may be row views
+    of a block."""
+    X2_T = float(X2[-1])
     tau = float(coeffs.clock_H_inv(X2_T))
 
-    r_nodes = np.asarray(coeffs.clock_H_inv(p.X2))
+    r_nodes = np.asarray(coeffs.clock_H_inv(X2))
     keep = np.concatenate([[True], np.diff(r_nodes) > 0.0])
     r_mono = r_nodes[keep]
-    t_mono = p.t_grid[keep]
+    t_mono = t_grid[keep]
 
     r_grid = np.linspace(0.0, tau, b_steps + 1)
     sigma_vals = np.interp(r_grid, r_mono, t_mono)
-    Y_at = np.interp(sigma_vals, p.t_grid, p.Y)
+    Y_at = np.interp(sigma_vals, t_grid, Y)
 
     dY = np.diff(Y_at)
     beta_left = np.asarray(coeffs.beta(r_grid[:-1]))
@@ -111,34 +114,61 @@ def weak_embed(p: FbsdePath, coeffs: ProcessCoefficients, g=None,
     beta_mid = np.asarray(coeffs.beta(0.5 * (r_grid[:-1] + r_grid[1:])))
     int_beta_dB = float(np.sum(beta_mid * dB))
 
-    stopped = float(p.Y[0] + coeffs.delta_hat(tau) + int_beta_dB)
+    stopped = float(Y[0] + coeffs.delta_hat(tau) + int_beta_dB)
     if g is not None:
-        residual = abs(stopped - float(np.asarray(g(p.X1[-1]))))
+        residual = abs(stopped - float(np.asarray(g(X1_T))))
     else:
-        residual = abs(int_beta_dB - (p.Y[-1] - p.Y[0]))
+        residual = abs(int_beta_dB - (Y[-1] - Y[0]))
     # defect of the discrete inverse at the original path nodes
-    sigma_defect = float(np.abs(np.interp(r_nodes, r_mono, t_mono) - p.t_grid).max())
+    sigma_defect = float(np.abs(np.interp(r_nodes, r_mono, t_mono) - t_grid).max())
     return WeakEmbedding(tau_weak=tau, stopped_value=stopped, r_grid=r_grid,
                          B=B, identity_residual=residual,
                          sigma_inverse_defect=sigma_defect)
 
 
+def weak_embed(p: FbsdePath, coeffs: ProcessCoefficients, g=None,
+               b_steps: int = _WEAK_B_STEPS) -> WeakEmbedding:
+    """Time-change one simulated path into an embedding.
+
+    When ``g`` is provided the identity residual compares the reconstructed
+    stopped value against g(W_1); otherwise it measures the internal
+    consistency of the reconstruction.
+    """
+    return _time_change(coeffs, p.t_grid, p.X2, p.Y, p.X1[-1], g, b_steps)
+
+
+def _weak_rows(f: DecouplingField, coeffs: ProcessCoefficients,
+               seeds: np.ndarray, n_steps: int, g=None):
+    """Simulate a block of paths from the origin and time-change each row.
+
+    Yields ``(WeakEmbedding, z_abs_max_raw, X2_T)`` path by path, so only one
+    row's embedding is alive at a time; the block's path arrays are released
+    when the generator is exhausted.
+    """
+    t_grid, W, X2, Y, _, zmax = _simulate_arrays(f, seeds, n_steps, 0.0, 0.0,
+                                                 True)
+    X1_T = 0.0 + W[:, -1]                # X1 = x1_0 + W with x1_0 = 0
+    for j in range(seeds.size):
+        yield (_time_change(coeffs, t_grid, X2[j], Y[j], X1_T[j], g),
+               zmax[j], X2[j, -1])
+
+
 def weak_embed_ensemble(f: DecouplingField, coeffs: ProcessCoefficients,
                         n_paths: int, n_steps: int, seed: int, g=None) -> dict:
-    """Weak embedding of a whole seeded ensemble.
+    """Weak embedding of a whole seeded ensemble, the paths of
+    ``simulate_block(f, seed, range(n_paths), n_steps)`` each passed through
+    ``weak_embed``.
 
     Returns per-path arrays: ``seeds``, ``tau_weak``, ``stopped_value``,
     ``identity_residual``, ``z_abs_max_raw`` and ``X2_T``.
     """
+    seeds = path_seed(seed, np.arange(n_paths))
+
     def run_block(lo: int, hi: int):
-        paths = simulate_block(f, seed, range(lo, hi), n_steps)
-        embs = [weak_embed(p, coeffs, g=g) for p in paths]
-        return (np.array([p.seed for p in paths], dtype=np.uint64),
-                [we.tau_weak for we in embs],
-                [we.stopped_value for we in embs],
-                [we.identity_residual for we in embs],
-                [p.z_abs_max_raw for p in paths],
-                [p.X2[-1] for p in paths])
+        rows = [(we.tau_weak, we.stopped_value, we.identity_residual, z, x2)
+                for we, z, x2 in _weak_rows(f, coeffs, seeds[lo:hi], n_steps,
+                                            g)]
+        return (seeds[lo:hi], *np.array(rows).T)
 
     keys = ("seeds", "tau_weak", "stopped_value", "identity_residual",
             "z_abs_max_raw", "X2_T")
@@ -394,23 +424,24 @@ def coupled_round_trip(f: DecouplingField, coeffs: ProcessCoefficients,
     M = int(np.ceil(r_max / dr))
 
     r_u = np.arange(M + 1) * dr
+    seeds = path_seed(seed, np.arange(n_paths))
 
     def run_block(lo: int, hi: int):
-        paths = simulate_block(f, seed, range(lo, hi), n_steps)
         tau_w = np.empty(hi - lo)
         resid = np.empty(hi - lo)
         dB = np.empty((hi - lo, M))
-        for j, p in enumerate(paths):
-            we = weak_embed(p, coeffs)
+        # the loop exhausts _weak_rows, which frees the block's path arrays
+        # before the strong pass
+        for j, (we, _, _) in enumerate(
+                _weak_rows(f, coeffs, seeds[lo:hi], n_steps)):
             tau_w[j] = we.tau_weak
             resid[j] = we.identity_residual
             dB[j] = np.diff(np.interp(r_u, we.r_grid, we.B))
             n_inside = max(int(np.floor(we.tau_weak / dr)), 0)
             if n_inside < M:
                 dB[j, n_inside:] = normal_increments(
-                    path_seed(p.seed ^ _STRONG_SEED_SALT, 1), M - n_inside, dr)
-        # free the block's paths before the strong pass
-        del paths, p
+                    path_seed(int(seeds[lo + j]) ^ _STRONG_SEED_SALT, 1),
+                    M - n_inside, dr)
         tau_s = _integrate_strong(f, coeffs, dB, dr, K1, K2)["tau"]
         return tau_w, tau_s, resid
 

@@ -116,34 +116,52 @@ class FbsdePath:
 
 
 def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
-                     x1_0: float, x2_0: float, clip_z: bool):
-    """Vectorized Euler sweep for a block of paths; returns full arrays of
-    shape (n_paths, n_steps + 1)."""
+                     x1_0: float, x2_0: float, clip_z: bool,
+                     keep_z: bool = False):
+    """Vectorized Euler sweep for a block of paths.
+
+    Returns ``(t_grid, W, X2, Y, Z, z_abs_max_raw)`` with path arrays of shape
+    (n_paths, n_steps + 1).  ``X1`` is not stored: it is ``x1_0 + W``, formed
+    column by column for the field lookups.  ``Z`` is kept only when
+    ``keep_z`` is set and is ``None`` otherwise; each row of ``W`` is
+    cumulated from its increments in place.
+    """
     T = f.T
     dt = T / n_steps
     n = seeds.size
-    dW = increment_block(seeds, n_steps, dt)
 
     t_grid = np.linspace(0.0, T, n_steps + 1)
-    W = np.zeros((n, n_steps + 1))
-    np.cumsum(dW, axis=1, out=W[:, 1:])
-    X1 = x1_0 + W
-    X2 = np.empty_like(W)
-    Y = np.empty_like(W)
-    Z = np.empty_like(W)
+    # one buffer for all path arrays: freed as a whole when the last view
+    # goes, where separate arrays can be left fragmented in the heap
+    W, X2, Y, *rest = np.empty((4 if keep_z else 3, n, n_steps + 1))
+    Z = rest[0] if keep_z else None
+    W[:, 0] = 0.0
+    for row, s in zip(W, seeds):
+        np.cumsum(normal_increments(int(s), n_steps, dt), out=row[1:])
     X2[:, 0] = x2_0
     clip = f.g_lipschitz if clip_z else None
     z_raw_max = np.zeros(n)
 
     for k in range(n_steps + 1):
-        zk, Y[:, k] = eval_field(f, t_grid[k], X1[:, k], X2[:, k], ("u1", "u"))
-        z_raw_max = np.maximum(z_raw_max, np.abs(zk))
+        zk, Y[:, k] = eval_field(f, t_grid[k], x1_0 + W[:, k], X2[:, k],
+                                 ("u1", "u"))
+        np.maximum(z_raw_max, np.abs(zk), out=z_raw_max)
         if clip is not None:
-            zk = np.clip(zk, -clip, clip)
-        Z[:, k] = zk
+            zk = np.minimum(np.maximum(-clip, zk), clip)
+        if keep_z:
+            Z[:, k] = zk
         if k < n_steps:
             X2[:, k + 1] = X2[:, k] + zk * zk * dt
-    return t_grid, W, X1, X2, Y, Z, z_raw_max
+    return t_grid, W, X2, Y, Z, z_raw_max
+
+
+def _paths(t_grid, W, X2, Y, Z, zmax, seeds, x1_0: float,
+           z_clip: float | None) -> list[FbsdePath]:
+    """Whole paths from the arrays of ``_simulate_arrays(..., keep_z=True)``."""
+    return [FbsdePath(t_grid=t_grid, W=W[i], X1=x1_0 + W[i], X2=X2[i],
+                      Y=Y[i], Z=Z[i], seed=int(seeds[i]),
+                      z_abs_max_raw=float(zmax[i]), z_clip=z_clip)
+            for i in range(seeds.size)]
 
 
 def simulate_path(f: DecouplingField, x1_0: float = 0.0, x2_0: float = 0.0,
@@ -152,11 +170,10 @@ def simulate_path(f: DecouplingField, x1_0: float = 0.0, x2_0: float = 0.0,
     """Simulate one path; identical seed gives a bit-identical path."""
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
-    t_grid, W, X1, X2, Y, Z, zmax = _simulate_arrays(
-        f, np.array([seed], dtype=np.uint64), n_steps, x1_0, x2_0, clip_z)
-    return FbsdePath(t_grid=t_grid, W=W[0], X1=X1[0], X2=X2[0], Y=Y[0], Z=Z[0],
-                     seed=int(seed), z_abs_max_raw=float(zmax[0]),
-                     z_clip=f.g_lipschitz if clip_z else None)
+    seeds = np.array([seed], dtype=np.uint64)
+    arrays = _simulate_arrays(f, seeds, n_steps, x1_0, x2_0, clip_z,
+                              keep_z=True)
+    return _paths(*arrays, seeds, x1_0, f.g_lipschitz if clip_z else None)[0]
 
 
 def simulate_block(f: DecouplingField, base_seed: int, indices,
@@ -164,12 +181,9 @@ def simulate_block(f: DecouplingField, base_seed: int, indices,
                    clip_z: bool = True) -> list[FbsdePath]:
     """Simulate the paths with the given indices (seeds derived per path)."""
     seeds = path_seed(base_seed, np.asarray(indices, dtype=int))
-    t_grid, W, X1, X2, Y, Z, zmax = _simulate_arrays(
-        f, seeds, n_steps, x1_0, x2_0, clip_z)
-    return [FbsdePath(t_grid=t_grid, W=W[i], X1=X1[i], X2=X2[i], Y=Y[i],
-                      Z=Z[i], seed=int(seeds[i]), z_abs_max_raw=float(zmax[i]),
-                      z_clip=f.g_lipschitz if clip_z else None)
-            for i in range(seeds.size)]
+    arrays = _simulate_arrays(f, seeds, n_steps, x1_0, x2_0, clip_z,
+                              keep_z=True)
+    return _paths(*arrays, seeds, x1_0, f.g_lipschitz if clip_z else None)
 
 
 @dataclass
@@ -202,12 +216,12 @@ def simulate_ensemble(f: DecouplingField, n_paths: int, n_steps: int,
     seeds = path_seed(seed, np.arange(n_paths))
 
     def run_block(lo: int, hi: int):
-        t_grid, W, X1, X2, Y, Z, zmax = _simulate_arrays(
-            f, seeds[lo:hi], n_steps, x1_0, x2_0, clip_z)
+        t_grid, W, X2, Y, Z, zmax = _simulate_arrays(
+            f, seeds[lo:hi], n_steps, x1_0, x2_0, clip_z, keep_z=True)
         qv = np.cumsum(np.diff(Y, axis=1) ** 2, axis=1)
         sz2 = np.cumsum(Z[:, :-1] ** 2 * dt, axis=1)
-        return (Y[:, ck], sz2[:, ck - 1], qv[:, ck - 1], X1[:, -1], X2[:, -1],
-                Y[:, -1], zmax)
+        return (Y[:, ck], sz2[:, ck - 1], qv[:, ck - 1], x1_0 + W[:, -1],
+                X2[:, -1], Y[:, -1], zmax)
 
     Y_ck, sz2_ck, qv_ck, X1_T, X2_T, Y_T, zmax = map_blocks(
         n_paths, _ENSEMBLE_BLOCK, run_block)

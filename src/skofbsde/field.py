@@ -40,6 +40,10 @@ Z_BOUND_TOL = 1e-2          # tolerance on sup|u1| <= L_g
 U2_BOUND_TOL = 1e-2         # tolerance on sup|u2| <= sup|delta'|
 _FORMAT_TAG = "skofbsde-field"
 _FORMAT_VERSION = 2
+# peak memory of `skofbsde solve` above the interpreter's own, in
+# (nt+1) x nx1 x nx2 float64 arrays: 7.96 and 7.97 measured at 256x257x129
+# and 128x129x65 (u, u1, u2, the coupled-derivative check and temporaries)
+_SOLVE_PEAK_ARRAYS = 8
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,13 @@ class SolverConfig:
             raise ConfigError(
                 f"time step violates the transport restriction "
                 f"dt <= {CFL_SAFETY} * dx2 / L_g^2; use nt >= {nt_min}")
+        need = _SOLVE_PEAK_ARRAYS * (self.nt + 1) * self.nx1 * self.nx2 * 8
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ConfigError(
+                f"solver grid needs about {need / 2**30:.3g} GiB of memory "
+                f"at peak, more than the {have / 2**30:.3g} GiB of physical "
+                f"memory; reduce nt, nx1 or nx2")
 
 
 @dataclass
@@ -138,8 +149,10 @@ class FieldDiagnostics:
 class DecouplingField:
     """Solved field with first derivatives and certified-bound metadata.
 
-    Treated as immutable once returned by :func:`solve_field`; safe to share
-    read-only across parallel workers.
+    Evaluation (:func:`eval_field`, the path simulation and the embeddings)
+    only reads it.  :func:`derivative_fields` replaces ``u1``, ``u2`` and
+    ``deriv_mismatch`` in place, and :func:`field_diagnostics` sets
+    ``diagnostics``.
     """
 
     t_grid: np.ndarray
@@ -350,7 +363,11 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
 
 def eval_field(f: DecouplingField, t, x1, x2,
                which: str | tuple[str, ...] = "u"):
-    """Trilinear interpolation, exact at nodes.
+    """Trilinear interpolation.
+
+    At a grid node each component returns the stored value up to rounding,
+    not always bitwise: a cell weight ``(q - q_lo) / dq`` that should be 0 or
+    1 can come out one ulp off.
 
     t must lie in [0, T].  x1 queries outside the box extrapolate linearly
     for ``u`` (the field is asymptotically affine) and clamp for the
@@ -368,32 +385,43 @@ def eval_field(f: DecouplingField, t, x1, x2,
         raise DomainError(f"unknown field component {which!r}") from None
 
     T = f.T
-    tq = np.asarray(t, dtype=float)
     x1q = np.asarray(x1, dtype=float)
     x2q = np.asarray(x2, dtype=float)
-    if np.any(tq < -1e-12) or np.any(tq > T * (1.0 + 1e-12)):
-        raise DomainError(f"time query outside [0, {T}]")
-    scalar = tq.ndim == 0 and x1q.ndim == 0 and x2q.ndim == 0
-
-    # cell index and weight of each coordinate at that coordinate's own shape
     nt1, nx1, nx2 = f.u.shape
-    dt = f.t_grid[1] - f.t_grid[0]
+    dt = float(f.t_grid[1] - f.t_grid[0])
     dx1 = f.x1_grid[1] - f.x1_grid[0]
     dx2 = f.x2_grid[1] - f.x2_grid[0]
-    it = np.clip((tq / dt).astype(int), 0, nt1 - 2)
-    wt = np.clip((tq - f.t_grid[it]) / dt, 0.0, 1.0)
-    i1 = np.clip(((x1q - f.x1_grid[0]) / dx1).astype(int), 0, nx1 - 2)
+
+    # cell index and weight of each coordinate at that coordinate's own
+    # shape; a scalar time stays a Python float
+    if np.ndim(t) == 0:
+        tq = float(t)
+        if not -1e-12 <= tq <= T * (1.0 + 1e-12):
+            raise DomainError(f"time query outside [0, {T}]")
+        it = min(max(int(tq / dt), 0), nt1 - 2)
+        wt = min(max((tq - float(f.t_grid[it])) / dt, 0.0), 1.0)
+    else:
+        tq = np.asarray(t, dtype=float)
+        if np.any(tq < -1e-12) or np.any(tq > T * (1.0 + 1e-12)):
+            raise DomainError(f"time query outside [0, {T}]")
+        it = np.minimum(np.maximum(0, (tq / dt).astype(int)), nt1 - 2)
+        wt = np.minimum(np.maximum(0.0, (tq - f.t_grid[it]) / dt), 1.0)
+    scalar = np.ndim(tq) == 0 and x1q.ndim == 0 and x2q.ndim == 0
+    i1 = np.minimum(np.maximum(0, ((x1q - f.x1_grid[0]) / dx1).astype(int)),
+                    nx1 - 2)
     w1 = (x1q - f.x1_grid[i1]) / dx1
-    i2 = np.clip((x2q / dx2).astype(int), 0, nx2 - 2)
-    w2 = np.clip((x2q - f.x2_grid[i2]) / dx2, 0.0, 1.0)
-    w1_clip = np.clip(w1, 0.0, 1.0)
+    i2 = np.minimum(np.maximum(0, (x2q / dx2).astype(int)), nx2 - 2)
+    w2 = np.minimum(np.maximum(0.0, (x2q - f.x2_grid[i2]) / dx2), 1.0)
+    # u extrapolates in x1 on the raw weight, u1 and u2 clamp to the box edge
+    w1_clip = (np.minimum(np.maximum(0.0, w1), 1.0)
+               if any(name != "u" for name in names) else None)
 
     # flat indices of the 8 corners, row 4*ot + 2*o2 + o1 for offset
     # (ot, o1, o2): x1 pairs are adjacent rows, x2 pairs rows two apart
     base = (it * nx1 + i1) * nx2 + i2
     s0 = nx1 * nx2
     offsets = np.array([0, nx2, 1, nx2 + 1, s0, s0 + nx2, s0 + 1, s0 + nx2 + 1])
-    idx = base + offsets.reshape((8,) + (1,) * np.ndim(base))
+    idx = np.add.outer(offsets, base)
     a2, at = 1 - w2, 1 - wt
 
     out = []

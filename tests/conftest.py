@@ -75,6 +75,15 @@ def case_uniform_k025():
 
 
 @pytest.fixture(scope="session")
+def case_small():
+    # the uniform k=0.25 case on the perfbench many_paths grid
+    return _timed(lambda: make_case(
+        TargetMeasure.uniform(0.0, 1.0),
+        TimeFunction.const(0.25), TimeFunction.const(1.0), 1.0,
+        nt=64, nx1=65, nx2=33))
+
+
+@pytest.fixture(scope="session")
 def case_normal_sin():
     return _timed(lambda: make_case(
         TargetMeasure.normal(0.0, 1.0),

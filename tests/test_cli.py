@@ -305,6 +305,9 @@ _piecewise_nan_x = _solve_with(
                                  "Fs": [0.0, 0.5, 1.0]})
 _text_in_samples = _solve_with(
     "_text_in_samples", measure={"kind": "empirical", "samples": [1, "x", 3]})
+# a grid of 1.6e16 bytes per field array: refused before any allocation
+_oversized_grid = _solve_with(
+    "_oversized_grid", solver={"nt": 200_000, "nx1": 100_001, "nx2": 100_001})
 
 
 @pytest.mark.parametrize("breaker", [
@@ -312,7 +315,7 @@ _text_in_samples = _solve_with(
     _wrong_row_count, _version_1_sidecar, _zero_paths, _bad_results_cell,
     _negative_seed, _nan_G0, _nan_beta_floor, _bool_n_paths, _nan_fixpoint_tol,
     _uniform_lo_above_hi, _normal_negative_sigma, _normal_nan_mu,
-    _piecewise_nan_x, _text_in_samples])
+    _piecewise_nan_x, _text_in_samples, _oversized_grid])
 def test_malformed_input_exits_1(tmp_path, capsys, breaker):
     cfg = write_config(tmp_path)
     field_dir = tmp_path / "f"
@@ -330,3 +333,5 @@ def test_malformed_input_exits_1(tmp_path, capsys, breaker):
     assert len(lines) == 1 and lines[0].startswith("config error:"), lines
     if breaker is _version_1_sidecar:
         assert "re-run skofbsde solve" in lines[0]
+    if breaker is _oversized_grid:
+        assert "memory" in lines[0]

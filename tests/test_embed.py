@@ -2,14 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skofbsde import embed
 from skofbsde.embed import (coupled_round_trip, strong_embed_on_W,
                             strong_stopping_time, tau_bound, weak_embed,
                             weak_embed_ensemble)
 from skofbsde.errors import ConfigError, LocalizationError
-from skofbsde.fbsde import (increment_block, normal_increments, simulate_block,
-                            simulate_path)
+from skofbsde.fbsde import (increment_block, normal_increments, path_seed,
+                            simulate_block, simulate_path)
 
 
 def test_weak_embed_trivial(case_trivial):
@@ -131,3 +132,68 @@ def test_embeddings_require_unit_horizon(case_uniform_k025):
     f2 = replace(c["field"], t_grid=c["field"].t_grid * 2.0)
     with pytest.raises(ConfigError):
         strong_embed_on_W(f2, c["coeffs"], 4, 2048, seed=2)
+
+
+def _per_path_weak(c, n_paths, n_steps, seed, g=None):
+    """Reference for the ensembles: whole paths, one weak_embed each."""
+    paths = simulate_block(c["field"], seed, range(n_paths), n_steps)
+    return paths, [weak_embed(p, c["coeffs"], g=g) for p in paths]
+
+
+def test_weak_ensemble_matches_per_path_reference(case_uniform_k025):
+    c = case_uniform_k025.value
+    weak = weak_embed_ensemble(c["field"], c["coeffs"], 37, 1024, seed=55,
+                               g=c["g"])
+    paths, embs = _per_path_weak(c, 37, 1024, 55, g=c["g"])
+    ref = {
+        "seeds": np.array([p.seed for p in paths], dtype=np.uint64),
+        "tau_weak": np.array([we.tau_weak for we in embs]),
+        "stopped_value": np.array([we.stopped_value for we in embs]),
+        "identity_residual": np.array([we.identity_residual for we in embs]),
+        "z_abs_max_raw": np.array([p.z_abs_max_raw for p in paths]),
+        "X2_T": np.array([p.X2[-1] for p in paths]),
+    }
+    assert weak.keys() == ref.keys()
+    for key, want in ref.items():
+        assert weak[key].dtype == want.dtype, key
+        assert np.array_equal(weak[key], want), key
+
+
+def test_round_trip_matches_per_path_reference(case_uniform_k025):
+    c = case_uniform_k025.value
+    f, coeffs = c["field"], c["coeffs"]
+    rt = coupled_round_trip(f, coeffs, 37, 1024, seed=55)
+    dr = rt["dr"]
+    K1, K2 = embed._default_guards(f, coeffs)
+    M = int(np.ceil(min(K1, coeffs.t_phys * (1.0 - 1e-9)) / dr))
+    r_u = np.arange(M + 1) * dr
+    paths, embs = _per_path_weak(c, 37, 1024, 55)
+    dB = np.empty((37, M))
+    for j, (p, we) in enumerate(zip(paths, embs)):
+        dB[j] = np.diff(np.interp(r_u, we.r_grid, we.B))
+        n_inside = max(int(np.floor(we.tau_weak / dr)), 0)
+        assert n_inside < M                  # the fresh extension is used
+        dB[j, n_inside:] = normal_increments(
+            path_seed(p.seed ^ embed._STRONG_SEED_SALT, 1), M - n_inside, dr)
+    tau_w = np.array([we.tau_weak for we in embs])
+    tau_s = embed._integrate_strong(f, coeffs, dB, dr, K1, K2)["tau"]
+    assert np.array_equal(rt["tau_weak"], tau_w)
+    assert np.array_equal(rt["tau_strong"], tau_s)
+    assert rt["weak_identity_residual_max"] == max(
+        we.identity_residual for we in embs)
+    assert rt["mean_abs_diff"] == float(np.abs(tau_w - tau_s).mean())
+    assert rt["max_abs_diff"] == float(np.abs(tau_w - tau_s).max())
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 24),
+       block=st.integers(1, 16))
+def test_weak_tau_bound_property(case_small, seed, n_paths, block):
+    c = case_small.value
+    bound = float(c["coeffs"].clock_H_inv(c["field"].g_lipschitz ** 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embed, "_WEAK_BLOCK", block)
+        weak = weak_embed_ensemble(c["field"], c["coeffs"], n_paths, 256,
+                                   seed, g=c["g"])
+    assert weak["tau_weak"].shape == (n_paths,)
+    assert np.all(weak["tau_weak"] <= bound + 1e-6)

@@ -117,6 +117,25 @@ def test_z_and_x2_bounds(case_uniform_k05):
         assert np.abs(inc - p.Z[:-1] ** 2 * dt).max() < 1e-15
 
 
+def test_simulate_block_returns_whole_paths(case_uniform_k025):
+    f = case_uniform_k025.value["field"]
+    x1_0, x2_0, n_steps = 0.25, 0.005, 256
+    paths = simulate_block(f, 55, range(37), n_steps, x1_0=x1_0, x2_0=x2_0)
+    assert len(paths) == 37
+    for p in paths:
+        for a in (p.W, p.X1, p.X2, p.Y, p.Z):
+            assert a.shape == (n_steps + 1,)
+        assert np.array_equal(p.X1, x1_0 + p.W)
+        assert p.W[0] == 0.0 and p.X2[0] == x2_0
+        assert np.array_equal(p.W[1:], np.cumsum(
+            normal_increments(p.seed, n_steps, f.T / n_steps)))
+        # one path alone gives the same arrays as inside a block
+        q = simulate_path(f, x1_0, x2_0, n_steps, seed=p.seed)
+        for name in ("t_grid", "W", "X1", "X2", "Y", "Z"):
+            assert np.array_equal(getattr(p, name), getattr(q, name)), name
+        assert p.z_abs_max_raw == q.z_abs_max_raw
+
+
 # each ensemble routine, its block-size constant, and a small unit-horizon run
 _ENSEMBLES = {
     "simulate_ensemble": (fbsde, "_ENSEMBLE_BLOCK", lambda c: simulate_ensemble(

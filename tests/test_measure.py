@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import norm
 
 from skofbsde.errors import DiracMeasureError, DomainError
@@ -109,6 +110,32 @@ def test_g_monotone_probe():
         g = make_g(m)
         vals = np.asarray(g(np.linspace(-8, 8, 801)))
         assert np.all(np.diff(vals) >= -1e-14)
+
+
+@st.composite
+def measures(draw):
+    """A random uniform, normal or piecewise-linear-CDF law."""
+    kind = draw(st.sampled_from(["uniform", "normal", "piecewise_cdf"]))
+    loc = draw(st.floats(-50.0, 50.0))
+    if kind == "uniform":
+        return TargetMeasure.uniform(loc, loc + draw(st.floats(1e-3, 50.0)))
+    if kind == "normal":
+        return TargetMeasure.normal(loc, draw(st.floats(1e-3, 50.0)))
+    widths = draw(st.lists(st.floats(1e-2, 10.0), min_size=1, max_size=8))
+    masses = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                           min_size=len(widths), max_size=len(widths)))
+    cum = np.cumsum([0.0] + masses)
+    assume(cum[-1] > 0.0)
+    return TargetMeasure.piecewise_cdf(loc + np.cumsum([0.0] + widths),
+                                       cum / cum[-1])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(measures(), st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=50))
+def test_g_monotone_property(m, extra):
+    g = make_g(m)
+    x = np.sort(np.concatenate([np.linspace(-9.0, 9.0, 2001), extra]))
+    assert np.all(np.diff(np.asarray(g(x))) >= 0.0)
 
 
 def test_dirac_rejected():
