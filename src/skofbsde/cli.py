@@ -63,18 +63,21 @@ def _reject_extras(d: dict, allowed: set[str], ctx: str) -> None:
         raise ConfigError(f"unknown config keys in {ctx}: {sorted(extras)}")
 
 
-def _load_column_csv(path: str, ncols: int) -> np.ndarray:
+def _load_column_csv(path: str, ncols: int, header: bool = False) -> np.ndarray:
     try:
         with warnings.catch_warnings():
             # an empty file is reported below, not by loadtxt's UserWarning
             warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(path, delimiter=",", ndmin=2)
+            data = np.loadtxt(path, delimiter=",", ndmin=2,
+                              skiprows=int(header))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read CSV {path}: {exc}") from None
     if data.size == 0:
         raise ConfigError(f"CSV {path} has no data")
     if data.shape[1] != ncols:
         raise ConfigError(f"CSV {path} must have {ncols} column(s)")
+    if not np.isfinite(data).all():
+        raise ConfigError(f"CSV {path} has a non-finite value")
     return data
 
 
@@ -204,6 +207,8 @@ class RunConfig:
         self.K2 = _take(emb, "K2", None, (int, float))
         if self.embed_steps < 1:
             raise ConfigError("embedding n_steps out of range")
+        if any(k is not None and k <= 0 for k in (self.K1, self.K2)):
+            raise ConfigError("embedding K1 and K2 must be positive")
 
         out = _take(raw, "output_dir", "out", str)
         self.output_dir = out if os.path.isabs(out) else \
@@ -239,11 +244,11 @@ def _field_path(out_dir: str) -> str:
 def cmd_solve(cfg: RunConfig) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     f = field_mod.solve_field(cfg.g, cfg.delta, cfg.solver)
-    # dual-route derivative check, then keep the finite-difference fields
+    # the coupled-system check only sets f.deriv_mismatch, which the
+    # diagnostics report; f keeps its finite-difference derivatives
     field_mod.derivative_fields(f, "coupled_system", g=cfg.g, delta=cfg.delta)
-    field_mod.derivative_fields(f, "finite_difference")
     diag = field_mod.field_diagnostics(f, cfg.g, cfg.delta)
-    field_mod.save_field(f, _field_path(cfg.output_dir))
+    field_mod.save_field(f, _field_path(cfg.output_dir), diag)
     print(json.dumps(diag.to_dict(), indent=2, sort_keys=True))
     print(f"field written to {_field_path(cfg.output_dir)}")
     return 0 if diag.all_passed else 2
@@ -316,13 +321,8 @@ def cmd_embed(cfg: RunConfig, field_path: str, dump_paths: int = 0) -> int:
 
 
 def cmd_verify(cfg: RunConfig, results_path: str) -> int:
-    try:
-        data = np.loadtxt(results_path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read results CSV: {exc}") from None
-    if data.shape[1] != 4:
-        raise ConfigError("results CSV must have 4 columns "
-                          "(seed, tau_weak, tau_strong, stopped_value)")
+    # columns seed, tau_weak, tau_strong, stopped_value under a header row
+    data = _load_column_csv(results_path, 4, header=True)
     report = verify_mod.law_report(data[:, 3], cfg.measure)
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, "verify_report.json")

@@ -96,17 +96,14 @@ class TimeFunction:
 
 @dataclass(frozen=True)
 class DelayedDrift:
-    """Callable delta = delta_hat o H^{-1} with derivative metadata.
+    """Callable delta = delta_hat o H^{-1} with its derivative bound.
 
     ``deriv_sup`` is the grid supremum of ``|alpha / beta^2|``, the exact
-    formula for ``|delta'|``; ``lipschitz_bound`` is the coarser a-priori
-    bound ``sup|alpha| / beta_floor^2``.
+    formula for ``|delta'|``.
     """
 
     coeffs: "ProcessCoefficients"
     deriv_sup: float
-    lipschitz_bound: float
-    d2_estimate: float
 
     def __call__(self, x):
         return self.coeffs.delta(x)
@@ -213,13 +210,5 @@ class ProcessCoefficients:
         return self.delta_hat(self.clock_H_inv(x))
 
     def delayed_drift(self) -> DelayedDrift:
-        """Package delta with its derivative bounds."""
-        xs = np.linspace(0.0, self.h_max, 1025)
-        dp = self.alpha(self.clock_H_inv(xs)) / self.beta(self.clock_H_inv(xs)) ** 2
-        d2 = float(np.abs(np.diff(dp) / np.diff(xs)).max()) if xs.size > 1 else 0.0
-        return DelayedDrift(
-            coeffs=self,
-            deriv_sup=self._delta_deriv_sup,
-            lipschitz_bound=self.alpha_sup / self.beta_floor**2,
-            d2_estimate=d2,
-        )
+        """Package delta with its derivative bound."""
+        return DelayedDrift(coeffs=self, deriv_sup=self._delta_deriv_sup)

@@ -41,9 +41,10 @@ U2_BOUND_TOL = 1e-2         # tolerance on sup|u2| <= sup|delta'|
 _FORMAT_TAG = "skofbsde-field"
 _FORMAT_VERSION = 2
 # peak memory of `skofbsde solve` above the interpreter's own, in
-# (nt+1) x nx1 x nx2 float64 arrays: 7.96 and 7.97 measured at 256x257x129
-# and 128x129x65 (u, u1, u2, the coupled-derivative check and temporaries)
-_SOLVE_PEAK_ARRAYS = 8
+# (nt+1) x nx1 x nx2 float64 arrays: 5.04 and 6.07 measured at 256x257x129
+# and 128x129x65 (u, u1, u2 and the coupled check's v1, v2; on the small
+# grid the CSV writer's row strings weigh about one array more)
+_SOLVE_PEAK_ARRAYS = 7
 
 
 @dataclass(frozen=True)
@@ -147,12 +148,14 @@ class FieldDiagnostics:
 
 @dataclass
 class DecouplingField:
-    """Solved field with first derivatives and certified-bound metadata.
+    """Solved field with its finite-difference first derivatives and
+    certified-bound metadata.
 
-    Evaluation (:func:`eval_field`, the path simulation and the embeddings)
-    only reads it.  :func:`derivative_fields` replaces ``u1``, ``u2`` and
-    ``deriv_mismatch`` in place, and :func:`field_diagnostics` sets
-    ``diagnostics``.
+    ``u1`` and ``u2`` are always the finite-difference derivatives of ``u``
+    (set by :func:`solve_field` and :func:`load_field`).  Evaluation, the
+    path simulation, the embeddings and :func:`field_diagnostics` only read
+    the field; the coupled-system check of :func:`derivative_fields` records
+    its worst mismatch in ``deriv_mismatch`` and writes nothing else.
     """
 
     t_grid: np.ndarray
@@ -165,7 +168,6 @@ class DecouplingField:
     delta_deriv_sup: float
     cutoff_H: float
     deriv_floor_eps: float
-    diagnostics: FieldDiagnostics | None = None
     deriv_mismatch: float | None = None
 
     @property
@@ -273,7 +275,7 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
 
 def _fd_derivatives(u: np.ndarray, x1_grid: np.ndarray, x2_grid: np.ndarray):
     """(u1, u2) of u: central differences inside, one-sided at the box
-    edges.  This is the stencil ``solve`` keeps and ``load_field`` redoes."""
+    edges.  ``solve_field`` and ``load_field`` both set these."""
     return np.gradient(u, x1_grid[1] - x1_grid[0], x2_grid[1] - x2_grid[0],
                        axis=(1, 2))
 
@@ -281,7 +283,7 @@ def _fd_derivatives(u: np.ndarray, x1_grid: np.ndarray, x2_grid: np.ndarray):
 def _coupled_system_derivatives(f: DecouplingField, g, delta):
     """Layer-by-layer solve of the linear backward equations satisfied by the
     derivative fields, with transport/advection coefficients frozen from the
-    base solve:
+    field's ``u1`` and ``u2``:
 
         v_t + 1/2 v_{x1 x1} + u1^2 v_{x2} + 2 u1 u2 v_{x1} = 0,
 
@@ -315,12 +317,16 @@ def _coupled_system_derivatives(f: DecouplingField, g, delta):
 def derivative_fields(f: DecouplingField, method: str = "finite_difference",
                       g=None, delta=None,
                       mismatch_tol: float | None = None) -> DecouplingField:
-    """Fill u1, u2 either by finite differences or by the coupled linear
-    system; the two must agree.
+    """Check the field's derivatives against the coupled linear system, or
+    refill them by finite differences.  Returns ``f``.
 
-    ``coupled_system`` requires the terminal-derivative callables ``g`` and
-    ``delta``.  The agreement tolerance defaults to 10x the grid tolerance
-    dt + dx1^2 + dx2.  Returns the (mutated) field for convenience.
+    ``coupled_system`` needs the terminal-derivative callables ``g`` and
+    ``delta``.  It solves the coupled system with coefficients frozen from
+    the field's own ``u1``/``u2``, compares the two routes and records the
+    worst mismatch in ``f.deriv_mismatch``; no array of ``f`` is written.
+    A mismatch above the tolerance, by default 10x the grid tolerance
+    dt + dx1^2 + dx2, raises :class:`DerivativeMismatchError`.
+    ``finite_difference`` recomputes ``u1`` and ``u2`` from ``u``.
     """
     if method == "finite_difference":
         f.u1, f.u2 = _fd_derivatives(f.u, f.x1_grid, f.x2_grid)
@@ -330,30 +336,29 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
     if g is None or delta is None:
         raise ConfigError("coupled_system needs g and delta with .derivative")
 
-    # the coupled system freezes its coefficients from the FD derivatives
-    f.u1, f.u2 = u1_fd, u2_fd = _fd_derivatives(f.u, f.x1_grid, f.x2_grid)
     v1, v2 = _coupled_system_derivatives(f, g, delta)
-
     dt = f.t_grid[1] - f.t_grid[0]
     dx1 = f.x1_grid[1] - f.x1_grid[0]
     dx2 = f.x2_grid[1] - f.x2_grid[0]
     if mismatch_tol is None:
         mismatch_tol = 10.0 * (dt + dx1**2 + dx2)
-    # compare away from one-sided stencils and the top transport row
-    diff1 = np.abs(v1[:, 1:-1, :-1] - u1_fd[:, 1:-1, :-1])
-    diff2 = np.abs(v2[:, 1:-1, :-1] - u2_fd[:, 1:-1, :-1])
-    worst = max(float(diff1.max()), float(diff2.max()))
+    # compare away from one-sided stencils and the top transport row; the
+    # differences are formed in place in v1 and v2
+    inner = (slice(None), slice(1, -1), slice(None, -1))
+    diff1, diff2 = v1[inner], v2[inner]
+    for d, u_fd in ((diff1, f.u1[inner]), (diff2, f.u2[inner])):
+        np.subtract(d, u_fd, out=d)
+        np.abs(d, out=d)
+    m1, m2 = float(diff1.max()), float(diff2.max())
+    worst = max(m1, m2)
     if worst > mismatch_tol:
-        which = diff1 if diff1.max() >= diff2.max() else diff2
+        which = diff1 if m1 >= m2 else diff2
         loc = np.unravel_index(int(which.argmax()), which.shape)
         raise DerivativeMismatchError(
             f"derivative methods disagree by {worst:.3e} > {mismatch_tol:.3e} "
             f"at (t, x1, x2) index {loc}",
             location=loc, discrepancy=worst)
-    f.u1, f.u2 = v1, v2
     f.deriv_mismatch = worst
-    if f.diagnostics is not None:
-        f.diagnostics.deriv_mismatch = worst
     return f
 
 
@@ -440,9 +445,12 @@ def eval_field(f: DecouplingField, t, x1, x2,
 # ----------------------------------------------------------------------------
 
 def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostics:
-    """Measure the certified bounds on the solved field.
+    """Measure the certified bounds on the solved field; the field is only
+    read.
 
     Failures are reported in the ``checks`` list, never raised.
+    ``deriv_mismatch`` is copied from the field, so run the coupled check
+    first to have it reported.
     """
     dt = f.t_grid[1] - f.t_grid[0]
     dx1 = f.x1_grid[1] - f.x1_grid[0]
@@ -470,13 +478,11 @@ def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostic
         BoundCheck("cutoff passive: z_sup < cutoff_H", z_sup, f.cutoff_H, 0.0,
                    z_sup < f.cutoff_H),
     ]
-    diag = FieldDiagnostics(z_sup=z_sup, u2_sup=u2_sup,
+    return FieldDiagnostics(z_sup=z_sup, u2_sup=u2_sup,
                             min_u1_interior=min_u1_interior,
                             time_lip_u1=time_lip_u1, L_ux=L_ux,
                             d2x1_sup=d2x1_sup, checks=checks,
                             deriv_mismatch=f.deriv_mismatch)
-    f.diagnostics = diag
-    return diag
 
 
 # ----------------------------------------------------------------------------
@@ -491,18 +497,19 @@ def sidecar_path(path: str) -> str:
         else path + ".json"
 
 
-def save_field(f: DecouplingField, path: str) -> None:
+def save_field(f: DecouplingField, path: str,
+               diagnostics: FieldDiagnostics | None = None) -> None:
     """Write ``u`` as a text CSV matrix plus a JSON sidecar.
 
     The CSV holds ``u`` only: one row of nx2 comma-separated values per
     (t, x1) pair, t outer, x1 middle, so (nt + 1) * nx1 rows.  Floats are
     written with shortest round-trip precision, so save/load is exact.  The
     sidecar holds the format tag and version, the shape, the three grids as
-    exact JSON lists, the bound metadata and the diagnostics.
+    exact JSON lists, the bound metadata and ``diagnostics`` (``null`` when
+    none are given).
 
     ``u1`` and ``u2`` are not stored: :func:`load_field` recomputes them with
-    the finite-difference stencil, which is what ``skofbsde solve`` keeps.
-    A field carrying coupled-system derivatives reloads with FD ones.
+    the same finite-difference stencil as :func:`solve_field`.
     """
     nt1, nx1, nx2 = f.u.shape
     rows = f.u.reshape(nt1 * nx1, nx2)
@@ -521,7 +528,7 @@ def save_field(f: DecouplingField, path: str) -> None:
         "delta_deriv_sup": f.delta_deriv_sup,
         "cutoff_H": f.cutoff_H,
         "deriv_floor_eps": f.deriv_floor_eps,
-        "diagnostics": f.diagnostics.to_dict() if f.diagnostics else None,
+        "diagnostics": diagnostics.to_dict() if diagnostics else None,
     }
     with open(sidecar_path(path), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -575,7 +582,5 @@ def load_field(path: str) -> DecouplingField:
                           f"{expected[0]} x {expected[1]}")
     u = u.reshape(shape)
     u1, u2 = _fd_derivatives(u, grids[1], grids[2])
-    f = DecouplingField(t_grid=grids[0], x1_grid=grids[1], x2_grid=grids[2],
-                        u=u, u1=u1, u2=u2, **scalars)
-    field_diagnostics(f)
-    return f
+    return DecouplingField(t_grid=grids[0], x1_grid=grids[1], x2_grid=grids[2],
+                           u=u, u1=u1, u2=u2, **scalars)

@@ -5,8 +5,8 @@ A target law ``nu`` is represented by its cumulative distribution function
 ``F^{-1}(y) = inf{x : F(x) >= y}``.  Composing the inverse with the standard
 normal CDF gives the non-decreasing transform ``g(x) = F^{-1}(Phi(x))``, which
 maps a standard normal sample to a sample of ``nu``.  The transform is shipped
-together with smoothness metadata (Lipschitz constant and bounds on the second
-and third derivatives) consumed by the PDE solver and the diagnostics.
+together with smoothness metadata (Lipschitz constant and a bound on the
+second derivative) consumed by the PDE solver and the diagnostics.
 
 ``Phi`` and its inverse are evaluated by classical rational approximations
 (Cody's erf/erfc and Wichura's PPND16) so that results are plain IEEE-754
@@ -214,16 +214,12 @@ def phi_inv(p) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class Smoothness:
-    """Derivative bounds of the quantile transform g.
-
-    ``None`` means unknown.  ``estimated`` marks values obtained by finite
-    differences instead of analytic knowledge.
-    """
+    """Derivative bounds of the quantile transform g; ``None`` means
+    unknown.  Laws without an analytic constant get finite-difference
+    estimates."""
 
     lipschitz: float | None
     d2_bound: float | None = None
-    d3_bound: float | None = None
-    estimated: bool = False
 
 
 class TargetMeasure:
@@ -272,7 +268,6 @@ class TargetMeasure:
             self.mean, self.var = float(samples.mean()), float(samples.var())
         else:
             raise DomainError(f"unknown measure kind {kind!r}")
-        self.has_finite_first_moment = True
 
     # -- constructors --------------------------------------------------------
 
@@ -366,36 +361,30 @@ class QuantileTransform:
     ----------
     lipschitz : float
         Best available Lipschitz constant of g (sup |g'|).
-    monotone : bool
-        Always True for quantile transforms; kept for downstream checks.
     non_lipschitz : bool
         Set when the transform has jumps (step quantiles) or an unbounded
         slope was detected on the probe grid.  Such transforms are rejected
         by the field solver, not here.
     smoothness : Smoothness
-        Bounds on g', g'', g''' where available; ``estimated`` marks
-        finite-difference values.
+        Bounds on g' and g'' where available.
     """
 
     def __init__(self, measure: TargetMeasure):
         if measure.is_dirac():
             raise DiracMeasureError("g identically constant: target law is a Dirac measure")
         self.measure = measure
-        self.monotone = True
         self.non_lipschitz = False
 
         if measure.kind == "normal":
             sigma = measure._p["sigma"]
-            self.smoothness = Smoothness(lipschitz=sigma, d2_bound=0.0, d3_bound=0.0)
+            self.smoothness = Smoothness(lipschitz=sigma, d2_bound=0.0)
         elif measure.kind == "uniform":
             scale = measure._p["hi"] - measure._p["lo"]
-            # g = lo + scale * Phi, so |g'| <= scale/sqrt(2 pi),
-            # |g''| <= scale * pdf(1), |g'''| <= scale * pdf(0).
+            # g = lo + scale * Phi, so |g'| <= scale/sqrt(2 pi) and
+            # |g''| <= scale * pdf(1)
             self.smoothness = Smoothness(
                 lipschitz=scale * _INV_SQRT_2PI,
-                d2_bound=scale * float(norm_pdf(1.0)),
-                d3_bound=scale * float(norm_pdf(0.0)),
-            )
+                d2_bound=scale * float(norm_pdf(1.0)))
         else:
             self.smoothness = self._probe_smoothness()
             if measure.kind == "empirical":
@@ -430,14 +419,11 @@ class QuantileTransform:
         slopes = np.abs(gp - g0) / h
         lip = float(slopes.max())
         d2 = float(np.abs(gp - 2.0 * g0 + gm).max() / h**2)
-        g2p = np.asarray(self(xs + 2.0 * h))
-        g2m = np.asarray(self(xs - 2.0 * h))
-        d3 = float(np.abs(g2p - 2.0 * gp + 2.0 * gm - g2m).max() / (2.0 * h**3))
         # slope still growing at the probe boundary hints at an unbounded g'
         edge = max(slopes[0], slopes[-1])
         if lip > 0.0 and edge >= 0.999 * lip and slopes.argmax() in (0, slopes.size - 1):
             self.non_lipschitz = True
-        return Smoothness(lipschitz=lip, d2_bound=d2, d3_bound=d3, estimated=True)
+        return Smoothness(lipschitz=lip, d2_bound=d2)
 
 
 def make_g(m: TargetMeasure) -> QuantileTransform:

@@ -73,8 +73,6 @@ def ks_statistic(samples, m: TargetMeasure) -> float:
 
 def wasserstein1(samples, m: TargetMeasure, levels: int = _W1_LEVELS) -> float:
     """int_0^1 |F_n^{-1}(y) - F^{-1}(y)| dy by midpoint quadrature."""
-    if not m.has_finite_first_moment:
-        raise DomainError("Wasserstein-1 needs a target with finite first moment")
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
     if n < 1:
@@ -197,7 +195,8 @@ class OracleField:
 def shifted_field(f: DecouplingField, coef_t: float = 0.0,
                   coef_time_to_go: float = 0.0) -> DecouplingField:
     """Copy of the field with u replaced by u + coef_t * t
-    + coef_time_to_go * (T - t); derivative fields are untouched.
+    + coef_time_to_go * (T - t); the derivative arrays are shared with ``f``
+    (nothing writes into a field's arrays).
 
     Used as a deliberate corruption: a time-affine shift breaks the
     martingale property of Y and moves the starting constant, so downstream
@@ -205,4 +204,4 @@ def shifted_field(f: DecouplingField, coef_t: float = 0.0,
     """
     t = f.t_grid[:, None, None]
     u = f.u + coef_t * t + coef_time_to_go * (f.t_grid[-1] - t)
-    return replace(f, u=u, u1=f.u1.copy(), u2=f.u2.copy(), diagnostics=None)
+    return replace(f, u=u)

@@ -12,7 +12,7 @@ import pytest
 from skofbsde.coeffs import ProcessCoefficients, TimeFunction
 from skofbsde.embed import strong_embed_on_W, weak_embed_ensemble
 from skofbsde.fbsde import simulate_ensemble
-from skofbsde.field import SolverConfig, field_diagnostics, solve_field
+from skofbsde.field import SolverConfig, solve_field
 from skofbsde.measure import TargetMeasure, make_g
 
 N_ACCEPT = 10_000
@@ -40,7 +40,6 @@ def make_case(measure, alpha, beta, beta_floor, nt=256, nx1=257, nx2=129):
     delta = coeffs.delayed_drift()
     cfg = SolverConfig.defaults(g.lipschitz, nt=nt, nx1=nx1, nx2=nx2)
     f = solve_field(g, delta, cfg)
-    field_diagnostics(f, g, delta)
     return {"g": g, "coeffs": coeffs, "delta": delta, "field": f, "cfg": cfg,
             "measure": measure}
 

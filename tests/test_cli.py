@@ -272,6 +272,21 @@ def _bad_results_cell(tmp_path, cfg, field_dir):
             "--results", str(results)]
 
 
+def _header_only_results(tmp_path, cfg, field_dir):
+    results = tmp_path / "results.csv"
+    results.write_text("seed,tau_weak,tau_strong,stopped_value\n")
+    return ["verify", "--config", cfg, "--out", str(field_dir),
+            "--results", str(results)]
+
+
+def _nan_results_cell(tmp_path, cfg, field_dir):
+    results = tmp_path / "results.csv"
+    results.write_text("seed,tau_weak,tau_strong,stopped_value\n"
+                       "0,0.1,0.1,0.5\n1,0.1,0.1,nan\n")
+    return ["verify", "--config", cfg, "--out", str(field_dir),
+            "--results", str(results)]
+
+
 def _negative_seed(tmp_path, cfg, field_dir):
     return ["embed", "--config", cfg, "--out", str(field_dir),
             "--field", str(field_dir / "field.csv"), "--seed", "-5"]
@@ -305,6 +320,9 @@ _piecewise_nan_x = _solve_with(
                                  "Fs": [0.0, 0.5, 1.0]})
 _text_in_samples = _solve_with(
     "_text_in_samples", measure={"kind": "empirical", "samples": [1, "x", 3]})
+_zero_K1 = _solve_with("_zero_K1", embedding={"K1": 0})
+_negative_K1 = _solve_with("_negative_K1", embedding={"K1": -1.0})
+_zero_K2 = _solve_with("_zero_K2", embedding={"K2": 0.0})
 # a grid of 1.6e16 bytes per field array: refused before any allocation
 _oversized_grid = _solve_with(
     "_oversized_grid", solver={"nt": 200_000, "nx1": 100_001, "nx2": 100_001})
@@ -313,9 +331,10 @@ _oversized_grid = _solve_with(
 @pytest.mark.parametrize("breaker", [
     _bad_table_cell, _empty_table_csv, _empty_empirical_csv, _truncated_field,
     _wrong_row_count, _version_1_sidecar, _zero_paths, _bad_results_cell,
-    _negative_seed, _nan_G0, _nan_beta_floor, _bool_n_paths, _nan_fixpoint_tol,
-    _uniform_lo_above_hi, _normal_negative_sigma, _normal_nan_mu,
-    _piecewise_nan_x, _text_in_samples, _oversized_grid])
+    _header_only_results, _nan_results_cell, _negative_seed, _nan_G0,
+    _nan_beta_floor, _bool_n_paths, _nan_fixpoint_tol, _uniform_lo_above_hi,
+    _normal_negative_sigma, _normal_nan_mu, _piecewise_nan_x, _text_in_samples,
+    _zero_K1, _negative_K1, _zero_K2, _oversized_grid])
 def test_malformed_input_exits_1(tmp_path, capsys, breaker):
     cfg = write_config(tmp_path)
     field_dir = tmp_path / "f"

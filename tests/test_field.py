@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from skofbsde.coeffs import ProcessCoefficients, TimeFunction
 from skofbsde.errors import (ConfigError, CutoffActiveError, DomainError,
                              NonLipschitzError)
-from skofbsde.field import (SolverConfig, derivative_fields, eval_field,
-                            field_diagnostics, load_field, save_field,
-                            sidecar_path, solve_field)
+from skofbsde.field import (SolverConfig, _coupled_system_derivatives,
+                            derivative_fields, eval_field, field_diagnostics,
+                            load_field, save_field, sidecar_path, solve_field)
 from skofbsde.measure import TargetMeasure, make_g
 from skofbsde.verify import OracleField
 
@@ -172,17 +174,17 @@ def test_eval_field_exact_at_nodes_property(case_uniform_k05, data):
 
 def test_derivative_methods_agree(case_uniform_k05):
     c = case_uniform_k05.value
-    f = solve_field(c["g"], c["delta"], c["cfg"])
-    derivative_fields(f, "coupled_system", g=c["g"], delta=c["delta"])
+    f = c["field"]
+    v1, v2 = _coupled_system_derivatives(f, c["g"], c["delta"])
     # coupled-system u2 for a linear delayed drift is the constant -kappa
-    assert np.abs(f.u2 + 0.5).max() < 5e-3
+    assert np.abs(v2 + 0.5).max() < 5e-3
     # u1 matches the x1 derivative of the exponential-transform oracle
     oracle = OracleField("linear_drift", c["g"], kappa=0.5)
     h = 1e-5
-    x1 = f.x1_grid[np.abs(f.x1_grid) <= 2.0]
+    inner = np.abs(f.x1_grid) <= 2.0
+    x1 = f.x1_grid[inner]
     du = (oracle(np.zeros_like(x1), x1 + h) - oracle(np.zeros_like(x1), x1 - h)) / (2 * h)
-    got = eval_field(f, 0.0, x1, np.zeros_like(x1), "u1")
-    assert np.abs(got - du).max() < 2e-3
+    assert np.abs(v1[0, inner, 0] - du).max() < 2e-3
 
 
 def test_derivative_method_unknown(case_linear):
@@ -250,34 +252,41 @@ def test_cutoff_must_be_passive():
 def test_save_load_round_trip(tmp_path, case_uniform_k05):
     c = case_uniform_k05.value
     f = solve_field(c["g"], c["delta"], small_cfg(c["g"].lipschitz))
+    diag = field_diagnostics(f, c["g"], c["delta"])
     path = str(tmp_path / "field.csv")
-    save_field(f, path)
+    save_field(f, path, diag)
     g2 = load_field(path)
     for name in ("u", "u1", "u2", "t_grid", "x1_grid", "x2_grid"):
         assert np.array_equal(getattr(f, name), getattr(g2, name)), name
     assert g2.g_lipschitz == f.g_lipschitz
-    assert (tmp_path / "field.json").exists()
+    meta = json.loads((tmp_path / "field.json").read_text())
+    assert meta["diagnostics"] == json.loads(json.dumps(diag.to_dict()))
     nt1, nx1, nx2 = f.u.shape
     lines = (tmp_path / "field.csv").read_text().splitlines()
     assert len(lines) == nt1 * nx1
     assert all(line.count(",") == nx2 - 1 for line in lines)
     again = str(tmp_path / "again.csv")
-    save_field(f, again)
+    save_field(f, again, diag)
     for a, b in ((path, again), (sidecar_path(path), sidecar_path(again))):
         assert open(a, "rb").read() == open(b, "rb").read()
 
 
 def test_load_recomputes_fd_derivatives(tmp_path, case_uniform_k05):
-    # only u is stored: coupled-system derivatives reload as the FD ones
+    # the coupled check only sets deriv_mismatch; the field keeps its FD
+    # derivatives, and a reload recomputes the same ones from u
     c = case_uniform_k05.value
     f = solve_field(c["g"], c["delta"], small_cfg(c["g"].lipschitz))
-    u1_fd, u2_fd = f.u1.copy(), f.u2.copy()
-    derivative_fields(f, "coupled_system", g=c["g"], delta=c["delta"])
-    assert not np.array_equal(f.u1, u1_fd)
+    arrays = (f.u, f.u1, f.u2)
+    copies = [a.copy() for a in arrays]
+    assert derivative_fields(f, "coupled_system", g=c["g"],
+                             delta=c["delta"]) is f
+    for a, b, now in zip(arrays, copies, (f.u, f.u1, f.u2)):
+        assert now is a and np.array_equal(a, b)
+    assert 0.0 <= f.deriv_mismatch < np.inf
     path = str(tmp_path / "field.csv")
     save_field(f, path)
     g2 = load_field(path)
-    assert np.array_equal(g2.u1, u1_fd) and np.array_equal(g2.u2, u2_fd)
+    assert np.array_equal(g2.u1, f.u1) and np.array_equal(g2.u2, f.u2)
 
 
 def test_load_missing_sidecar(tmp_path, case_uniform_k05):
