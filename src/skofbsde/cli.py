@@ -26,6 +26,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -254,13 +255,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0 if diag.all_passed else 2
 
 
-def _weak_pass(cfg: RunConfig, f):
-    weak = embed_mod.weak_embed_ensemble(
-        f, cfg.coefficients, cfg.n_paths, cfg.n_steps, cfg.seed, g=cfg.g)
-    return (weak["seeds"], weak["tau_weak"], weak["stopped_value"],
-            weak["identity_residual"])
-
-
 def _dump_paths(cfg: RunConfig, f, count: int) -> None:
     pdir = os.path.join(cfg.output_dir, "paths")
     os.makedirs(pdir, exist_ok=True)
@@ -278,17 +272,15 @@ def cmd_embed(cfg: RunConfig, field_path: str, dump_paths: int = 0) -> int:
     if abs(f.g_lipschitz - cfg.g.lipschitz) > 1e-9 or abs(f.T - cfg.solver.T) > 1e-12:
         raise ConfigError("field file is not compatible with this configuration")
 
-    seeds, tau_w, stopped_w, resid = _weak_pass(cfg, f)
+    weak = embed_mod.weak_embed_ensemble(
+        f, cfg.coefficients, cfg.n_paths, cfg.n_steps, cfg.seed, g=cfg.g)
+    seeds, tau_w = weak["seeds"], weak["tau_weak"]
     strong = embed_mod.strong_embed_on_W(
         f, cfg.coefficients, cfg.n_paths, cfg.embed_steps, cfg.seed,
         g=cfg.g, K1=cfg.K1, K2=cfg.K2)
-    result = embed_mod.EmbeddingResult(
-        c=strong.c, tau_bound=strong.tau_bound, seeds=seeds,
-        tau_strong=strong.tau_strong, stopped_value=strong.stopped_value,
-        tau_weak=tau_w, guard_counts=strong.guard_counts,
-        clamp_fraction=strong.clamp_fraction,
-        weak_identity_residual_max=float(resid.max()), dr=strong.dr,
-        extras=strong.extras)
+    result = replace(strong, seeds=seeds, tau_weak=tau_w,
+                     weak_identity_residual_max=float(
+                         weak["identity_residual"].max()))
 
     csv_path = os.path.join(cfg.output_dir, "embedding.csv")
     with open(csv_path, "w") as fh:
@@ -299,7 +291,7 @@ def cmd_embed(cfg: RunConfig, field_path: str, dump_paths: int = 0) -> int:
                      f"{float(strong.stopped_value[i])!r}\n")
 
     report = verify_mod.law_report(strong.stopped_value, cfg.measure)
-    weak_report = verify_mod.law_report(stopped_w, cfg.measure)
+    weak_report = verify_mod.law_report(weak["stopped_value"], cfg.measure)
     summary = result.summary()
     summary["law_strong"] = json.loads(report.to_json())
     summary["law_weak"] = json.loads(weak_report.to_json())

@@ -10,7 +10,7 @@ Derived objects:
 * delayed drift ``delta = delta_hat o H^{-1}`` entering the terminal
   condition of the backward equation.
 
-Integrals are trapezoid sums on a grid of at least ``MIN_QUAD_POINTS`` nodes;
+Integrals are trapezoid sums on a grid of ``MIN_QUAD_POINTS`` nodes;
 the inverse clock interpolates the same table with the axes swapped (the
 table is strictly increasing, so this is exact inversion of the piecewise
 linear clock, kinks of tabulated ``beta^2`` included).
@@ -125,7 +125,7 @@ class ProcessCoefficients:
 
     def __init__(self, G0: float, alpha: TimeFunction, beta: TimeFunction,
                  beta_floor: float, t_phys: float | None = None,
-                 h_target: float | None = None, quad_points: int = MIN_QUAD_POINTS):
+                 h_target: float | None = None):
         if beta_floor <= 0.0:
             raise ConfigError("beta_floor must be positive")
         if t_phys is None:
@@ -133,7 +133,7 @@ class ProcessCoefficients:
                 raise ConfigError("either t_phys or h_target is required")
             # H grows with slope >= beta_floor^2, so this horizon reaches h_target
             t_upper = h_target / beta_floor**2 + 1e-9
-            grid = np.linspace(0.0, t_upper, max(quad_points, MIN_QUAD_POINTS))
+            grid = np.linspace(0.0, t_upper, MIN_QUAD_POINTS)
             h_tab = self._cumtrapz(grid, np.asarray(beta(grid))**2)
             if h_tab[-1] < h_target:
                 raise ConfigError("internal horizon solve failed to reach target")
@@ -147,8 +147,7 @@ class ProcessCoefficients:
         self.beta_floor = float(beta_floor)
         self.t_phys = float(t_phys)
 
-        n = max(quad_points, MIN_QUAD_POINTS)
-        self._grid = np.linspace(0.0, self.t_phys, n)
+        self._grid = np.linspace(0.0, self.t_phys, MIN_QUAD_POINTS)
         beta_vals = np.asarray(beta(self._grid), dtype=float)
         if np.any(np.abs(beta_vals) < self.beta_floor * (1.0 - 1e-12)):
             raise ConfigError("certified beta_floor violated on the quadrature grid")

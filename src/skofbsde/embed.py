@@ -70,11 +70,6 @@ def _warn_if_clamped(fraction: float, where: str) -> None:
                       RuntimeWarning, stacklevel=3)
 
 
-def _require_unit_horizon(f: DecouplingField) -> None:
-    if abs(f.T - 1.0) > 1e-12:
-        raise ConfigError("embeddings assume the backward horizon T = 1")
-
-
 def tau_bound(f: DecouplingField, coeffs: ProcessCoefficients) -> float:
     """Certified bound H^{-1}(L_g^2) on every stopping time."""
     return float(coeffs.clock_H_inv(f.g_lipschitz ** 2))
@@ -91,8 +86,8 @@ class WeakEmbedding:
 
 
 def _time_change(coeffs: ProcessCoefficients, t_grid: np.ndarray,
-                 X2: np.ndarray, Y: np.ndarray, X1_T: float, g,
-                 b_steps: int = _WEAK_B_STEPS) -> WeakEmbedding:
+                 X2: np.ndarray, Y: np.ndarray, X1_T: float,
+                 g) -> WeakEmbedding:
     """``weak_embed`` on one path's arrays; ``X2`` and ``Y`` may be row views
     of a block."""
     X2_T = float(X2[-1])
@@ -103,7 +98,7 @@ def _time_change(coeffs: ProcessCoefficients, t_grid: np.ndarray,
     r_mono = r_nodes[keep]
     t_mono = t_grid[keep]
 
-    r_grid = np.linspace(0.0, tau, b_steps + 1)
+    r_grid = np.linspace(0.0, tau, _WEAK_B_STEPS + 1)
     sigma_vals = np.interp(r_grid, r_mono, t_mono)
     Y_at = np.interp(sigma_vals, t_grid, Y)
 
@@ -126,15 +121,15 @@ def _time_change(coeffs: ProcessCoefficients, t_grid: np.ndarray,
                          sigma_inverse_defect=sigma_defect)
 
 
-def weak_embed(p: FbsdePath, coeffs: ProcessCoefficients, g=None,
-               b_steps: int = _WEAK_B_STEPS) -> WeakEmbedding:
+def weak_embed(p: FbsdePath, coeffs: ProcessCoefficients,
+               g=None) -> WeakEmbedding:
     """Time-change one simulated path into an embedding.
 
     When ``g`` is provided the identity residual compares the reconstructed
     stopped value against g(W_1); otherwise it measures the internal
     consistency of the reconstruction.
     """
-    return _time_change(coeffs, p.t_grid, p.X2, p.Y, p.X1[-1], g, b_steps)
+    return _time_change(coeffs, p.t_grid, p.X2, p.Y, p.X1[-1], g)
 
 
 def _weak_rows(f: DecouplingField, coeffs: ProcessCoefficients,
@@ -145,8 +140,7 @@ def _weak_rows(f: DecouplingField, coeffs: ProcessCoefficients,
     row's embedding is alive at a time; the block's path arrays are released
     when the generator is exhausted.
     """
-    t_grid, W, X2, Y, _, zmax = _simulate_arrays(f, seeds, n_steps, 0.0, 0.0,
-                                                 True)
+    t_grid, W, X2, Y, _, zmax = _simulate_arrays(f, seeds, n_steps, 0.0, 0.0)
     X1_T = 0.0 + W[:, -1]                # X1 = x1_0 + W with x1_0 = 0
     for j in range(seeds.size):
         yield (_time_change(coeffs, t_grid, X2[j], Y[j], X1_T[j], g),
@@ -185,27 +179,37 @@ class StrongStop:
     Sigma_tau: float
     guard: str                      # "none", "K1" or "K2"
     sigma_path: np.ndarray
-    Sigma_path: np.ndarray
     clamp_fraction: float
 
 
-def _default_guards(f: DecouplingField, coeffs: ProcessCoefficients):
-    tb = tau_bound(f, coeffs)
-    K1 = 2.0 * tb
-    beta_sup = float(np.abs(coeffs.beta(np.linspace(0.0, coeffs.t_phys, 2049))).max())
-    K2 = 10.0 * np.sqrt(max(K1, 1e-12)) * max(beta_sup, 1.0)
-    return K1, K2
+def _strong_limits(f: DecouplingField, coeffs: ProcessCoefficients,
+                   K1: float | None = None, K2: float | None = None):
+    """``(r_max, K2)``: where the strong rule's r-grid ends, and its Sigma
+    guard.
+
+    The embeddings assume the backward horizon T = 1.  Guards left ``None``
+    take the defaults, which never bind: K1 = 2 H^{-1}(L_g^2) and
+    K2 = 10 sqrt(2 H^{-1}(L_g^2)) max(sup |beta|, 1).  ``r_max`` is K1,
+    capped below T_phys because the clock is tabulated on [0, T_phys].
+    """
+    if abs(f.T - 1.0) > 1e-12:
+        raise ConfigError("embeddings assume the backward horizon T = 1")
+    K1_default = 2.0 * tau_bound(f, coeffs)
+    if K2 is None:
+        beta_sup = float(np.abs(coeffs.beta(np.linspace(0.0, coeffs.t_phys, 2049))).max())
+        K2 = 10.0 * np.sqrt(max(K1_default, 1e-12)) * max(beta_sup, 1.0)
+    K1 = K1_default if K1 is None else K1
+    return min(K1, coeffs.t_phys * (1.0 - 1e-9)), K2
 
 
 def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
-                      dB: np.ndarray, dr: float, K1: float, K2: float,
+                      dB: np.ndarray, dr: float, r_max: float, K2: float,
                       keep_paths: bool = False):
     """Euler integration of the (sigma, Sigma) system for a block of driving
-    increments of shape (n, M).  Returns per-path crossing data."""
+    increments of shape (n, M), up to r = min(r_max, M dr).  Returns per-path
+    crossing data."""
     n, M = dB.shape
-    # the clock is tabulated on [0, T_phys]; the guard window is capped there
-    r_lim = min(K1, coeffs.t_phys * (1.0 - 1e-9), M * dr)
-    m_max = min(M, int(np.ceil(r_lim / dr)))
+    m_max = min(M, int(np.ceil(r_max / dr)))
     r_left = np.arange(m_max) * dr
     beta_r = np.asarray(coeffs.beta(r_left))
     H_r = np.asarray(coeffs.clock_H(r_left))
@@ -224,7 +228,7 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
     guard = np.zeros(n, dtype=np.int8)       # 0 none, 1 K1, 2 K2
     clamp_hits = 0
     total_steps = 0
-    paths = ([np.zeros(n)], [np.zeros(n)]) if keep_paths else None
+    sigma_path = [np.zeros(n)] if keep_paths else None
 
     for m in range(m_max):
         if not active.any():
@@ -264,8 +268,7 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
             ibw_tau[bi] = ibw[bi]
             active[bi] = False
         if keep_paths:
-            paths[0].append(sigma.copy())
-            paths[1].append(Sigma.copy())
+            sigma_path.append(sigma.copy())
 
     if active.any():
         ai = np.nonzero(active)[0]
@@ -278,14 +281,12 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
            "guard": guard, "clamp_hits": clamp_hits,
            "total_steps": total_steps}
     if keep_paths:
-        out["sigma_path"] = np.stack(paths[0], axis=1)
-        out["Sigma_path"] = np.stack(paths[1], axis=1)
+        out["sigma_path"] = np.stack(sigma_path, axis=1)
     return out
 
 
 def strong_stopping_time(f: DecouplingField, coeffs: ProcessCoefficients,
                          dB: np.ndarray, dr: float,
-                         r_max: float | None = None,
                          K1: float | None = None,
                          K2: float | None = None) -> StrongStop:
     """Integrate one driving path to its stopping time.
@@ -295,14 +296,9 @@ def strong_stopping_time(f: DecouplingField, coeffs: ProcessCoefficients,
     (enlarge K2) and warns through the returned record when the clamp was
     active on more than 0.1% of the steps.
     """
-    _require_unit_horizon(f)
-    dK1, dK2 = _default_guards(f, coeffs)
-    K1 = dK1 if K1 is None else K1
-    K2 = dK2 if K2 is None else K2
-    if r_max is not None:
-        K1 = min(K1, r_max)
+    r_max, K2 = _strong_limits(f, coeffs, K1, K2)
     res = _integrate_strong(f, coeffs, np.asarray(dB, dtype=float)[None, :],
-                            dr, K1, K2, keep_paths=True)
+                            dr, r_max, K2, keep_paths=True)
     if res["guard"][0] == 2:
         raise LocalizationError(
             "localization breach: |Sigma| reached K2 before the time change "
@@ -313,7 +309,6 @@ def strong_stopping_time(f: DecouplingField, coeffs: ProcessCoefficients,
                       Sigma_tau=float(res["Sigma_tau"][0]),
                       guard={0: "none", 1: "K1", 2: "K2"}[int(res["guard"][0])],
                       sigma_path=res["sigma_path"][0],
-                      Sigma_path=res["Sigma_path"][0],
                       clamp_fraction=clamp_fraction)
 
 
@@ -365,11 +360,7 @@ def strong_embed_on_W(f: DecouplingField, coeffs: ProcessCoefficients,
     When ``g`` is given, the per-path identity stopped = g(Sigma_tau) is
     measured and reported under ``extras["strong_identity_mean"]``.
     """
-    _require_unit_horizon(f)
-    dK1, dK2 = _default_guards(f, coeffs)
-    K1 = dK1 if K1 is None else K1
-    K2 = dK2 if K2 is None else K2
-    r_max = min(K1, coeffs.t_phys * (1.0 - 1e-9))
+    r_max, K2 = _strong_limits(f, coeffs, K1, K2)
     dr = r_max / n_steps
     if f.g_lipschitz > 0 and dr * f.g_lipschitz**2 / coeffs.beta_floor**2 > SIGMA_RATE_TOL:
         raise ConfigError(
@@ -383,7 +374,7 @@ def strong_embed_on_W(f: DecouplingField, coeffs: ProcessCoefficients,
     def run_block(lo: int, hi: int):
         res = _integrate_strong(f, coeffs,
                                 increment_block(seeds[lo:hi], n_steps, dr),
-                                dr, K1, K2)
+                                dr, r_max, K2)
         clamp[0] += res["clamp_hits"]
         clamp[1] += res["total_steps"]
         return res["tau"], res["Sigma_tau"], res["int_beta_dB"], res["guard"]
@@ -406,21 +397,17 @@ def strong_embed_on_W(f: DecouplingField, coeffs: ProcessCoefficients,
 
 
 def coupled_round_trip(f: DecouplingField, coeffs: ProcessCoefficients,
-                       n_paths: int, n_steps: int, seed: int,
-                       dr: float | None = None) -> dict:
+                       n_paths: int, n_steps: int, seed: int) -> dict:
     """Feed each path's reconstructed embedding noise back into the strong
-    stopping rule and compare the two times path by path.
+    stopping rule and compare the two times path by path, on the r-grid
+    with step H^{-1}(L_g^2) / 2048.
 
     Beyond the weak time the reconstructed noise is extended with fresh
     independent increments (the extension never matters unless the crossing
     is a few steps late).
     """
-    _require_unit_horizon(f)
-    tb = tau_bound(f, coeffs)
-    if dr is None:
-        dr = tb / 2048.0
-    K1, K2 = _default_guards(f, coeffs)
-    r_max = min(K1, coeffs.t_phys * (1.0 - 1e-9))
+    r_max, K2 = _strong_limits(f, coeffs)
+    dr = tau_bound(f, coeffs) / 2048.0
     M = int(np.ceil(r_max / dr))
 
     r_u = np.arange(M + 1) * dr
@@ -442,7 +429,7 @@ def coupled_round_trip(f: DecouplingField, coeffs: ProcessCoefficients,
                 dB[j, n_inside:] = normal_increments(
                     path_seed(int(seeds[lo + j]) ^ _STRONG_SEED_SALT, 1),
                     M - n_inside, dr)
-        tau_s = _integrate_strong(f, coeffs, dB, dr, K1, K2)["tau"]
+        tau_s = _integrate_strong(f, coeffs, dB, dr, r_max, K2)["tau"]
         return tau_w, tau_s, resid
 
     tau_w, tau_s, resid = map_blocks(n_paths, _ROUND_TRIP_BLOCK, run_block)

@@ -112,12 +112,10 @@ class FbsdePath:
     Z: np.ndarray
     seed: int
     z_abs_max_raw: float
-    z_clip: float | None
 
 
 def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
-                     x1_0: float, x2_0: float, clip_z: bool,
-                     keep_z: bool = False):
+                     x1_0: float, x2_0: float, keep_z: bool = False):
     """Vectorized Euler sweep for a block of paths.
 
     Returns ``(t_grid, W, X2, Y, Z, z_abs_max_raw)`` with path arrays of shape
@@ -139,15 +137,14 @@ def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
     for row, s in zip(W, seeds):
         np.cumsum(normal_increments(int(s), n_steps, dt), out=row[1:])
     X2[:, 0] = x2_0
-    clip = f.g_lipschitz if clip_z else None
+    L_g = f.g_lipschitz
     z_raw_max = np.zeros(n)
 
     for k in range(n_steps + 1):
         zk, Y[:, k] = eval_field(f, t_grid[k], x1_0 + W[:, k], X2[:, k],
                                  ("u1", "u"))
         np.maximum(z_raw_max, np.abs(zk), out=z_raw_max)
-        if clip is not None:
-            zk = np.minimum(np.maximum(-clip, zk), clip)
+        zk = np.minimum(np.maximum(-L_g, zk), L_g)
         if keep_z:
             Z[:, k] = zk
         if k < n_steps:
@@ -155,35 +152,31 @@ def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
     return t_grid, W, X2, Y, Z, z_raw_max
 
 
-def _paths(t_grid, W, X2, Y, Z, zmax, seeds, x1_0: float,
-           z_clip: float | None) -> list[FbsdePath]:
+def _paths(t_grid, W, X2, Y, Z, zmax, seeds, x1_0: float) -> list[FbsdePath]:
     """Whole paths from the arrays of ``_simulate_arrays(..., keep_z=True)``."""
     return [FbsdePath(t_grid=t_grid, W=W[i], X1=x1_0 + W[i], X2=X2[i],
                       Y=Y[i], Z=Z[i], seed=int(seeds[i]),
-                      z_abs_max_raw=float(zmax[i]), z_clip=z_clip)
+                      z_abs_max_raw=float(zmax[i]))
             for i in range(seeds.size)]
 
 
 def simulate_path(f: DecouplingField, x1_0: float = 0.0, x2_0: float = 0.0,
-                  n_steps: int = 4096, seed: int = 0,
-                  clip_z: bool = True) -> FbsdePath:
+                  n_steps: int = 4096, seed: int = 0) -> FbsdePath:
     """Simulate one path; identical seed gives a bit-identical path."""
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
     seeds = np.array([seed], dtype=np.uint64)
-    arrays = _simulate_arrays(f, seeds, n_steps, x1_0, x2_0, clip_z,
-                              keep_z=True)
-    return _paths(*arrays, seeds, x1_0, f.g_lipschitz if clip_z else None)[0]
+    arrays = _simulate_arrays(f, seeds, n_steps, x1_0, x2_0, keep_z=True)
+    return _paths(*arrays, seeds, x1_0)[0]
 
 
 def simulate_block(f: DecouplingField, base_seed: int, indices,
-                   n_steps: int, x1_0: float = 0.0, x2_0: float = 0.0,
-                   clip_z: bool = True) -> list[FbsdePath]:
+                   n_steps: int, x1_0: float = 0.0,
+                   x2_0: float = 0.0) -> list[FbsdePath]:
     """Simulate the paths with the given indices (seeds derived per path)."""
     seeds = path_seed(base_seed, np.asarray(indices, dtype=int))
-    arrays = _simulate_arrays(f, seeds, n_steps, x1_0, x2_0, clip_z,
-                              keep_z=True)
-    return _paths(*arrays, seeds, x1_0, f.g_lipschitz if clip_z else None)
+    arrays = _simulate_arrays(f, seeds, n_steps, x1_0, x2_0, keep_z=True)
+    return _paths(*arrays, seeds, x1_0)
 
 
 @dataclass
@@ -205,10 +198,10 @@ class EnsembleResult:
 
 
 def simulate_ensemble(f: DecouplingField, n_paths: int, n_steps: int,
-                      seed: int, x1_0: float = 0.0, x2_0: float = 0.0,
-                      clip_z: bool = True) -> EnsembleResult:
-    """Embarrassingly parallel ensemble, simulated block by block through
-    ``map_blocks`` and reduced to checkpoint and terminal statistics."""
+                      seed: int) -> EnsembleResult:
+    """Embarrassingly parallel ensemble from the origin, simulated block by
+    block through ``map_blocks`` and reduced to checkpoint and terminal
+    statistics."""
     if n_steps % N_CHECKPOINTS:
         raise ConfigError(f"n_steps must be divisible by {N_CHECKPOINTS}")
     dt = f.T / n_steps
@@ -217,17 +210,17 @@ def simulate_ensemble(f: DecouplingField, n_paths: int, n_steps: int,
 
     def run_block(lo: int, hi: int):
         t_grid, W, X2, Y, Z, zmax = _simulate_arrays(
-            f, seeds[lo:hi], n_steps, x1_0, x2_0, clip_z, keep_z=True)
+            f, seeds[lo:hi], n_steps, 0.0, 0.0, keep_z=True)
         qv = np.cumsum(np.diff(Y, axis=1) ** 2, axis=1)
         sz2 = np.cumsum(Z[:, :-1] ** 2 * dt, axis=1)
-        return (Y[:, ck], sz2[:, ck - 1], qv[:, ck - 1], x1_0 + W[:, -1],
+        return (Y[:, ck], sz2[:, ck - 1], qv[:, ck - 1], W[:, -1],
                 X2[:, -1], Y[:, -1], zmax)
 
     Y_ck, sz2_ck, qv_ck, X1_T, X2_T, Y_T, zmax = map_blocks(
         n_paths, _ENSEMBLE_BLOCK, run_block)
     return EnsembleResult(
         n_paths=n_paths, n_steps=n_steps,
-        y0=float(eval_field(f, 0.0, x1_0, x2_0, "u")),
+        y0=float(eval_field(f, 0.0, 0.0, 0.0, "u")),
         t_checkpoints=ck * dt, Y_checkpoints=Y_ck, sumZ2_checkpoints=sz2_ck,
         qv_checkpoints=qv_ck, X1_T=X1_T, X2_T=X2_T, Y_T=Y_T,
         z_abs_max_raw=zmax, seeds=seeds)

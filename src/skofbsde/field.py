@@ -174,9 +174,6 @@ class DecouplingField:
     def T(self) -> float:
         return float(self.t_grid[-1])
 
-    def eval(self, t, x1, x2, which: str | tuple[str, ...] = "u"):
-        return eval_field(self, t, x1, x2, which)
-
 
 # ----------------------------------------------------------------------------
 # difference operators
@@ -315,8 +312,7 @@ def _coupled_system_derivatives(f: DecouplingField, g, delta):
 
 
 def derivative_fields(f: DecouplingField, method: str = "finite_difference",
-                      g=None, delta=None,
-                      mismatch_tol: float | None = None) -> DecouplingField:
+                      g=None, delta=None) -> DecouplingField:
     """Check the field's derivatives against the coupled linear system, or
     refill them by finite differences.  Returns ``f``.
 
@@ -324,8 +320,9 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
     ``delta``.  It solves the coupled system with coefficients frozen from
     the field's own ``u1``/``u2``, compares the two routes and records the
     worst mismatch in ``f.deriv_mismatch``; no array of ``f`` is written.
-    A mismatch above the tolerance, by default 10x the grid tolerance
-    dt + dx1^2 + dx2, raises :class:`DerivativeMismatchError`.
+    A mismatch above the fixed tolerance 10 (dt + dx1^2 + dx2), ten times
+    the scheme's discretization error scale, raises
+    :class:`DerivativeMismatchError`.
     ``finite_difference`` recomputes ``u1`` and ``u2`` from ``u``.
     """
     if method == "finite_difference":
@@ -340,8 +337,7 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
     dt = f.t_grid[1] - f.t_grid[0]
     dx1 = f.x1_grid[1] - f.x1_grid[0]
     dx2 = f.x2_grid[1] - f.x2_grid[0]
-    if mismatch_tol is None:
-        mismatch_tol = 10.0 * (dt + dx1**2 + dx2)
+    mismatch_tol = 10.0 * (dt + dx1**2 + dx2)
     # compare away from one-sided stencils and the top transport row; the
     # differences are formed in place in v1 and v2
     inner = (slice(None), slice(1, -1), slice(None, -1))

@@ -127,9 +127,8 @@ def phi(x) -> np.ndarray | float:
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa)
     arg = -xa / _SQRT2
-    res = np.where(arg >= 0.0,
-                   0.5 * _erfc_positive(np.abs(arg)),
-                   1.0 - 0.5 * _erfc_positive(np.abs(arg)))
+    e = 0.5 * _erfc_positive(np.abs(arg))
+    res = np.where(arg >= 0.0, e, 1.0 - e)
     return float(res[0]) if scalar else res
 
 

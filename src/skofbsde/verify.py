@@ -2,10 +2,9 @@
 negative controls.
 
 The law checks quantify how close the empirical law of the stopped values is
-to the target.  KS thresholds use the asymptotic Kolmogorov quantiles
-(1.358/sqrt(n) at 5%, 1.63/sqrt(n) at 1%) plus an additive discretization
-allowance, because the stopped values carry Euler and interpolation bias that
-the asymptotic band ignores.
+to the target.  The KS threshold is the asymptotic 1% Kolmogorov quantile
+1.63/sqrt(n) plus an additive discretization allowance, because the stopped
+values carry Euler and interpolation bias that the asymptotic band ignores.
 """
 
 from __future__ import annotations
@@ -21,13 +20,13 @@ from .measure import TargetMeasure
 
 __all__ = ["LawReport", "ks_statistic", "wasserstein1", "law_report",
            "histogram_csv", "OracleField", "shifted_field",
-           "KS_COEFF_1PCT", "KS_COEFF_5PCT", "KS_DISCRETIZATION_ALLOWANCE"]
+           "KS_COEFF_1PCT", "KS_DISCRETIZATION_ALLOWANCE"]
 
 KS_COEFF_1PCT = 1.63
-KS_COEFF_5PCT = 1.358
 KS_DISCRETIZATION_ALLOWANCE = 0.01
 _W1_LEVELS = 10_000
 _GH_NODES = 64
+_ORACLE_PROBES = ((0.0, 0.0), (0.25, -1.0), (0.5, 1.5))
 
 
 @dataclass
@@ -71,24 +70,25 @@ def ks_statistic(samples, m: TargetMeasure) -> float:
     return float(max(d_plus, d_minus, 0.0))
 
 
-def wasserstein1(samples, m: TargetMeasure, levels: int = _W1_LEVELS) -> float:
-    """int_0^1 |F_n^{-1}(y) - F^{-1}(y)| dy by midpoint quadrature."""
+def wasserstein1(samples, m: TargetMeasure) -> float:
+    """int_0^1 |F_n^{-1}(y) - F^{-1}(y)| dy by midpoint quadrature on
+    ``_W1_LEVELS`` levels."""
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
     if n < 1:
         raise DomainError("Wasserstein-1 needs at least one sample")
-    y = (np.arange(levels) + 0.5) / levels
+    y = (np.arange(_W1_LEVELS) + 0.5) / _W1_LEVELS
     emp = s[np.minimum((y * n).astype(int), n - 1)]
     return float(np.abs(emp - np.asarray(m.quantile(y))).mean())
 
 
-def law_report(samples, m: TargetMeasure, level: str = "1pct") -> LawReport:
+def law_report(samples, m: TargetMeasure) -> LawReport:
     s = np.asarray(samples, dtype=float)
-    coeff = KS_COEFF_1PCT if level == "1pct" else KS_COEFF_5PCT
     return LawReport(
         n=int(s.size),
         ks=ks_statistic(s, m),
-        ks_pass_threshold=float(coeff / np.sqrt(s.size) + KS_DISCRETIZATION_ALLOWANCE),
+        ks_pass_threshold=float(KS_COEFF_1PCT / np.sqrt(s.size)
+                                + KS_DISCRETIZATION_ALLOWANCE),
         w1=wasserstein1(s, m),
         mean=float(s.mean()),
         var=float(s.var()),
@@ -159,14 +159,14 @@ class OracleField:
                    - self.kappa * x2)
         return float(res[0]) if scalar else res
 
-    def validate(self, seed: int = 20_240_001, n: int = 1_000_000,
-                 probes=((0.0, 0.0), (0.25, -1.0), (0.5, 1.5))) -> dict:
-        """Cross-check the quadrature against Monte Carlo on probe points;
-        raises if any probe is off by more than three standard errors."""
+    def validate(self, seed: int = 20_240_001, n: int = 1_000_000) -> dict:
+        """Cross-check the quadrature against Monte Carlo at the
+        ``_ORACLE_PROBES`` points (t, x1); raises if any probe is off by more
+        than three standard errors."""
         rng = np.random.default_rng(seed)
         xi = rng.standard_normal(n)
         report = {}
-        for t, x1 in probes:
+        for t, x1 in _ORACLE_PROBES:
             s = np.sqrt(self.T - t)
             gv = np.asarray(self.g(x1 + s * xi))
             if self.kind == "no_drift":

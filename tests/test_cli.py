@@ -96,6 +96,19 @@ def test_all_deterministic(tmp_path, capsys):
         assert a == b, name
 
 
+def test_guard_fired_exits_4(tmp_path, capsys):
+    # K1 far below the stopping times: the guard stops every late path, the
+    # per-path results are still written and the run exits 4
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, embedding={"n_steps": 256, "K1": 0.05})
+    assert main(["all", "--config", cfg, "--out", str(out)]) == 4
+    assert "localization guards fired" in capsys.readouterr().err
+    report = json.loads((out / "law_report.json").read_text())
+    assert report["guard_counts"]["K1"] > 0
+    assert report["tau_strong_max"] == 0.05
+    assert (out / "embedding.csv").exists()
+
+
 def test_seed_changes_output(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")

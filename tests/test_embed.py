@@ -86,9 +86,10 @@ def test_clamp_fraction_weighted_per_step(case_uniform_k025, monkeypatch):
         with pytest.warns(RuntimeWarning, match="clamp"):
             er = strong_embed_on_W(f, c["coeffs"], 37, 2048, seed=12)
         fractions.append(er.clamp_fraction)
-    K1, K2 = embed._default_guards(f, c["coeffs"])
+    r_max, K2 = embed._strong_limits(f, c["coeffs"])
     whole = embed._integrate_strong(
-        f, c["coeffs"], increment_block(er.seeds, 2048, er.dr), er.dr, K1, K2)
+        f, c["coeffs"], increment_block(er.seeds, 2048, er.dr), er.dr, r_max,
+        K2)
     assert whole["clamp_hits"] > 0
     assert fractions == [whole["clamp_hits"] / whole["total_steps"]] * 2
 
@@ -134,6 +135,21 @@ def test_embeddings_require_unit_horizon(case_uniform_k025):
         strong_embed_on_W(f2, c["coeffs"], 4, 2048, seed=2)
 
 
+def test_strong_limits(case_uniform_k025):
+    c = case_uniform_k025.value
+    f, coeffs = c["field"], c["coeffs"]
+    cap = coeffs.t_phys * (1.0 - 1e-9)
+    r_max, K2 = embed._strong_limits(f, coeffs)
+    assert r_max == min(2.0 * tau_bound(f, coeffs), cap)
+    assert K2 > 0.0
+    # explicit guards: K1 only moves the horizon, and only below the cap
+    assert embed._strong_limits(f, coeffs, K1=0.05, K2=3.0) == (0.05, 3.0)
+    assert embed._strong_limits(f, coeffs, K1=0.05) == (0.05, K2)
+    assert embed._strong_limits(f, coeffs, K1=10.0 * cap) == (cap, K2)
+    with pytest.raises(ConfigError):
+        embed._strong_limits(replace(f, t_grid=f.t_grid * 2.0), coeffs)
+
+
 def _per_path_weak(c, n_paths, n_steps, seed, g=None):
     """Reference for the ensembles: whole paths, one weak_embed each."""
     paths = simulate_block(c["field"], seed, range(n_paths), n_steps)
@@ -164,8 +180,8 @@ def test_round_trip_matches_per_path_reference(case_uniform_k025):
     f, coeffs = c["field"], c["coeffs"]
     rt = coupled_round_trip(f, coeffs, 37, 1024, seed=55)
     dr = rt["dr"]
-    K1, K2 = embed._default_guards(f, coeffs)
-    M = int(np.ceil(min(K1, coeffs.t_phys * (1.0 - 1e-9)) / dr))
+    r_max, K2 = embed._strong_limits(f, coeffs)
+    M = int(np.ceil(r_max / dr))
     r_u = np.arange(M + 1) * dr
     paths, embs = _per_path_weak(c, 37, 1024, 55)
     dB = np.empty((37, M))
@@ -176,7 +192,7 @@ def test_round_trip_matches_per_path_reference(case_uniform_k025):
         dB[j, n_inside:] = normal_increments(
             path_seed(p.seed ^ embed._STRONG_SEED_SALT, 1), M - n_inside, dr)
     tau_w = np.array([we.tau_weak for we in embs])
-    tau_s = embed._integrate_strong(f, coeffs, dB, dr, K1, K2)["tau"]
+    tau_s = embed._integrate_strong(f, coeffs, dB, dr, r_max, K2)["tau"]
     assert np.array_equal(rt["tau_weak"], tau_w)
     assert np.array_equal(rt["tau_strong"], tau_s)
     assert rt["weak_identity_residual_max"] == max(

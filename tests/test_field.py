@@ -2,7 +2,8 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import make_case
+from hypothesis import assume, given, settings, strategies as st
 
 from skofbsde.coeffs import ProcessCoefficients, TimeFunction
 from skofbsde.errors import (ConfigError, CutoffActiveError, DomainError,
@@ -200,6 +201,38 @@ def test_diagnostics_pass_on_cases(case_trivial, case_linear, case_uniform_k05,
         assert diag.all_passed, [vars(ch) for ch in diag.checks if not ch.passed]
         assert diag.z_sup <= c["g"].lipschitz + 1e-2
         assert diag.min_u1_interior > 0.0
+
+
+@st.composite
+def lipschitz_laws(draw):
+    """A random uniform, normal or piecewise-linear-CDF law whose g has
+    L_g <= 3 (the fixed point of a solve with larger constants can fail to
+    contract on the 64-step grid, a solver failure, not a positivity
+    case)."""
+    kind = draw(st.sampled_from(["uniform", "normal", "piecewise_cdf"]))
+    loc = draw(st.floats(-10.0, 10.0))
+    if kind == "uniform":
+        m = TargetMeasure.uniform(loc, loc + draw(st.floats(1e-2, 7.5)))
+    elif kind == "normal":
+        m = TargetMeasure.normal(loc, draw(st.floats(1e-2, 3.0)))
+    else:
+        widths = draw(st.lists(st.floats(1e-2, 2.0), min_size=1, max_size=6))
+        masses = draw(st.lists(st.floats(5e-2, 1.0), min_size=len(widths),
+                               max_size=len(widths)))
+        cum = np.cumsum([0.0] + masses)
+        m = TargetMeasure.piecewise_cdf(loc + np.cumsum([0.0] + widths),
+                                        cum / cum[-1])
+    assume(make_g(m).lipschitz <= 3.0)
+    return m
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lipschitz_laws(), st.floats(-0.5, 0.5), st.floats(0.8, 1.25))
+def test_u1_positive_property(m, alpha, beta):
+    # constant coefficients over the range of the shipped configurations
+    f = make_case(m, TimeFunction.const(alpha), TimeFunction.const(beta),
+                  beta, nt=64, nx1=65, nx2=33)["field"]
+    assert f.u1[:-1].min() > 0.0
 
 
 def test_sin_drift_transport_closed_form(case_normal_sin):
