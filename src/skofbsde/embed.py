@@ -34,7 +34,7 @@ import numpy as np
 
 from .coeffs import ProcessCoefficients
 from .errors import ConfigError, LocalizationError
-from .fbsde import (FbsdePath, _simulate_arrays, increment_block, map_blocks,
+from .fbsde import (FbsdePath, IncrementStreams, _simulate_arrays, map_blocks,
                     normal_increments, path_seed)
 from .field import DecouplingField, eval_field
 
@@ -52,15 +52,19 @@ _WEAK_B_STEPS = 512
 _STRONG_SEED_SALT = 0xD1FF5EED0001
 # paths per block of the three ensemble routines; measured trade-offs between
 # per-call overhead and block memory.  A block of the weak or round-trip sweep
-# holds three (block, n_steps + 1) arrays (W, X2, Y).  Peak RSS of one pass on
-# the perfbench many_paths field (64x65x33 grid, 4096 steps; Linux, numpy
-# 2.4), 62.5 MB before it: weak, 2048 paths, 86.8 / 110.7 / 135.0 / 158.9 MB
-# at blocks 256 / 512 / 768 / 1024; round trip, 500 paths, 77.0 / 117.8 MB at
-# blocks 128 / 512; strong, 2048 paths in one block, 127.0 MB.  The weak block
-# stays below the strong pass, which sets the peak of `skofbsde embed`.
-_WEAK_BLOCK = 512
+# holds two (block, n_steps + 1) arrays (X2, Y); the strong pass holds
+# (block, 256) noise chunks.  Peak RSS of one pass on the perfbench many_paths
+# field (64x65x33 grid, 4096 steps; Linux, numpy 2.4, SciPy not loaded),
+# 34.6 MB before it: weak, 2048 paths, 79.4 / 95.5 / 113.1 MB at blocks
+# 512 / 768 / 1024 (1.50 / 1.34 / 1.26 s); round trip, 500 paths, 55.3 /
+# 82.3 MB at blocks 128 / 512; strong, 2048 paths in one block, 57.1 MB.  The
+# weak pass sets the peak of `skofbsde embed`.
+_WEAK_BLOCK = 1024
 _STRONG_BLOCK = 2048
 _ROUND_TRIP_BLOCK = 512
+# rows per pass of the weak time change; its (rows, n_steps + 1) clock nodes
+# take 4 MiB at 4096 steps
+_TIME_CHANGE_ROWS = 128
 
 
 def _warn_if_clamped(fraction: float, where: str) -> None:
@@ -85,40 +89,68 @@ class WeakEmbedding:
     sigma_inverse_defect: float
 
 
-def _time_change(coeffs: ProcessCoefficients, t_grid: np.ndarray,
-                 X2: np.ndarray, Y: np.ndarray, X1_T: float,
-                 g) -> WeakEmbedding:
-    """``weak_embed`` on one path's arrays; ``X2`` and ``Y`` may be row views
-    of a block."""
-    X2_T = float(X2[-1])
-    tau = float(coeffs.clock_H_inv(X2_T))
-
-    r_nodes = np.asarray(coeffs.clock_H_inv(X2))
+def _monotone_nodes(r_nodes: np.ndarray, t_grid: np.ndarray):
+    """The clock nodes of one path where r strictly increases, with their
+    times: the table of the inverse time change sigma."""
     keep = np.concatenate([[True], np.diff(r_nodes) > 0.0])
-    r_mono = r_nodes[keep]
-    t_mono = t_grid[keep]
+    if keep.all():
+        return r_nodes, t_grid
+    return r_nodes[keep], t_grid[keep]
 
-    r_grid = np.linspace(0.0, tau, _WEAK_B_STEPS + 1)
-    sigma_vals = np.interp(r_grid, r_mono, t_mono)
-    Y_at = np.interp(sigma_vals, t_grid, Y)
 
-    dY = np.diff(Y_at)
-    beta_left = np.asarray(coeffs.beta(r_grid[:-1]))
-    dB = dY / beta_left
-    B = np.concatenate([[0.0], np.cumsum(dB)])
-    beta_mid = np.asarray(coeffs.beta(0.5 * (r_grid[:-1] + r_grid[1:])))
-    int_beta_dB = float(np.sum(beta_mid * dB))
+def _weak_time_change(coeffs: ProcessCoefficients, t_grid: np.ndarray,
+                      X2: np.ndarray, Y: np.ndarray, X1_T: np.ndarray, g,
+                      paths: bool = False):
+    """Weak time change of each row of a block of paths: ``X2`` and ``Y`` of
+    shape (n, n_steps + 1) on ``t_grid``, ``X1_T`` of shape (n,).
 
-    stopped = float(Y[0] + coeffs.delta_hat(tau) + int_beta_dB)
-    if g is not None:
-        residual = abs(stopped - float(np.asarray(g(X1_T))))
-    else:
-        residual = abs(int_beta_dB - (Y[-1] - Y[0]))
-    # defect of the discrete inverse at the original path nodes
-    sigma_defect = float(np.abs(np.interp(r_nodes, r_mono, t_mono) - t_grid).max())
-    return WeakEmbedding(tau_weak=tau, stopped_value=stopped, r_grid=r_grid,
-                         B=B, identity_residual=residual,
-                         sigma_inverse_defect=sigma_defect)
+    Returns per-row arrays ``(tau, stopped, residual, r_grid, B)``.  The
+    r-grids ``np.linspace(0, tau, _WEAK_B_STEPS + 1)`` and the reconstructed
+    Brownian motion ``B`` on them, shape (n, _WEAK_B_STEPS + 1), are
+    returned only with ``paths`` set, and are ``None`` otherwise.
+
+    Rows go ``_TIME_CHANGE_ROWS`` at a time: the inverse clock, the r-grids,
+    ``beta``, ``delta_hat`` and ``g`` are evaluated once per sub-block, and
+    only the two interpolations through sigma run row by row.
+    """
+    n = X2.shape[0]
+    tau, stopped, residual = np.empty((3, n))
+    r_grid = np.empty((n, _WEAK_B_STEPS + 1)) if paths else None
+    B = np.empty((n, _WEAK_B_STEPS + 1)) if paths else None
+    steps = np.arange(_WEAK_B_STEPS + 1.0)
+    for lo in range(0, n, _TIME_CHANGE_ROWS):
+        hi = min(lo + _TIME_CHANGE_ROWS, n)
+        r_nodes = np.asarray(coeffs.clock_H_inv(X2[lo:hi]))
+        tau_b = tau[lo:hi]
+        tau_b[:] = r_nodes[:, -1]
+        # each row is np.linspace(0, tau, _WEAK_B_STEPS + 1) bit for bit
+        # (the step count is a power of two, so the last node is tau);
+        # np.linspace with an array of stops switches every row to another
+        # formula when one row's step is zero
+        r_b = steps * (tau_b / _WEAK_B_STEPS)[:, None]
+        Y_at = np.empty_like(r_b)
+        for j in range(hi - lo):
+            sigma = np.interp(r_b[j], *_monotone_nodes(r_nodes[j], t_grid))
+            Y_at[j] = np.interp(sigma, t_grid, Y[lo + j])
+        del r_nodes                 # before the next sub-block makes its own
+
+        dB = np.diff(Y_at, axis=1)
+        dB /= coeffs.beta(r_b[:, :-1])
+        beta_mid = np.asarray(coeffs.beta(0.5 * (r_b[:, :-1] + r_b[:, 1:])))
+        int_beta_dB = np.sum(beta_mid * dB, axis=1)
+
+        Y0 = Y[lo:hi, 0]
+        stopped[lo:hi] = Y0 + coeffs.delta_hat(tau_b) + int_beta_dB
+        if g is not None:
+            residual[lo:hi] = np.abs(stopped[lo:hi]
+                                     - np.asarray(g(X1_T[lo:hi])))
+        else:
+            residual[lo:hi] = np.abs(int_beta_dB - (Y[lo:hi, -1] - Y0))
+        if paths:
+            r_grid[lo:hi] = r_b
+            B[lo:hi, 0] = 0.0
+            np.cumsum(dB, axis=1, out=B[lo:hi, 1:])
+    return tau, stopped, residual, r_grid, B
 
 
 def weak_embed(p: FbsdePath, coeffs: ProcessCoefficients,
@@ -129,22 +161,15 @@ def weak_embed(p: FbsdePath, coeffs: ProcessCoefficients,
     stopped value against g(W_1); otherwise it measures the internal
     consistency of the reconstruction.
     """
-    return _time_change(coeffs, p.t_grid, p.X2, p.Y, p.X1[-1], g)
-
-
-def _weak_rows(f: DecouplingField, coeffs: ProcessCoefficients,
-               seeds: np.ndarray, n_steps: int, g=None):
-    """Simulate a block of paths from the origin and time-change each row.
-
-    Yields ``(WeakEmbedding, z_abs_max_raw, X2_T)`` path by path, so only one
-    row's embedding is alive at a time; the block's path arrays are released
-    when the generator is exhausted.
-    """
-    t_grid, W, X2, Y, _, zmax = _simulate_arrays(f, seeds, n_steps, 0.0, 0.0)
-    X1_T = 0.0 + W[:, -1]                # X1 = x1_0 + W with x1_0 = 0
-    for j in range(seeds.size):
-        yield (_time_change(coeffs, t_grid, X2[j], Y[j], X1_T[j], g),
-               zmax[j], X2[j, -1])
+    tau, stopped, residual, r_grid, B = _weak_time_change(
+        coeffs, p.t_grid, p.X2[None], p.Y[None], p.X1[-1:], g, paths=True)
+    # defect of the discrete inverse at the original path nodes
+    r_nodes = np.asarray(coeffs.clock_H_inv(p.X2))
+    sigma_nodes = np.interp(r_nodes, *_monotone_nodes(r_nodes, p.t_grid))
+    return WeakEmbedding(
+        tau_weak=float(tau[0]), stopped_value=float(stopped[0]),
+        r_grid=r_grid[0], B=B[0], identity_residual=float(residual[0]),
+        sigma_inverse_defect=float(np.abs(sigma_nodes - p.t_grid).max()))
 
 
 def weak_embed_ensemble(f: DecouplingField, coeffs: ProcessCoefficients,
@@ -159,10 +184,12 @@ def weak_embed_ensemble(f: DecouplingField, coeffs: ProcessCoefficients,
     seeds = path_seed(seed, np.arange(n_paths))
 
     def run_block(lo: int, hi: int):
-        rows = [(we.tau_weak, we.stopped_value, we.identity_residual, z, x2)
-                for we, z, x2 in _weak_rows(f, coeffs, seeds[lo:hi], n_steps,
-                                            g)]
-        return (seeds[lo:hi], *np.array(rows).T)
+        t_grid, W_T, X2, Y, _, zmax = _simulate_arrays(
+            f, seeds[lo:hi], n_steps, 0.0, 0.0)
+        # X1 = x1_0 + W with x1_0 = 0
+        tau, stopped, residual, _, _ = _weak_time_change(
+            coeffs, t_grid, X2, Y, W_T, g)
+        return seeds[lo:hi], tau, stopped, residual, zmax, X2[:, -1]
 
     keys = ("seeds", "tau_weak", "stopped_value", "identity_residual",
             "z_abs_max_raw", "X2_T")
@@ -203,12 +230,16 @@ def _strong_limits(f: DecouplingField, coeffs: ProcessCoefficients,
 
 
 def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
-                      dB: np.ndarray, dr: float, r_max: float, K2: float,
-                      keep_paths: bool = False):
-    """Euler integration of the (sigma, Sigma) system for a block of driving
-    increments of shape (n, M), up to r = min(r_max, M dr).  Returns per-path
-    crossing data."""
-    n, M = dB.shape
+                      dB: np.ndarray | IncrementStreams, dr: float,
+                      r_max: float, K2: float, keep_paths: bool = False):
+    """Euler integration of the (sigma, Sigma) system for a block of n
+    driving paths of M increments each, up to r = min(r_max, M dr).  ``dB``
+    is an (n, M) array, or ``IncrementStreams`` of n paths and M steps, read
+    only for the paths still active.  Returns per-path crossing data."""
+    if isinstance(dB, IncrementStreams):
+        n, M, column = len(dB.gens), dB.n_steps, dB.column
+    else:
+        (n, M), column = dB.shape, lambda m, rows: dB[rows, m]
     m_max = min(M, int(np.ceil(r_max / dr)))
     r_left = np.arange(m_max) * dr
     beta_r = np.asarray(coeffs.beta(r_left))
@@ -241,9 +272,10 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
         u1c = np.clip(u1, floor, L_g)
 
         b = beta_r[m]
+        dBm = column(m, idx)
         dsig = dr * b * b / (u1c * u1c)
-        dSig = (b / u1c) * dB[idx, m]
-        dW_contrib = b * dB[idx, m]
+        dSig = (b / u1c) * dBm
+        dW_contrib = b * dBm
 
         new_sigma = sigma[idx] + dsig
         crossed = new_sigma >= 1.0
@@ -373,7 +405,7 @@ def strong_embed_on_W(f: DecouplingField, coeffs: ProcessCoefficients,
 
     def run_block(lo: int, hi: int):
         res = _integrate_strong(f, coeffs,
-                                increment_block(seeds[lo:hi], n_steps, dr),
+                                IncrementStreams(seeds[lo:hi], n_steps, dr),
                                 dr, r_max, K2)
         clamp[0] += res["clamp_hits"]
         clamp[1] += res["total_steps"]
@@ -414,17 +446,15 @@ def coupled_round_trip(f: DecouplingField, coeffs: ProcessCoefficients,
     seeds = path_seed(seed, np.arange(n_paths))
 
     def run_block(lo: int, hi: int):
-        tau_w = np.empty(hi - lo)
-        resid = np.empty(hi - lo)
+        t_grid, W_T, X2, Y, _, _ = _simulate_arrays(f, seeds[lo:hi], n_steps,
+                                                    0.0, 0.0)
+        tau_w, _, resid, r_grid, B = _weak_time_change(
+            coeffs, t_grid, X2, Y, W_T, None, paths=True)
+        del X2, Y                       # freed before the strong pass
         dB = np.empty((hi - lo, M))
-        # the loop exhausts _weak_rows, which frees the block's path arrays
-        # before the strong pass
-        for j, (we, _, _) in enumerate(
-                _weak_rows(f, coeffs, seeds[lo:hi], n_steps)):
-            tau_w[j] = we.tau_weak
-            resid[j] = we.identity_residual
-            dB[j] = np.diff(np.interp(r_u, we.r_grid, we.B))
-            n_inside = max(int(np.floor(we.tau_weak / dr)), 0)
+        for j in range(hi - lo):
+            dB[j] = np.diff(np.interp(r_u, r_grid[j], B[j]))
+            n_inside = max(int(np.floor(tau_w[j] / dr)), 0)
             if n_inside < M:
                 dB[j, n_inside:] = normal_increments(
                     path_seed(int(seeds[lo + j]) ^ _STRONG_SEED_SALT, 1),

@@ -9,6 +9,9 @@ Randomness is reproducible bit-for-bit across platforms: each path owns a
 64-bit seed (SplitMix64-derived from a base seed and the path index), feeding
 a Philox 4x64 counter-based generator; uniforms are 53-bit integers mapped to
 (0, 1) and normal increments come from the package's own inverse normal CDF.
+The sweeps draw the increments in column chunks from the per-path streams
+(``IncrementStreams``), so no whole (paths, steps) noise matrix is held, and
+a path's increments do not depend on the chunk width.
 By certified bound, |Z| <= L_g; evaluated controls are projected onto that
 interval (raw magnitudes are recorded for the bound diagnostics).
 
@@ -29,12 +32,14 @@ from .field import DecouplingField, eval_field
 from .measure import phi_inv
 
 __all__ = ["FbsdePath", "EnsembleResult", "MartingaleReport", "path_seed",
-           "normal_increments", "increment_block", "map_blocks",
+           "normal_increments", "IncrementStreams", "map_blocks",
            "simulate_path", "simulate_block", "simulate_ensemble",
            "backward_residual", "martingale_check"]
 
 _MASK64 = (1 << 64) - 1
 _ENSEMBLE_BLOCK = 1024
+# columns per draw of IncrementStreams: a (1024, 256) chunk is 2 MiB
+_NOISE_CHUNK = 256
 N_CHECKPOINTS = 8
 
 
@@ -72,7 +77,7 @@ def map_blocks(n_paths: int, block: int, fn) -> tuple[np.ndarray, ...]:
                         for a in parts)
         for whole, a in zip(out, parts):
             whole[lo:hi] = a
-        del parts
+        del parts, a
     return out
 
 
@@ -88,16 +93,53 @@ def normal_increments(seed: int, n_steps: int, dt: float) -> np.ndarray:
     return np.sqrt(dt) * np.asarray(phi_inv(_uniforms(seed, n_steps)))
 
 
-def increment_block(seeds, n_steps: int, dt: float) -> np.ndarray:
-    """One row of ``normal_increments`` per seed, shape (len(seeds), n_steps).
+class IncrementStreams:
+    """The N(0, dt) increments of a set of paths, drawn column chunk by
+    column chunk from one Philox generator per path seed.
 
-    Rows are written one at a time into the result, so the only temporaries
-    are row-sized.
+    Row ``i`` of the successive draws is ``normal_increments(seeds[i], ., dt)``
+    bitwise, whatever the chunk widths.  ``column`` reads the increments
+    step by step for a set of rows that may only shrink (paths that stop
+    are never drawn again); it draws ``_NOISE_CHUNK`` columns at a time for
+    the rows it is given at a chunk start.
     """
-    dW = np.empty((len(seeds), n_steps))
-    for row, s in zip(dW, seeds):
-        row[:] = normal_increments(int(s), n_steps, dt)
-    return dW
+
+    def __init__(self, seeds, n_steps: int, dt: float):
+        self.gens = [np.random.Philox(key=int(s)) for s in seeds]
+        self.n_steps = n_steps
+        self.scale = np.sqrt(dt)
+        self._chunk = None
+        self._row_of = np.arange(len(self.gens))
+
+    def next(self, m: int, rows=None) -> np.ndarray:
+        """The next ``m`` increments of each path in ``rows`` (default: all),
+        shape (len(rows), m)."""
+        gens = self.gens if rows is None else [self.gens[i] for i in rows]
+        v = np.empty((len(gens), m), dtype=np.uint64)
+        for row, gen in zip(v, gens):
+            row[:] = gen.random_raw(m)
+        # the top 53 bits: what Generator.integers(0, 2**53) draws from the
+        # same words (Lemire's method with a power-of-two range), without
+        # its fixed cost per call
+        v >>= np.uint64(11)
+        u = v.astype(np.float64)
+        u += 0.5
+        u *= 2.0**-53
+        z = phi_inv(u)
+        z *= self.scale
+        return z
+
+    def column(self, k: int, rows=None) -> np.ndarray:
+        """Increment ``k`` of the paths in ``rows`` (default: all); ``k``
+        runs 0, 1, ... in order."""
+        c = k % _NOISE_CHUNK
+        if c == 0:
+            self._chunk = self.next(min(_NOISE_CHUNK, self.n_steps - k), rows)
+            if rows is not None:
+                self._row_of[rows] = np.arange(len(rows))
+        if rows is None:
+            return self._chunk[:, c]
+        return self._chunk[self._row_of[rows], c]
 
 
 @dataclass
@@ -115,14 +157,15 @@ class FbsdePath:
 
 
 def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
-                     x1_0: float, x2_0: float, keep_z: bool = False):
+                     x1_0: float, x2_0: float, paths: bool = False):
     """Vectorized Euler sweep for a block of paths.
 
-    Returns ``(t_grid, W, X2, Y, Z, z_abs_max_raw)`` with path arrays of shape
-    (n_paths, n_steps + 1).  ``X1`` is not stored: it is ``x1_0 + W``, formed
-    column by column for the field lookups.  ``Z`` is kept only when
-    ``keep_z`` is set and is ``None`` otherwise; each row of ``W`` is
-    cumulated from its increments in place.
+    Returns ``(t_grid, W, X2, Y, Z, z_abs_max_raw)``; ``X2`` and ``Y`` have
+    shape (n_paths, n_steps + 1).  With ``paths`` set, ``W`` and ``Z`` are
+    whole path arrays of that shape too; otherwise ``W`` is only the running
+    column W_T, of shape (n_paths,), and ``Z`` is ``None``.  ``X1`` is not
+    stored: it is ``x1_0 + W``, formed column by column for the field
+    lookups.  W adds up the increments in step order, as ``np.cumsum`` does.
     """
     T = f.T
     dt = T / n_steps
@@ -131,29 +174,31 @@ def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
     t_grid = np.linspace(0.0, T, n_steps + 1)
     # one buffer for all path arrays: freed as a whole when the last view
     # goes, where separate arrays can be left fragmented in the heap
-    W, X2, Y, *rest = np.empty((4 if keep_z else 3, n, n_steps + 1))
-    Z = rest[0] if keep_z else None
-    W[:, 0] = 0.0
-    for row, s in zip(W, seeds):
-        np.cumsum(normal_increments(int(s), n_steps, dt), out=row[1:])
+    X2, Y, *rest = np.empty((4 if paths else 2, n, n_steps + 1))
+    W, Z = rest if paths else (None, None)
+    noise = IncrementStreams(seeds, n_steps, dt)
+    w = np.zeros(n)
     X2[:, 0] = x2_0
     L_g = f.g_lipschitz
     z_raw_max = np.zeros(n)
 
     for k in range(n_steps + 1):
-        zk, Y[:, k] = eval_field(f, t_grid[k], x1_0 + W[:, k], X2[:, k],
+        if paths:
+            W[:, k] = w
+        zk, Y[:, k] = eval_field(f, t_grid[k], x1_0 + w, X2[:, k],
                                  ("u1", "u"))
         np.maximum(z_raw_max, np.abs(zk), out=z_raw_max)
         zk = np.minimum(np.maximum(-L_g, zk), L_g)
-        if keep_z:
+        if paths:
             Z[:, k] = zk
         if k < n_steps:
             X2[:, k + 1] = X2[:, k] + zk * zk * dt
-    return t_grid, W, X2, Y, Z, z_raw_max
+            w = w + noise.column(k)
+    return t_grid, W if paths else w, X2, Y, Z, z_raw_max
 
 
 def _paths(t_grid, W, X2, Y, Z, zmax, seeds, x1_0: float) -> list[FbsdePath]:
-    """Whole paths from the arrays of ``_simulate_arrays(..., keep_z=True)``."""
+    """Whole paths from the arrays of ``_simulate_arrays(..., paths=True)``."""
     return [FbsdePath(t_grid=t_grid, W=W[i], X1=x1_0 + W[i], X2=X2[i],
                       Y=Y[i], Z=Z[i], seed=int(seeds[i]),
                       z_abs_max_raw=float(zmax[i]))
@@ -166,7 +211,7 @@ def simulate_path(f: DecouplingField, x1_0: float = 0.0, x2_0: float = 0.0,
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
     seeds = np.array([seed], dtype=np.uint64)
-    arrays = _simulate_arrays(f, seeds, n_steps, x1_0, x2_0, keep_z=True)
+    arrays = _simulate_arrays(f, seeds, n_steps, x1_0, x2_0, paths=True)
     return _paths(*arrays, seeds, x1_0)[0]
 
 
@@ -175,7 +220,7 @@ def simulate_block(f: DecouplingField, base_seed: int, indices,
                    x2_0: float = 0.0) -> list[FbsdePath]:
     """Simulate the paths with the given indices (seeds derived per path)."""
     seeds = path_seed(base_seed, np.asarray(indices, dtype=int))
-    arrays = _simulate_arrays(f, seeds, n_steps, x1_0, x2_0, keep_z=True)
+    arrays = _simulate_arrays(f, seeds, n_steps, x1_0, x2_0, paths=True)
     return _paths(*arrays, seeds, x1_0)
 
 
@@ -209,12 +254,12 @@ def simulate_ensemble(f: DecouplingField, n_paths: int, n_steps: int,
     seeds = path_seed(seed, np.arange(n_paths))
 
     def run_block(lo: int, hi: int):
-        t_grid, W, X2, Y, Z, zmax = _simulate_arrays(
-            f, seeds[lo:hi], n_steps, 0.0, 0.0, keep_z=True)
+        _, W_T, X2, Y, _, zmax = _simulate_arrays(f, seeds[lo:hi], n_steps,
+                                                  0.0, 0.0)
         qv = np.cumsum(np.diff(Y, axis=1) ** 2, axis=1)
-        sz2 = np.cumsum(Z[:, :-1] ** 2 * dt, axis=1)
-        return (Y[:, ck], sz2[:, ck - 1], qv[:, ck - 1], W[:, -1],
-                X2[:, -1], Y[:, -1], zmax)
+        # from X2_0 = 0, X2_k is the running sum of Z^2 dt up to step k - 1
+        return (Y[:, ck], X2[:, ck], qv[:, ck - 1], W_T, X2[:, -1],
+                Y[:, -1], zmax)
 
     Y_ck, sz2_ck, qv_ck, X1_T, X2_T, Y_T, zmax = map_blocks(
         n_paths, _ENSEMBLE_BLOCK, run_block)

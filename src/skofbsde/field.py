@@ -26,7 +26,6 @@ import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (ConfigError, ContractionError, CutoffActiveError,
                      DerivativeMismatchError, DomainError, NonLipschitzError)
@@ -197,6 +196,13 @@ def _banded_matrix(nx1: int, a: float) -> np.ndarray:
     ab[0, 2:] = -a      # superdiagonal, none for boundary row 0
     ab[2, :-2] = -a     # subdiagonal, none for boundary row nx1-1
     return ab
+
+
+def solve_banded(l_and_u, ab, b):
+    """``scipy.linalg.solve_banded``.  SciPy is imported on the first call,
+    so the commands that never solve do not load it."""
+    from scipy.linalg import solve_banded as scipy_solve_banded
+    return scipy_solve_banded(l_and_u, ab, b)
 
 
 # ----------------------------------------------------------------------------

@@ -168,43 +168,62 @@ _PPND_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
            2.04426310338993978564e-15)
 
 
-def _poly(coeffs, r):
-    acc = np.full_like(r, coeffs[-1])
+# points per pass of phi_inv's central formula: its work arrays stay in cache
+_PHI_INV_CHUNK = 16384
+
+
+def _poly(coeffs, r, acc=None):
+    """Horner's rule for the polynomial with ``coeffs`` (lowest degree
+    first) at ``r``, accumulated in place in ``acc`` when given."""
+    acc = np.empty_like(r) if acc is None else acc
+    acc.fill(coeffs[-1])
     for c in coeffs[-2::-1]:
-        acc = acc * r + c
+        acc *= r
+        acc += c
     return acc
 
 
+def _phi_inv_tail(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """PPND16's tail branches at the points with |q| = |p - 1/2| > 0.425."""
+    r = np.sqrt(-np.log(np.where(q < 0.0, p, 1.0 - p)))
+    near = r <= 5.0
+    val = np.empty_like(r)
+    if np.any(near):
+        rn = r[near] - 1.6
+        val[near] = _poly(_PPND_C, rn) / _poly(_PPND_D, rn)
+    if not np.all(near):
+        rf = r[~near] - 5.0
+        val[~near] = _poly(_PPND_E, rf) / _poly(_PPND_F, rf)
+    return np.where(q < 0.0, -val, val)
+
+
 def phi_inv(p) -> np.ndarray | float:
-    """Standard normal quantile for p in (0, 1); raises DomainError outside."""
+    """Standard normal quantile for p in (0, 1); raises DomainError outside.
+
+    Works through the points in chunks of ``_PHI_INV_CHUNK``: the central
+    rational function is evaluated on every point of a chunk, in place, and
+    the points in the tails are then overwritten.
+    """
     pa = np.asarray(p, dtype=float)
-    scalar = pa.ndim == 0
-    pa = np.atleast_1d(pa).copy()
-    if np.any(~np.isfinite(pa)) or np.any(pa <= 0.0) or np.any(pa >= 1.0):
-        raise DomainError("phi_inv requires probabilities strictly inside (0, 1)")
-
-    q = pa - 0.5
-    out = np.empty_like(pa)
-
-    central = np.abs(q) <= 0.425
-    if np.any(central):
-        r = 0.180625 - q[central] ** 2
-        out[central] = q[central] * _poly(_PPND_A, r) / _poly(_PPND_B, r)
-
-    tail = ~central
-    if np.any(tail):
-        pt = np.where(q[tail] < 0.0, pa[tail], 1.0 - pa[tail])
-        r = np.sqrt(-np.log(pt))
-        near = r <= 5.0
-        val = np.empty_like(r)
-        if np.any(near):
-            rn = r[near] - 1.6
-            val[near] = _poly(_PPND_C, rn) / _poly(_PPND_D, rn)
-        if np.any(~near):
-            rf = r[~near] - 5.0
-            val[~near] = _poly(_PPND_E, rf) / _poly(_PPND_F, rf)
-        out[tail] = np.where(q[tail] < 0.0, -val, val)
-    return float(out[0]) if scalar else out
+    flat = pa.ravel()
+    out = np.empty(flat.shape)
+    width = min(flat.size, _PHI_INV_CHUNK)
+    q_buf, r_buf, den_buf = np.empty((3, width))
+    for lo in range(0, flat.size, _PHI_INV_CHUNK):
+        pc = flat[lo:lo + _PHI_INV_CHUNK]
+        if not (np.all(pc > 0.0) and np.all(pc < 1.0)):
+            raise DomainError("phi_inv requires probabilities strictly inside (0, 1)")
+        n = pc.size
+        q = np.subtract(pc, 0.5, out=q_buf[:n])
+        r = np.multiply(q, q, out=r_buf[:n])
+        np.subtract(0.180625, r, out=r)
+        oc = _poly(_PPND_A, r, out[lo:lo + n])
+        oc *= q
+        oc /= _poly(_PPND_B, r, den_buf[:n])
+        tail = np.flatnonzero(np.abs(q) > 0.425)
+        if tail.size:
+            oc[tail] = _phi_inv_tail(pc[tail], q[tail])
+    return float(out[0]) if pa.ndim == 0 else out.reshape(pa.shape)
 
 
 # ----------------------------------------------------------------------------

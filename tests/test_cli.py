@@ -367,3 +367,25 @@ def test_malformed_input_exits_1(tmp_path, capsys, breaker):
         assert "re-run skofbsde solve" in lines[0]
     if breaker is _oversized_grid:
         assert "memory" in lines[0]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # SciPy is loaded only by the field solver's first banded solve, so the
+    # commands that never solve do not pay for it
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import skofbsde.cli as cli\n"
+        "from skofbsde import field\n"
+        "cfg = cli.RunConfig.from_file('configs/smoke_small.json')\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported'\n"
+        "assert callable(field.solve_banded)\n"
+        "f = field.solve_field(cfg.g, cfg.delta, cfg.solver)\n"
+        "assert 'scipy' in sys.modules\n"
+        "assert f.u.shape == (65, 65, 33) and np.isfinite(f.u).all()\n"
+    )
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-B", "-c", code], cwd=root,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

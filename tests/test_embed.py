@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skofbsde import embed
+from skofbsde.coeffs import ProcessCoefficients, TimeFunction
 from skofbsde.embed import (coupled_round_trip, strong_embed_on_W,
                             strong_stopping_time, tau_bound, weak_embed,
                             weak_embed_ensemble)
 from skofbsde.errors import ConfigError, LocalizationError
-from skofbsde.fbsde import (increment_block, normal_increments, path_seed,
-                            simulate_block, simulate_path)
+from skofbsde.fbsde import (normal_increments, path_seed, simulate_block,
+                            simulate_path)
 
 
 def test_weak_embed_trivial(case_trivial):
@@ -87,9 +88,8 @@ def test_clamp_fraction_weighted_per_step(case_uniform_k025, monkeypatch):
             er = strong_embed_on_W(f, c["coeffs"], 37, 2048, seed=12)
         fractions.append(er.clamp_fraction)
     r_max, K2 = embed._strong_limits(f, c["coeffs"])
-    whole = embed._integrate_strong(
-        f, c["coeffs"], increment_block(er.seeds, 2048, er.dr), er.dr, r_max,
-        K2)
+    dB = np.array([normal_increments(int(s), 2048, er.dr) for s in er.seeds])
+    whole = embed._integrate_strong(f, c["coeffs"], dB, er.dr, r_max, K2)
     assert whole["clamp_hits"] > 0
     assert fractions == [whole["clamp_hits"] / whole["total_steps"]] * 2
 
@@ -154,6 +154,59 @@ def _per_path_weak(c, n_paths, n_steps, seed, g=None):
     """Reference for the ensembles: whole paths, one weak_embed each."""
     paths = simulate_block(c["field"], seed, range(n_paths), n_steps)
     return paths, [weak_embed(p, c["coeffs"], g=g) for p in paths]
+
+
+def _time_change_reference(coeffs, t_grid, X2, Y, X1_T, g):
+    """The weak time change of one path, a row at a time."""
+    tau = float(coeffs.clock_H_inv(float(X2[-1])))
+    r_nodes = np.asarray(coeffs.clock_H_inv(X2))
+    keep = np.concatenate([[True], np.diff(r_nodes) > 0.0])
+    r_mono, t_mono = r_nodes[keep], t_grid[keep]
+    r_grid = np.linspace(0.0, tau, embed._WEAK_B_STEPS + 1)
+    Y_at = np.interp(np.interp(r_grid, r_mono, t_mono), t_grid, Y)
+    dB = np.diff(Y_at) / np.asarray(coeffs.beta(r_grid[:-1]))
+    beta_mid = np.asarray(coeffs.beta(0.5 * (r_grid[:-1] + r_grid[1:])))
+    int_beta_dB = float(np.sum(beta_mid * dB))
+    stopped = float(Y[0] + coeffs.delta_hat(tau) + int_beta_dB)
+    if g is not None:
+        residual = abs(stopped - float(np.asarray(g(X1_T))))
+    else:
+        residual = abs(int_beta_dB - (Y[-1] - Y[0]))
+    defect = np.abs(np.interp(r_nodes, r_mono, t_mono) - t_grid).max()
+    return {"tau_weak": tau, "stopped_value": stopped, "r_grid": r_grid,
+            "B": np.concatenate([[0.0], np.cumsum(dB)]),
+            "identity_residual": residual, "sigma_inverse_defect": defect}
+
+
+@pytest.mark.parametrize("beta", ["1.0", "1.0 + 0.2*cos(3*s)"])
+def test_weak_time_change_matches_per_row_reference(case_uniform_k025,
+                                                    monkeypatch, beta):
+    # the sub-blocked time change against the per-row formulas, bitwise,
+    # with a drift and a time-varying beta (27 rows: sub-blocks of 8 and 3)
+    c = case_uniform_k025.value
+    L_g = c["field"].g_lipschitz
+    coeffs = ProcessCoefficients(
+        0.0, TimeFunction.expression("0.3*sin(s)"),
+        TimeFunction.expression(beta), beta_floor=0.8,
+        h_target=1.05 * L_g**2)
+    paths = simulate_block(c["field"], 61, range(27), 1024)
+    monkeypatch.setattr(embed, "_TIME_CHANGE_ROWS", 8)
+    for g in (None, c["g"]):
+        tau, stopped, residual, r_grid, B = embed._weak_time_change(
+            coeffs, paths[0].t_grid, np.array([p.X2 for p in paths]),
+            np.array([p.Y for p in paths]),
+            np.array([p.X1[-1] for p in paths]), g, paths=True)
+        for j, p in enumerate(paths):
+            ref = _time_change_reference(coeffs, p.t_grid, p.X2, p.Y,
+                                         p.X1[-1], g)
+            got = {"tau_weak": tau[j], "stopped_value": stopped[j],
+                   "r_grid": r_grid[j], "B": B[j],
+                   "identity_residual": residual[j]}
+            one = vars(weak_embed(p, coeffs, g=g))
+            for key, want in ref.items():
+                if key in got:
+                    assert np.array_equal(got[key], want), key
+                assert np.array_equal(one[key], want), key
 
 
 def test_weak_ensemble_matches_per_path_reference(case_uniform_k025):

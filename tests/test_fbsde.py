@@ -1,14 +1,16 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skofbsde import embed, fbsde
 from skofbsde.embed import (_STRONG_SEED_SALT, coupled_round_trip,
                             strong_embed_on_W, weak_embed_ensemble)
-from skofbsde.fbsde import (backward_residual, martingale_check,
-                            normal_increments, path_seed, simulate_block,
-                            simulate_ensemble, simulate_path)
+from skofbsde.fbsde import (IncrementStreams, backward_residual,
+                            martingale_check, normal_increments, path_seed,
+                            simulate_block, simulate_ensemble, simulate_path)
 from skofbsde.verify import shifted_field
 
 
@@ -25,6 +27,58 @@ def test_increment_moments():
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
     assert abs((z**4).mean() - 3.0) < 0.1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), n_steps=st.integers(1, 600),
+       chunk=st.integers(1, 300),
+       stops=st.lists(st.integers(0, 600), min_size=1, max_size=6))
+def test_increment_streams_match_normal_increments(seed, n_steps, chunk,
+                                                   stops):
+    # rows read column by column, each until its own stop step, as the
+    # strong pass does: every increment drawn is normal_increments' bitwise
+    seeds = path_seed(seed, np.arange(len(stops)))
+    dt = 1.0 / n_steps
+    stops = np.minimum(stops, n_steps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fbsde, "_NOISE_CHUNK", chunk)
+        streams = IncrementStreams(seeds, n_steps, dt)
+        drawn = [[] for _ in stops]
+        for k in range(n_steps):
+            rows = np.flatnonzero(stops > k)
+            if rows.size == 0:
+                break
+            for i, v in zip(rows, streams.column(k, rows)):
+                drawn[i].append(v)
+    for s, stop, got in zip(seeds, stops, drawn):
+        want = normal_increments(int(s), n_steps, dt)[:stop]
+        assert np.array_equal(np.array(got), want)
+    # all rows, in draws of alternating widths
+    streams = IncrementStreams(seeds, n_steps, dt)
+    parts, done = [], 0
+    while done < n_steps:
+        m = min(chunk if len(parts) % 2 == 0 else 1, n_steps - done)
+        parts.append(streams.next(m))
+        done += m
+    want = [normal_increments(int(s), n_steps, dt) for s in seeds]
+    assert np.array_equal(np.concatenate(parts, axis=1), np.array(want))
+
+
+def test_map_blocks_frees_a_block_before_the_next():
+    # fn returns a view of its block buffer last; the copy into the result
+    # must not keep that buffer alive into the next block
+    refs = []
+
+    def fn(lo, hi):
+        assert all(r() is None for r in refs)
+        buf = np.full((hi - lo, 1000), float(lo))
+        refs.append(weakref.ref(buf))
+        return np.arange(lo, hi), buf[:, 0]
+
+    idx, first = fbsde.map_blocks(10, 4, fn)
+    assert len(refs) == 3
+    assert idx.tolist() == list(range(10))
+    assert first.tolist() == [0.0] * 4 + [4.0] * 4 + [8.0] * 2
 
 
 def test_path_seed_spreads():
@@ -153,17 +207,21 @@ _ENSEMBLES = {
 def test_ensemble_block_invariance(case_uniform_k025, monkeypatch, routine):
     module, constant, run = _ENSEMBLES[routine]
     results = []
-    for block in (5, 16):                 # 37 paths: a multiple of neither
+    # 37 paths: a multiple of neither block size; noise chunks of 7 columns
+    # divide none of the step counts
+    for block, chunk in ((5, 256), (16, 256), (16, 7)):
         monkeypatch.setattr(module, constant, block)
+        monkeypatch.setattr(fbsde, "_NOISE_CHUNK", chunk)
         res = run(case_uniform_k025.value)
         results.append(res if isinstance(res, dict) else vars(res))
-    a, b = results
-    assert a.keys() == b.keys()
-    for key in a:
-        if isinstance(a[key], np.ndarray):
-            assert np.array_equal(a[key], b[key]), key
-        else:
-            assert a[key] == b[key], key
+    a = results[0]
+    for b in results[1:]:
+        assert a.keys() == b.keys()
+        for key in a:
+            if isinstance(a[key], np.ndarray):
+                assert np.array_equal(a[key], b[key]), key
+            else:
+                assert a[key] == b[key], key
 
 
 def test_martingale_check_passes(case_linear):

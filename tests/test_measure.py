@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import norm
 
+from skofbsde import measure
 from skofbsde.errors import DiracMeasureError, DomainError
 from skofbsde.fbsde import normal_increments
 from skofbsde.measure import PHI_ABS_TOL, TargetMeasure, make_g, phi, phi_inv
@@ -35,6 +36,25 @@ def test_phi_inv_domain():
     for bad in (0.0, 1.0, -0.2, 1.4, np.nan):
         with pytest.raises(DomainError):
             phi_inv(bad)
+
+
+def test_phi_inv_chunk_edges():
+    # longer than two chunks, with tail points (|p - 1/2| > 0.425) on both
+    # sides of each chunk edge and the extremes of the uniform stream
+    chunk = measure._PHI_INV_CHUNK
+    n = 2 * chunk + chunk // 2
+    p = np.random.default_rng(3).random(n)
+    edges = [0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, n - 1]
+    for i, v in zip(edges, (5e-324, 0.01, 0.99, 1.0 - 2.0**-53, 0.075,
+                            np.nextafter(0.925, 1.0))):
+        p[i] = v
+    want = np.array([phi_inv(float(v)) for v in p])
+    assert np.array_equal(phi_inv(p), want)
+    assert np.array_equal(phi_inv(p.reshape(-1, 5)), want.reshape(-1, 5))
+    assert type(phi_inv(0.3)) is float
+    p[chunk + 5] = 1.0
+    with pytest.raises(DomainError):
+        phi_inv(p)
 
 
 def test_cdf_examples():
