@@ -39,11 +39,12 @@ Z_BOUND_TOL = 1e-2          # tolerance on sup|u1| <= L_g
 U2_BOUND_TOL = 1e-2         # tolerance on sup|u2| <= sup|delta'|
 _FORMAT_TAG = "skofbsde-field"
 _FORMAT_VERSION = 2
-# peak memory of `skofbsde solve` above the interpreter's own, in
-# (nt+1) x nx1 x nx2 float64 arrays: 5.04 and 6.07 measured at 256x257x129
-# and 128x129x65 (u, u1, u2 and the coupled check's v1, v2; on the small
-# grid the CSV writer's row strings weigh about one array more)
-_SOLVE_PEAK_ARRAYS = 7
+_FD_LAYERS = 16             # time layers per chunk of the FD derivatives
+# peak memory of `skofbsde solve` above a process that only reads the
+# config, in (nt+1) x nx1 x nx2 float64 arrays: 3.53 and 3.26 measured at
+# 256x257x129 and 512x257x129 (u, u1 and u2; every check works one time
+# layer at a time, and SciPy's import adds about 26 MB)
+_SOLVE_PEAK_ARRAYS = 4
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,10 @@ class DecouplingField:
     (set by :func:`solve_field` and :func:`load_field`).  Evaluation, the
     path simulation, the embeddings and :func:`field_diagnostics` only read
     the field; the coupled-system check of :func:`derivative_fields` records
-    its worst mismatch in ``deriv_mismatch`` and writes nothing else.
+    its worst mismatch in ``deriv_mismatch`` and writes nothing else.  These
+    three arrays are the only field-sized ones a solve, its checks and its
+    save hold: each pass over the field works one time layer, or a chunk
+    of layers, at a time.
     """
 
     t_grid: np.ndarray
@@ -271,16 +275,45 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
         g_lipschitz=float(L_g),
         delta_deriv_sup=float(getattr(delta, "deriv_sup", np.nan)),
         cutoff_H=cfg.cutoff_H, deriv_floor_eps=cfg.deriv_floor_eps)
-    if np.abs(f.u1).max() >= cfg.cutoff_H:
+    # max |u1| without building |u1|
+    if max(u1.max(), -u1.min()) >= cfg.cutoff_H:
         raise CutoffActiveError("cutoff not passive: sup |u1| reached the cutoff radius")
     return f
 
 
+def _gradient_into(out: np.ndarray, w: np.ndarray, dx: float,
+                   axis: int) -> None:
+    """``out[...] = np.gradient(w, dx, axis=axis)``, bitwise, written through
+    slices of ``out`` with no temporary: central differences inside,
+    one-sided at both ends."""
+    def at(s):
+        key = [slice(None)] * w.ndim
+        key[axis] = s
+        return tuple(key)
+
+    inner = out[at(slice(1, -1))]
+    np.subtract(w[at(slice(2, None))], w[at(slice(None, -2))], out=inner)
+    np.divide(inner, 2.0 * dx, out=inner)
+    for edge, hi, lo in ((0, 1, 0), (-1, -1, -2)):
+        end = out[at(edge)]
+        np.subtract(w[at(hi)], w[at(lo)], out=end)
+        np.divide(end, dx, out=end)
+
+
 def _fd_derivatives(u: np.ndarray, x1_grid: np.ndarray, x2_grid: np.ndarray):
     """(u1, u2) of u: central differences inside, one-sided at the box
-    edges.  ``solve_field`` and ``load_field`` both set these."""
-    return np.gradient(u, x1_grid[1] - x1_grid[0], x2_grid[1] - x2_grid[0],
-                       axis=(1, 2))
+    edges, equal to ``np.gradient(u, dx1, dx2, axis=(1, 2))``.  Filled in
+    chunks of ``_FD_LAYERS`` time layers, so no field-sized temporary is
+    made.  ``solve_field`` and ``load_field`` both set these."""
+    dx1 = x1_grid[1] - x1_grid[0]
+    dx2 = x2_grid[1] - x2_grid[0]
+    u1 = np.empty_like(u)
+    u2 = np.empty_like(u)
+    for s in range(0, u.shape[0], _FD_LAYERS):
+        layers = slice(s, s + _FD_LAYERS)
+        _gradient_into(u1[layers], u[layers], dx1, axis=1)
+        _gradient_into(u2[layers], u[layers], dx2, axis=2)
+    return u1, u2
 
 
 def _coupled_system_derivatives(f: DecouplingField, g, delta):
@@ -291,7 +324,9 @@ def _coupled_system_derivatives(f: DecouplingField, g, delta):
         v_t + 1/2 v_{x1 x1} + u1^2 v_{x2} + 2 u1 u2 v_{x1} = 0,
 
     terminal data g'(x1) for the x1 derivative and -delta'(x2) for the x2
-    derivative.
+    derivative.  A generator of ``(n, v1_n, v2_n)`` for n = nt down to 0;
+    each layer is a new array that is not written again, and the generator
+    keeps only the last one of each derivative.
     """
     nt = f.t_grid.size - 1
     nx1, nx2 = f.x1_grid.size, f.x2_grid.size
@@ -300,21 +335,21 @@ def _coupled_system_derivatives(f: DecouplingField, g, delta):
     dx2 = f.x2_grid[1] - f.x2_grid[0]
     ab = _banded_matrix(nx1, dt / (2.0 * dx1**2))
 
-    v1 = np.empty_like(f.u)
-    v2f = np.empty_like(f.u)
-    v1[nt] = np.broadcast_to(np.asarray(g.derivative(f.x1_grid))[:, None], (nx1, nx2))
-    v2f[nt] = np.broadcast_to(-np.asarray(delta.derivative(f.x2_grid))[None, :], (nx1, nx2))
+    v1 = np.empty((nx1, nx2))
+    v2 = np.empty((nx1, nx2))
+    v1[...] = np.asarray(g.derivative(f.x1_grid))[:, None]
+    v2[...] = -np.asarray(delta.derivative(f.x2_grid))[None, :]
+    yield nt, v1, v2
 
     for n in range(nt - 1, -1, -1):
         zc = np.clip(f.u1[n + 1], -f.cutoff_H, f.cutoff_H)
         a_coef = zc * zc
         b_coef = 2.0 * f.u1[n + 1] * f.u2[n + 1]
-        for v in (v1, v2f):
-            vn = v[n + 1]
-            rhs = vn + dt * (a_coef * _d2_up(vn, dx2)
-                             + b_coef * np.gradient(vn, dx1, axis=0))
-            v[n] = solve_banded((1, 1), ab, rhs)
-    return v1, v2f
+        v1, v2 = [solve_banded((1, 1), ab, vn + dt * (
+                      a_coef * _d2_up(vn, dx2)
+                      + b_coef * np.gradient(vn, dx1, axis=0)))
+                  for vn in (v1, v2)]
+        yield n, v1, v2
 
 
 def derivative_fields(f: DecouplingField, method: str = "finite_difference",
@@ -323,13 +358,17 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
     refill them by finite differences.  Returns ``f``.
 
     ``coupled_system`` needs the terminal-derivative callables ``g`` and
-    ``delta``.  It solves the coupled system with coefficients frozen from
-    the field's own ``u1``/``u2``, compares the two routes and records the
-    worst mismatch in ``f.deriv_mismatch``; no array of ``f`` is written.
-    A mismatch above the fixed tolerance 10 (dt + dx1^2 + dx2), ten times
-    the scheme's discretization error scale, raises
-    :class:`DerivativeMismatchError`.
-    ``finite_difference`` recomputes ``u1`` and ``u2`` from ``u``.
+    ``delta``.  It solves the coupled system one time layer at a time with
+    coefficients frozen from the field's own ``u1``/``u2``, compares each
+    layer with the field's and records the worst mismatch in
+    ``f.deriv_mismatch``; no array of ``f`` is written and no field-sized
+    array is made.  A mismatch above the fixed tolerance
+    10 (dt + dx1^2 + dx2), ten times the scheme's discretization error
+    scale, raises :class:`DerivativeMismatchError` at the first (t, x1, x2)
+    index, in C order, of the worst value.
+    ``finite_difference`` recomputes ``u1`` and ``u2`` from ``u`` into new
+    arrays with no temporaries; ``u`` and the old and new derivatives, five
+    field arrays, are held until it returns.
     """
     if method == "finite_difference":
         f.u1, f.u2 = _fd_derivatives(f.u, f.x1_grid, f.x2_grid)
@@ -339,23 +378,31 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
     if g is None or delta is None:
         raise ConfigError("coupled_system needs g and delta with .derivative")
 
-    v1, v2 = _coupled_system_derivatives(f, g, delta)
     dt = f.t_grid[1] - f.t_grid[0]
     dx1 = f.x1_grid[1] - f.x1_grid[0]
     dx2 = f.x2_grid[1] - f.x2_grid[0]
     mismatch_tol = 10.0 * (dt + dx1**2 + dx2)
-    # compare away from one-sided stencils and the top transport row; the
-    # differences are formed in place in v1 and v2
-    inner = (slice(None), slice(1, -1), slice(None, -1))
-    diff1, diff2 = v1[inner], v2[inner]
-    for d, u_fd in ((diff1, f.u1[inner]), (diff2, f.u2[inner])):
-        np.subtract(d, u_fd, out=d)
-        np.abs(d, out=d)
-    m1, m2 = float(diff1.max()), float(diff2.max())
+    # compare away from one-sided stencils and the top transport row; per
+    # derivative keep the worst value and its flat C-order index in the
+    # (t, x1, x2) inner block.  Layers arrive from t = T down, so a later
+    # layer wins a tie (smaller t index) and the first NaN in C order wins
+    inner = (slice(1, -1), slice(None, -1))
+    diff = np.empty((f.x1_grid.size - 2, f.x2_grid.size - 1))
+    worst_of = [(-np.inf, 0), (-np.inf, 0)]
+    for n, *layers in _coupled_system_derivatives(f, g, delta):
+        for k, (v, u_fd) in enumerate(zip(layers, (f.u1[n], f.u2[n]))):
+            np.subtract(v[inner], u_fd[inner], out=diff)
+            np.abs(diff, out=diff)
+            i = int(diff.argmax())
+            m = diff.flat[i]
+            if np.isnan(m) or m >= worst_of[k][0]:
+                worst_of[k] = (m, n * diff.size + i)
+    (m1, i1), (m2, i2) = worst_of
+    m1, m2 = float(m1), float(m2)
     worst = max(m1, m2)
     if worst > mismatch_tol:
-        which = diff1 if m1 >= m2 else diff2
-        loc = np.unravel_index(int(which.argmax()), which.shape)
+        flat = i1 if m1 >= m2 else i2
+        loc = np.unravel_index(flat, (f.t_grid.size,) + diff.shape)
         raise DerivativeMismatchError(
             f"derivative methods disagree by {worst:.3e} > {mismatch_tol:.3e} "
             f"at (t, x1, x2) index {loc}",
@@ -448,7 +495,7 @@ def eval_field(f: DecouplingField, t, x1, x2,
 
 def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostics:
     """Measure the certified bounds on the solved field; the field is only
-    read.
+    read, one time layer at a time, so no field-sized array is made.
 
     Failures are reported in the ``checks`` list, never raised.
     ``deriv_mismatch`` is copied from the field, so run the coupled check
@@ -458,14 +505,29 @@ def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostic
     dx1 = f.x1_grid[1] - f.x1_grid[0]
     dx2 = f.x2_grid[1] - f.x2_grid[0]
 
-    z_sup = float(np.abs(f.u1).max())
-    u2_sup = float(np.abs(f.u2).max())
-    min_u1_interior = float(f.u1[:-1].min())
-    time_lip_u1 = float(np.abs(np.diff(f.u1, axis=0)).max() / dt)
-    L_ux = max(float(np.abs(np.diff(f.u, axis=1)).max() / dx1),
-               float(np.abs(np.diff(f.u, axis=2)).max() / dx2))
-    d2x1_sup = float(np.abs(f.u[:, 2:, :] - 2.0 * f.u[:, 1:-1, :]
-                            + f.u[:, :-2, :]).max() / dx1**2)
+    # per-layer extrema, reduced at the end; max and min are exact and
+    # propagate a NaN, so the results equal the whole-array reductions
+    nt1 = f.u.shape[0]
+    stats = np.empty((7, nt1))
+    z_abs, u2_abs, u1_min, u1_step, ux1, ux2, ux1x1 = stats
+    u1_min[-1] = np.inf     # u1 at T is not interior
+    u1_step[-1] = -np.inf
+    for n in range(nt1):
+        u, u1 = f.u[n], f.u1[n]
+        z_abs[n] = np.abs(u1).max()
+        u2_abs[n] = np.abs(f.u2[n]).max()
+        if n + 1 < nt1:
+            u1_min[n] = u1.min()
+            u1_step[n] = np.abs(f.u1[n + 1] - u1).max()
+        ux1[n] = np.abs(u[1:] - u[:-1]).max()
+        ux2[n] = np.abs(u[:, 1:] - u[:, :-1]).max()
+        ux1x1[n] = np.abs(u[2:] - 2.0 * u[1:-1] + u[:-2]).max()
+    z_sup = float(z_abs.max())
+    u2_sup = float(u2_abs.max())
+    min_u1_interior = float(u1_min.min())
+    time_lip_u1 = float(u1_step.max() / dt)
+    L_ux = max(float(ux1.max() / dx1), float(ux2.max() / dx2))
+    d2x1_sup = float(ux1x1.max() / dx1**2)
 
     L_g = f.g_lipschitz if g is None else float(g.lipschitz)
     d_sup = f.delta_deriv_sup if delta is None else float(delta.deriv_sup)
@@ -491,7 +553,7 @@ def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostic
 # export / import: CSV matrix of u, JSON sidecar with grids and metadata
 # ----------------------------------------------------------------------------
 
-_ROWS_PER_WRITE = 4096
+_VALUES_PER_WRITE = 2**16    # values formatted per write of the CSV
 
 
 def sidecar_path(path: str) -> str:
@@ -515,10 +577,11 @@ def save_field(f: DecouplingField, path: str,
     """
     nt1, nx1, nx2 = f.u.shape
     rows = f.u.reshape(nt1 * nx1, nx2)
+    step = max(1, _VALUES_PER_WRITE // nx2)
     with open(path, "w") as fh:
-        for start in range(0, rows.shape[0], _ROWS_PER_WRITE):
+        for start in range(0, rows.shape[0], step):
             fh.write("".join(",".join(map(repr, row)) + "\n" for row in
-                             rows[start:start + _ROWS_PER_WRITE].tolist()))
+                             rows[start:start + step].tolist()))
     meta = {
         "format": _FORMAT_TAG,
         "version": _FORMAT_VERSION,

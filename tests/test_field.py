@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,11 +7,14 @@ from conftest import make_case
 from hypothesis import assume, given, settings, strategies as st
 
 from skofbsde.coeffs import ProcessCoefficients, TimeFunction
-from skofbsde.errors import (ConfigError, CutoffActiveError, DomainError,
+from skofbsde import field as field_mod
+from skofbsde.errors import (ConfigError, CutoffActiveError,
+                             DerivativeMismatchError, DomainError,
                              NonLipschitzError)
 from skofbsde.field import (SolverConfig, _coupled_system_derivatives,
-                            derivative_fields, eval_field, field_diagnostics,
-                            load_field, save_field, sidecar_path, solve_field)
+                            _fd_derivatives, derivative_fields, eval_field,
+                            field_diagnostics, load_field, save_field,
+                            sidecar_path, solve_field)
 from skofbsde.measure import TargetMeasure, make_g
 from skofbsde.verify import OracleField
 
@@ -176,21 +180,156 @@ def test_eval_field_exact_at_nodes_property(case_uniform_k05, data):
 def test_derivative_methods_agree(case_uniform_k05):
     c = case_uniform_k05.value
     f = c["field"]
-    v1, v2 = _coupled_system_derivatives(f, c["g"], c["delta"])
+    # the layers come from t = T down to t = 0; keep the worst u2 error
+    # and the t = 0 layer of u1
+    v2_err = 0.0
+    for n, v1_n, v2_n in _coupled_system_derivatives(f, c["g"], c["delta"]):
+        v2_err = max(v2_err, np.abs(v2_n + 0.5).max())
+    assert n == 0
     # coupled-system u2 for a linear delayed drift is the constant -kappa
-    assert np.abs(v2 + 0.5).max() < 5e-3
+    assert v2_err < 5e-3
     # u1 matches the x1 derivative of the exponential-transform oracle
     oracle = OracleField("linear_drift", c["g"], kappa=0.5)
     h = 1e-5
     inner = np.abs(f.x1_grid) <= 2.0
     x1 = f.x1_grid[inner]
     du = (oracle(np.zeros_like(x1), x1 + h) - oracle(np.zeros_like(x1), x1 - h)) / (2 * h)
-    assert np.abs(v1[0, inner, 0] - du).max() < 2e-3
+    assert np.abs(v1_n[inner, 0] - du).max() < 2e-3
 
 
 def test_derivative_method_unknown(case_linear):
     with pytest.raises(ConfigError):
         derivative_fields(case_linear.value["field"], "spectral")
+
+
+# -- whole-array references of the streamed passes ---------------------------
+
+def _reference_coupled(f, g, delta):
+    """The coupled solve with both derivatives stacked over all layers."""
+    nt = f.t_grid.size - 1
+    nx1, nx2 = f.x1_grid.size, f.x2_grid.size
+    dt = f.t_grid[1] - f.t_grid[0]
+    dx1 = f.x1_grid[1] - f.x1_grid[0]
+    dx2 = f.x2_grid[1] - f.x2_grid[0]
+    ab = field_mod._banded_matrix(nx1, dt / (2.0 * dx1**2))
+    v1 = np.empty_like(f.u)
+    v2 = np.empty_like(f.u)
+    v1[nt] = np.broadcast_to(np.asarray(g.derivative(f.x1_grid))[:, None],
+                             (nx1, nx2))
+    v2[nt] = np.broadcast_to(-np.asarray(delta.derivative(f.x2_grid))[None, :],
+                             (nx1, nx2))
+    for n in range(nt - 1, -1, -1):
+        zc = np.clip(f.u1[n + 1], -f.cutoff_H, f.cutoff_H)
+        a_coef = zc * zc
+        b_coef = 2.0 * f.u1[n + 1] * f.u2[n + 1]
+        for v in (v1, v2):
+            vn = v[n + 1]
+            rhs = vn + dt * (a_coef * field_mod._d2_up(vn, dx2)
+                             + b_coef * np.gradient(vn, dx1, axis=0))
+            v[n] = field_mod.solve_banded((1, 1), ab, rhs)
+    return v1, v2
+
+
+def _reference_mismatch(f, g, delta):
+    """Worst coupled-vs-FD mismatch and the index where it raises."""
+    v1, v2 = _reference_coupled(f, g, delta)
+    inner = (slice(None), slice(1, -1), slice(None, -1))
+    diff1 = np.abs(v1[inner] - f.u1[inner])
+    diff2 = np.abs(v2[inner] - f.u2[inner])
+    m1, m2 = float(diff1.max()), float(diff2.max())
+    which = diff1 if m1 >= m2 else diff2
+    return max(m1, m2), np.unravel_index(int(which.argmax()), which.shape)
+
+
+def _reference_bounds(f):
+    dt = f.t_grid[1] - f.t_grid[0]
+    dx1 = f.x1_grid[1] - f.x1_grid[0]
+    dx2 = f.x2_grid[1] - f.x2_grid[0]
+    return {
+        "z_sup": float(np.abs(f.u1).max()),
+        "u2_sup": float(np.abs(f.u2).max()),
+        "min_u1_interior": float(f.u1[:-1].min()),
+        "time_lip_u1": float(np.abs(np.diff(f.u1, axis=0)).max() / dt),
+        "L_ux": max(float(np.abs(np.diff(f.u, axis=1)).max() / dx1),
+                    float(np.abs(np.diff(f.u, axis=2)).max() / dx2)),
+        "d2x1_sup": float(np.abs(f.u[:, 2:, :] - 2.0 * f.u[:, 1:-1, :]
+                                 + f.u[:, :-2, :]).max() / dx1**2),
+    }
+
+
+def _same(a, b):
+    # NaN-aware equality of JSON-able values
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@pytest.mark.parametrize("case", ["case_uniform_k05", "case_normal_sin"])
+def test_streamed_passes_match_whole_array_reference(request, case):
+    c = request.getfixturevalue(case).value
+    g, delta = c["g"], c["delta"]
+    f = dataclasses.replace(c["field"], deriv_mismatch=None)
+    # the chunked FD stencil is np.gradient over the whole field
+    u1, u2 = _fd_derivatives(f.u, f.x1_grid, f.x2_grid)
+    ref_u1, ref_u2 = np.gradient(f.u, f.x1_grid[1] - f.x1_grid[0],
+                                 f.x2_grid[1] - f.x2_grid[0], axis=(1, 2))
+    assert np.array_equal(u1, ref_u1) and np.array_equal(u2, ref_u2)
+    assert np.array_equal(f.u1, ref_u1) and np.array_equal(f.u2, ref_u2)
+
+    worst, _ = _reference_mismatch(f, g, delta)
+    derivative_fields(f, "coupled_system", g=g, delta=delta)
+    assert f.deriv_mismatch == worst
+    diag = field_diagnostics(f, g, delta).to_dict()
+    ref = _reference_bounds(f)
+    assert {k: diag[k] for k in ref} == ref
+    assert diag["deriv_mismatch"] == worst
+
+    # the same worst value in layer k and in layer 0: the raise names the
+    # smaller t index, as the whole-array argmax does.  Column j0 > j lies
+    # upstream of the corrupted coefficient (x2 transport runs from larger
+    # x2 down), so its t = 0 layer is untouched by it
+    k, i, j, i0, j0 = f.t_grid.size // 2, 40, 10, 60, 20
+    bad_u1 = f.u1.copy()
+    bad_u1[k, i, j] = bad_u1[0, i0, j0] = 1e300
+    bad = dataclasses.replace(f, u1=bad_u1, deriv_mismatch=None)
+    worst, loc = _reference_mismatch(bad, g, delta)
+    assert worst == 1e300 and loc == (0, i0 - 1, j0)
+    with pytest.raises(DerivativeMismatchError) as err:
+        derivative_fields(bad, "coupled_system", g=g, delta=delta)
+    assert err.value.location == loc and err.value.discrepancy == worst
+    assert bad.deriv_mismatch is None
+
+    # a single NaN fails the z_sup check
+    nan_u1 = f.u1.copy()
+    nan_u1[3, i, j] = np.nan
+    nan_f = dataclasses.replace(f, u1=nan_u1)
+    diag = field_diagnostics(nan_f, g, delta)
+    assert _same({k: diag.to_dict()[k] for k in ref}, _reference_bounds(nan_f))
+    assert np.isnan(diag.z_sup)
+    assert not diag.checks[0].passed and not diag.all_passed
+
+
+def test_solve_check_diagnostics_save_hold_three_field_arrays(tmp_path):
+    # peak traced memory of the `skofbsde solve` stages, in field arrays:
+    # u, u1 and u2 plus layer-sized work arrays and the CSV writer's strings
+    import scipy.linalg  # noqa: F401  (loaded outside the trace)
+    import tracemalloc
+
+    g = make_g(TargetMeasure.uniform(0.0, 1.0))
+    coeffs = ProcessCoefficients(0.0, TimeFunction.const(0.25),
+                                 TimeFunction.const(1.0), 1.0,
+                                 h_target=1.05 * g.lipschitz**2)
+    delta = coeffs.delayed_drift()
+    cfg = SolverConfig.defaults(g.lipschitz, nt=128, nx1=129, nx2=65)
+    field_bytes = (cfg.nt + 1) * cfg.nx1 * cfg.nx2 * 8
+    tracemalloc.start()
+    try:
+        f = solve_field(g, delta, cfg)
+        derivative_fields(f, "coupled_system", g=g, delta=delta)
+        diag = field_diagnostics(f, g, delta)
+        save_field(f, str(tmp_path / "field.csv"), diag)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / field_bytes < 3.6, peak / field_bytes
 
 
 def test_diagnostics_pass_on_cases(case_trivial, case_linear, case_uniform_k05,
