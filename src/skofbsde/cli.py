@@ -269,7 +269,14 @@ def _dump_paths(cfg: RunConfig, f, count: int) -> None:
 def cmd_embed(cfg: RunConfig, field_path: str, dump_paths: int = 0) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     f = field_mod.load_field(field_path)
-    if abs(f.g_lipschitz - cfg.g.lipschitz) > 1e-9 or abs(f.T - cfg.solver.T) > 1e-12:
+    # a field solved for this horizon, law and drift has, bitwise, the
+    # terminal layer g(x1) - delta(x2) that solve_field builds
+    try:
+        term = np.subtract.outer(cfg.g(f.x1_grid), cfg.delta(f.x2_grid))
+    except HorizonError:    # the field's x2 grid lies beyond this clock
+        term = None
+    if term is None or not np.array_equal(f.u[-1], term) \
+            or abs(f.T - cfg.solver.T) > 1e-12:
         raise ConfigError("field file is not compatible with this configuration")
 
     weak = embed_mod.weak_embed_ensemble(

@@ -39,12 +39,11 @@ Z_BOUND_TOL = 1e-2          # tolerance on sup|u1| <= L_g
 U2_BOUND_TOL = 1e-2         # tolerance on sup|u2| <= sup|delta'|
 _FORMAT_TAG = "skofbsde-field"
 _FORMAT_VERSION = 2
-_FD_LAYERS = 16             # time layers per chunk of the FD derivatives
 # peak memory of `skofbsde solve` above a process that only reads the
-# config, in (nt+1) x nx1 x nx2 float64 arrays: 3.53 and 3.26 measured at
-# 256x257x129 and 512x257x129 (u, u1 and u2; every check works one time
-# layer at a time, and SciPy's import adds about 26 MB)
-_SOLVE_PEAK_ARRAYS = 4
+# config, in (nt+1) x nx1 x nx2 float64 arrays: 2.53 and 2.26 measured at
+# 256x257x129 and 512x257x129 (u and u1; every check works one time layer
+# at a time, and SciPy's import adds about 26 MB)
+_SOLVE_PEAK_ARRAYS = 3
 
 
 @dataclass(frozen=True)
@@ -148,17 +147,15 @@ class FieldDiagnostics:
 
 @dataclass
 class DecouplingField:
-    """Solved field with its finite-difference first derivatives and
+    """Solved field ``u`` with its finite-difference x1 derivative ``u1``
+    (the control Z, set by :func:`solve_field` and :func:`load_field`) and
     certified-bound metadata.
 
-    ``u1`` and ``u2`` are always the finite-difference derivatives of ``u``
-    (set by :func:`solve_field` and :func:`load_field`).  Evaluation, the
-    path simulation, the embeddings and :func:`field_diagnostics` only read
-    the field; the coupled-system check of :func:`derivative_fields` records
-    its worst mismatch in ``deriv_mismatch`` and writes nothing else.  These
-    three arrays are the only field-sized ones a solve, its checks and its
-    save hold: each pass over the field works one time layer, or a chunk
-    of layers, at a time.
+    The x2 derivative is not stored: the path side never reads it, and its
+    two readers, the coupled check and the diagnostics, form it one time
+    layer at a time.  The checks only read the field; the coupled check of
+    :func:`derivative_fields` records its worst mismatch in
+    ``deriv_mismatch``.
     """
 
     t_grid: np.ndarray
@@ -166,7 +163,6 @@ class DecouplingField:
     x2_grid: np.ndarray
     u: np.ndarray
     u1: np.ndarray
-    u2: np.ndarray
     g_lipschitz: float
     delta_deriv_sup: float
     cutoff_H: float
@@ -260,8 +256,9 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
                 break
         else:
             raise ContractionError(
-                f"contraction failure at t = {t_grid[n]:.6g}: "
-                f"residual {residuals[-1]:.3e} after {cfg.fixpoint_max_iter} iterations",
+                f"contraction failure at t = {t_grid[n]:.6g} (nt = {nt}): "
+                f"residual {residuals[-1]:.3e} after {cfg.fixpoint_max_iter} "
+                f"iterations; a smaller time step helps, raise solver.nt",
                 residuals=residuals)
         if np.abs(z).max() >= cfg.cutoff_H:
             raise CutoffActiveError(
@@ -269,9 +266,9 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
                 f"max |z| = {np.abs(z).max():.6g} >= {cfg.cutoff_H:.6g}")
         u[n] = w
 
-    u1, u2 = _fd_derivatives(u, x1, x2)
+    u1 = _gradient_into(np.empty_like(u), u, dx1, axis=1)
     f = DecouplingField(
-        t_grid=t_grid, x1_grid=x1, x2_grid=x2, u=u, u1=u1, u2=u2,
+        t_grid=t_grid, x1_grid=x1, x2_grid=x2, u=u, u1=u1,
         g_lipschitz=float(L_g),
         delta_deriv_sup=float(getattr(delta, "deriv_sup", np.nan)),
         cutoff_H=cfg.cutoff_H, deriv_floor_eps=cfg.deriv_floor_eps)
@@ -282,10 +279,10 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
 
 
 def _gradient_into(out: np.ndarray, w: np.ndarray, dx: float,
-                   axis: int) -> None:
+                   axis: int) -> np.ndarray:
     """``out[...] = np.gradient(w, dx, axis=axis)``, bitwise, written through
     slices of ``out`` with no temporary: central differences inside,
-    one-sided at both ends."""
+    one-sided at both ends.  Returns ``out``."""
     def at(s):
         key = [slice(None)] * w.ndim
         key[axis] = s
@@ -298,28 +295,13 @@ def _gradient_into(out: np.ndarray, w: np.ndarray, dx: float,
         end = out[at(edge)]
         np.subtract(w[at(hi)], w[at(lo)], out=end)
         np.divide(end, dx, out=end)
-
-
-def _fd_derivatives(u: np.ndarray, x1_grid: np.ndarray, x2_grid: np.ndarray):
-    """(u1, u2) of u: central differences inside, one-sided at the box
-    edges, equal to ``np.gradient(u, dx1, dx2, axis=(1, 2))``.  Filled in
-    chunks of ``_FD_LAYERS`` time layers, so no field-sized temporary is
-    made.  ``solve_field`` and ``load_field`` both set these."""
-    dx1 = x1_grid[1] - x1_grid[0]
-    dx2 = x2_grid[1] - x2_grid[0]
-    u1 = np.empty_like(u)
-    u2 = np.empty_like(u)
-    for s in range(0, u.shape[0], _FD_LAYERS):
-        layers = slice(s, s + _FD_LAYERS)
-        _gradient_into(u1[layers], u[layers], dx1, axis=1)
-        _gradient_into(u2[layers], u[layers], dx2, axis=2)
-    return u1, u2
+    return out
 
 
 def _coupled_system_derivatives(f: DecouplingField, g, delta):
     """Layer-by-layer solve of the linear backward equations satisfied by the
     derivative fields, with transport/advection coefficients frozen from the
-    field's ``u1`` and ``u2``:
+    field's ``u1`` and the per-layer FD x2 derivative ``u2`` of ``u``:
 
         v_t + 1/2 v_{x1 x1} + u1^2 v_{x2} + 2 u1 u2 v_{x1} = 0,
 
@@ -335,8 +317,7 @@ def _coupled_system_derivatives(f: DecouplingField, g, delta):
     dx2 = f.x2_grid[1] - f.x2_grid[0]
     ab = _banded_matrix(nx1, dt / (2.0 * dx1**2))
 
-    v1 = np.empty((nx1, nx2))
-    v2 = np.empty((nx1, nx2))
+    v1, v2, u2 = np.empty((3, nx1, nx2))
     v1[...] = np.asarray(g.derivative(f.x1_grid))[:, None]
     v2[...] = -np.asarray(delta.derivative(f.x2_grid))[None, :]
     yield nt, v1, v2
@@ -344,7 +325,8 @@ def _coupled_system_derivatives(f: DecouplingField, g, delta):
     for n in range(nt - 1, -1, -1):
         zc = np.clip(f.u1[n + 1], -f.cutoff_H, f.cutoff_H)
         a_coef = zc * zc
-        b_coef = 2.0 * f.u1[n + 1] * f.u2[n + 1]
+        _gradient_into(u2, f.u[n + 1], dx2, axis=1)
+        b_coef = 2.0 * f.u1[n + 1] * u2
         v1, v2 = [solve_banded((1, 1), ab, vn + dt * (
                       a_coef * _d2_up(vn, dx2)
                       + b_coef * np.gradient(vn, dx1, axis=0)))
@@ -355,23 +337,25 @@ def _coupled_system_derivatives(f: DecouplingField, g, delta):
 def derivative_fields(f: DecouplingField, method: str = "finite_difference",
                       g=None, delta=None) -> DecouplingField:
     """Check the field's derivatives against the coupled linear system, or
-    refill them by finite differences.  Returns ``f``.
+    refill ``u1`` by finite differences.  Returns ``f``.
 
     ``coupled_system`` needs the terminal-derivative callables ``g`` and
     ``delta``.  It solves the coupled system one time layer at a time with
-    coefficients frozen from the field's own ``u1``/``u2``, compares each
-    layer with the field's and records the worst mismatch in
+    coefficients frozen from the field's ``u1`` and the finite-difference
+    x2 derivative of ``u``, compares each layer with the field's ``u1`` and
+    with that x2 derivative, and records the worst mismatch in
     ``f.deriv_mismatch``; no array of ``f`` is written and no field-sized
     array is made.  A mismatch above the fixed tolerance
     10 (dt + dx1^2 + dx2), ten times the scheme's discretization error
     scale, raises :class:`DerivativeMismatchError` at the first (t, x1, x2)
     index, in C order, of the worst value.
-    ``finite_difference`` recomputes ``u1`` and ``u2`` from ``u`` into new
-    arrays with no temporaries; ``u`` and the old and new derivatives, five
-    field arrays, are held until it returns.
+    ``finite_difference`` recomputes ``u1`` from ``u`` into a new array with
+    no temporaries; ``u`` and the old and new ``u1``, three field arrays,
+    are held until it returns.
     """
+    dx1 = f.x1_grid[1] - f.x1_grid[0]
     if method == "finite_difference":
-        f.u1, f.u2 = _fd_derivatives(f.u, f.x1_grid, f.x2_grid)
+        f.u1 = _gradient_into(np.empty_like(f.u), f.u, dx1, axis=1)
         return f
     if method != "coupled_system":
         raise ConfigError(f"unknown derivative method {method!r}")
@@ -379,7 +363,6 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
         raise ConfigError("coupled_system needs g and delta with .derivative")
 
     dt = f.t_grid[1] - f.t_grid[0]
-    dx1 = f.x1_grid[1] - f.x1_grid[0]
     dx2 = f.x2_grid[1] - f.x2_grid[0]
     mismatch_tol = 10.0 * (dt + dx1**2 + dx2)
     # compare away from one-sided stencils and the top transport row; per
@@ -388,9 +371,11 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
     # layer wins a tie (smaller t index) and the first NaN in C order wins
     inner = (slice(1, -1), slice(None, -1))
     diff = np.empty((f.x1_grid.size - 2, f.x2_grid.size - 1))
+    u2 = np.empty(f.u.shape[1:])
     worst_of = [(-np.inf, 0), (-np.inf, 0)]
     for n, *layers in _coupled_system_derivatives(f, g, delta):
-        for k, (v, u_fd) in enumerate(zip(layers, (f.u1[n], f.u2[n]))):
+        fd = (f.u1[n], _gradient_into(u2, f.u[n], dx2, axis=1))
+        for k, (v, u_fd) in enumerate(zip(layers, fd)):
             np.subtract(v[inner], u_fd[inner], out=diff)
             np.abs(diff, out=diff)
             i = int(diff.argmax())
@@ -426,12 +411,13 @@ def eval_field(f: DecouplingField, t, x1, x2,
     t must lie in [0, T].  x1 queries outside the box extrapolate linearly
     for ``u`` (the field is asymptotically affine) and clamp for the
     derivative fields (their certified bounds must not be amplified).  x2
-    clamps on both sides.  ``which`` names one component (``"u"``, ``"u1"``
-    or ``"u2"``) or is a tuple of names; a tuple returns a tuple of results
-    read off one shared stencil.
+    clamps on both sides.  ``which`` names one component (``"u"`` or
+    ``"u1"``) or is a tuple of names; a tuple returns a tuple of results
+    read off one shared stencil.  Any other name, ``"u2"`` included (the
+    field stores no x2 derivative), raises :class:`DomainError`.
     """
     single = isinstance(which, str)
-    comps = {"u": f.u, "u1": f.u1, "u2": f.u2}
+    comps = {"u": f.u, "u1": f.u1}
     names = (which,) if single else which
     try:
         arrs = [comps[name] for name in names]
@@ -466,7 +452,7 @@ def eval_field(f: DecouplingField, t, x1, x2,
     w1 = (x1q - f.x1_grid[i1]) / dx1
     i2 = np.minimum(np.maximum(0, (x2q / dx2).astype(int)), nx2 - 2)
     w2 = np.minimum(np.maximum(0.0, (x2q - f.x2_grid[i2]) / dx2), 1.0)
-    # u extrapolates in x1 on the raw weight, u1 and u2 clamp to the box edge
+    # u extrapolates in x1 on the raw weight, u1 clamps to the box edge
     w1_clip = (np.minimum(np.maximum(0.0, w1), 1.0)
                if any(name != "u" for name in names) else None)
 
@@ -495,7 +481,8 @@ def eval_field(f: DecouplingField, t, x1, x2,
 
 def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostics:
     """Measure the certified bounds on the solved field; the field is only
-    read, one time layer at a time, so no field-sized array is made.
+    read, one time layer at a time, so no field-sized array is made.  The
+    x2 derivative of each layer is formed with the stencil of ``u1``.
 
     Failures are reported in the ``checks`` list, never raised.
     ``deriv_mismatch`` is copied from the field, so run the coupled check
@@ -508,6 +495,7 @@ def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostic
     # per-layer extrema, reduced at the end; max and min are exact and
     # propagate a NaN, so the results equal the whole-array reductions
     nt1 = f.u.shape[0]
+    u2 = np.empty(f.u.shape[1:])
     stats = np.empty((7, nt1))
     z_abs, u2_abs, u1_min, u1_step, ux1, ux2, ux1x1 = stats
     u1_min[-1] = np.inf     # u1 at T is not interior
@@ -515,7 +503,7 @@ def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostic
     for n in range(nt1):
         u, u1 = f.u[n], f.u1[n]
         z_abs[n] = np.abs(u1).max()
-        u2_abs[n] = np.abs(f.u2[n]).max()
+        u2_abs[n] = np.abs(_gradient_into(u2, u, dx2, axis=1)).max()
         if n + 1 < nt1:
             u1_min[n] = u1.min()
             u1_step[n] = np.abs(f.u1[n + 1] - u1).max()
@@ -572,8 +560,8 @@ def save_field(f: DecouplingField, path: str,
     exact JSON lists, the bound metadata and ``diagnostics`` (``null`` when
     none are given).
 
-    ``u1`` and ``u2`` are not stored: :func:`load_field` recomputes them with
-    the same finite-difference stencil as :func:`solve_field`.
+    ``u1`` is not stored: :func:`load_field` recomputes it with the same
+    finite-difference stencil as :func:`solve_field`.
     """
     nt1, nx1, nx2 = f.u.shape
     rows = f.u.reshape(nt1 * nx1, nx2)
@@ -617,9 +605,9 @@ def _read_sidecar(path: str) -> dict:
 
 
 def load_field(path: str) -> DecouplingField:
-    """Read a field written by :func:`save_field`; ``u1`` and ``u2`` are
-    recomputed with the finite-difference stencil.  A missing, malformed or
-    mis-shaped file raises :class:`ConfigError`."""
+    """Read a field written by :func:`save_field`; ``u1`` is recomputed with
+    the finite-difference stencil.  A missing, malformed or mis-shaped file
+    raises :class:`ConfigError`."""
     meta = _read_sidecar(path)
     try:
         grids = [np.array(meta[k], dtype=float)
@@ -646,6 +634,6 @@ def load_field(path: str) -> DecouplingField:
                           f"{u.shape[0]} x {u.shape[1]} values, expected "
                           f"{expected[0]} x {expected[1]}")
     u = u.reshape(shape)
-    u1, u2 = _fd_derivatives(u, grids[1], grids[2])
+    u1 = _gradient_into(np.empty_like(u), u, grids[1][1] - grids[1][0], axis=1)
     return DecouplingField(t_grid=grids[0], x1_grid=grids[1], x2_grid=grids[2],
-                           u=u, u1=u1, u2=u2, **scalars)
+                           u=u, u1=u1, **scalars)

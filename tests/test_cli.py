@@ -176,7 +176,44 @@ def test_field_config_mismatch(tmp_path, capsys):
     open(cfg_n, "w").write(json.dumps(raw))
     assert main(["embed", "--config", cfg_n, "--out", out,
                  "--field", os.path.join(out, "field.csv")]) == 1
+    # the other way round the field's x2 grid (up to 1.05 L_g^2 of the
+    # normal law) lies beyond the uniform law's clock: still a config error
+    out_n = str(tmp_path / "n")
+    assert main(["solve", "--config", cfg_n, "--out", out_n]) == 0
     capsys.readouterr()
+    assert main(["embed", "--config", cfg_u, "--out", out_n,
+                 "--field", os.path.join(out_n, "field.csv")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+
+
+def test_field_for_another_drift_rejected(tmp_path, capsys):
+    # same law, so the same L_g and T, but another delayed drift: the
+    # terminal layer g(x1) - delta(x2) of the field differs
+    out = str(tmp_path / "d")
+    assert main(["solve", "--config", write_config(tmp_path, "a.json"),
+                 "--out", out]) == 0
+    capsys.readouterr()
+    cfg = write_config(tmp_path, "b.json", coefficients={
+        "G0": 0.3, "alpha": {"kind": "const", "value": 1.0}})
+    assert main(["embed", "--config", cfg, "--out", out,
+                 "--field", os.path.join(out, "field.csv")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    assert not os.path.exists(os.path.join(out, "embedding.csv"))
+
+
+def test_contraction_failure_names_the_grid(tmp_path, capsys):
+    # a strong constant drift on a coarse time grid: the per-step fixed
+    # point does not contract, and the message names nt and the remedy
+    cfg = write_config(tmp_path, measure={"kind": "uniform", "lo": 0.0,
+                                          "hi": 2.0},
+                       coefficients={"alpha": {"kind": "const",
+                                               "value": 16.0}})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "c")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver error:"), lines
+    assert "nt = 64" in lines[0] and "raise solver.nt" in lines[0]
 
 
 def test_table_coefficients_from_csv(tmp_path):

@@ -12,11 +12,15 @@ from skofbsde.errors import (ConfigError, CutoffActiveError,
                              DerivativeMismatchError, DomainError,
                              NonLipschitzError)
 from skofbsde.field import (SolverConfig, _coupled_system_derivatives,
-                            _fd_derivatives, derivative_fields, eval_field,
-                            field_diagnostics, load_field, save_field,
-                            sidecar_path, solve_field)
+                            derivative_fields, eval_field, field_diagnostics,
+                            load_field, save_field, sidecar_path, solve_field)
 from skofbsde.measure import TargetMeasure, make_g
 from skofbsde.verify import OracleField
+
+
+def fd_u2(f):
+    """The x2 derivative of u by finite differences (the field stores none)."""
+    return np.gradient(f.u, f.x2_grid[1] - f.x2_grid[0], axis=2)
 
 
 def small_cfg(L_g, **kw):
@@ -28,7 +32,7 @@ def test_trivial_field_is_identity(case_trivial):
     f = case_trivial.value["field"]
     assert np.abs(f.u - f.x1_grid[None, :, None]).max() < 1e-6
     assert np.abs(f.u1 - 1.0).max() < 1e-6
-    assert np.abs(f.u2).max() < 1e-6
+    assert np.abs(fd_u2(f)).max() < 1e-6
 
 
 def test_linear_drift_closed_form(case_linear, linear_exact):
@@ -40,7 +44,7 @@ def test_linear_drift_closed_form(case_linear, linear_exact):
 def test_linear_drift_derivatives(case_linear):
     f = case_linear.value["field"]
     assert np.abs(f.u1 - 1.0).max() < 1e-6
-    assert np.abs(f.u2 + 0.5).max() < 1e-6
+    assert np.abs(fd_u2(f) + 0.5).max() < 1e-6
 
 
 def test_convolution_oracle_no_drift(case_uniform_nodrift):
@@ -118,11 +122,16 @@ def test_eval_field_domain_errors(case_linear):
         eval_field(f, 0.5, 0.0, 0.0, "nope")
     with pytest.raises(DomainError):
         eval_field(f, 0.5, 0.0, 0.0, ("u1", "nope"))
+    # the field stores no x2 derivative
+    with pytest.raises(DomainError, match="u2"):
+        eval_field(f, 0.5, 0.0, 0.0, "u2")
+    with pytest.raises(DomainError):
+        eval_field(f, 0.5, 0.0, 0.0, ("u", "u2"))
 
 
 def _tuple_query_shapes(f):
     """The argument shapes eval_field serves, with x1 outside the box (u
-    extrapolates, u1/u2 clamp) and x2 outside [0, x2_hi]."""
+    extrapolates, u1 clamps) and x2 outside [0, x2_hi]."""
     rng = np.random.default_rng(11)
     T, lo, hi = f.T, f.x1_grid[0], f.x1_grid[-1]
     x2_hi = f.x2_grid[-1]
@@ -145,9 +154,9 @@ def _tuple_query_shapes(f):
 def test_eval_field_tuple_matches_per_name(case_uniform_k05, shape):
     f = case_uniform_k05.value["field"]
     args = _tuple_query_shapes(f)[shape]
-    names = ("u1", "u", "u2")
+    names = ("u1", "u")
     got = eval_field(f, *args, names)
-    assert isinstance(got, tuple) and len(got) == 3
+    assert isinstance(got, tuple) and len(got) == 2
     for name, res in zip(names, got):
         assert np.array_equal(res, eval_field(f, *args, name))
     if shape == "scalar":
@@ -171,7 +180,7 @@ def test_eval_field_exact_at_nodes_property(case_uniform_k05, data):
     i1 = data.draw(st.integers(0, nx1 - 1))
     i2 = data.draw(st.integers(0, nx2 - 1))
     q = (f.t_grid[it], f.x1_grid[i1], f.x2_grid[i2])
-    names = ("u", "u1", "u2")
+    names = ("u", "u1")
     for name, got in zip(names, eval_field(f, *q, names)):
         assert got == pytest.approx(getattr(f, name)[it, i1, i2],
                                     rel=1e-14, abs=1e-14)
@@ -205,13 +214,15 @@ def test_derivative_method_unknown(case_linear):
 # -- whole-array references of the streamed passes ---------------------------
 
 def _reference_coupled(f, g, delta):
-    """The coupled solve with both derivatives stacked over all layers."""
+    """The coupled solve with both derivatives stacked over all layers and
+    the whole-array FD u2 in its coefficient."""
     nt = f.t_grid.size - 1
     nx1, nx2 = f.x1_grid.size, f.x2_grid.size
     dt = f.t_grid[1] - f.t_grid[0]
     dx1 = f.x1_grid[1] - f.x1_grid[0]
     dx2 = f.x2_grid[1] - f.x2_grid[0]
     ab = field_mod._banded_matrix(nx1, dt / (2.0 * dx1**2))
+    u2 = fd_u2(f)
     v1 = np.empty_like(f.u)
     v2 = np.empty_like(f.u)
     v1[nt] = np.broadcast_to(np.asarray(g.derivative(f.x1_grid))[:, None],
@@ -221,7 +232,7 @@ def _reference_coupled(f, g, delta):
     for n in range(nt - 1, -1, -1):
         zc = np.clip(f.u1[n + 1], -f.cutoff_H, f.cutoff_H)
         a_coef = zc * zc
-        b_coef = 2.0 * f.u1[n + 1] * f.u2[n + 1]
+        b_coef = 2.0 * f.u1[n + 1] * u2[n + 1]
         for v in (v1, v2):
             vn = v[n + 1]
             rhs = vn + dt * (a_coef * field_mod._d2_up(vn, dx2)
@@ -235,7 +246,7 @@ def _reference_mismatch(f, g, delta):
     v1, v2 = _reference_coupled(f, g, delta)
     inner = (slice(None), slice(1, -1), slice(None, -1))
     diff1 = np.abs(v1[inner] - f.u1[inner])
-    diff2 = np.abs(v2[inner] - f.u2[inner])
+    diff2 = np.abs(v2[inner] - fd_u2(f)[inner])
     m1, m2 = float(diff1.max()), float(diff2.max())
     which = diff1 if m1 >= m2 else diff2
     return max(m1, m2), np.unravel_index(int(which.argmax()), which.shape)
@@ -247,7 +258,7 @@ def _reference_bounds(f):
     dx2 = f.x2_grid[1] - f.x2_grid[0]
     return {
         "z_sup": float(np.abs(f.u1).max()),
-        "u2_sup": float(np.abs(f.u2).max()),
+        "u2_sup": float(np.abs(fd_u2(f)).max()),
         "min_u1_interior": float(f.u1[:-1].min()),
         "time_lip_u1": float(np.abs(np.diff(f.u1, axis=0)).max() / dt),
         "L_ux": max(float(np.abs(np.diff(f.u, axis=1)).max() / dx1),
@@ -267,12 +278,13 @@ def test_streamed_passes_match_whole_array_reference(request, case):
     c = request.getfixturevalue(case).value
     g, delta = c["g"], c["delta"]
     f = dataclasses.replace(c["field"], deriv_mismatch=None)
-    # the chunked FD stencil is np.gradient over the whole field
-    u1, u2 = _fd_derivatives(f.u, f.x1_grid, f.x2_grid)
-    ref_u1, ref_u2 = np.gradient(f.u, f.x1_grid[1] - f.x1_grid[0],
-                                 f.x2_grid[1] - f.x2_grid[0], axis=(1, 2))
-    assert np.array_equal(u1, ref_u1) and np.array_equal(u2, ref_u2)
-    assert np.array_equal(f.u1, ref_u1) and np.array_equal(f.u2, ref_u2)
+    # the FD stencil of u1 is np.gradient over the whole field, and the
+    # field carries no u2; the checks below read u2 layer by layer
+    ref_u1 = np.gradient(f.u, f.x1_grid[1] - f.x1_grid[0], axis=1)
+    assert np.array_equal(f.u1, ref_u1) and not hasattr(f, "u2")
+    refill = dataclasses.replace(f)
+    derivative_fields(refill, "finite_difference")
+    assert refill.u1 is not f.u1 and np.array_equal(refill.u1, ref_u1)
 
     worst, _ = _reference_mismatch(f, g, delta)
     derivative_fields(f, "coupled_system", g=g, delta=delta)
@@ -307,9 +319,9 @@ def test_streamed_passes_match_whole_array_reference(request, case):
     assert not diag.checks[0].passed and not diag.all_passed
 
 
-def test_solve_check_diagnostics_save_hold_three_field_arrays(tmp_path):
+def test_solve_check_diagnostics_save_hold_two_field_arrays(tmp_path):
     # peak traced memory of the `skofbsde solve` stages, in field arrays:
-    # u, u1 and u2 plus layer-sized work arrays and the CSV writer's strings
+    # u and u1 plus layer-sized work arrays and the CSV writer's strings
     import scipy.linalg  # noqa: F401  (loaded outside the trace)
     import tracemalloc
 
@@ -329,7 +341,7 @@ def test_solve_check_diagnostics_save_hold_three_field_arrays(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / field_bytes < 3.6, peak / field_bytes
+    assert peak / field_bytes < 2.6, peak / field_bytes
 
 
 def test_diagnostics_pass_on_cases(case_trivial, case_linear, case_uniform_k05,
@@ -428,8 +440,9 @@ def test_save_load_round_trip(tmp_path, case_uniform_k05):
     path = str(tmp_path / "field.csv")
     save_field(f, path, diag)
     g2 = load_field(path)
-    for name in ("u", "u1", "u2", "t_grid", "x1_grid", "x2_grid"):
+    for name in ("u", "u1", "t_grid", "x1_grid", "x2_grid"):
         assert np.array_equal(getattr(f, name), getattr(g2, name)), name
+    assert not hasattr(g2, "u2")
     assert g2.g_lipschitz == f.g_lipschitz
     meta = json.loads((tmp_path / "field.json").read_text())
     assert meta["diagnostics"] == json.loads(json.dumps(diag.to_dict()))
@@ -445,20 +458,20 @@ def test_save_load_round_trip(tmp_path, case_uniform_k05):
 
 def test_load_recomputes_fd_derivatives(tmp_path, case_uniform_k05):
     # the coupled check only sets deriv_mismatch; the field keeps its FD
-    # derivatives, and a reload recomputes the same ones from u
+    # u1, and a reload recomputes the same one from u
     c = case_uniform_k05.value
     f = solve_field(c["g"], c["delta"], small_cfg(c["g"].lipschitz))
-    arrays = (f.u, f.u1, f.u2)
+    arrays = (f.u, f.u1)
     copies = [a.copy() for a in arrays]
     assert derivative_fields(f, "coupled_system", g=c["g"],
                              delta=c["delta"]) is f
-    for a, b, now in zip(arrays, copies, (f.u, f.u1, f.u2)):
+    for a, b, now in zip(arrays, copies, (f.u, f.u1)):
         assert now is a and np.array_equal(a, b)
     assert 0.0 <= f.deriv_mismatch < np.inf
     path = str(tmp_path / "field.csv")
     save_field(f, path)
     g2 = load_field(path)
-    assert np.array_equal(g2.u1, f.u1) and np.array_equal(g2.u2, f.u2)
+    assert np.array_equal(g2.u1, f.u1) and not hasattr(g2, "u2")
 
 
 def test_load_missing_sidecar(tmp_path, case_uniform_k05):
