@@ -26,7 +26,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -37,8 +36,8 @@ from . import field as field_mod
 from . import measure as measure_mod
 from . import verify as verify_mod
 from .errors import (ConfigError, ContractionError, CutoffActiveError,
-                     HorizonError, LocalizationError, NonLipschitzError,
-                     SkofbsdeError)
+                     DiracMeasureError, HorizonError, LocalizationError,
+                     NonLipschitzError, SkofbsdeError)
 
 _REQUIRED = object()
 
@@ -185,7 +184,10 @@ class RunConfig:
             raise ConfigError("unsupported spec_version (expected 1)")
 
         self.measure = build_measure(dict(_take(raw, "measure", kind=dict)))
-        self.g = measure_mod.make_g(self.measure)
+        try:
+            self.g = measure_mod.make_g(self.measure)
+        except DiracMeasureError as exc:    # a point-mass target law
+            raise ConfigError(f"invalid measure: {exc}") from None
 
         solver_spec = dict(_take(raw, "solver", {}, dict))
         self.solver = build_solver_config(solver_spec, self.g.lipschitz)
@@ -267,17 +269,17 @@ def _dump_paths(cfg: RunConfig, f, count: int) -> None:
 
 
 def cmd_embed(cfg: RunConfig, field_path: str, dump_paths: int = 0) -> int:
-    os.makedirs(cfg.output_dir, exist_ok=True)
     f = field_mod.load_field(field_path)
     # a field solved for this horizon, law and drift has, bitwise, the
-    # terminal layer g(x1) - delta(x2) that solve_field builds
+    # terminal layer that solve_field builds
     try:
-        term = np.subtract.outer(cfg.g(f.x1_grid), cfg.delta(f.x2_grid))
+        term = field_mod.terminal_layer(cfg.g, cfg.delta, f.x1_grid, f.x2_grid)
     except HorizonError:    # the field's x2 grid lies beyond this clock
         term = None
     if term is None or not np.array_equal(f.u[-1], term) \
             or abs(f.T - cfg.solver.T) > 1e-12:
         raise ConfigError("field file is not compatible with this configuration")
+    os.makedirs(cfg.output_dir, exist_ok=True)
 
     weak = embed_mod.weak_embed_ensemble(
         f, cfg.coefficients, cfg.n_paths, cfg.n_steps, cfg.seed, g=cfg.g)
@@ -285,9 +287,6 @@ def cmd_embed(cfg: RunConfig, field_path: str, dump_paths: int = 0) -> int:
     strong = embed_mod.strong_embed_on_W(
         f, cfg.coefficients, cfg.n_paths, cfg.embed_steps, cfg.seed,
         g=cfg.g, K1=cfg.K1, K2=cfg.K2)
-    result = replace(strong, seeds=seeds, tau_weak=tau_w,
-                     weak_identity_residual_max=float(
-                         weak["identity_residual"].max()))
 
     csv_path = os.path.join(cfg.output_dir, "embedding.csv")
     with open(csv_path, "w") as fh:
@@ -297,11 +296,16 @@ def cmd_embed(cfg: RunConfig, field_path: str, dump_paths: int = 0) -> int:
                      f"{float(strong.tau_strong[i])!r},"
                      f"{float(strong.stopped_value[i])!r}\n")
 
-    report = verify_mod.law_report(strong.stopped_value, cfg.measure)
-    weak_report = verify_mod.law_report(weak["stopped_value"], cfg.measure)
-    summary = result.summary()
-    summary["law_strong"] = json.loads(report.to_json())
-    summary["law_weak"] = json.loads(weak_report.to_json())
+    summary = strong.summary()
+    summary.update(
+        tau_weak_mean=float(np.mean(tau_w)),
+        tau_weak_max=float(np.max(tau_w)),
+        tau_weak_ci_halfwidth=float(3.0 * np.std(tau_w) / np.sqrt(tau_w.size)),
+        weak_identity_residual_max=float(weak["identity_residual"].max()),
+        law_strong=verify_mod.law_report(strong.stopped_value,
+                                         cfg.measure).to_dict(),
+        law_weak=verify_mod.law_report(weak["stopped_value"],
+                                       cfg.measure).to_dict())
     law_path = os.path.join(cfg.output_dir, "law_report.json")
     with open(law_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -313,7 +317,7 @@ def cmd_embed(cfg: RunConfig, field_path: str, dump_paths: int = 0) -> int:
 
     if dump_paths > 0:
         _dump_paths(cfg, f, min(dump_paths, cfg.n_paths))
-    if result.guard_counts.get("K1", 0) or result.guard_counts.get("K2", 0):
+    if strong.guard_counts["K1"] or strong.guard_counts["K2"]:
         print("localization guards fired", file=sys.stderr)
         return 4
     return 0

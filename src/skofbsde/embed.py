@@ -28,7 +28,7 @@ strong stopping time and the stopped value c + delta_hat(tau) + int beta dW.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -346,19 +346,19 @@ def strong_stopping_time(f: DecouplingField, coeffs: ProcessCoefficients,
 
 @dataclass
 class EmbeddingResult:
-    """Per-path embedding summary plus run-level constants."""
+    """Record of the strong pass: per-path stopping times and stopped values
+    with the run-level constants.  ``strong_identity_mean`` is the mean of
+    |stopped - g(Sigma_tau)|, set when ``g`` was given."""
 
     c: float
     tau_bound: float
     seeds: np.ndarray
     tau_strong: np.ndarray
     stopped_value: np.ndarray
-    tau_weak: np.ndarray | None = None
-    guard_counts: dict = dc_field(default_factory=dict)
-    clamp_fraction: float = 0.0
-    weak_identity_residual_max: float | None = None
-    dr: float = float("nan")
-    extras: dict = dc_field(default_factory=dict)
+    guard_counts: dict
+    clamp_fraction: float
+    dr: float
+    strong_identity_mean: float | None = None
 
     def summary(self) -> dict:
         d = {
@@ -371,14 +371,8 @@ class EmbeddingResult:
             "tau_strong_mean": float(np.nanmean(self.tau_strong)),
             "tau_strong_max": float(np.nanmax(self.tau_strong)),
         }
-        if self.tau_weak is not None:
-            d["tau_weak_mean"] = float(np.mean(self.tau_weak))
-            d["tau_weak_max"] = float(np.max(self.tau_weak))
-            d["tau_weak_ci_halfwidth"] = float(
-                3.0 * np.std(self.tau_weak) / np.sqrt(self.tau_weak.size))
-        if self.weak_identity_residual_max is not None:
-            d["weak_identity_residual_max"] = self.weak_identity_residual_max
-        d.update(self.extras)
+        if self.strong_identity_mean is not None:
+            d["strong_identity_mean"] = self.strong_identity_mean
         return d
 
 
@@ -390,7 +384,8 @@ def strong_embed_on_W(f: DecouplingField, coeffs: ProcessCoefficients,
     collect the stopped values c + delta_hat(tau) + int_0^tau beta dW.
 
     When ``g`` is given, the per-path identity stopped = g(Sigma_tau) is
-    measured and reported under ``extras["strong_identity_mean"]``.
+    measured and its mean absolute defect reported as
+    ``strong_identity_mean``.
     """
     r_max, K2 = _strong_limits(f, coeffs, K1, K2)
     dr = r_max / n_steps
@@ -417,15 +412,13 @@ def strong_embed_on_W(f: DecouplingField, coeffs: ProcessCoefficients,
     _warn_if_clamped(clamp_fraction, "embedding")
     counts = {"K1": int(np.count_nonzero(guards == 1)),
               "K2": int(np.count_nonzero(guards == 2))}
-    extras = {}
-    if g is not None:
-        extras["strong_identity_mean"] = float(
-            np.mean(np.abs(stopped - np.asarray(g(Sigma_tau)))))
+    identity = None if g is None else float(
+        np.mean(np.abs(stopped - np.asarray(g(Sigma_tau)))))
     return EmbeddingResult(c=c, tau_bound=tau_bound(f, coeffs), seeds=seeds,
                            tau_strong=tau, stopped_value=stopped,
                            guard_counts=counts,
                            clamp_fraction=clamp_fraction,
-                           dr=dr, extras=extras)
+                           dr=dr, strong_identity_mean=identity)
 
 
 def coupled_round_trip(f: DecouplingField, coeffs: ProcessCoefficients,

@@ -81,27 +81,16 @@ def map_blocks(n_paths: int, block: int, fn) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _uniforms(seed: int, shape) -> np.ndarray:
-    """Strictly interior uniforms (v + 1/2) / 2^53 from a Philox stream."""
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    v = gen.integers(0, 1 << 53, size=shape, dtype=np.uint64)
-    return (v.astype(np.float64) + 0.5) * 2.0**-53
-
-
-def normal_increments(seed: int, n_steps: int, dt: float) -> np.ndarray:
-    """Seeded N(0, dt) increments, shape (n_steps,)."""
-    return np.sqrt(dt) * np.asarray(phi_inv(_uniforms(seed, n_steps)))
-
-
 class IncrementStreams:
     """The N(0, dt) increments of a set of paths, drawn column chunk by
     column chunk from one Philox generator per path seed.
 
-    Row ``i`` of the successive draws is ``normal_increments(seeds[i], ., dt)``
-    bitwise, whatever the chunk widths.  ``column`` reads the increments
-    step by step for a set of rows that may only shrink (paths that stop
-    are never drawn again); it draws ``_NOISE_CHUNK`` columns at a time for
-    the rows it is given at a chunk start.
+    Row ``i`` of the successive draws does not depend on the chunk widths,
+    and its first ``n`` values are ``normal_increments(seeds[i], n, dt)``.
+    ``column`` reads the increments step by step for a set of rows that may
+    only shrink (paths that stop are never drawn again); it draws
+    ``_NOISE_CHUNK`` columns at a time for the rows it is given at a chunk
+    start.
     """
 
     def __init__(self, seeds, n_steps: int, dt: float):
@@ -118,9 +107,10 @@ class IncrementStreams:
         v = np.empty((len(gens), m), dtype=np.uint64)
         for row, gen in zip(v, gens):
             row[:] = gen.random_raw(m)
-        # the top 53 bits: what Generator.integers(0, 2**53) draws from the
-        # same words (Lemire's method with a power-of-two range), without
-        # its fixed cost per call
+        # strictly interior uniforms (v + 1/2) / 2^53 from the top 53 bits of
+        # each word: what Generator.integers(0, 2**53) draws from the same
+        # words (Lemire's method with a power-of-two range), without its
+        # fixed cost per call
         v >>= np.uint64(11)
         u = v.astype(np.float64)
         u += 0.5
@@ -140,6 +130,12 @@ class IncrementStreams:
         if rows is None:
             return self._chunk[:, c]
         return self._chunk[self._row_of[rows], c]
+
+
+def normal_increments(seed: int, n_steps: int, dt: float) -> np.ndarray:
+    """Seeded N(0, dt) increments, shape (n_steps,): the one-path
+    ``IncrementStreams``."""
+    return IncrementStreams([seed], n_steps, dt).next(n_steps)[0]
 
 
 @dataclass
@@ -297,21 +293,6 @@ class MartingaleReport:
     @property
     def all_passed(self) -> bool:
         return bool(self.mean_passed.all() and self.qv_passed.all())
-
-    def to_dict(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "y0": self.y0,
-            "t_checkpoints": self.t_checkpoints.tolist(),
-            "mean_Y": self.mean_Y.tolist(),
-            "band": self.band.tolist(),
-            "mean_passed": self.mean_passed.tolist(),
-            "qv_mean": self.qv_mean.tolist(),
-            "sumZ2_mean": self.sumZ2_mean.tolist(),
-            "qv_band": self.qv_band.tolist(),
-            "qv_passed": self.qv_passed.tolist(),
-            "all_passed": self.all_passed,
-        }
 
 
 def martingale_check(ensemble: EnsembleResult) -> MartingaleReport:

@@ -31,7 +31,7 @@ from .errors import (ConfigError, ContractionError, CutoffActiveError,
                      DerivativeMismatchError, DomainError, NonLipschitzError)
 
 __all__ = ["SolverConfig", "DecouplingField", "FieldDiagnostics", "BoundCheck",
-           "solve_field", "derivative_fields", "eval_field",
+           "terminal_layer", "solve_field", "derivative_fields", "eval_field",
            "field_diagnostics", "save_field", "load_field"]
 
 CFL_SAFETY = 0.9
@@ -209,6 +209,12 @@ def solve_banded(l_and_u, ab, b):
 # solver
 # ----------------------------------------------------------------------------
 
+def terminal_layer(g, delta, x1_grid, x2_grid) -> np.ndarray:
+    """The terminal data u(T, x1, x2) = g(x1) - delta(x2) on the grid, the
+    layer ``u[nt]`` of every field solved for ``g`` and ``delta``."""
+    return np.subtract.outer(np.asarray(g(x1_grid)), np.asarray(delta(x2_grid)))
+
+
 def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
     """Backward induction for the decoupling field.
 
@@ -235,7 +241,7 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
     dx2 = x2[1] - x2[0]
 
     u = np.empty((nt + 1, nx1, nx2))
-    u[nt] = np.asarray(g(x1))[:, None] - np.asarray(delta(x2))[None, :]
+    u[nt] = terminal_layer(g, delta, x1, x2)
 
     ab = _banded_matrix(nx1, dt / (2.0 * dx1**2))
 
@@ -298,57 +304,29 @@ def _gradient_into(out: np.ndarray, w: np.ndarray, dx: float,
     return out
 
 
-def _coupled_system_derivatives(f: DecouplingField, g, delta):
-    """Layer-by-layer solve of the linear backward equations satisfied by the
-    derivative fields, with transport/advection coefficients frozen from the
-    field's ``u1`` and the per-layer FD x2 derivative ``u2`` of ``u``:
-
-        v_t + 1/2 v_{x1 x1} + u1^2 v_{x2} + 2 u1 u2 v_{x1} = 0,
-
-    terminal data g'(x1) for the x1 derivative and -delta'(x2) for the x2
-    derivative.  A generator of ``(n, v1_n, v2_n)`` for n = nt down to 0;
-    each layer is a new array that is not written again, and the generator
-    keeps only the last one of each derivative.
-    """
-    nt = f.t_grid.size - 1
-    nx1, nx2 = f.x1_grid.size, f.x2_grid.size
-    dt = f.t_grid[1] - f.t_grid[0]
-    dx1 = f.x1_grid[1] - f.x1_grid[0]
-    dx2 = f.x2_grid[1] - f.x2_grid[0]
-    ab = _banded_matrix(nx1, dt / (2.0 * dx1**2))
-
-    v1, v2, u2 = np.empty((3, nx1, nx2))
-    v1[...] = np.asarray(g.derivative(f.x1_grid))[:, None]
-    v2[...] = -np.asarray(delta.derivative(f.x2_grid))[None, :]
-    yield nt, v1, v2
-
-    for n in range(nt - 1, -1, -1):
-        zc = np.clip(f.u1[n + 1], -f.cutoff_H, f.cutoff_H)
-        a_coef = zc * zc
-        _gradient_into(u2, f.u[n + 1], dx2, axis=1)
-        b_coef = 2.0 * f.u1[n + 1] * u2
-        v1, v2 = [solve_banded((1, 1), ab, vn + dt * (
-                      a_coef * _d2_up(vn, dx2)
-                      + b_coef * np.gradient(vn, dx1, axis=0)))
-                  for vn in (v1, v2)]
-        yield n, v1, v2
-
-
 def derivative_fields(f: DecouplingField, method: str = "finite_difference",
                       g=None, delta=None) -> DecouplingField:
     """Check the field's derivatives against the coupled linear system, or
     refill ``u1`` by finite differences.  Returns ``f``.
 
     ``coupled_system`` needs the terminal-derivative callables ``g`` and
-    ``delta``.  It solves the coupled system one time layer at a time with
-    coefficients frozen from the field's ``u1`` and the finite-difference
-    x2 derivative of ``u``, compares each layer with the field's ``u1`` and
-    with that x2 derivative, and records the worst mismatch in
-    ``f.deriv_mismatch``; no array of ``f`` is written and no field-sized
-    array is made.  A mismatch above the fixed tolerance
-    10 (dt + dx1^2 + dx2), ten times the scheme's discretization error
-    scale, raises :class:`DerivativeMismatchError` at the first (t, x1, x2)
-    index, in C order, of the worst value.
+    ``delta``.  It solves the linear backward equations satisfied by the
+    derivative fields,
+
+        v_t + 1/2 v_{x1 x1} + u1^2 v_{x2} + 2 u1 u2 v_{x1} = 0,
+
+    with terminal data g'(x1) for the x1 derivative ``v1`` and -delta'(x2)
+    for the x2 derivative ``v2``, in one loop from n = nt down to 0.  Each
+    pass advances ``(v1, v2)`` with the coefficients of layer n + 1, frozen
+    from the field's ``u1`` and the finite-difference x2 derivative ``u2``
+    of ``u`` kept from the previous pass; it then forms the ``u2`` layer of
+    n once, in a second layer buffer, and compares ``v1`` with ``u1[n]`` and
+    ``v2`` with that layer.  The worst mismatch goes to ``f.deriv_mismatch``;
+    no array of ``f`` is written and no field-sized array is made.  A
+    mismatch above the fixed tolerance 10 (dt + dx1^2 + dx2), ten times the
+    scheme's discretization error scale, raises
+    :class:`DerivativeMismatchError` at the first (t, x1, x2) index, in C
+    order, of the worst value.
     ``finite_difference`` recomputes ``u1`` from ``u`` into a new array with
     no temporaries; ``u`` and the old and new ``u1``, three field arrays,
     are held until it returns.
@@ -362,26 +340,41 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
     if g is None or delta is None:
         raise ConfigError("coupled_system needs g and delta with .derivative")
 
+    nt = f.t_grid.size - 1
+    nx1, nx2 = f.x1_grid.size, f.x2_grid.size
     dt = f.t_grid[1] - f.t_grid[0]
     dx2 = f.x2_grid[1] - f.x2_grid[0]
+    ab = _banded_matrix(nx1, dt / (2.0 * dx1**2))
     mismatch_tol = 10.0 * (dt + dx1**2 + dx2)
+
+    v1, v2, u2, u2_next = np.empty((4, nx1, nx2))
+    v1[...] = np.asarray(g.derivative(f.x1_grid))[:, None]
+    v2[...] = -np.asarray(delta.derivative(f.x2_grid))[None, :]
     # compare away from one-sided stencils and the top transport row; per
     # derivative keep the worst value and its flat C-order index in the
     # (t, x1, x2) inner block.  Layers arrive from t = T down, so a later
     # layer wins a tie (smaller t index) and the first NaN in C order wins
     inner = (slice(1, -1), slice(None, -1))
-    diff = np.empty((f.x1_grid.size - 2, f.x2_grid.size - 1))
-    u2 = np.empty(f.u.shape[1:])
+    diff = np.empty((nx1 - 2, nx2 - 1))
     worst_of = [(-np.inf, 0), (-np.inf, 0)]
-    for n, *layers in _coupled_system_derivatives(f, g, delta):
-        fd = (f.u1[n], _gradient_into(u2, f.u[n], dx2, axis=1))
-        for k, (v, u_fd) in enumerate(zip(layers, fd)):
+    for n in range(nt, -1, -1):
+        if n < nt:
+            zc = np.clip(f.u1[n + 1], -f.cutoff_H, f.cutoff_H)
+            a_coef = zc * zc
+            b_coef = 2.0 * f.u1[n + 1] * u2_next
+            v1, v2 = [solve_banded((1, 1), ab, vn + dt * (
+                          a_coef * _d2_up(vn, dx2)
+                          + b_coef * np.gradient(vn, dx1, axis=0)))
+                      for vn in (v1, v2)]
+        _gradient_into(u2, f.u[n], dx2, axis=1)
+        for k, (v, u_fd) in enumerate(((v1, f.u1[n]), (v2, u2))):
             np.subtract(v[inner], u_fd[inner], out=diff)
             np.abs(diff, out=diff)
             i = int(diff.argmax())
             m = diff.flat[i]
             if np.isnan(m) or m >= worst_of[k][0]:
                 worst_of[k] = (m, n * diff.size + i)
+        u2, u2_next = u2_next, u2
     (m1, i1), (m2, i2) = worst_of
     m1, m2 = float(m1), float(m2)
     worst = max(m1, m2)

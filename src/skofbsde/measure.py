@@ -4,9 +4,9 @@ A target law ``nu`` is represented by its cumulative distribution function
 ``F(x) = nu((-inf, x])`` and the generalized inverse
 ``F^{-1}(y) = inf{x : F(x) >= y}``.  Composing the inverse with the standard
 normal CDF gives the non-decreasing transform ``g(x) = F^{-1}(Phi(x))``, which
-maps a standard normal sample to a sample of ``nu``.  The transform is shipped
-together with smoothness metadata (Lipschitz constant and a bound on the
-second derivative) consumed by the PDE solver and the diagnostics.
+maps a standard normal sample to a sample of ``nu``.  The transform carries
+its Lipschitz constant, which sizes the solver's grid and bounds the
+control, and a flag for transforms with no finite one.
 
 ``Phi`` and its inverse are evaluated by classical rational approximations
 (Cody's erf/erfc and Wichura's PPND16) so that results are plain IEEE-754
@@ -17,7 +17,6 @@ arithmetic, identical across platforms.  Absolute accuracy is far below
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "phi",
     "phi_inv",
     "norm_pdf",
-    "Smoothness",
     "TargetMeasure",
     "QuantileTransform",
     "make_g",
@@ -230,16 +228,6 @@ def phi_inv(p) -> np.ndarray | float:
 # Target measures.
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Smoothness:
-    """Derivative bounds of the quantile transform g; ``None`` means
-    unknown.  Laws without an analytic constant get finite-difference
-    estimates."""
-
-    lipschitz: float | None
-    d2_bound: float | None = None
-
-
 class TargetMeasure:
     """Immutable one-dimensional target law.
 
@@ -266,8 +254,9 @@ class TargetMeasure:
         elif kind == "piecewise_cdf":
             xs = np.asarray(params["xs"], dtype=float)
             Fs = np.asarray(params["Fs"], dtype=float)
-            if xs.ndim != 1 or xs.shape != Fs.shape or xs.size < 2:
-                raise DomainError("piecewise CDF needs matching 1-d breakpoint arrays")
+            if xs.ndim != 1 or xs.shape != Fs.shape or xs.size < 2 \
+                    or not (np.isfinite(xs).all() and np.isfinite(Fs).all()):
+                raise DomainError("piecewise CDF needs matching finite 1-d breakpoint arrays")
             if np.any(np.diff(xs) <= 0.0):
                 raise DomainError("piecewise CDF breakpoints must be strictly increasing in x")
             if np.any(np.diff(Fs) < 0.0) or Fs[0] < 0.0 or abs(Fs[-1] - 1.0) > 1e-12:
@@ -378,13 +367,13 @@ class QuantileTransform:
     Attributes
     ----------
     lipschitz : float
-        Best available Lipschitz constant of g (sup |g'|).
+        Best available Lipschitz constant of g (sup |g'|): analytic for the
+        normal and uniform laws, a finite-difference estimate on a probe
+        grid for the others.
     non_lipschitz : bool
         Set when the transform has jumps (step quantiles) or an unbounded
         slope was detected on the probe grid.  Such transforms are rejected
         by the field solver, not here.
-    smoothness : Smoothness
-        Bounds on g' and g'' where available.
     """
 
     def __init__(self, measure: TargetMeasure):
@@ -394,23 +383,15 @@ class QuantileTransform:
         self.non_lipschitz = False
 
         if measure.kind == "normal":
-            sigma = measure._p["sigma"]
-            self.smoothness = Smoothness(lipschitz=sigma, d2_bound=0.0)
+            self.lipschitz = measure._p["sigma"]
         elif measure.kind == "uniform":
+            # g = lo + scale * Phi, so |g'| <= scale/sqrt(2 pi)
             scale = measure._p["hi"] - measure._p["lo"]
-            # g = lo + scale * Phi, so |g'| <= scale/sqrt(2 pi) and
-            # |g''| <= scale * pdf(1)
-            self.smoothness = Smoothness(
-                lipschitz=scale * _INV_SQRT_2PI,
-                d2_bound=scale * float(norm_pdf(1.0)))
+            self.lipschitz = scale * _INV_SQRT_2PI
         else:
-            self.smoothness = self._probe_smoothness()
+            self.lipschitz = self._probe_lipschitz()
             if measure.kind == "empirical":
                 self.non_lipschitz = True
-
-    @property
-    def lipschitz(self) -> float:
-        return self.smoothness.lipschitz
 
     def __call__(self, x) -> np.ndarray | float:
         p = np.clip(np.asarray(phi(x)), 1e-300, 1.0 - 1e-16)
@@ -428,24 +409,20 @@ class QuantileTransform:
         xa = np.asarray(x, dtype=float)
         return (np.asarray(self(xa + h)) - np.asarray(self(xa - h))) / (2.0 * h)
 
-    def _probe_smoothness(self) -> Smoothness:
+    def _probe_lipschitz(self) -> float:
         xs = np.linspace(_PROBE_LO, _PROBE_HI, _PROBE_POINTS)
         h = _PROBE_H
-        g0 = np.asarray(self(xs))
-        gp = np.asarray(self(xs + h))
-        gm = np.asarray(self(xs - h))
-        slopes = np.abs(gp - g0) / h
+        slopes = np.abs(np.asarray(self(xs + h)) - np.asarray(self(xs))) / h
         lip = float(slopes.max())
-        d2 = float(np.abs(gp - 2.0 * g0 + gm).max() / h**2)
         # slope still growing at the probe boundary hints at an unbounded g'
         edge = max(slopes[0], slopes[-1])
         if lip > 0.0 and edge >= 0.999 * lip and slopes.argmax() in (0, slopes.size - 1):
             self.non_lipschitz = True
-        return Smoothness(lipschitz=lip, d2_bound=d2)
+        return lip
 
 
 def make_g(m: TargetMeasure) -> QuantileTransform:
-    """Build g = F^{-1} o Phi with Lipschitz/smoothness metadata.
+    """Build g = F^{-1} o Phi with its Lipschitz constant.
 
     Rejects Dirac measures (constant g).  Non-Lipschitz transforms are
     flagged, not rejected; the field solver refuses them.

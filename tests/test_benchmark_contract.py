@@ -37,3 +37,29 @@ def test_verification_child_runs_and_traces(tmp_path):
     assert result["diagnostics_passed"] is True
     values = json.loads(trace.read_text())["values"]
     assert values["field.deriv_mismatch"] == result["deriv_mismatch"]
+
+
+def test_cli_artifacts_carry_the_keys_the_benchmark_reads(tmp_path):
+    # perfbench/run.py check_cli reads these keys of the `all` artifacts
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "skofbsde.cli", "all",
+         "--config", "configs/smoke_small.json", "--out", str(out)],
+        cwd=ROOT, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    diag = json.loads((out / "field.json").read_text())["diagnostics"]
+    assert isinstance(diag["all_passed"], bool)
+    assert isinstance(diag["deriv_mismatch"], float)
+    law = json.loads((out / "law_report.json").read_text())
+    for block in ("law_strong", "law_weak"):
+        assert isinstance(law[block]["ks"], float)
+        assert isinstance(law[block]["ks_passed"], bool)
+        assert isinstance(law[block]["w1"], float)
+    assert law["guard_counts"] == {"K1": 0, "K2": 0}
+    for key in ("tau_bound", "dr", "weak_identity_residual_max",
+                "strong_identity_mean"):
+        assert isinstance(law[key], float), key
+    rep = json.loads((out / "verify_report.json").read_text())
+    assert isinstance(rep["ks"], float)
+    assert isinstance(rep["ks_passed"], bool)

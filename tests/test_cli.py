@@ -25,9 +25,12 @@ BASE = {
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
+    # a measure override replaces the whole spec (its keys depend on its
+    # kind); other sections are merged key by key
     cfg = json.loads(json.dumps(BASE))
     for key, val in overrides.items():
-        if isinstance(val, dict) and key in cfg and isinstance(cfg[key], dict):
+        if isinstance(val, dict) and isinstance(cfg.get(key), dict) \
+                and key != "measure":
             cfg[key].update(val)
         else:
             cfg[key] = val
@@ -156,11 +159,6 @@ def test_empirical_measure_cannot_be_solved(tmp_path, capsys):
     cfg = write_config(
         tmp_path, measure={"kind": "empirical",
                            "samples": list(np.linspace(0, 1, 40))})
-    # remove uniform-only keys
-    raw = json.loads(open(cfg).read())
-    raw["measure"] = {"kind": "empirical",
-                      "samples": list(np.linspace(0, 1, 40))}
-    open(cfg, "w").write(json.dumps(raw))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "e")]) == 3
     assert "solver error" in capsys.readouterr().err
 
@@ -171,9 +169,6 @@ def test_field_config_mismatch(tmp_path, capsys):
     assert main(["solve", "--config", cfg_u, "--out", out]) == 0
     cfg_n = write_config(tmp_path, "n.json",
                          measure={"kind": "normal", "mu": 0.0, "sigma": 1.0})
-    raw = json.loads(open(cfg_n).read())
-    raw["measure"] = {"kind": "normal", "mu": 0.0, "sigma": 1.0}
-    open(cfg_n, "w").write(json.dumps(raw))
     assert main(["embed", "--config", cfg_n, "--out", out,
                  "--field", os.path.join(out, "field.csv")]) == 1
     # the other way round the field's x2 grid (up to 1.05 L_g^2 of the
@@ -196,11 +191,13 @@ def test_field_for_another_drift_rejected(tmp_path, capsys):
     capsys.readouterr()
     cfg = write_config(tmp_path, "b.json", coefficients={
         "G0": 0.3, "alpha": {"kind": "const", "value": 1.0}})
-    assert main(["embed", "--config", cfg, "--out", out,
+    # a refused embed leaves no output directory behind
+    new_out = str(tmp_path / "new")
+    assert main(["embed", "--config", cfg, "--out", new_out,
                  "--field", os.path.join(out, "field.csv")]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), lines
-    assert not os.path.exists(os.path.join(out, "embedding.csv"))
+    assert not os.path.exists(new_out)
 
 
 def test_contraction_failure_names_the_grid(tmp_path, capsys):
@@ -373,6 +370,11 @@ _text_in_samples = _solve_with(
 _zero_K1 = _solve_with("_zero_K1", embedding={"K1": 0})
 _negative_K1 = _solve_with("_negative_K1", embedding={"K1": -1.0})
 _zero_K2 = _solve_with("_zero_K2", embedding={"K2": 0.0})
+# point masses: the quantile transform g is constant
+_uniform_point_mass = _solve_with(
+    "_uniform_point_mass", measure={"kind": "uniform", "lo": 1, "hi": 1})
+_normal_point_mass = _solve_with(
+    "_normal_point_mass", measure={"kind": "normal", "mu": 0, "sigma": 0})
 # a grid of 1.6e16 bytes per field array: refused before any allocation
 _oversized_grid = _solve_with(
     "_oversized_grid", solver={"nt": 200_000, "nx1": 100_001, "nx2": 100_001})
@@ -384,7 +386,8 @@ _oversized_grid = _solve_with(
     _header_only_results, _nan_results_cell, _negative_seed, _nan_G0,
     _nan_beta_floor, _bool_n_paths, _nan_fixpoint_tol, _uniform_lo_above_hi,
     _normal_negative_sigma, _normal_nan_mu, _piecewise_nan_x, _text_in_samples,
-    _zero_K1, _negative_K1, _zero_K2, _oversized_grid])
+    _zero_K1, _negative_K1, _zero_K2, _uniform_point_mass, _normal_point_mass,
+    _oversized_grid])
 def test_malformed_input_exits_1(tmp_path, capsys, breaker):
     cfg = write_config(tmp_path)
     field_dir = tmp_path / "f"

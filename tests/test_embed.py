@@ -73,7 +73,7 @@ def test_strong_embed_constants(case_uniform_k025):
     assert er.tau_bound == pytest.approx(tau_bound(c["field"], c["coeffs"]))
     assert er.guard_counts == {"K1": 0, "K2": 0}
     assert np.all(er.tau_strong <= er.tau_bound + er.dr)
-    assert er.extras["strong_identity_mean"] < 1e-2
+    assert er.strong_identity_mean < 1e-2
 
 
 def test_clamp_fraction_weighted_per_step(case_uniform_k025, monkeypatch):

@@ -11,7 +11,16 @@ from skofbsde.embed import (_STRONG_SEED_SALT, coupled_round_trip,
 from skofbsde.fbsde import (IncrementStreams, backward_residual,
                             martingale_check, normal_increments, path_seed,
                             simulate_block, simulate_ensemble, simulate_path)
+from skofbsde.measure import phi_inv
 from skofbsde.verify import shifted_field
+
+
+def reference_increments(seed, n_steps, dt):
+    """N(0, dt) increments drawn through ``Generator.integers``: interior
+    uniforms (v + 1/2) / 2^53 from a Philox stream, mapped by phi_inv."""
+    gen = np.random.Generator(np.random.Philox(key=int(seed)))
+    v = gen.integers(0, 1 << 53, size=n_steps, dtype=np.uint64)
+    return np.sqrt(dt) * phi_inv((v.astype(np.float64) + 0.5) * 2.0**-53)
 
 
 def test_increment_stream_is_deterministic():
@@ -36,7 +45,7 @@ def test_increment_moments():
 def test_increment_streams_match_normal_increments(seed, n_steps, chunk,
                                                    stops):
     # rows read column by column, each until its own stop step, as the
-    # strong pass does: every increment drawn is normal_increments' bitwise
+    # strong pass does: every increment drawn is the reference's bitwise
     seeds = path_seed(seed, np.arange(len(stops)))
     dt = 1.0 / n_steps
     stops = np.minimum(stops, n_steps)
@@ -51,7 +60,7 @@ def test_increment_streams_match_normal_increments(seed, n_steps, chunk,
             for i, v in zip(rows, streams.column(k, rows)):
                 drawn[i].append(v)
     for s, stop, got in zip(seeds, stops, drawn):
-        want = normal_increments(int(s), n_steps, dt)[:stop]
+        want = reference_increments(s, n_steps, dt)[:stop]
         assert np.array_equal(np.array(got), want)
     # all rows, in draws of alternating widths
     streams = IncrementStreams(seeds, n_steps, dt)
@@ -60,8 +69,10 @@ def test_increment_streams_match_normal_increments(seed, n_steps, chunk,
         m = min(chunk if len(parts) % 2 == 0 else 1, n_steps - done)
         parts.append(streams.next(m))
         done += m
-    want = [normal_increments(int(s), n_steps, dt) for s in seeds]
+    want = [reference_increments(s, n_steps, dt) for s in seeds]
     assert np.array_equal(np.concatenate(parts, axis=1), np.array(want))
+    got = [normal_increments(int(s), n_steps, dt) for s in seeds]
+    assert np.array_equal(np.array(got), np.array(want))
 
 
 def test_map_blocks_frees_a_block_before_the_next():

@@ -11,9 +11,9 @@ from skofbsde import field as field_mod
 from skofbsde.errors import (ConfigError, CutoffActiveError,
                              DerivativeMismatchError, DomainError,
                              NonLipschitzError)
-from skofbsde.field import (SolverConfig, _coupled_system_derivatives,
-                            derivative_fields, eval_field, field_diagnostics,
-                            load_field, save_field, sidecar_path, solve_field)
+from skofbsde.field import (SolverConfig, derivative_fields, eval_field,
+                            field_diagnostics, load_field, save_field,
+                            sidecar_path, solve_field)
 from skofbsde.measure import TargetMeasure, make_g
 from skofbsde.verify import OracleField
 
@@ -189,21 +189,35 @@ def test_eval_field_exact_at_nodes_property(case_uniform_k05, data):
 def test_derivative_methods_agree(case_uniform_k05):
     c = case_uniform_k05.value
     f = c["field"]
-    # the layers come from t = T down to t = 0; keep the worst u2 error
-    # and the t = 0 layer of u1
-    v2_err = 0.0
-    for n, v1_n, v2_n in _coupled_system_derivatives(f, c["g"], c["delta"]):
-        v2_err = max(v2_err, np.abs(v2_n + 0.5).max())
-    assert n == 0
+    v1, v2 = _reference_coupled(f, c["g"], c["delta"])
     # coupled-system u2 for a linear delayed drift is the constant -kappa
-    assert v2_err < 5e-3
+    assert np.abs(v2 + 0.5).max() < 5e-3
     # u1 matches the x1 derivative of the exponential-transform oracle
     oracle = OracleField("linear_drift", c["g"], kappa=0.5)
     h = 1e-5
     inner = np.abs(f.x1_grid) <= 2.0
     x1 = f.x1_grid[inner]
     du = (oracle(np.zeros_like(x1), x1 + h) - oracle(np.zeros_like(x1), x1 - h)) / (2 * h)
-    assert np.abs(v1_n[inner, 0] - du).max() < 2e-3
+    assert np.abs(v1[0, inner, 0] - du).max() < 2e-3
+
+
+def test_coupled_check_forms_each_u2_layer_once(case_uniform_k05,
+                                                monkeypatch):
+    # one stencil call per time layer: the u2 layer of step n serves both
+    # the comparison at n and the coefficient of the step to n - 1
+    c = case_uniform_k05.value
+    f = dataclasses.replace(c["field"], deriv_mismatch=None)
+    calls = []
+    gradient_into = field_mod._gradient_into
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return gradient_into(*args, **kwargs)
+
+    monkeypatch.setattr(field_mod, "_gradient_into", counted)
+    derivative_fields(f, "coupled_system", g=c["g"], delta=c["delta"])
+    assert len(calls) == f.t_grid.size     # nt + 1
+    assert f.deriv_mismatch is not None
 
 
 def test_derivative_method_unknown(case_linear):

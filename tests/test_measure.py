@@ -104,7 +104,6 @@ def test_make_g_normal_identity():
     x = np.linspace(-5, 5, 101)
     assert np.abs(np.asarray(g(x)) - x).max() < 1e-9
     assert g.lipschitz == 1.0
-    assert g.smoothness.d2_bound == 0.0
 
 
 def test_make_g_affine():

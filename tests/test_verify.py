@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from skofbsde import verify
 from skofbsde.errors import DomainError
 from skofbsde.fbsde import normal_increments
 from skofbsde.measure import TargetMeasure, make_g
@@ -78,6 +79,42 @@ def test_oracle_uniform_dual_method():
     orc = OracleField("linear_drift", g, kappa=0.5)
     report = orc.validate(seed=1, n=200_000)
     assert all(v["ok"] for v in report.values())
+
+
+def _reference_validate(orc, seed, n):
+    """The whole-array Monte Carlo estimates of OracleField.validate."""
+    xi = np.random.default_rng(seed).standard_normal(n)
+    report = {}
+    for t, x1 in verify._ORACLE_PROBES:
+        gv = np.asarray(orc.g(x1 + np.sqrt(orc.T - t) * xi))
+        if orc.kind == "no_drift":
+            mc, se = gv.mean(), gv.std() / np.sqrt(n)
+        else:
+            ev = np.exp(-2.0 * orc.kappa * gv)
+            mc = -np.log(ev.mean()) / (2.0 * orc.kappa)
+            se = ev.std() / np.sqrt(n) / ev.mean() / abs(2.0 * orc.kappa)
+        quad = orc(t, x1)
+        report[(t, x1)] = {"quadrature": float(quad), "mc": float(mc),
+                           "se": float(se),
+                           "ok": bool(abs(quad - mc) <= 3.0 * se + 1e-12)}
+    return report
+
+
+@pytest.mark.parametrize("kind, kappa", [("linear_drift", 0.5),
+                                         ("no_drift", 0.0)])
+def test_oracle_validate_in_chunks(kind, kappa):
+    # g is evaluated in chunks into one n-array: the report equals the
+    # whole-array one, and the 1M-point temporaries are gone
+    import tracemalloc
+    orc = OracleField(kind, make_g(TargetMeasure.uniform(0, 1)), kappa=kappa)
+    tracemalloc.start()
+    try:
+        report = orc.validate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report == _reference_validate(orc, 20_240_001, 1_000_000)
+    assert peak < 48 * 2**20, peak / 2**20
 
 
 def test_oracle_no_overflow_large_kappa():
