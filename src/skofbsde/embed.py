@@ -17,10 +17,11 @@ Strong construction: the pair (sigma, Sigma) is integrated from
 
 with u1 clamped into [deriv_floor_eps, L_g] (positivity holds before the
 terminal time but with no quantitative floor; L_g is the certified upper
-bound).  The stopping time is the first crossing sigma_r >= 1, located by
-linear interpolation inside the bracketing step.  Localization guards stop
-the integration at r >= K1 or |Sigma| >= K2 and report which guard fired;
-with the default guards they never bind.  Applying the same functional to
+bound).  A block integrates only its live paths.  A path stops at the
+first crossing sigma_r >= 1, located by linear interpolation inside the
+bracketing step, or at a localization guard, r >= K1 or |Sigma| >= K2
+(with the default guards they never bind); one stop step records either
+by path id and drops the path.  Applying the same functional to
 fresh driving noise (the role of the original Brownian motion) produces the
 strong stopping time and the stopped value c + delta_hat(tau) + int beta dW.
 """
@@ -50,15 +51,16 @@ SIGMA_RATE_TOL = 1e-3
 CLAMP_WARN_FRACTION = 1e-3
 _WEAK_B_STEPS = 512
 _STRONG_SEED_SALT = 0xD1FF5EED0001
-# paths per block of the three ensemble routines; measured trade-offs between
-# per-call overhead and block memory.  A block of the weak or round-trip sweep
-# holds two (block, n_steps + 1) arrays (X2, Y); the strong pass holds
-# (block, 256) noise chunks.  Peak RSS of one pass on the perfbench many_paths
-# field (64x65x33 grid, 4096 steps; Linux, numpy 2.4, SciPy not loaded),
-# 34.6 MB before it: weak, 2048 paths, 79.4 / 95.5 / 113.1 MB at blocks
-# 512 / 768 / 1024 (1.50 / 1.34 / 1.26 s); round trip, 500 paths, 55.3 /
-# 82.3 MB at blocks 128 / 512; strong, 2048 paths in one block, 57.1 MB.  The
-# weak pass sets the peak of `skofbsde embed`.
+# paths per block of the three ensemble routines: per-call overhead against
+# block memory.  A weak or round-trip block holds two (block, n_steps + 1)
+# arrays (X2, Y); a strong block holds (block, 256) noise chunks.  One pass,
+# 4096 steps, u and u1 resident, peak RSS in MB (s); x86-64, one BLAS thread:
+#   weak at 512 / 768 / 1024, many_paths field, 2048 paths, from 32 MB:
+#   78 / 96 / 112 (3.5-3.6 / 3.1-3.2 / 2.8-3.2); default field, 1024 paths,
+#   from 160 MB: 206 / 222 / 241 (1.9-2.1 / 1.8 / 1.5-1.6).  Round trip, 500
+#   paths, at 256 / 512: many_paths 63 / 81 (1.8 / 1.2-1.5), default 191 /
+#   209 (1.8-2.0 / 1.3-1.6).  A smaller block saves memory but costs time, so
+#   the sizes stay; the weak pass sets the peak of `skofbsde embed`.
 _WEAK_BLOCK = 1024
 _STRONG_BLOCK = 2048
 _ROUND_TRIP_BLOCK = 512
@@ -234,8 +236,13 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
                       r_max: float, K2: float, keep_paths: bool = False):
     """Euler integration of the (sigma, Sigma) system for a block of n
     driving paths of M increments each, up to r = min(r_max, M dr).  ``dB``
-    is an (n, M) array, or ``IncrementStreams`` of n paths and M steps, read
-    only for the paths still active.  Returns per-path crossing data."""
+    is an (n, M) array, or ``IncrementStreams`` of n paths and M steps.
+
+    The state (ids, sigma, Sigma, int beta dB) holds the live paths only,
+    and the noise is read for their ids.  ``stop`` writes the per-path
+    results of a crossing, a K2 breach or the K1 end by id; stopped paths
+    are then compacted away.  With ``keep_paths``, ``sigma_path`` holds
+    each path's sigma per step, frozen after its stop step."""
     if isinstance(dB, IncrementStreams):
         n, M, column = len(dB.gens), dB.n_steps, dB.column
     else:
@@ -249,65 +256,55 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
     floor = f.deriv_floor_eps
     T = f.T
 
-    sigma = np.zeros(n)
-    Sigma = np.zeros(n)
-    ibw = np.zeros(n)
-    active = np.ones(n, dtype=bool)
-    tau = np.full(n, np.nan)
-    Sigma_tau = np.full(n, np.nan)
-    ibw_tau = np.zeros(n)
+    ids = np.arange(n)
+    sigma, Sigma, ibw = np.zeros((3, n))
+    tau, Sigma_tau, ibw_tau = np.empty((3, n))
     guard = np.zeros(n, dtype=np.int8)       # 0 none, 1 K1, 2 K2
-    clamp_hits = 0
-    total_steps = 0
-    sigma_path = [np.zeros(n)] if keep_paths else None
+    clamp_hits = total_steps = 0
+    sigma_all = np.zeros(n)             # every path's sigma, for keep_paths
+    sigma_path = [sigma_all.copy()] if keep_paths else None
+
+    def stop(done, r, S, I, code):
+        # the live paths ids[done] stop at r with Sigma S and int beta dB I
+        j = ids[done]
+        tau[j], Sigma_tau[j], ibw_tau[j], guard[j] = r, S, I, code
 
     for m in range(m_max):
-        if not active.any():
+        if ids.size == 0:
             break
-        idx = np.nonzero(active)[0]
-        u1 = eval_field(f, np.clip(sigma[idx], 0.0, T), Sigma[idx], H_r[m],
-                        "u1")
+        u1 = eval_field(f, np.clip(sigma, 0.0, T), Sigma, H_r[m], "u1")
         clamp_hits += int(np.count_nonzero(u1 < floor))
-        total_steps += idx.size
+        total_steps += ids.size
         u1c = np.clip(u1, floor, L_g)
 
         b = beta_r[m]
-        dBm = column(m, idx)
+        dBm = column(m, ids)
         dsig = dr * b * b / (u1c * u1c)
         dSig = (b / u1c) * dBm
         dW_contrib = b * dBm
 
-        new_sigma = sigma[idx] + dsig
+        new_sigma = sigma + dsig
         crossed = new_sigma >= 1.0
         if crossed.any():
-            ci = idx[crossed]
-            theta = (1.0 - sigma[ci]) / dsig[crossed]
-            tau[ci] = r_left[m] + theta * dr
-            Sigma_tau[ci] = Sigma[ci] + theta * dSig[crossed]
-            ibw_tau[ci] = ibw[ci] + theta * dW_contrib[crossed]
-            active[ci] = False
-        live = ~crossed
-        li = idx[live]
-        sigma[li] = new_sigma[live]
-        Sigma[li] += dSig[live]
-        ibw[li] += dW_contrib[live]
-        breach = np.abs(Sigma[li]) >= K2
+            theta = (1.0 - sigma[crossed]) / dsig[crossed]
+            stop(crossed, r_left[m] + theta * dr,
+                 Sigma[crossed] + theta * dSig[crossed],
+                 ibw[crossed] + theta * dW_contrib[crossed], 0)
+        if keep_paths:                  # a crossed path keeps its sigma
+            sigma_all[ids[~crossed]] = new_sigma[~crossed]
+            sigma_path.append(sigma_all.copy())
+        sigma = new_sigma
+        Sigma += dSig
+        ibw += dW_contrib
+        breach = np.abs(Sigma) >= K2
+        breach &= ~crossed
         if breach.any():
-            bi = li[breach]
-            guard[bi] = 2
-            tau[bi] = r_left[m] + dr
-            Sigma_tau[bi] = Sigma[bi]
-            ibw_tau[bi] = ibw[bi]
-            active[bi] = False
-        if keep_paths:
-            sigma_path.append(sigma.copy())
+            stop(breach, r_left[m] + dr, Sigma[breach], ibw[breach], 2)
+        live = ~(breach | crossed)
+        if not live.all():
+            ids, sigma, Sigma, ibw = (a[live] for a in (ids, sigma, Sigma, ibw))
 
-    if active.any():
-        ai = np.nonzero(active)[0]
-        guard[ai] = 1
-        tau[ai] = m_max * dr
-        Sigma_tau[ai] = Sigma[ai]
-        ibw_tau[ai] = ibw[ai]
+    stop(slice(None), m_max * dr, Sigma, ibw, 1)
 
     out = {"tau": tau, "Sigma_tau": Sigma_tau, "int_beta_dB": ibw_tau,
            "guard": guard, "clamp_hits": clamp_hits,

@@ -251,7 +251,7 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
         w = unext
         residuals = []
         for _ in range(cfg.fixpoint_max_iter):
-            z = np.gradient(w, dx1, axis=0)
+            z = _gradient_into(np.empty_like(w), w, dx1, axis=0)
             zc = np.clip(z, -cfg.cutoff_H, cfg.cutoff_H)
             rhs = unext + dt * (zc * zc) * v2
             unew = solve_banded((1, 1), ab, rhs)
@@ -327,12 +327,12 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
     scheme's discretization error scale, raises
     :class:`DerivativeMismatchError` at the first (t, x1, x2) index, in C
     order, of the worst value.
-    ``finite_difference`` recomputes ``u1`` from ``u`` into a new array with
-    no temporaries; ``u`` and the old and new ``u1``, three field arrays,
-    are held until it returns.
+    ``finite_difference`` drops ``f.u1`` and recomputes it from ``u`` with
+    no temporaries: two field arrays unless the caller holds the old ``u1``.
     """
     dx1 = f.x1_grid[1] - f.x1_grid[0]
     if method == "finite_difference":
+        f.u1 = None
         f.u1 = _gradient_into(np.empty_like(f.u), f.u, dx1, axis=1)
         return f
     if method != "coupled_system":
@@ -347,7 +347,7 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
     ab = _banded_matrix(nx1, dt / (2.0 * dx1**2))
     mismatch_tol = 10.0 * (dt + dx1**2 + dx2)
 
-    v1, v2, u2, u2_next = np.empty((4, nx1, nx2))
+    v1, v2, u2, u2_next, dv = np.empty((5, nx1, nx2))
     v1[...] = np.asarray(g.derivative(f.x1_grid))[:, None]
     v2[...] = -np.asarray(delta.derivative(f.x2_grid))[None, :]
     # compare away from one-sided stencils and the top transport row; per
@@ -364,7 +364,7 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
             b_coef = 2.0 * f.u1[n + 1] * u2_next
             v1, v2 = [solve_banded((1, 1), ab, vn + dt * (
                           a_coef * _d2_up(vn, dx2)
-                          + b_coef * np.gradient(vn, dx1, axis=0)))
+                          + b_coef * _gradient_into(dv, vn, dx1, axis=0)))
                       for vn in (v1, v2)]
         _gradient_into(u2, f.u[n], dx2, axis=1)
         for k, (v, u_fd) in enumerate(((v1, f.u1[n]), (v2, u2))):

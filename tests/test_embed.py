@@ -12,6 +12,7 @@ from skofbsde.embed import (coupled_round_trip, strong_embed_on_W,
 from skofbsde.errors import ConfigError, LocalizationError
 from skofbsde.fbsde import (normal_increments, path_seed, simulate_block,
                             simulate_path)
+from skofbsde.field import eval_field
 
 
 def test_weak_embed_trivial(case_trivial):
@@ -68,7 +69,6 @@ def test_strong_embed_constants(case_uniform_k025):
     c = case_uniform_k025.value
     er = strong_embed_on_W(c["field"], c["coeffs"], 512, 2048, seed=90, g=c["g"])
     # the starting constant is the field value at the origin
-    from skofbsde.field import eval_field
     assert er.c == eval_field(c["field"], 0.0, 0.0, 0.0)
     assert er.tau_bound == pytest.approx(tau_bound(c["field"], c["coeffs"]))
     assert er.guard_counts == {"K1": 0, "K2": 0}
@@ -252,6 +252,131 @@ def test_round_trip_matches_per_path_reference(case_uniform_k025):
         we.identity_residual for we in embs)
     assert rt["mean_abs_diff"] == float(np.abs(tau_w - tau_s).mean())
     assert rt["max_abs_diff"] == float(np.abs(tau_w - tau_s).max())
+
+
+def _strong_reference(f, coeffs, dB, dr, r_max, K2):
+    """The strong rule one path at a time: the same Euler step in plain
+    Python, with ``eval_field`` on one-element arrays.  A path stops at its
+    first crossing (interpolated inside the step), at |Sigma| >= K2 after a
+    step, or at the end of the r-grid (K1)."""
+    m_max = min(dB.shape[1], int(np.ceil(r_max / dr)))
+    r_left = np.arange(m_max) * dr
+    beta_r = np.asarray(coeffs.beta(r_left))
+    H_r = np.asarray(coeffs.clock_H(r_left))
+    floor, L_g = f.deriv_floor_eps, f.g_lipschitz
+    rows, paths, clamp_hits, total_steps = [], [], 0, 0
+    for dB_j in dB:
+        sigma = Sigma = ibw = 0.0
+        path = [sigma]
+        for m in range(m_max):
+            u1 = eval_field(f, np.clip([sigma], 0.0, f.T), np.array([Sigma]),
+                            H_r[m], "u1")[0]
+            clamp_hits += int(u1 < floor)
+            total_steps += 1
+            u1c = float(np.clip(u1, floor, L_g))
+            b = beta_r[m]
+            dsig = dr * b * b / (u1c * u1c)
+            dSig = (b / u1c) * dB_j[m]
+            dW = b * dB_j[m]
+            if sigma + dsig >= 1.0:
+                theta = (1.0 - sigma) / dsig
+                row = (r_left[m] + theta * dr, Sigma + theta * dSig,
+                       ibw + theta * dW, 0)
+                path.append(sigma)
+                break
+            sigma, Sigma, ibw = sigma + dsig, Sigma + dSig, ibw + dW
+            path.append(sigma)
+            if abs(Sigma) >= K2:
+                row = (r_left[m] + dr, Sigma, ibw, 2)
+                break
+        else:
+            row = (m_max * dr, Sigma, ibw, 1)
+        rows.append(row)
+        paths.append(path)
+    tau, Sigma_tau, ibw_tau, guard = map(np.array, zip(*rows))
+    return {"tau": tau, "Sigma_tau": Sigma_tau, "int_beta_dB": ibw_tau,
+            "guard": guard.astype(np.int8), "clamp_hits": clamp_hits,
+            "total_steps": total_steps}, paths
+
+
+def test_strong_rule_matches_per_path_reference_with_mixed_stops(
+        case_uniform_k025, monkeypatch):
+    # K1 and K2 chosen so that crossings, K2 breaches and K1 ends all occur
+    # among the 37 paths (seed 3: 19 / 5 / 13)
+    c = case_uniform_k025.value
+    f, coeffs = c["field"], c["coeffs"]
+    K1, K2, n_steps = 0.1, 1.5, 512
+    r_max, K2 = embed._strong_limits(f, coeffs, K1, K2)
+    dr = r_max / n_steps
+    seeds = path_seed(3 ^ embed._STRONG_SEED_SALT, np.arange(37))
+    dB = np.array([normal_increments(int(s), n_steps, dr) for s in seeds])
+    ref, ref_paths = _strong_reference(f, coeffs, dB, dr, r_max, K2)
+    assert set(ref["guard"].tolist()) == {0, 1, 2}
+
+    def check(res, expect):
+        assert res.keys() >= expect.keys()
+        for key, want in expect.items():
+            assert np.array_equal(res[key], want), key
+            assert np.asarray(res[key]).dtype == np.asarray(want).dtype, key
+
+    # one dense block holding all three kinds of stop, with every path's
+    # sigma frozen after its stop step.  One crossing path gets a large
+    # increment at its crossing step, so that step also leaves |Sigma| >= K2
+    # (dSig >= 10 K2 / L_g); it stays a crossing, since whether sigma crosses
+    # depends only on the state before the step
+    j0 = int(np.flatnonzero(ref["guard"] == 0)[0])
+    dense = dB.copy()
+    dense[j0, len(ref_paths[j0]) - 2] = 10.0 * K2
+    row0, _ = _strong_reference(f, coeffs, dense[j0:j0 + 1], dr, r_max, K2)
+    assert row0["guard"][0] == 0
+    dense_ref = {key: np.array(want) for key, want in ref.items()}
+    for key in ("tau", "Sigma_tau", "int_beta_dB"):
+        dense_ref[key][j0] = row0[key][0]
+    res = embed._integrate_strong(f, coeffs, dense, dr, r_max, K2,
+                                  keep_paths=True)
+    check(res, dense_ref)
+    width = max(len(p) for p in ref_paths)
+    assert np.array_equal(res["sigma_path"], np.array(
+        [p + p[-1:] * (width - len(p)) for p in ref_paths]))
+
+    # the streamed noise through strong_embed_on_W, at two block sizes
+    integrate = embed._integrate_strong
+    blocks = []
+
+    def recorded(*args, **kwargs):
+        blocks.append(integrate(*args, **kwargs))
+        return blocks[-1]
+
+    monkeypatch.setattr(embed, "_integrate_strong", recorded)
+    for block in (5, 16):
+        blocks.clear()
+        monkeypatch.setattr(embed, "_STRONG_BLOCK", block)
+        er = strong_embed_on_W(f, coeffs, 37, n_steps, seed=3, K1=K1, K2=K2)
+        assert len(blocks) == -(-37 // block)
+        check({key: (np.concatenate([b[key] for b in blocks])
+                     if isinstance(ref[key], np.ndarray)
+                     else sum(b[key] for b in blocks)) for key in ref}, ref)
+        assert np.array_equal(er.tau_strong, ref["tau"])
+        assert er.guard_counts == {
+            "K1": int(np.count_nonzero(ref["guard"] == 1)),
+            "K2": int(np.count_nonzero(ref["guard"] == 2))}
+    monkeypatch.setattr(embed, "_integrate_strong", integrate)
+
+    # the one-path rule keeps sigma up to and including the stop step: at a
+    # crossing the last value repeats, at a breach it is the breached step
+    for kind in (0, 1, 2):
+        j = int(np.flatnonzero(ref["guard"] == kind)[0])
+        one = embed._integrate_strong(f, coeffs, dB[j:j + 1], dr, r_max, K2,
+                                      keep_paths=True)
+        assert np.array_equal(one["sigma_path"][0], ref_paths[j])
+        if kind == 2:
+            with pytest.raises(LocalizationError):
+                strong_stopping_time(f, coeffs, dB[j], dr, K1=K1, K2=K2)
+            continue
+        ss = strong_stopping_time(f, coeffs, dB[j], dr, K1=K1, K2=K2)
+        assert np.array_equal(ss.sigma_path, ref_paths[j])
+        assert (ss.tau, ss.Sigma_tau) == (ref["tau"][j], ref["Sigma_tau"][j])
+        assert ss.guard == ("none", "K1")[kind]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -207,17 +207,37 @@ def test_coupled_check_forms_each_u2_layer_once(case_uniform_k05,
     # the comparison at n and the coefficient of the step to n - 1
     c = case_uniform_k05.value
     f = dataclasses.replace(c["field"], deriv_mismatch=None)
-    calls = []
+    axes = []
     gradient_into = field_mod._gradient_into
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        axes.append(kwargs["axis"])
         return gradient_into(*args, **kwargs)
 
     monkeypatch.setattr(field_mod, "_gradient_into", counted)
     derivative_fields(f, "coupled_system", g=c["g"], delta=c["delta"])
-    assert len(calls) == f.t_grid.size     # nt + 1
+    # the x2 stencil of u once per layer, nt + 1; the x1 stencil of v1 and
+    # v2 once per step each, 2 nt
+    nt = f.t_grid.size - 1
+    assert (axes.count(1), axes.count(0)) == (nt + 1, 2 * nt)
     assert f.deriv_mismatch is not None
+
+
+@pytest.mark.parametrize("ndim, axis", [(2, 0), (2, 1), (3, 0), (3, 1),
+                                        (3, 2)])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_gradient_into_equals_np_gradient(ndim, axis, data):
+    # the solver's x1 and x2 stencils rely on this bitwise identity; an axis
+    # of length 2 has an empty interior slice
+    shape = data.draw(st.lists(st.integers(2, 7), min_size=ndim,
+                               max_size=ndim), label="shape")
+    dx = data.draw(st.floats(1e-6, 1e3), label="dx")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    scale = 10.0 ** data.draw(st.integers(-8, 8), label="scale")
+    w = np.random.default_rng(seed).standard_normal(shape) * scale
+    got = field_mod._gradient_into(np.empty_like(w), w, dx, axis=axis)
+    assert np.array_equal(got, np.gradient(w, dx, axis=axis))
 
 
 def test_derivative_method_unknown(case_linear):
