@@ -131,40 +131,34 @@ def _build_time_function(spec: dict, name: str) -> coeffs_mod.TimeFunction:
     raise ConfigError(f"unknown time-function kind {kind!r} in {name}")
 
 
-def build_coefficients(spec: dict, g_lipschitz: float,
-                       solver_T: float) -> coeffs_mod.ProcessCoefficients:
+def build_coefficients(spec: dict,
+                       h_target: float) -> coeffs_mod.ProcessCoefficients:
     _reject_extras(spec, {"G0", "alpha", "beta", "beta_floor", "T_phys"},
                    "coefficients")
     alpha = _build_time_function(_take(spec, "alpha", kind=dict), "alpha")
     beta = _build_time_function(_take(spec, "beta", kind=dict), "beta")
     t_phys = _take(spec, "T_phys", None, (int, float))
-    # horizon default: H(T_phys) = 1.05 L_g^2, enough for the embedding bound
-    # and for the solver's x2 box
-    h_target = None if t_phys is not None else \
-        1.05 * g_lipschitz**2 * max(solver_T, 1.0)
     return coeffs_mod.ProcessCoefficients(
         G0=_take(spec, "G0", 0.0, (int, float)),
         alpha=alpha, beta=beta,
         beta_floor=_take(spec, "beta_floor", kind=(int, float)),
-        t_phys=t_phys, h_target=h_target)
+        t_phys=t_phys, h_target=None if t_phys is not None else h_target)
 
 
-_SOLVER_KEYS = {"T", "nt", "nx1", "nx2", "x1_lo", "x1_hi", "x2_hi",
-                "cutoff_H", "fixpoint_tol", "fixpoint_max_iter",
-                "deriv_floor_eps"}
+_SOLVER_KEYS = {"nt", "nx1", "nx2", "x1_lo", "x1_hi", "x2_hi", "cutoff_H",
+                "fixpoint_tol", "fixpoint_max_iter", "deriv_floor_eps"}
 
 
 def build_solver_config(spec: dict, g_lipschitz: float) -> field_mod.SolverConfig:
     _reject_extras(spec, _SOLVER_KEYS, "solver")
     base = field_mod.SolverConfig.defaults(
         g_lipschitz,
-        T=_take(spec, "T", 1.0, (int, float)),
         nt=_take(spec, "nt", 256, int),
         nx1=_take(spec, "nx1", 257, int),
         nx2=_take(spec, "nx2", 129, int))
     overrides = {k: _take(spec, k, kind=int if k == "fixpoint_max_iter"
                           else (int, float))
-                 for k in spec if k in _SOLVER_KEYS - {"T", "nt", "nx1", "nx2"}}
+                 for k in spec if k in _SOLVER_KEYS - {"nt", "nx1", "nx2"}}
     cfg = field_mod.SolverConfig(**{**vars(base), **overrides}) if overrides else base
     cfg.validate(g_lipschitz)
     return cfg
@@ -191,9 +185,9 @@ class RunConfig:
 
         solver_spec = dict(_take(raw, "solver", {}, dict))
         self.solver = build_solver_config(solver_spec, self.g.lipschitz)
+        # the clock reaches the solver's x2 box, which covers L_g^2
         self.coefficients = build_coefficients(
-            dict(_take(raw, "coefficients", kind=dict)),
-            self.g.lipschitz, self.solver.T)
+            dict(_take(raw, "coefficients", kind=dict)), self.solver.x2_hi)
         self.delta = self.coefficients.delayed_drift()
 
         sim = dict(_take(raw, "simulation", {}, dict))
@@ -270,14 +264,13 @@ def _dump_paths(cfg: RunConfig, f, count: int) -> None:
 
 def cmd_embed(cfg: RunConfig, field_path: str, dump_paths: int = 0) -> int:
     f = field_mod.load_field(field_path)
-    # a field solved for this horizon, law and drift has, bitwise, the
-    # terminal layer that solve_field builds
+    # a field solved for this law and drift has, bitwise, the terminal
+    # layer that solve_field builds
     try:
         term = field_mod.terminal_layer(cfg.g, cfg.delta, f.x1_grid, f.x2_grid)
     except HorizonError:    # the field's x2 grid lies beyond this clock
         term = None
-    if term is None or not np.array_equal(f.u[-1], term) \
-            or abs(f.T - cfg.solver.T) > 1e-12:
+    if term is None or not np.array_equal(f.u[-1], term):
         raise ConfigError("field file is not compatible with this configuration")
     os.makedirs(cfg.output_dir, exist_ok=True)
 

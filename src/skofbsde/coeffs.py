@@ -18,6 +18,7 @@ linear clock, kinks of tabulated ``beta^2`` included).
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
 
@@ -34,14 +35,37 @@ _EXPR_NS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
     "log": np.log, "sqrt": np.sqrt, "abs": np.abs, "pi": math.pi, "e": math.e,
 }
+_EXPR_FUNCS = {k for k, v in _EXPR_NS.items() if callable(v)}
+_EXPR_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod,
+             ast.Pow, ast.UAdd, ast.USub)
+
+
+def _allowed(node: ast.AST) -> bool:
+    """Whether ``node`` may appear in an expression: a numeric constant,
+    ``s``, an ``_EXPR_NS`` name, arithmetic or a one-argument call of an
+    ``_EXPR_NS`` function.  Such expressions act elementwise on ``s``."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.Name):
+        return node.id == "s" or node.id in _EXPR_NS
+    if isinstance(node, (ast.UnaryOp, ast.BinOp)):
+        return isinstance(node.op, _EXPR_OPS)
+    if isinstance(node, ast.Call):
+        # a numpy function's second positional argument is its out array
+        return (isinstance(node.func, ast.Name) and node.func.id in _EXPR_FUNCS
+                and len(node.args) == 1 and not node.keywords)
+    # the root, and the operators and contexts of the nodes above
+    return isinstance(node, (ast.Expression, ast.operator, ast.unaryop,
+                             ast.Load))
 
 
 class TimeFunction:
     """Deterministic function of time: constant, tabulated or expression.
 
     Tabulated functions are piecewise linear between the given nodes and are
-    held constant beyond the last node.  Expressions may use the variable
-    ``s`` and the names in ``_EXPR_NS``.
+    held constant beyond the last node.  Expressions are arithmetic on
+    numbers, the variable ``s``, ``pi`` and ``e``, with one-argument calls of
+    the ``_EXPR_NS`` functions, so they act elementwise on ``s``.
     """
 
     def __init__(self, kind: str, *, value: float | None = None,
@@ -63,10 +87,16 @@ class TimeFunction:
             if not expr:
                 raise ConfigError("expr time function needs an 'expr' string")
             self.expr = expr
-            code = compile(expr, "<timefunction>", "eval")
-            for name in code.co_names:
-                if name not in _EXPR_NS and name != "s":
-                    raise ConfigError(f"unknown name {name!r} in time function expression")
+            try:
+                tree = ast.parse(expr, mode="eval")
+                code = compile(expr, "<timefunction>", "eval")
+            except (SyntaxError, ValueError, RecursionError) as exc:
+                raise ConfigError(f"time function expression does not "
+                                  f"parse: {exc}") from None
+            for node in ast.walk(tree):
+                if not _allowed(node):
+                    raise ConfigError(f"{ast.unparse(node)!r} is not allowed "
+                                      f"in a time function expression")
             self._code = code
         else:
             raise ConfigError(f"unknown time function kind {kind!r}")
@@ -94,6 +124,17 @@ class TimeFunction:
                                sa.shape).copy()
 
 
+def _tabulate(fn, grid: np.ndarray) -> np.ndarray:
+    """``fn(grid)`` as floats.  An error of ``fn`` is a :class:`ConfigError`;
+    a non-finite value is left to the callers' finiteness checks, so numpy
+    does not warn about it."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(fn(grid), dtype=float)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise ConfigError(f"time function fails on [0, T_phys]: {exc}") from None
+
+
 @dataclass(frozen=True)
 class DelayedDrift:
     """Callable delta = delta_hat o H^{-1} with its derivative bound.
@@ -118,9 +159,10 @@ class ProcessCoefficients:
     """Coefficients (G0, alpha, beta) with precomputed clock tables.
 
     The quadrature grid spans ``[0, T_phys]``.  When ``t_phys`` is omitted it
-    is solved from ``H(T_phys) = h_target`` (callers pass
-    ``h_target = 1.05 * L_g^2`` so the embedding bound stays in range).
-    Instances are immutable after construction.
+    is solved from ``H(T_phys) = h_target``; callers pass the solver's x2
+    box ``SolverConfig.x2_hi``, which covers the embedding bound L_g^2.
+    Instances are immutable after construction.  An error raised while
+    ``alpha`` or ``beta`` is tabulated is a :class:`ConfigError`.
     """
 
     def __init__(self, G0: float, alpha: TimeFunction, beta: TimeFunction,
@@ -134,7 +176,7 @@ class ProcessCoefficients:
             # H grows with slope >= beta_floor^2, so this horizon reaches h_target
             t_upper = h_target / beta_floor**2 + 1e-9
             grid = np.linspace(0.0, t_upper, MIN_QUAD_POINTS)
-            h_tab = self._cumtrapz(grid, np.asarray(beta(grid))**2)
+            h_tab = self._cumtrapz(grid, _tabulate(beta, grid)**2)
             if h_tab[-1] < h_target:
                 raise ConfigError("internal horizon solve failed to reach target")
             t_phys = float(np.interp(h_target, h_tab, grid))
@@ -148,10 +190,10 @@ class ProcessCoefficients:
         self.t_phys = float(t_phys)
 
         self._grid = np.linspace(0.0, self.t_phys, MIN_QUAD_POINTS)
-        beta_vals = np.asarray(beta(self._grid), dtype=float)
+        beta_vals = _tabulate(beta, self._grid)
         if np.any(np.abs(beta_vals) < self.beta_floor * (1.0 - 1e-12)):
             raise ConfigError("certified beta_floor violated on the quadrature grid")
-        alpha_vals = np.asarray(alpha(self._grid), dtype=float)
+        alpha_vals = _tabulate(alpha, self._grid)
         if np.any(~np.isfinite(alpha_vals)) or np.any(~np.isfinite(beta_vals)):
             raise ConfigError("alpha/beta must be finite on [0, T_phys]")
         self._h_tab = self._cumtrapz(self._grid, beta_vals**2)
@@ -174,7 +216,7 @@ class ProcessCoefficients:
     def clock_H(self, t) -> np.ndarray | float:
         """H(t) = int_0^t beta^2; strictly increasing with slope >= beta_floor^2."""
         ta = np.asarray(t, dtype=float)
-        if np.any(ta < -1e-12) or np.any(ta > self.t_phys * (1.0 + 1e-12)):
+        if not np.all((-1e-12 <= ta) & (ta <= self.t_phys * (1.0 + 1e-12))):
             raise DomainError(f"clock argument outside [0, {self.t_phys}]")
         res = np.interp(np.clip(ta, 0.0, self.t_phys), self._grid, self._h_tab)
         return float(res) if np.ndim(t) == 0 else res
@@ -183,7 +225,7 @@ class ProcessCoefficients:
         """Inverse clock by interpolation of the strictly increasing clock
         table (slope >= beta_floor^2); Lipschitz <= 1/beta_floor^2."""
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(xa < -1e-12):
+        if not np.all(xa >= -1e-12):
             raise DomainError("clock inverse argument must be non-negative")
         if np.any(xa > self.h_max * (1.0 + 1e-12)):
             overshoot = float(xa.max()) - self.h_max
@@ -199,7 +241,7 @@ class ProcessCoefficients:
     def delta_hat(self, t) -> np.ndarray | float:
         """delta_hat(t) = G0 + int_0^t alpha."""
         ta = np.asarray(t, dtype=float)
-        if np.any(ta < -1e-12) or np.any(ta > self.t_phys * (1.0 + 1e-12)):
+        if not np.all((-1e-12 <= ta) & (ta <= self.t_phys * (1.0 + 1e-12))):
             raise DomainError(f"delta_hat argument outside [0, {self.t_phys}]")
         res = np.interp(np.clip(ta, 0.0, self.t_phys), self._grid, self._dhat_tab)
         return float(res) if np.ndim(t) == 0 else res

@@ -216,13 +216,12 @@ def _strong_limits(f: DecouplingField, coeffs: ProcessCoefficients,
     """``(r_max, K2)``: where the strong rule's r-grid ends, and its Sigma
     guard.
 
-    The embeddings assume the backward horizon T = 1.  Guards left ``None``
-    take the defaults, which never bind: K1 = 2 H^{-1}(L_g^2) and
-    K2 = 10 sqrt(2 H^{-1}(L_g^2)) max(sup |beta|, 1).  ``r_max`` is K1,
-    capped below T_phys because the clock is tabulated on [0, T_phys].
+    The field's horizon is 1, as the solver makes it and ``load_field``
+    checks.  Guards left ``None`` take the defaults, which never bind:
+    K1 = 2 H^{-1}(L_g^2) and K2 = 10 sqrt(2 H^{-1}(L_g^2)) max(sup |beta|, 1).
+    ``r_max`` is K1, capped below T_phys because the clock is tabulated on
+    [0, T_phys].
     """
-    if abs(f.T - 1.0) > 1e-12:
-        raise ConfigError("embeddings assume the backward horizon T = 1")
     K1_default = 2.0 * tau_bound(f, coeffs)
     if K2 is None:
         beta_sup = float(np.abs(coeffs.beta(np.linspace(0.0, coeffs.t_phys, 2049))).max())

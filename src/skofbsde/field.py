@@ -50,14 +50,13 @@ _SOLVE_PEAK_ARRAYS = 3
 class SolverConfig:
     """Grid and iteration parameters of the backward solve.
 
-    ``nt`` counts time steps (the time grid has nt + 1 nodes); ``nx1`` and
-    ``nx2`` count spatial nodes.  ``cutoff_H`` is the radius of the gradient
+    ``nt`` counts time steps of the unit horizon (the time grid is
+    ``np.linspace(0, 1, nt + 1)``); ``nx1`` and ``nx2`` count spatial nodes.  ``cutoff_H`` is the radius of the gradient
     cutoff and must lie strictly above the Lipschitz constant of g so the
     cutoff stays passive.  ``deriv_floor_eps`` is the lower clamp applied to
     u1 wherever it enters a denominator downstream.
     """
 
-    T: float = 1.0
     nt: int = 256
     nx1: int = 257
     nx2: int = 129
@@ -70,36 +69,33 @@ class SolverConfig:
     deriv_floor_eps: float = 1e-6
 
     @classmethod
-    def defaults(cls, g_lipschitz: float, T: float = 1.0, nt: int = 256,
-                 nx1: int = 257, nx2: int = 129) -> "SolverConfig":
-        """Spec defaults: x1 box +-6 sqrt(T) (Gaussian mass beyond < 1e-8),
-        x2 box 1.05 L_g^2 T (forced by the X2 dynamics and the Z bound),
+    def defaults(cls, g_lipschitz: float, nt: int = 256, nx1: int = 257,
+                 nx2: int = 129) -> "SolverConfig":
+        """Spec defaults: x1 box [-6, 6] (Gaussian mass beyond < 1e-8),
+        x2 box [0, 1.05 L_g^2] (forced by the X2 dynamics and the Z bound;
+        the 5% margin is also the clock's horizon, ``H(T_phys) = x2_hi``),
         cutoff 4 max(L_g, 1)."""
-        half = 6.0 * np.sqrt(T)
-        return cls(T=T, nt=nt, nx1=nx1, nx2=nx2,
-                   x1_lo=-half, x1_hi=half,
-                   x2_hi=1.05 * g_lipschitz**2 * T,
+        return cls(nt=nt, nx1=nx1, nx2=nx2, x1_lo=-6.0, x1_hi=6.0,
+                   x2_hi=1.05 * g_lipschitz**2,
                    cutoff_H=4.0 * max(g_lipschitz, 1.0))
 
     def validate(self, g_lipschitz: float) -> None:
-        if self.T <= 0.0:
-            raise ConfigError("T must be positive")
         if self.nt < 2 or self.nx1 < 2 or self.nx2 < 2:
             raise ConfigError("nt, nx1, nx2 must all be >= 2")
         if not self.x1_lo < self.x1_hi:
             raise ConfigError("x1_lo must be below x1_hi")
-        if self.x2_hi < g_lipschitz**2 * self.T * (1.0 - 1e-12):
-            raise ConfigError("x2_hi must cover L_g^2 * T (reachable set of X2)")
+        if self.x2_hi < g_lipschitz**2 * (1.0 - 1e-12):
+            raise ConfigError("x2_hi must cover L_g^2 (reachable set of X2)")
         if self.cutoff_H <= g_lipschitz:
             raise ConfigError("cutoff_H must exceed L_g for a passive cutoff")
         if self.fixpoint_tol <= 0.0 or self.fixpoint_max_iter < 1:
             raise ConfigError("invalid fixed-point parameters")
         if self.deriv_floor_eps <= 0.0:
             raise ConfigError("deriv_floor_eps must be positive")
-        dt = self.T / self.nt
+        dt = 1.0 / self.nt
         dx2 = self.x2_hi / (self.nx2 - 1)
         if g_lipschitz > 0.0 and dt > CFL_SAFETY * dx2 / g_lipschitz**2 * (1.0 + 1e-12):
-            nt_min = int(np.ceil(self.T * g_lipschitz**2 / (CFL_SAFETY * dx2)))
+            nt_min = int(np.ceil(g_lipschitz**2 / (CFL_SAFETY * dx2)))
             raise ConfigError(
                 f"time step violates the transport restriction "
                 f"dt <= {CFL_SAFETY} * dx2 / L_g^2; use nt >= {nt_min}")
@@ -233,10 +229,10 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
     cfg.validate(L_g)
 
     nt, nx1, nx2 = cfg.nt, cfg.nx1, cfg.nx2
-    t_grid = np.linspace(0.0, cfg.T, nt + 1)
+    t_grid = np.linspace(0.0, 1.0, nt + 1)
     x1 = np.linspace(cfg.x1_lo, cfg.x1_hi, nx1)
     x2 = np.linspace(0.0, cfg.x2_hi, nx2)
-    dt = cfg.T / nt
+    dt = 1.0 / nt
     dx1 = x1[1] - x1[0]
     dx2 = x2[1] - x2[0]
 
@@ -435,7 +431,7 @@ def eval_field(f: DecouplingField, t, x1, x2,
         wt = min(max((tq - float(f.t_grid[it])) / dt, 0.0), 1.0)
     else:
         tq = np.asarray(t, dtype=float)
-        if np.any(tq < -1e-12) or np.any(tq > T * (1.0 + 1e-12)):
+        if not np.all((-1e-12 <= tq) & (tq <= T * (1.0 + 1e-12))):
             raise DomainError(f"time query outside [0, {T}]")
         it = np.minimum(np.maximum(0, (tq / dt).astype(int)), nt1 - 2)
         wt = np.minimum(np.maximum(0.0, (tq - f.t_grid[it]) / dt), 1.0)
@@ -600,7 +596,9 @@ def _read_sidecar(path: str) -> dict:
 def load_field(path: str) -> DecouplingField:
     """Read a field written by :func:`save_field`; ``u1`` is recomputed with
     the finite-difference stencil.  A missing, malformed or mis-shaped file
-    raises :class:`ConfigError`."""
+    raises :class:`ConfigError`, and so do grids that :func:`solve_field`
+    does not make (and :func:`eval_field` assumes): each is ``np.linspace``
+    of its increasing end points, t from 0 to 1 and x2 from 0."""
     meta = _read_sidecar(path)
     try:
         grids = [np.array(meta[k], dtype=float)
@@ -614,6 +612,12 @@ def load_field(path: str) -> DecouplingField:
     if tuple(g.size for g in grids) != shape:
         raise ConfigError(f"field sidecar for {path}: grid sizes do not match "
                           f"shape {shape}")
+    if not (all(g.ndim == 1 and g.size >= 2 and g[0] < g[-1]
+                and np.array_equal(g, np.linspace(g[0], g[-1], g.size))
+                for g in grids)
+            and (grids[0][0], grids[0][-1], grids[2][0]) == (0.0, 1.0, 0.0)):
+        raise ConfigError(f"field sidecar for {path}: grids must be uniform "
+                          f"and increasing, with t from 0 to 1 and x2 from 0")
     try:
         with open(path, "rb") as fh:
             fh.seek(-1, os.SEEK_END)

@@ -118,18 +118,18 @@ class OracleField:
     """Quadrature reference for the decoupling field in the two solvable
     regimes.
 
-    ``no_drift``:  u(t, x1, x2) = E[g(x1 + sqrt(T-t) xi)]  (martingale
+    ``no_drift``:  u(t, x1, x2) = E[g(x1 + sqrt(1-t) xi)]  (martingale
     representation; no x2 dependence).
 
     ``linear_drift`` (delta(x) = kappa x, kappa != 0):
-    u(t, x1, x2) = -(1/(2 kappa)) ln E[exp(-2 kappa g(x1 + sqrt(T-t) xi))]
+    u(t, x1, x2) = -(1/(2 kappa)) ln E[exp(-2 kappa g(x1 + sqrt(1-t) xi))]
                    - kappa x2,
     the exponential transform that linearizes the quadratic coupling.  The
     expectation is a 64-node Gauss-Hermite sum; the log uses max-subtraction
     so large kappa * g spreads cannot overflow.
     """
 
-    def __init__(self, kind: str, g, kappa: float = 0.0, T: float = 1.0):
+    def __init__(self, kind: str, g, kappa: float = 0.0):
         if kind not in ("no_drift", "linear_drift"):
             raise DomainError(f"unknown oracle kind {kind!r}")
         if kind == "linear_drift" and kappa == 0.0:
@@ -137,7 +137,6 @@ class OracleField:
         self.kind = kind
         self.g = g
         self.kappa = float(kappa)
-        self.T = float(T)
         h, w = np.polynomial.hermite.hermgauss(_GH_NODES)
         self._nodes = np.sqrt(2.0) * h
         self._logw = np.log(w / np.sqrt(np.pi))
@@ -149,9 +148,9 @@ class OracleField:
                                         np.asarray(x2, dtype=float))
         scalar = t.ndim == 0
         t, x1, x2 = np.atleast_1d(t), np.atleast_1d(x1), np.atleast_1d(x2)
-        if np.any(t < -1e-12) or np.any(t > self.T * (1 + 1e-12)):
-            raise DomainError(f"oracle time outside [0, {self.T}]")
-        s = np.sqrt(np.maximum(self.T - t, 0.0))
+        if not np.all((-1e-12 <= t) & (t <= 1.0 + 1e-12)):
+            raise DomainError("oracle time outside [0, 1]")
+        s = np.sqrt(np.maximum(1.0 - t, 0.0))
         gv = np.asarray(self.g(x1[:, None] + s[:, None] * self._nodes[None, :]))
         if self.kind == "no_drift":
             res = gv @ self._w
@@ -173,7 +172,7 @@ class OracleField:
         gv = np.empty(n)
         report = {}
         for t, x1 in _ORACLE_PROBES:
-            s = np.sqrt(self.T - t)
+            s = np.sqrt(1.0 - t)
             for lo in range(0, n, _ORACLE_CHUNK):
                 gv[lo:lo + _ORACLE_CHUNK] = self.g(
                     x1 + s * xi[lo:lo + _ORACLE_CHUNK])

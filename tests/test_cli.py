@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -243,8 +244,25 @@ def test_shipped_example_configs_parse():
     root = os.path.join(os.path.dirname(__file__), "..", "configs")
     for name in ("normal_nodrift.json", "uniform_lineardrift.json",
                  "normal_sindrift.json", "smoke_small.json"):
-        rc = RunConfig.from_file(os.path.join(root, name))
-        assert rc.solver.T == 1.0
+        RunConfig.from_file(os.path.join(root, name))
+
+
+def test_x2_box_sets_the_clock_horizon(tmp_path, capsys):
+    # the clock's horizon solves H(T_phys) = solver.x2_hi, so a wider box
+    # than the default 1.05 L_g^2 is inside the clock
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    raw = json.loads(open(os.path.join(root, "smoke_small.json")).read())
+    raw["solver"]["x2_hi"] = 0.2
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["embed", "--config", str(cfg), "--out", str(out),
+                 "--field", str(out / "field.csv")]) == 0
+    capsys.readouterr()
+    bound = json.loads((out / "law_report.json").read_text())["tau_bound"]
+    taus = np.loadtxt(out / "embedding.csv", delimiter=",", skiprows=1)[:, 1:3]
+    assert taus.shape == (200, 2) and np.all(taus <= bound + 1e-9)
 
 
 def _bad_table_cell(tmp_path, cfg, field_dir):
@@ -304,6 +322,50 @@ def _version_1_sidecar(tmp_path, cfg, field_dir):
     side.write_text(json.dumps(meta))
     return ["embed", "--config", cfg, "--out", str(field_dir),
             "--field", str(field_dir / "field.csv")]
+
+
+def _edited_sidecar(name, key, edit):
+    def breaker(tmp_path, cfg, field_dir):
+        side = field_dir / "field.json"
+        meta = json.loads(side.read_text())
+        meta[key] = edit(np.array(meta[key])).tolist()
+        side.write_text(json.dumps(meta))
+        return ["embed", "--config", cfg, "--out", str(tmp_path / "new"),
+                "--field", str(field_dir / "field.csv")]
+    breaker.__name__ = name     # the test id
+    return breaker
+
+
+def _moved_node(x):
+    x[3] += 1e-3
+    return x
+
+
+# uniform grids that solve_field does not make, and one non-uniform grid
+_t_grid_ends_at_half = _edited_sidecar(
+    "_t_grid_ends_at_half", "t_grid",
+    lambda t: np.linspace(0.0, 0.5, t.size))
+_x2_grid_off_zero = _edited_sidecar(
+    "_x2_grid_off_zero", "x2_grid",
+    lambda x: np.linspace(0.01, 0.01 + x[-1], x.size))
+_x1_grid_non_uniform = _edited_sidecar(
+    "_x1_grid_non_uniform", "x1_grid", _moved_node)
+
+
+def _solver_T(command):
+    # the horizon is 1 and no longer a solver key
+    def breaker(tmp_path, cfg, field_dir):
+        bad = write_config(tmp_path, "bad.json", solver={"T": 0.5})
+        argv = [command, "--config", bad, "--out", str(tmp_path / "new")]
+        if command == "embed":
+            argv += ["--field", str(field_dir / "field.csv")]
+        return argv
+    breaker.__name__ = f"_solver_T_{command}"
+    return breaker
+
+
+_solver_T_solve, _solver_T_embed, _solver_T_all = map(
+    _solver_T, ("solve", "embed", "all"))
 
 
 def _zero_paths(tmp_path, cfg, field_dir):
@@ -380,6 +442,44 @@ _oversized_grid = _solve_with(
     "_oversized_grid", solver={"nt": 200_000, "nx1": 100_001, "nx2": 100_001})
 
 
+def _alpha_expr(name, expr):
+    return _solve_with(name, coefficients={"alpha": {"kind": "expr",
+                                                     "expr": expr}})
+
+
+_expr_syntax_error = _alpha_expr("_expr_syntax_error", "s**")
+_expr_division_by_zero = _alpha_expr("_expr_division_by_zero", "1/0")
+_expr_list = _alpha_expr("_expr_list", "[s, s]")
+_expr_conditional = _alpha_expr("_expr_conditional", "s if s else 1")
+_expr_string = _alpha_expr("_expr_string", "'a'")
+# not elementwise: its value would depend on the query batch
+_expr_subscript = _alpha_expr("_expr_subscript", "s[0]")
+_expr_overflow = _alpha_expr("_expr_overflow", "(1e308*10)*s")
+
+# a part of the one stderr line that names the refusal
+_MESSAGE = {
+    _version_1_sidecar: "re-run skofbsde solve",
+    _oversized_grid: "memory",
+    _t_grid_ends_at_half: "grids must be uniform",
+    _x2_grid_off_zero: "grids must be uniform",
+    _x1_grid_non_uniform: "grids must be uniform",
+    _solver_T_solve: "unknown config keys in solver: ['T']",
+    _solver_T_embed: "unknown config keys in solver: ['T']",
+    _solver_T_all: "unknown config keys in solver: ['T']",
+}
+
+
+@pytest.fixture(scope="module")
+def solved_field(tmp_path_factory):
+    """The field of ``BASE``, solved once; each case gets its own copy,
+    because some cases rewrite it."""
+    root = tmp_path_factory.mktemp("solved")
+    out = root / "f"
+    assert main(["solve", "--config", write_config(root),
+                 "--out", str(out)]) == 0
+    return out
+
+
 @pytest.mark.parametrize("breaker", [
     _bad_table_cell, _empty_table_csv, _empty_empirical_csv, _truncated_field,
     _wrong_row_count, _version_1_sidecar, _zero_paths, _bad_results_cell,
@@ -387,13 +487,19 @@ _oversized_grid = _solve_with(
     _nan_beta_floor, _bool_n_paths, _nan_fixpoint_tol, _uniform_lo_above_hi,
     _normal_negative_sigma, _normal_nan_mu, _piecewise_nan_x, _text_in_samples,
     _zero_K1, _negative_K1, _zero_K2, _uniform_point_mass, _normal_point_mass,
-    _oversized_grid])
-def test_malformed_input_exits_1(tmp_path, capsys, breaker):
+    _oversized_grid, _expr_syntax_error, _expr_division_by_zero, _expr_list,
+    _expr_conditional, _expr_string, _expr_subscript, _expr_overflow,
+    _solver_T_solve, _solver_T_embed, _solver_T_all, _t_grid_ends_at_half,
+    _x2_grid_off_zero, _x1_grid_non_uniform])
+def test_malformed_input_exits_1(tmp_path, solved_field, breaker):
     cfg = write_config(tmp_path)
     field_dir = tmp_path / "f"
-    assert main(["solve", "--config", cfg, "--out", str(field_dir)]) == 0
-    capsys.readouterr()
+    field_dir.mkdir()
+    for name in ("field.csv", "field.json"):
+        shutil.copy(solved_field / name, field_dir / name)
     argv = breaker(tmp_path, cfg, field_dir)
+    out = argv[argv.index("--out") + 1]
+    out_existed = os.path.exists(out)
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -403,10 +509,9 @@ def test_malformed_input_exits_1(tmp_path, capsys, breaker):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), lines
-    if breaker is _version_1_sidecar:
-        assert "re-run skofbsde solve" in lines[0]
-    if breaker is _oversized_grid:
-        assert "memory" in lines[0]
+    assert _MESSAGE.get(breaker, "") in lines[0]
+    # a refused command leaves no output directory behind
+    assert out_existed or not os.path.exists(out)
 
 
 def test_cli_import_leaves_scipy_unloaded():

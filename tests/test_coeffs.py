@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from skofbsde.coeffs import ProcessCoefficients, TimeFunction
 from skofbsde.errors import ConfigError, DomainError, HorizonError
+from skofbsde.field import DecouplingField, eval_field
 
 
 def const_coeffs(alpha=0.0, beta=1.0, t_phys=2.0, G0=0.0):
@@ -27,6 +28,24 @@ def test_clock_domain():
         c.clock_H(-0.5)
     with pytest.raises(DomainError):
         c.clock_H(2.5)
+
+
+@pytest.mark.parametrize("nan", [float("nan"), np.array([0.5, np.nan, 0.2])],
+                         ids=["scalar", "array"])
+@pytest.mark.parametrize("routine", [
+    "clock_H", "clock_H_inv", "delta_hat", "eval_field"])
+def test_nan_argument_fails_the_range_check(routine, nan):
+    if routine == "eval_field":
+        grid = np.linspace(0.0, 1.0, 3)
+        u = np.zeros((3, 3, 3))
+        f = DecouplingField(grid, grid, grid, u, u, g_lipschitz=1.0,
+                            delta_deriv_sup=0.0, cutoff_H=4.0,
+                            deriv_floor_eps=1e-6)
+        call = lambda t: eval_field(f, t, 0.0, 0.0)
+    else:
+        call = getattr(const_coeffs(), routine)
+    with pytest.raises(DomainError):
+        call(nan)
 
 
 def test_clock_inverse_examples():

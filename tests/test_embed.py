@@ -128,13 +128,6 @@ def test_weak_ensemble_fields(case_uniform_k025):
     assert len(set(weak["seeds"].tolist())) == 128
 
 
-def test_embeddings_require_unit_horizon(case_uniform_k025):
-    c = case_uniform_k025.value
-    f2 = replace(c["field"], t_grid=c["field"].t_grid * 2.0)
-    with pytest.raises(ConfigError):
-        strong_embed_on_W(f2, c["coeffs"], 4, 2048, seed=2)
-
-
 def test_strong_limits(case_uniform_k025):
     c = case_uniform_k025.value
     f, coeffs = c["field"], c["coeffs"]
@@ -146,8 +139,6 @@ def test_strong_limits(case_uniform_k025):
     assert embed._strong_limits(f, coeffs, K1=0.05, K2=3.0) == (0.05, 3.0)
     assert embed._strong_limits(f, coeffs, K1=0.05) == (0.05, K2)
     assert embed._strong_limits(f, coeffs, K1=10.0 * cap) == (cap, K2)
-    with pytest.raises(ConfigError):
-        embed._strong_limits(replace(f, t_grid=f.t_grid * 2.0), coeffs)
 
 
 def _per_path_weak(c, n_paths, n_steps, seed, g=None):

@@ -444,7 +444,7 @@ def test_config_validation():
         SolverConfig.defaults(1.0, nt=1).validate(1.0)
     with pytest.raises(ConfigError):   # cutoff below L_g
         SolverConfig(cutoff_H=0.5).validate(1.0)
-    with pytest.raises(ConfigError):   # x2 box does not cover L_g^2 T
+    with pytest.raises(ConfigError):   # x2 box does not cover L_g^2
         SolverConfig(x2_hi=0.5, cutoff_H=4.0).validate(1.0)
 
 

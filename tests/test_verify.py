@@ -86,7 +86,7 @@ def _reference_validate(orc, seed, n):
     xi = np.random.default_rng(seed).standard_normal(n)
     report = {}
     for t, x1 in verify._ORACLE_PROBES:
-        gv = np.asarray(orc.g(x1 + np.sqrt(orc.T - t) * xi))
+        gv = np.asarray(orc.g(x1 + np.sqrt(1.0 - t) * xi))
         if orc.kind == "no_drift":
             mc, se = gv.mean(), gv.std() / np.sqrt(n)
         else:
