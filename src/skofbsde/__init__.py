@@ -11,7 +11,7 @@ from .coeffs import ProcessCoefficients, TimeFunction
 from .embed import (EmbeddingResult, coupled_round_trip, strong_embed_on_W,
                     strong_stopping_time, weak_embed, weak_embed_ensemble)
 from .fbsde import (FbsdePath, backward_residual, martingale_check,
-                    simulate_ensemble, simulate_path)
+                    simulate_block, simulate_ensemble)
 from .field import (DecouplingField, SolverConfig, derivative_fields,
                     eval_field, field_diagnostics, load_field, save_field,
                     solve_field)
@@ -25,7 +25,7 @@ __all__ = [
     "ProcessCoefficients", "TimeFunction",
     "SolverConfig", "DecouplingField", "solve_field", "derivative_fields",
     "eval_field", "field_diagnostics", "save_field", "load_field",
-    "FbsdePath", "simulate_path", "simulate_ensemble", "backward_residual",
+    "FbsdePath", "simulate_block", "simulate_ensemble", "backward_residual",
     "martingale_check",
     "weak_embed", "weak_embed_ensemble", "strong_stopping_time",
     "strong_embed_on_W", "coupled_round_trip", "EmbeddingResult",

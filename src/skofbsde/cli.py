@@ -36,8 +36,8 @@ from . import field as field_mod
 from . import measure as measure_mod
 from . import verify as verify_mod
 from .errors import (ConfigError, ContractionError, CutoffActiveError,
-                     DiracMeasureError, HorizonError, LocalizationError,
-                     NonLipschitzError, SkofbsdeError)
+                     DiracMeasureError, HorizonError, NonLipschitzError,
+                     SkofbsdeError)
 
 _REQUIRED = object()
 
@@ -133,16 +133,14 @@ def _build_time_function(spec: dict, name: str) -> coeffs_mod.TimeFunction:
 
 def build_coefficients(spec: dict,
                        h_target: float) -> coeffs_mod.ProcessCoefficients:
-    _reject_extras(spec, {"G0", "alpha", "beta", "beta_floor", "T_phys"},
-                   "coefficients")
+    _reject_extras(spec, {"G0", "alpha", "beta", "beta_floor"}, "coefficients")
     alpha = _build_time_function(_take(spec, "alpha", kind=dict), "alpha")
     beta = _build_time_function(_take(spec, "beta", kind=dict), "beta")
-    t_phys = _take(spec, "T_phys", None, (int, float))
     return coeffs_mod.ProcessCoefficients(
         G0=_take(spec, "G0", 0.0, (int, float)),
         alpha=alpha, beta=beta,
         beta_floor=_take(spec, "beta_floor", kind=(int, float)),
-        t_phys=t_phys, h_target=None if t_phys is not None else h_target)
+        h_target=h_target)
 
 
 _SOLVER_KEYS = {"nt", "nx1", "nx2", "x1_lo", "x1_hi", "x2_hi", "cutoff_H",
@@ -365,6 +363,8 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None:
             cfg.seed = args.seed
         cfg.check_simulation()
+        if getattr(args, "dump_paths", 0) < 0:
+            raise ConfigError("--dump-paths must be >= 0")
 
         if args.command == "solve":
             return cmd_solve(cfg)
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (HorizonError, LocalizationError) as exc:
+    except HorizonError as exc:
         print(f"horizon/guard error: {exc}", file=sys.stderr)
         return 4
     except (ContractionError, CutoffActiveError, NonLipschitzError) as exc:

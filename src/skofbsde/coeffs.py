@@ -158,36 +158,29 @@ class DelayedDrift:
 class ProcessCoefficients:
     """Coefficients (G0, alpha, beta) with precomputed clock tables.
 
-    The quadrature grid spans ``[0, T_phys]``.  When ``t_phys`` is omitted it
-    is solved from ``H(T_phys) = h_target``; callers pass the solver's x2
-    box ``SolverConfig.x2_hi``, which covers the embedding bound L_g^2.
-    Instances are immutable after construction.  An error raised while
-    ``alpha`` or ``beta`` is tabulated is a :class:`ConfigError`.
+    The quadrature grid spans ``[0, T_phys]``, and ``t_phys`` solves
+    ``H(T_phys) = h_target``: callers pass the solver's x2 box ``x2_hi``,
+    which covers the embedding bound L_g^2.  Instances are immutable after
+    construction.  An error raised while ``alpha`` or ``beta`` is tabulated
+    is a :class:`ConfigError`.
     """
 
     def __init__(self, G0: float, alpha: TimeFunction, beta: TimeFunction,
-                 beta_floor: float, t_phys: float | None = None,
-                 h_target: float | None = None):
-        if beta_floor <= 0.0:
-            raise ConfigError("beta_floor must be positive")
-        if t_phys is None:
-            if h_target is None:
-                raise ConfigError("either t_phys or h_target is required")
-            # H grows with slope >= beta_floor^2, so this horizon reaches h_target
-            t_upper = h_target / beta_floor**2 + 1e-9
-            grid = np.linspace(0.0, t_upper, MIN_QUAD_POINTS)
-            h_tab = self._cumtrapz(grid, _tabulate(beta, grid)**2)
-            if h_tab[-1] < h_target:
-                raise ConfigError("internal horizon solve failed to reach target")
-            t_phys = float(np.interp(h_target, h_tab, grid))
-        if t_phys <= 0.0:
-            raise ConfigError("T_phys must be positive")
+                 beta_floor: float, h_target: float):
+        if beta_floor <= 0.0 or h_target <= 0.0:
+            raise ConfigError("beta_floor and h_target must be positive")
+        # H grows with slope >= beta_floor^2, so this horizon reaches h_target
+        t_upper = h_target / beta_floor**2 + 1e-9
+        grid = np.linspace(0.0, t_upper, MIN_QUAD_POINTS)
+        h_tab = self._cumtrapz(grid, _tabulate(beta, grid)**2)
+        if h_tab[-1] < h_target:
+            raise ConfigError("internal horizon solve failed to reach target")
 
         self.G0 = float(G0)
         self.alpha = alpha
         self.beta = beta
         self.beta_floor = float(beta_floor)
-        self.t_phys = float(t_phys)
+        self.t_phys = float(np.interp(h_target, h_tab, grid))
 
         self._grid = np.linspace(0.0, self.t_phys, MIN_QUAD_POINTS)
         beta_vals = _tabulate(beta, self._grid)
@@ -228,11 +221,8 @@ class ProcessCoefficients:
         if not np.all(xa >= -1e-12):
             raise DomainError("clock inverse argument must be non-negative")
         if np.any(xa > self.h_max * (1.0 + 1e-12)):
-            overshoot = float(xa.max()) - self.h_max
-            raise HorizonError(
-                f"horizon too short: H(T_phys) = {self.h_max:.6g} < {float(xa.max()):.6g}",
-                required_t_phys=self.t_phys + overshoot / self.beta_floor**2,
-            )
+            raise HorizonError(f"horizon too short: H(T_phys) = {self.h_max:.6g} "
+                               f"< {float(xa.max()):.6g}")
         res = np.interp(xa, self._h_tab, self._grid)
         return float(res[0]) if np.ndim(x) == 0 else res
 

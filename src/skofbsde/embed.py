@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import ProcessCoefficients
-from .errors import ConfigError, LocalizationError
+from .errors import ConfigError
 from .fbsde import (FbsdePath, IncrementStreams, _simulate_arrays, map_blocks,
                     normal_increments, path_seed)
 from .field import DecouplingField, eval_field
@@ -217,10 +217,11 @@ def _strong_limits(f: DecouplingField, coeffs: ProcessCoefficients,
     guard.
 
     The field's horizon is 1, as the solver makes it and ``load_field``
-    checks.  Guards left ``None`` take the defaults, which never bind:
-    K1 = 2 H^{-1}(L_g^2) and K2 = 10 sqrt(2 H^{-1}(L_g^2)) max(sup |beta|, 1).
-    ``r_max`` is K1, capped below T_phys because the clock is tabulated on
-    [0, T_phys].
+    checks.  Guards left ``None`` take the defaults K1 = 2 H^{-1}(L_g^2) and
+    K2 = 10 sqrt(2 H^{-1}(L_g^2)) max(sup |beta|, 1).  ``r_max`` is min(K1,
+    T_phys (1 - 1e-9)), inside the clock table that ends at H(T_phys) = x2_hi.
+    With the default box 1.05 L_g^2 (and sup beta^2 < 20 beta_floor^2) this
+    cap binds, not K1, and still lies above every time H^{-1}(L_g^2).
     """
     K1_default = 2.0 * tau_bound(f, coeffs)
     if K2 is None:
@@ -253,7 +254,6 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
 
     L_g = f.g_lipschitz
     floor = f.deriv_floor_eps
-    T = f.T
 
     ids = np.arange(n)
     sigma, Sigma, ibw = np.zeros((3, n))
@@ -271,7 +271,7 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
     for m in range(m_max):
         if ids.size == 0:
             break
-        u1 = eval_field(f, np.clip(sigma, 0.0, T), Sigma, H_r[m], "u1")
+        u1 = eval_field(f, np.clip(sigma, 0.0, 1.0), Sigma, H_r[m], "u1")
         clamp_hits += int(np.count_nonzero(u1 < floor))
         total_steps += ids.size
         u1c = np.clip(u1, floor, L_g)
@@ -319,18 +319,14 @@ def strong_stopping_time(f: DecouplingField, coeffs: ProcessCoefficients,
                          K2: float | None = None) -> StrongStop:
     """Integrate one driving path to its stopping time.
 
-    ``dB`` holds Brownian increments on the r-grid with step ``dr``.  Raises
-    :class:`LocalizationError` when the K2 guard fires before the crossing
-    (enlarge K2) and warns through the returned record when the clamp was
-    active on more than 0.1% of the steps.
+    ``dB`` holds Brownian increments on the r-grid with step ``dr``.  A guard
+    stop is reported as ``guard`` "K1" (end of the r-grid) or "K2" (|Sigma|
+    >= K2), not raised.  Warns when the clamp was active on more than 0.1%
+    of the steps.
     """
     r_max, K2 = _strong_limits(f, coeffs, K1, K2)
     res = _integrate_strong(f, coeffs, np.asarray(dB, dtype=float)[None, :],
                             dr, r_max, K2, keep_paths=True)
-    if res["guard"][0] == 2:
-        raise LocalizationError(
-            "localization breach: |Sigma| reached K2 before the time change "
-            "finished; enlarge K2")
     clamp_fraction = res["clamp_hits"] / max(res["total_steps"], 1)
     _warn_if_clamped(clamp_fraction, "stopping-time")
     return StrongStop(tau=float(res["tau"][0]),

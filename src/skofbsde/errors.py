@@ -22,15 +22,8 @@ class NonLipschitzError(SkofbsdeError):
 
 
 class HorizonError(DomainError):
-    """Clock inversion requested beyond the tabulated horizon.
-
-    ``required_t_phys`` is an upper bound for a physical horizon that
-    would bring the requested value into range.
-    """
-
-    def __init__(self, msg: str, required_t_phys: float | None = None):
-        super().__init__(msg)
-        self.required_t_phys = required_t_phys
+    """Clock inversion requested beyond the tabulated horizon, whose end
+    ``H(T_phys)`` is the solver's x2 box ``x2_hi``."""
 
 
 class ContractionError(SkofbsdeError):
@@ -59,7 +52,3 @@ class DerivativeMismatchError(SkofbsdeError):
         super().__init__(msg)
         self.location = location
         self.discrepancy = discrepancy
-
-
-class LocalizationError(SkofbsdeError):
-    """A localization guard fired before the time change reached its target."""

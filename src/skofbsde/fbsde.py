@@ -33,7 +33,7 @@ from .measure import phi_inv
 
 __all__ = ["FbsdePath", "EnsembleResult", "MartingaleReport", "path_seed",
            "normal_increments", "IncrementStreams", "map_blocks",
-           "simulate_path", "simulate_block", "simulate_ensemble",
+           "simulate_block", "simulate_ensemble",
            "backward_residual", "martingale_check"]
 
 _MASK64 = (1 << 64) - 1
@@ -140,7 +140,7 @@ def normal_increments(seed: int, n_steps: int, dt: float) -> np.ndarray:
 
 @dataclass
 class FbsdePath:
-    """One simulated trajectory on a uniform grid over [0, T]."""
+    """One simulated trajectory on a uniform grid over the unit horizon."""
 
     t_grid: np.ndarray
     W: np.ndarray
@@ -163,11 +163,10 @@ def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
     stored: it is ``x1_0 + W``, formed column by column for the field
     lookups.  W adds up the increments in step order, as ``np.cumsum`` does.
     """
-    T = f.T
-    dt = T / n_steps
+    dt = 1.0 / n_steps
     n = seeds.size
 
-    t_grid = np.linspace(0.0, T, n_steps + 1)
+    t_grid = np.linspace(0.0, 1.0, n_steps + 1)
     # one buffer for all path arrays: freed as a whole when the last view
     # goes, where separate arrays can be left fragmented in the heap
     X2, Y, *rest = np.empty((4 if paths else 2, n, n_steps + 1))
@@ -201,20 +200,13 @@ def _paths(t_grid, W, X2, Y, Z, zmax, seeds, x1_0: float) -> list[FbsdePath]:
             for i in range(seeds.size)]
 
 
-def simulate_path(f: DecouplingField, x1_0: float = 0.0, x2_0: float = 0.0,
-                  n_steps: int = 4096, seed: int = 0) -> FbsdePath:
-    """Simulate one path; identical seed gives a bit-identical path."""
-    if n_steps < 1:
-        raise DomainError("n_steps must be >= 1")
-    seeds = np.array([seed], dtype=np.uint64)
-    arrays = _simulate_arrays(f, seeds, n_steps, x1_0, x2_0, paths=True)
-    return _paths(*arrays, seeds, x1_0)[0]
-
-
 def simulate_block(f: DecouplingField, base_seed: int, indices,
                    n_steps: int, x1_0: float = 0.0,
                    x2_0: float = 0.0) -> list[FbsdePath]:
-    """Simulate the paths with the given indices (seeds derived per path)."""
+    """Simulate the paths with the given indices, each keyed by
+    ``path_seed(base_seed, index)`` and independent of the other indices."""
+    if n_steps < 1:
+        raise DomainError("n_steps must be >= 1")
     seeds = path_seed(base_seed, np.asarray(indices, dtype=int))
     arrays = _simulate_arrays(f, seeds, n_steps, x1_0, x2_0, paths=True)
     return _paths(*arrays, seeds, x1_0)
@@ -245,7 +237,7 @@ def simulate_ensemble(f: DecouplingField, n_paths: int, n_steps: int,
     statistics."""
     if n_steps % N_CHECKPOINTS:
         raise ConfigError(f"n_steps must be divisible by {N_CHECKPOINTS}")
-    dt = f.T / n_steps
+    dt = 1.0 / n_steps
     ck = (np.arange(1, N_CHECKPOINTS + 1) * (n_steps // N_CHECKPOINTS))
     seeds = path_seed(seed, np.arange(n_paths))
 

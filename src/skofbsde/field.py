@@ -6,7 +6,7 @@ the first spatial derivative, Z = du/dx1.  Ito calculus on Y = u(t, X1, X2)
 with a driverless backward equation forces the quasilinear equation
 
     u_t + 1/2 u_{x1 x1} + chi(u_{x1})^2 u_{x2} = 0,
-    u(T, x1, x2) = g(x1) - delta(x2),
+    u(1, x1, x2) = g(x1) - delta(x2),
 
 where chi is a radial cutoff that must remain passive on valid solves.  This
 PDE form is discretization plumbing: its validity is established against the
@@ -165,10 +165,6 @@ class DecouplingField:
     deriv_floor_eps: float
     deriv_mismatch: float | None = None
 
-    @property
-    def T(self) -> float:
-        return float(self.t_grid[-1])
-
 
 # ----------------------------------------------------------------------------
 # difference operators
@@ -206,7 +202,7 @@ def solve_banded(l_and_u, ab, b):
 # ----------------------------------------------------------------------------
 
 def terminal_layer(g, delta, x1_grid, x2_grid) -> np.ndarray:
-    """The terminal data u(T, x1, x2) = g(x1) - delta(x2) on the grid, the
+    """The terminal data u(1, x1, x2) = g(x1) - delta(x2) on the grid, the
     layer ``u[nt]`` of every field solved for ``g`` and ``delta``."""
     return np.subtract.outer(np.asarray(g(x1_grid)), np.asarray(delta(x2_grid)))
 
@@ -397,7 +393,7 @@ def eval_field(f: DecouplingField, t, x1, x2,
     not always bitwise: a cell weight ``(q - q_lo) / dq`` that should be 0 or
     1 can come out one ulp off.
 
-    t must lie in [0, T].  x1 queries outside the box extrapolate linearly
+    t must lie in [0, 1].  x1 queries outside the box extrapolate linearly
     for ``u`` (the field is asymptotically affine) and clamp for the
     derivative fields (their certified bounds must not be amplified).  x2
     clamps on both sides.  ``which`` names one component (``"u"`` or
@@ -413,7 +409,6 @@ def eval_field(f: DecouplingField, t, x1, x2,
     except (KeyError, TypeError):
         raise DomainError(f"unknown field component {which!r}") from None
 
-    T = f.T
     x1q = np.asarray(x1, dtype=float)
     x2q = np.asarray(x2, dtype=float)
     nt1, nx1, nx2 = f.u.shape
@@ -425,14 +420,14 @@ def eval_field(f: DecouplingField, t, x1, x2,
     # shape; a scalar time stays a Python float
     if np.ndim(t) == 0:
         tq = float(t)
-        if not -1e-12 <= tq <= T * (1.0 + 1e-12):
-            raise DomainError(f"time query outside [0, {T}]")
+        if not -1e-12 <= tq <= 1.0 + 1e-12:
+            raise DomainError("time query outside [0, 1]")
         it = min(max(int(tq / dt), 0), nt1 - 2)
         wt = min(max((tq - float(f.t_grid[it])) / dt, 0.0), 1.0)
     else:
         tq = np.asarray(t, dtype=float)
-        if not np.all((-1e-12 <= tq) & (tq <= T * (1.0 + 1e-12))):
-            raise DomainError(f"time query outside [0, {T}]")
+        if not np.all((-1e-12 <= tq) & (tq <= 1.0 + 1e-12)):
+            raise DomainError("time query outside [0, 1]")
         it = np.minimum(np.maximum(0, (tq / dt).astype(int)), nt1 - 2)
         wt = np.minimum(np.maximum(0.0, (tq - f.t_grid[it]) / dt), 1.0)
     scalar = np.ndim(tq) == 0 and x1q.ndim == 0 and x2q.ndim == 0
@@ -595,10 +590,10 @@ def _read_sidecar(path: str) -> dict:
 
 def load_field(path: str) -> DecouplingField:
     """Read a field written by :func:`save_field`; ``u1`` is recomputed with
-    the finite-difference stencil.  A missing, malformed or mis-shaped file
-    raises :class:`ConfigError`, and so do grids that :func:`solve_field`
-    does not make (and :func:`eval_field` assumes): each is ``np.linspace``
-    of its increasing end points, t from 0 to 1 and x2 from 0."""
+    the finite-difference stencil.  A missing, malformed, mis-shaped or
+    non-finite file raises :class:`ConfigError`, and so do grids that
+    :func:`solve_field` does not make (and :func:`eval_field` assumes): each
+    is ``np.linspace`` of its increasing end points, t from 0 to 1, x2 from 0."""
     meta = _read_sidecar(path)
     try:
         grids = [np.array(meta[k], dtype=float)
@@ -630,6 +625,9 @@ def load_field(path: str) -> DecouplingField:
         raise ConfigError(f"field file {path} is truncated or mis-shaped: "
                           f"{u.shape[0]} x {u.shape[1]} values, expected "
                           f"{expected[0]} x {expected[1]}")
+    # min and max see every NaN and inf without a field-sized temporary
+    if not (np.isfinite(u.min()) and np.isfinite(u.max())):
+        raise ConfigError(f"field file {path} has a non-finite value")
     u = u.reshape(shape)
     u1 = _gradient_into(np.empty_like(u), u, grids[1][1] - grids[1][0], axis=1)
     return DecouplingField(t_grid=grids[0], x1_grid=grids[1], x2_grid=grids[2],

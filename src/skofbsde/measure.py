@@ -75,8 +75,9 @@ _ERF_Q = (2.56852019228982242e0, 1.87295284992346047e0,
 
 
 def _erfc_positive(y: np.ndarray) -> np.ndarray:
-    """erfc on y >= 0, Cody's three-branch rational approximation."""
-    out = np.empty_like(y)
+    """erfc on y >= 0, Cody's three-branch rational approximation; a NaN,
+    which no branch takes, stays NaN."""
+    out = np.full_like(y, np.nan)
 
     small = y <= 0.46875
     if np.any(small):
@@ -120,7 +121,8 @@ def _erfc_positive(y: np.ndarray) -> np.ndarray:
 
 
 def phi(x) -> np.ndarray | float:
-    """Standard normal CDF, absolute error well below ``PHI_ABS_TOL``."""
+    """Standard normal CDF, absolute error well below ``PHI_ABS_TOL``;
+    NaN maps to NaN."""
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa)

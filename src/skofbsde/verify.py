@@ -60,13 +60,19 @@ class LawReport:
         return s
 
 
+def _sorted_samples(samples, what: str) -> np.ndarray:
+    """Sorted samples; none, or a NaN or inf (sorted to an end), is an error."""
+    s = np.sort(np.asarray(samples, dtype=float))
+    if s.size < 1 or not (np.isfinite(s[0]) and np.isfinite(s[-1])):
+        raise DomainError(f"{what} needs at least one sample, all finite")
+    return s
+
+
 def ks_statistic(samples, m: TargetMeasure) -> float:
     """sup_x |F_n(x) - F(x)| evaluated at the sample points (both one-sided
     gaps)."""
-    s = np.sort(np.asarray(samples, dtype=float))
+    s = _sorted_samples(samples, "KS statistic")
     n = s.size
-    if n < 1:
-        raise DomainError("KS statistic needs at least one sample")
     F = np.asarray(m.cdf(s))
     i = np.arange(1, n + 1)
     d_plus = (i / n - F).max()
@@ -77,10 +83,8 @@ def ks_statistic(samples, m: TargetMeasure) -> float:
 def wasserstein1(samples, m: TargetMeasure) -> float:
     """int_0^1 |F_n^{-1}(y) - F^{-1}(y)| dy by midpoint quadrature on
     ``_W1_LEVELS`` levels."""
-    s = np.sort(np.asarray(samples, dtype=float))
+    s = _sorted_samples(samples, "Wasserstein-1")
     n = s.size
-    if n < 1:
-        raise DomainError("Wasserstein-1 needs at least one sample")
     y = (np.arange(_W1_LEVELS) + 0.5) / _W1_LEVELS
     emp = s[np.minimum((y * n).astype(int), n - 1)]
     return float(np.abs(emp - np.asarray(m.quantile(y))).mean())

@@ -162,5 +162,5 @@ def ensemble_normal_sin(case_normal_sin):
 def linear_exact():
     def exact(f, kappa=0.5):
         tt, xx1, xx2 = np.meshgrid(f.t_grid, f.x1_grid, f.x2_grid, indexing="ij")
-        return xx1 - kappa * xx2 - kappa * (f.T - tt)
+        return xx1 - kappa * xx2 - kappa * (1.0 - tt)
     return exact

@@ -315,6 +315,19 @@ def _wrong_row_count(tmp_path, cfg, field_dir):
             "--field", str(path)]
 
 
+def _nan_in_field(tmp_path, cfg, field_dir):
+    # one NaN in an interior row of u: refused before any output is made
+    path = field_dir / "field.csv"
+    rows = path.read_text().splitlines(keepends=True)
+    mid = len(rows) // 2
+    cells = rows[mid].split(",")
+    cells[len(cells) // 2] = "nan"
+    rows[mid] = ",".join(cells)
+    path.write_text("".join(rows))
+    return ["embed", "--config", cfg, "--out", str(tmp_path / "new"),
+            "--field", str(path)]
+
+
 def _version_1_sidecar(tmp_path, cfg, field_dir):
     side = field_dir / "field.json"
     meta = json.loads(side.read_text())
@@ -401,6 +414,11 @@ def _negative_seed(tmp_path, cfg, field_dir):
             "--field", str(field_dir / "field.csv"), "--seed", "-5"]
 
 
+def _negative_dump_paths(tmp_path, cfg, field_dir):
+    return ["embed", "--config", cfg, "--out", str(tmp_path / "new"),
+            "--field", str(field_dir / "field.csv"), "--dump-paths", "-3"]
+
+
 def _solve_with(name, **overrides):
     def breaker(tmp_path, cfg, field_dir):
         bad = write_config(tmp_path, "bad.json", **overrides)
@@ -412,6 +430,9 @@ def _solve_with(name, **overrides):
 _nan_G0 = _solve_with("_nan_G0", coefficients={"G0": float("nan")})
 _nan_beta_floor = _solve_with("_nan_beta_floor",
                               coefficients={"beta_floor": float("nan")})
+# the clock's horizon solves H(T_phys) = solver.x2_hi and is not a key
+_coefficients_T_phys = _solve_with("_coefficients_T_phys",
+                                   coefficients={"T_phys": 2.0})
 _bool_n_paths = _solve_with("_bool_n_paths", simulation={"n_paths": True})
 _nan_fixpoint_tol = _solve_with("_nan_fixpoint_tol",
                                 solver={"fixpoint_tol": float("nan")})
@@ -466,6 +487,9 @@ _MESSAGE = {
     _solver_T_solve: "unknown config keys in solver: ['T']",
     _solver_T_embed: "unknown config keys in solver: ['T']",
     _solver_T_all: "unknown config keys in solver: ['T']",
+    _coefficients_T_phys: "unknown config keys in coefficients: ['T_phys']",
+    _nan_in_field: "non-finite",
+    _negative_dump_paths: "--dump-paths",
 }
 
 
@@ -490,7 +514,8 @@ def solved_field(tmp_path_factory):
     _oversized_grid, _expr_syntax_error, _expr_division_by_zero, _expr_list,
     _expr_conditional, _expr_string, _expr_subscript, _expr_overflow,
     _solver_T_solve, _solver_T_embed, _solver_T_all, _t_grid_ends_at_half,
-    _x2_grid_off_zero, _x1_grid_non_uniform])
+    _x2_grid_off_zero, _x1_grid_non_uniform, _coefficients_T_phys,
+    _nan_in_field, _negative_dump_paths])
 def test_malformed_input_exits_1(tmp_path, solved_field, breaker):
     cfg = write_config(tmp_path)
     field_dir = tmp_path / "f"

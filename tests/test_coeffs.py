@@ -7,17 +7,18 @@ from skofbsde.errors import ConfigError, DomainError, HorizonError
 from skofbsde.field import DecouplingField, eval_field
 
 
-def const_coeffs(alpha=0.0, beta=1.0, t_phys=2.0, G0=0.0):
+def const_coeffs(alpha=0.0, beta=1.0, horizon=2.0, G0=0.0):
+    # a constant beta makes H(t) = beta^2 t, so the clock ends at ``horizon``
     return ProcessCoefficients(G0, TimeFunction.const(alpha),
                                TimeFunction.const(beta),
-                               beta_floor=abs(beta), t_phys=t_phys)
+                               beta_floor=abs(beta), h_target=beta**2 * horizon)
 
 
 def test_clock_examples():
     assert const_coeffs(beta=1.0).clock_H(0.7) == pytest.approx(0.7, abs=1e-12)
     assert const_coeffs(beta=2.0).clock_H(1.0) == pytest.approx(4.0, abs=1e-10)
     ramp = ProcessCoefficients(0.0, TimeFunction.const(0.0),
-                               TimeFunction.expression("1+s"), 1.0, t_phys=2.0)
+                               TimeFunction.expression("1+s"), 1.0, h_target=9.0)
     # composite quadrature against the closed form ((1+t)^3 - 1)/3
     assert ramp.clock_H(1.0) == pytest.approx(7.0 / 3.0, abs=1e-5)
 
@@ -52,14 +53,14 @@ def test_clock_inverse_examples():
     assert const_coeffs(beta=1.0).clock_H_inv(0.3) == pytest.approx(0.3, abs=1e-10)
     assert const_coeffs(beta=2.0).clock_H_inv(4.0) == pytest.approx(1.0, abs=1e-10)
     ramp = ProcessCoefficients(0.0, TimeFunction.const(0.0),
-                               TimeFunction.expression("1+s"), 1.0, t_phys=2.0)
+                               TimeFunction.expression("1+s"), 1.0, h_target=9.0)
     assert ramp.clock_H_inv(7.0 / 3.0) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_round_trip_and_monotone():
     c = ProcessCoefficients(0.0, TimeFunction.const(0.0),
                             TimeFunction.expression("1 + 0.5*cos(3*s)"),
-                            beta_floor=0.5, t_phys=3.0)
+                            beta_floor=0.5, h_target=4.0)   # past H(3) ~ 3.5
     ts = np.random.default_rng(11).uniform(0.0, 3.0, 100)
     assert np.abs(np.asarray(c.clock_H_inv(c.clock_H(ts))) - ts).max() < 1e-8
     grid = np.linspace(0, 3, 500)
@@ -68,11 +69,10 @@ def test_round_trip_and_monotone():
     assert np.all(np.diff(np.asarray(c.clock_H_inv(xs))) >= 0)
 
 
-def test_horizon_error_carries_requirement():
-    c = const_coeffs(beta=1.0, t_phys=1.0)
-    with pytest.raises(HorizonError) as exc:
+def test_clock_inverse_beyond_horizon_raises():
+    c = const_coeffs(beta=1.0, horizon=1.0)
+    with pytest.raises(HorizonError):
         c.clock_H_inv(2.0)
-    assert exc.value.required_t_phys >= 2.0 - 1e-9
 
 
 def test_delta_examples():
@@ -82,13 +82,13 @@ def test_delta_examples():
     xs = np.linspace(0, 1.5, 7)
     assert np.abs(np.asarray(lin.delta(xs)) - 0.4 * xs).max() < 1e-9
     sin = ProcessCoefficients(0.0, TimeFunction.expression("sin(s)"),
-                              TimeFunction.const(1.0), 1.0, t_phys=3.0)
+                              TimeFunction.const(1.0), 1.0, h_target=3.0)
     assert sin.delta(1.0) == pytest.approx(1.0 - np.cos(1.0), abs=1e-6)
 
 
 def test_delta_lipschitz_estimate():
     c = ProcessCoefficients(0.0, TimeFunction.expression("0.3*sin(s)"),
-                            TimeFunction.const(1.2), 1.2, t_phys=2.0)
+                            TimeFunction.const(1.2), 1.2, h_target=2.88)
     xs = np.linspace(0.0, c.h_max - 1e-6, 2000)
     slopes = np.abs(np.diff(np.asarray(c.delta(xs))) / np.diff(xs))
     bound = c.alpha_sup / c.beta_floor**2
@@ -111,7 +111,8 @@ def test_table_time_function(tmp_path):
     tf = TimeFunction.table(t, v)
     assert tf(0.5) == pytest.approx(1.5)
     assert tf(3.0) == pytest.approx(1.5)  # held constant beyond the table
-    c = ProcessCoefficients(0.0, TimeFunction.const(0.0), tf, 1.0, t_phys=2.0)
+    # H(2) = 65/12, so h_target 6 puts the horizon past t = 2
+    c = ProcessCoefficients(0.0, TimeFunction.const(0.0), tf, 1.0, h_target=6.0)
     # trapezoid of the piecewise-linear table is exact
     assert c.clock_H(2.0) == pytest.approx(
         np.trapezoid(np.interp(np.linspace(0, 2, 4097), t, v) ** 2,
@@ -129,13 +130,13 @@ def test_beta_floor_enforced():
     with pytest.raises(ConfigError):
         ProcessCoefficients(0.0, TimeFunction.const(0.0),
                             TimeFunction.expression("sin(s)"),
-                            beta_floor=0.5, t_phys=3.0)
+                            beta_floor=0.5, h_target=3.0)
 
 
 @st.composite
 def clocks(draw):
     """Coefficients with a random const, table or expression beta that
-    respects its floor, on a random horizon."""
+    respects its floor, on a random clock target H(T_phys)."""
     floor = draw(st.floats(0.3, 2.0))
     kind = draw(st.sampled_from(["const", "table", "expr"]))
     if kind == "const":
@@ -151,9 +152,9 @@ def clocks(draw):
         w = draw(st.floats(0.1, 10.0))
         beta = TimeFunction.expression(
             f"{floor!r} * ({1.0 + a!r} + {a!r} * sin({w!r} * s))")
-    t_phys = draw(st.floats(0.5, 3.0))
+    h_target = draw(st.floats(0.5, 3.0))
     return ProcessCoefficients(0.0, TimeFunction.const(0.0), beta, floor,
-                               t_phys=t_phys)
+                               h_target=h_target)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

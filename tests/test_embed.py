@@ -9,15 +9,14 @@ from skofbsde.coeffs import ProcessCoefficients, TimeFunction
 from skofbsde.embed import (coupled_round_trip, strong_embed_on_W,
                             strong_stopping_time, tau_bound, weak_embed,
                             weak_embed_ensemble)
-from skofbsde.errors import ConfigError, LocalizationError
-from skofbsde.fbsde import (normal_increments, path_seed, simulate_block,
-                            simulate_path)
+from skofbsde.errors import ConfigError
+from skofbsde.fbsde import normal_increments, path_seed, simulate_block
 from skofbsde.field import eval_field
 
 
 def test_weak_embed_trivial(case_trivial):
     c = case_trivial.value
-    p = simulate_path(c["field"], n_steps=1024, seed=17)
+    p = simulate_block(c["field"], 17, [0], 1024)[0]
     we = weak_embed(p, c["coeffs"], g=c["g"])
     assert we.tau_weak == pytest.approx(1.0, abs=1e-9)
     assert we.stopped_value == pytest.approx(p.X1[-1], abs=1e-9)
@@ -38,7 +37,7 @@ def test_weak_embed_bound_and_identity(case_uniform_k05):
 
 def test_weak_stopped_value_matches_g_of_W1(case_uniform_k05):
     c = case_uniform_k05.value
-    p = simulate_path(c["field"], n_steps=4096, seed=71)
+    p = simulate_block(c["field"], 71, [0], 4096)[0]
     we = weak_embed(p, c["coeffs"], g=c["g"])
     assert we.stopped_value == pytest.approx(
         float(np.asarray(c["g"](p.X1[-1]))), abs=1e-2)
@@ -59,10 +58,13 @@ def test_strong_stopping_trivial(case_trivial):
 
 def test_strong_stopping_guard_K2(case_uniform_k05):
     c = case_uniform_k05.value
-    dr = tau_bound(c["field"], c["coeffs"]) / 512
+    bound = tau_bound(c["field"], c["coeffs"])
+    dr = bound / 512
     dB = normal_increments(6, 2048, dr)
-    with pytest.raises(LocalizationError):
-        strong_stopping_time(c["field"], c["coeffs"], dB, dr, K2=1e-4)
+    # a K2 breach is reported like a K1 stop, not raised
+    ss = strong_stopping_time(c["field"], c["coeffs"], dB, dr, K2=1e-4)
+    assert ss.guard == "K2" and ss.tau < bound
+    assert abs(ss.Sigma_tau) >= 1e-4
 
 
 def test_strong_embed_constants(case_uniform_k025):
@@ -260,7 +262,7 @@ def _strong_reference(f, coeffs, dB, dr, r_max, K2):
         sigma = Sigma = ibw = 0.0
         path = [sigma]
         for m in range(m_max):
-            u1 = eval_field(f, np.clip([sigma], 0.0, f.T), np.array([Sigma]),
+            u1 = eval_field(f, np.clip([sigma], 0.0, 1.0), np.array([Sigma]),
                             H_r[m], "u1")[0]
             clamp_hits += int(u1 < floor)
             total_steps += 1
@@ -360,14 +362,10 @@ def test_strong_rule_matches_per_path_reference_with_mixed_stops(
         one = embed._integrate_strong(f, coeffs, dB[j:j + 1], dr, r_max, K2,
                                       keep_paths=True)
         assert np.array_equal(one["sigma_path"][0], ref_paths[j])
-        if kind == 2:
-            with pytest.raises(LocalizationError):
-                strong_stopping_time(f, coeffs, dB[j], dr, K1=K1, K2=K2)
-            continue
         ss = strong_stopping_time(f, coeffs, dB[j], dr, K1=K1, K2=K2)
         assert np.array_equal(ss.sigma_path, ref_paths[j])
         assert (ss.tau, ss.Sigma_tau) == (ref["tau"][j], ref["Sigma_tau"][j])
-        assert ss.guard == ("none", "K1")[kind]
+        assert ss.guard == ("none", "K1", "K2")[kind]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

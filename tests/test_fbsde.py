@@ -10,7 +10,7 @@ from skofbsde.embed import (_STRONG_SEED_SALT, coupled_round_trip,
                             strong_embed_on_W, weak_embed_ensemble)
 from skofbsde.fbsde import (IncrementStreams, backward_residual,
                             martingale_check, normal_increments, path_seed,
-                            simulate_block, simulate_ensemble, simulate_path)
+                            simulate_block, simulate_ensemble)
 from skofbsde.measure import phi_inv
 from skofbsde.verify import shifted_field
 
@@ -120,24 +120,24 @@ def test_path_seed_arrays(base):
 
 def test_trivial_path(case_trivial):
     f = case_trivial.value["field"]
-    p = simulate_path(f, n_steps=512, seed=9)
+    p = simulate_block(f, 9, [0], 512)[0]
     assert np.abs(p.Z - 1.0).max() < 1e-9
-    assert p.X2[-1] == pytest.approx(f.T, abs=1e-12)
+    assert p.X2[-1] == pytest.approx(1.0, abs=1e-12)
     assert backward_residual(p) < 1e-12
     assert np.array_equal(p.X1, p.W)  # zero start: X1 = W
 
 
 def test_reproducible_path(case_trivial):
     f = case_trivial.value["field"]
-    p1 = simulate_path(f, n_steps=256, seed=1234)
-    p2 = simulate_path(f, n_steps=256, seed=1234)
+    p1 = simulate_block(f, 1234, [0], 256)[0]
+    p2 = simulate_block(f, 1234, [0], 256)[0]
     for a, b in ((p1.W, p2.W), (p1.X2, p2.X2), (p1.Y, p2.Y), (p1.Z, p2.Z)):
         assert np.array_equal(a, b)
 
 
 def test_linear_field_path_identities(case_linear):
     f = case_linear.value["field"]
-    p = simulate_path(f, n_steps=4096, seed=31)
+    p = simulate_block(f, 31, [0], 4096)[0]
     assert p.Y[0] == pytest.approx(-0.5, abs=1e-6)
     # Z = 1 makes X2_T = T, so Y_T = X1_T - 0.5 T
     assert p.Y[-1] == pytest.approx(p.X1[-1] - 0.5, abs=1e-6)
@@ -172,11 +172,11 @@ def test_z_and_x2_bounds(case_uniform_k05):
     c = case_uniform_k05.value
     f = c["field"]
     L = c["g"].lipschitz
-    dt = f.T / 1024
+    dt = 1.0 / 1024
     for p in simulate_block(f, 902, range(32), 1024):
         assert p.z_abs_max_raw <= L + 1e-2
         assert np.abs(p.Z).max() <= L + 1e-12     # certified projection
-        assert p.X2[-1] <= L**2 * f.T + 1e-2
+        assert p.X2[-1] <= L**2 + 1e-2
         inc = np.diff(p.X2)
         assert np.all(inc >= 0.0)
         assert np.abs(inc - p.Z[:-1] ** 2 * dt).max() < 1e-15
@@ -187,15 +187,15 @@ def test_simulate_block_returns_whole_paths(case_uniform_k025):
     x1_0, x2_0, n_steps = 0.25, 0.005, 256
     paths = simulate_block(f, 55, range(37), n_steps, x1_0=x1_0, x2_0=x2_0)
     assert len(paths) == 37
-    for p in paths:
+    for i, p in enumerate(paths):
         for a in (p.W, p.X1, p.X2, p.Y, p.Z):
             assert a.shape == (n_steps + 1,)
         assert np.array_equal(p.X1, x1_0 + p.W)
         assert p.W[0] == 0.0 and p.X2[0] == x2_0
         assert np.array_equal(p.W[1:], np.cumsum(
-            normal_increments(p.seed, n_steps, f.T / n_steps)))
+            normal_increments(p.seed, n_steps, 1.0 / n_steps)))
         # one path alone gives the same arrays as inside a block
-        q = simulate_path(f, x1_0, x2_0, n_steps, seed=p.seed)
+        q = simulate_block(f, 55, [i], n_steps, x1_0=x1_0, x2_0=x2_0)[0]
         for name in ("t_grid", "W", "X1", "X2", "Y", "Z"):
             assert np.array_equal(getattr(p, name), getattr(q, name)), name
         assert p.z_abs_max_raw == q.z_abs_max_raw

@@ -133,17 +133,17 @@ def _tuple_query_shapes(f):
     """The argument shapes eval_field serves, with x1 outside the box (u
     extrapolates, u1 clamps) and x2 outside [0, x2_hi]."""
     rng = np.random.default_rng(11)
-    T, lo, hi = f.T, f.x1_grid[0], f.x1_grid[-1]
+    lo, hi = f.x1_grid[0], f.x1_grid[-1]
     x2_hi = f.x2_grid[-1]
     n = 400
-    t = rng.uniform(0.0, T, n)
+    t = rng.uniform(0.0, 1.0, n)
     x1 = rng.uniform(lo - 2.0, hi + 2.0, n)
     x2 = rng.uniform(-0.2, x2_hi + 0.2, n)
     return {
         "sweep": (0.4375, x1, x2),
         "strong_rule": (t, x1, 0.3 * x2_hi),
         "broadcast_2d": (t[:20, None], x1[None, :30], x2[:30]),
-        "outside_box": (T, np.array([lo - 1.5, hi + 1.5, 0.1]),
+        "outside_box": (1.0, np.array([lo - 1.5, hi + 1.5, 0.1]),
                         np.array([-0.5, x2_hi + 0.5, x2_hi])),
         "scalar": (0.3, hi + 3.0, -1.0),
     }
@@ -422,13 +422,13 @@ def test_u1_positive_property(m, alpha, beta):
 
 def test_sin_drift_transport_closed_form(case_normal_sin):
     # for the identity transform the field rides the x2 characteristic:
-    # u(t, x1, x2) = x1 - delta(x2 + T - t); compare where paths can reach
+    # u(t, x1, x2) = x1 - delta(x2 + 1 - t); compare where paths can reach
     # (x2 <= t), away from the top-boundary inflow cone
     c = case_normal_sin.value
     f = c["field"]
     delta_closed = lambda x: 0.3 * (1.0 - np.cos(x / 1.44))
     tt, xx1, xx2 = np.meshgrid(f.t_grid, f.x1_grid, f.x2_grid, indexing="ij")
-    err = np.abs(f.u - (xx1 - delta_closed(xx2 + f.T - tt)))
+    err = np.abs(f.u - (xx1 - delta_closed(xx2 + 1.0 - tt)))
     reachable = xx2 <= tt + 1e-12
     assert err[reachable].max() < 5e-3
 
@@ -451,7 +451,7 @@ def test_config_validation():
 def test_non_lipschitz_rejected():
     g = make_g(TargetMeasure.empirical(np.linspace(0, 1, 32)))
     c = ProcessCoefficients(0.0, TimeFunction.const(0.0),
-                            TimeFunction.const(1.0), 1.0, t_phys=2.0)
+                            TimeFunction.const(1.0), 1.0, h_target=2.0)
     with pytest.raises(NonLipschitzError):
         solve_field(g, c.delayed_drift(), small_cfg(g.lipschitz))
 
@@ -460,7 +460,7 @@ def test_cutoff_must_be_passive():
     # cutoff barely above L_g is triggered by transient gradients
     g = make_g(TargetMeasure.normal(0, 1))
     c = ProcessCoefficients(0.0, TimeFunction.const(0.0),
-                            TimeFunction.const(1.0), 1.0, t_phys=2.0)
+                            TimeFunction.const(1.0), 1.0, h_target=2.0)
     cfg = SolverConfig.defaults(g.lipschitz, nt=64, nx1=65, nx2=33)
     bad = SolverConfig(**{**vars(cfg), "cutoff_H": g.lipschitz * (1.0 + 1e-9)})
     with pytest.raises(CutoffActiveError):

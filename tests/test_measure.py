@@ -22,6 +22,17 @@ def test_phi_against_scipy_grid():
     assert np.abs(phi(x) - norm.cdf(x)).max() < 1e-12
 
 
+def test_phi_nan_propagates():
+    # no branch of the erfc approximation takes a NaN; it stays NaN, and the
+    # finite values around it are the ones phi gives without it
+    assert np.isnan(phi(np.nan))
+    x = np.linspace(-9.0, 9.0, 1001)
+    mixed = np.insert(x, [0, 500, 1001], np.nan)
+    res = phi(mixed)
+    assert np.isnan(res).sum() == 3
+    assert np.array_equal(res[~np.isnan(mixed)], phi(x))
+
+
 def test_phi_inv_against_scipy_grid():
     p = np.linspace(1e-10, 1.0 - 1e-10, 20_001)
     assert np.abs(phi_inv(p) - norm.ppf(p)).max() < 1e-9

@@ -34,6 +34,18 @@ def test_ks_empty_rejected():
         ks_statistic(np.array([]), TargetMeasure.normal(0, 1))
 
 
+@pytest.mark.parametrize("m", [
+    TargetMeasure.normal(0.0, 1.0), TargetMeasure.uniform(0.0, 1.0),
+    TargetMeasure.piecewise_cdf([0.0, 0.5, 1.0], [0.0, 0.6, 1.0]),
+    TargetMeasure.empirical([0.1, 0.4, 0.9])], ids=lambda m: m.kind)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_rejected(m, bad):
+    # a NaN would otherwise pass the KS gate for some laws
+    for check in (ks_statistic, wasserstein1, law_report):
+        with pytest.raises(DomainError, match="finite"):
+            check([0.2, bad, 0.6, 0.4], m)
+
+
 def test_w1_exact_quantiles_shrink():
     m = TargetMeasure.normal(0, 1)
     vals = []
