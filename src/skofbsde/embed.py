@@ -69,6 +69,12 @@ _ROUND_TRIP_BLOCK = 512
 _TIME_CHANGE_ROWS = 128
 
 
+def _clamp_fraction(clamp_hits: np.ndarray, steps: np.ndarray) -> float:
+    """Share of the integration steps, over all paths, with the clamp
+    active."""
+    return int(clamp_hits.sum()) / max(int(steps.sum()), 1)
+
+
 def _warn_if_clamped(fraction: float, where: str) -> None:
     if fraction > CLAMP_WARN_FRACTION:
         warnings.warn(f"u1 floor clamp active on {fraction:.2%} of {where} "
@@ -241,8 +247,10 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
     The state (ids, sigma, Sigma, int beta dB) holds the live paths only,
     and the noise is read for their ids.  ``stop`` writes the per-path
     results of a crossing, a K2 breach or the K1 end by id; stopped paths
-    are then compacted away.  With ``keep_paths``, ``sigma_path`` holds
-    each path's sigma per step, frozen after its stop step."""
+    are then compacted away.  Per path, ``steps`` counts the steps it was
+    live and ``clamp_hits`` those of them with the u1 floor clamp active.
+    With ``keep_paths``, ``sigma_path`` holds each path's sigma per step,
+    frozen after its stop step."""
     if isinstance(dB, IncrementStreams):
         n, M, column = len(dB.gens), dB.n_steps, dB.column
     else:
@@ -259,21 +267,21 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
     sigma, Sigma, ibw = np.zeros((3, n))
     tau, Sigma_tau, ibw_tau = np.empty((3, n))
     guard = np.zeros(n, dtype=np.int8)       # 0 none, 1 K1, 2 K2
-    clamp_hits = total_steps = 0
+    clamp_hits, steps = np.zeros((2, n), dtype=np.int64)
     sigma_all = np.zeros(n)             # every path's sigma, for keep_paths
     sigma_path = [sigma_all.copy()] if keep_paths else None
 
-    def stop(done, r, S, I, code):
-        # the live paths ids[done] stop at r with Sigma S and int beta dB I
+    def stop(done, r, S, I, code, m):
+        # the live paths ids[done] stop at r with Sigma S and int beta dB I,
+        # after m steps
         j = ids[done]
-        tau[j], Sigma_tau[j], ibw_tau[j], guard[j] = r, S, I, code
+        tau[j], Sigma_tau[j], ibw_tau[j], guard[j], steps[j] = r, S, I, code, m
 
     for m in range(m_max):
         if ids.size == 0:
             break
         u1 = eval_field(f, np.clip(sigma, 0.0, 1.0), Sigma, H_r[m], "u1")
-        clamp_hits += int(np.count_nonzero(u1 < floor))
-        total_steps += ids.size
+        clamp_hits[ids[u1 < floor]] += 1
         u1c = np.clip(u1, floor, L_g)
 
         b = beta_r[m]
@@ -288,7 +296,7 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
             theta = (1.0 - sigma[crossed]) / dsig[crossed]
             stop(crossed, r_left[m] + theta * dr,
                  Sigma[crossed] + theta * dSig[crossed],
-                 ibw[crossed] + theta * dW_contrib[crossed], 0)
+                 ibw[crossed] + theta * dW_contrib[crossed], 0, m + 1)
         if keep_paths:                  # a crossed path keeps its sigma
             sigma_all[ids[~crossed]] = new_sigma[~crossed]
             sigma_path.append(sigma_all.copy())
@@ -298,16 +306,15 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
         breach = np.abs(Sigma) >= K2
         breach &= ~crossed
         if breach.any():
-            stop(breach, r_left[m] + dr, Sigma[breach], ibw[breach], 2)
+            stop(breach, r_left[m] + dr, Sigma[breach], ibw[breach], 2, m + 1)
         live = ~(breach | crossed)
         if not live.all():
             ids, sigma, Sigma, ibw = (a[live] for a in (ids, sigma, Sigma, ibw))
 
-    stop(slice(None), m_max * dr, Sigma, ibw, 1)
+    stop(slice(None), m_max * dr, Sigma, ibw, 1, m_max)
 
     out = {"tau": tau, "Sigma_tau": Sigma_tau, "int_beta_dB": ibw_tau,
-           "guard": guard, "clamp_hits": clamp_hits,
-           "total_steps": total_steps}
+           "guard": guard, "clamp_hits": clamp_hits, "steps": steps}
     if keep_paths:
         out["sigma_path"] = np.stack(sigma_path, axis=1)
     return out
@@ -327,7 +334,7 @@ def strong_stopping_time(f: DecouplingField, coeffs: ProcessCoefficients,
     r_max, K2 = _strong_limits(f, coeffs, K1, K2)
     res = _integrate_strong(f, coeffs, np.asarray(dB, dtype=float)[None, :],
                             dr, r_max, K2, keep_paths=True)
-    clamp_fraction = res["clamp_hits"] / max(res["total_steps"], 1)
+    clamp_fraction = _clamp_fraction(res["clamp_hits"], res["steps"])
     _warn_if_clamped(clamp_fraction, "stopping-time")
     return StrongStop(tau=float(res["tau"][0]),
                       Sigma_tau=float(res["Sigma_tau"][0]),
@@ -388,19 +395,18 @@ def strong_embed_on_W(f: DecouplingField, coeffs: ProcessCoefficients,
 
     c = float(eval_field(f, 0.0, 0.0, 0.0, "u"))
     seeds = path_seed(seed ^ _STRONG_SEED_SALT, np.arange(n_paths))
-    clamp = [0, 0]                      # clamp hits, integration steps
 
     def run_block(lo: int, hi: int):
         res = _integrate_strong(f, coeffs,
                                 IncrementStreams(seeds[lo:hi], n_steps, dr),
                                 dr, r_max, K2)
-        clamp[0] += res["clamp_hits"]
-        clamp[1] += res["total_steps"]
-        return res["tau"], res["Sigma_tau"], res["int_beta_dB"], res["guard"]
+        return (res["tau"], res["Sigma_tau"], res["int_beta_dB"],
+                res["guard"], res["clamp_hits"], res["steps"])
 
-    tau, Sigma_tau, ibw, guards = map_blocks(n_paths, _STRONG_BLOCK, run_block)
+    tau, Sigma_tau, ibw, guards, clamp_hits, steps = map_blocks(
+        n_paths, _STRONG_BLOCK, run_block)
     stopped = c + np.asarray(coeffs.delta_hat(np.minimum(tau, coeffs.t_phys))) + ibw
-    clamp_fraction = clamp[0] / max(clamp[1], 1)
+    clamp_fraction = _clamp_fraction(clamp_hits, steps)
     _warn_if_clamped(clamp_fraction, "embedding")
     counts = {"K1": int(np.count_nonzero(guards == 1)),
               "K2": int(np.count_nonzero(guards == 2))}

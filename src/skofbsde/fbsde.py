@@ -16,13 +16,17 @@ By certified bound, |Z| <= L_g; evaluated controls are projected onto that
 interval (raw magnitudes are recorded for the bound diagnostics).
 
 Every path ensemble here and in the embeddings runs through ``map_blocks``:
-blocks of consecutive path indices are processed one after another and their
-per-path results copied into whole-ensemble arrays in path order, so outputs
-do not depend on the block size.
+on a machine with two CPUs, the upper half of a large ensemble runs in one
+forked process (``run_halves``); each half runs its blocks of consecutive
+path indices one after another, and the per-path results are copied into
+whole-ensemble arrays in path order, so outputs depend neither on the block
+size nor on the split.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +36,15 @@ from .field import DecouplingField, eval_field
 from .measure import phi_inv
 
 __all__ = ["FbsdePath", "EnsembleResult", "MartingaleReport", "path_seed",
-           "normal_increments", "IncrementStreams", "map_blocks",
+           "normal_increments", "IncrementStreams", "run_halves", "map_blocks",
            "simulate_block", "simulate_ensemble",
            "backward_residual", "martingale_check"]
 
 _MASK64 = (1 << 64) - 1
 _ENSEMBLE_BLOCK = 1024
+# smaller ensembles stay in one process: half of a 256-path, 256-step
+# ensemble takes about as long as a fork and reap, 4-6 ms at 220 MB RSS
+_SPLIT_MIN_PATHS = 256
 # columns per draw of IncrementStreams: a (1024, 256) chunk is 2 MiB
 _NOISE_CHUNK = 256
 N_CHECKPOINTS = 8
@@ -58,27 +65,100 @@ def path_seed(base_seed: int, index):
     return int(z[0]) if idx.ndim == 0 else z
 
 
+def run_halves(n: int, fn, minimum: int) -> list:
+    """``[fn(0, h), fn(h, n)]`` with h = n // 2, the second half computed in
+    one forked process, when this process may run on two CPUs and ``n`` is
+    at least ``minimum``; ``[fn(0, n)]`` otherwise.
+
+    The child sends its result back as a pickle and always ends with
+    ``os._exit``: it never returns into the caller's stack.  An exception of
+    the child is raised again here, with its type and message and the
+    child's traceback as a note.  The child is always reaped; it is killed
+    first when this process's half raises.  A fork copies only the calling
+    thread: the package starts no threads, and OpenBLAS stops its own
+    worker threads before a fork.
+    """
+    if n < max(minimum, 2) or len(os.sched_getaffinity(0)) < 2:
+        return [fn(0, n)]
+    h = n // 2
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                try:
+                    result = True, fn(h, n)
+                except BaseException as exc:
+                    result = False, _portable(exc)
+                pickle.dump(result, out, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        with open(r, "rb") as src:
+            first = fn(0, h)
+            try:
+                ok, second = pickle.load(src)
+            except (EOFError, pickle.UnpicklingError):
+                ok, second = False, RuntimeError(
+                    f"the process computing items [{h}, {n}) ended "
+                    f"without a result")
+    except BaseException:
+        from signal import SIGKILL
+        os.kill(pid, SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    if not ok:
+        raise second
+    return [first, second]
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """``exc`` with the formatted traceback as a note, or a RuntimeError of
+    the same text when ``exc`` does not survive a pickle round trip."""
+    import traceback
+    if hasattr(exc, "add_note"):                    # Python >= 3.11
+        exc.add_note("".join(traceback.format_exception(
+            type(exc), exc, exc.__traceback__)).rstrip())
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
 def map_blocks(n_paths: int, block: int, fn) -> tuple[np.ndarray, ...]:
     """Call ``fn(lo, hi)`` on consecutive blocks of path indices and copy the
     per-path arrays it returns (each with leading length hi - lo) into
     whole-ensemble arrays, in path order.
 
-    The copy means ``fn`` may return views into its block's temporaries; they
-    are released before the next block starts.
+    ``run_halves`` may split the paths in two; each half runs in blocks of
+    at most ``block`` paths, one after another.  The copy means
+    ``fn`` may return views into its block's temporaries; they are released
+    before the next block starts.
     """
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
-    out = None
-    for lo in range(0, n_paths, block):
-        hi = min(lo + block, n_paths)
-        parts = [np.asarray(a) for a in fn(lo, hi)]
-        if out is None:
-            out = tuple(np.empty((n_paths,) + a.shape[1:], dtype=a.dtype)
-                        for a in parts)
-        for whole, a in zip(out, parts):
-            whole[lo:hi] = a
-        del parts, a
-    return out
+
+    def blocks(start: int, stop: int):
+        out = None
+        for lo in range(start, stop, block):
+            hi = min(lo + block, stop)
+            parts = [np.asarray(a) for a in fn(lo, hi)]
+            if out is None:
+                out = tuple(np.empty((stop - start,) + a.shape[1:],
+                                     dtype=a.dtype) for a in parts)
+            for whole, a in zip(out, parts):
+                whole[lo - start:hi - start] = a
+            del parts, a
+        return out
+
+    halves = run_halves(n_paths, blocks, _SPLIT_MIN_PATHS)
+    return tuple(np.concatenate(arrays) for arrays in zip(*halves))
 
 
 class IncrementStreams:

@@ -23,6 +23,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shutil
+import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -526,6 +529,8 @@ def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostic
 # ----------------------------------------------------------------------------
 
 _VALUES_PER_WRITE = 2**16    # values formatted per write of the CSV
+# fields of fewer CSV rows are saved and loaded in one process
+_SPLIT_MIN_ROWS = 4096
 
 
 def sidecar_path(path: str) -> str:
@@ -546,14 +551,31 @@ def save_field(f: DecouplingField, path: str,
 
     ``u1`` is not stored: :func:`load_field` recomputes it with the same
     finite-difference stencil as :func:`solve_field`.
+
+    On two CPUs a large field is formatted in two halves by ``run_halves``:
+    the upper rows go to a sibling temporary file in the child process and
+    are then appended to ``path``; the temporary file is removed also when
+    the save fails.  The bytes written do not depend on the split.
     """
+    from .fbsde import run_halves       # fbsde imports this module
     nt1, nx1, nx2 = f.u.shape
     rows = f.u.reshape(nt1 * nx1, nx2)
     step = max(1, _VALUES_PER_WRITE // nx2)
-    with open(path, "w") as fh:
-        for start in range(0, rows.shape[0], step):
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in
-                             rows[start:start + step].tolist()))
+    upper = f"{path}.{os.getpid()}.part"
+
+    def write(lo: int, hi: int) -> None:
+        with open(path if lo == 0 else upper, "w") as fh:
+            for start in range(lo, hi, step):
+                fh.write("".join(",".join(map(repr, row)) + "\n" for row in
+                                 rows[start:min(start + step, hi)].tolist()))
+
+    try:
+        if len(run_halves(rows.shape[0], write, _SPLIT_MIN_ROWS)) == 2:
+            with open(upper, "rb") as src, open(path, "ab") as dst:
+                shutil.copyfileobj(src, dst, 1 << 20)
+    finally:
+        if os.path.exists(upper):
+            os.remove(upper)
     meta = {
         "format": _FORMAT_TAG,
         "version": _FORMAT_VERSION,
@@ -588,12 +610,39 @@ def _read_sidecar(path: str) -> dict:
     return meta
 
 
+def _read_rows(path: str, lo: int, hi: int | None) -> np.ndarray:
+    """Rows [lo, hi) of the CSV at ``path`` (to its end when ``hi`` is
+    ``None``), or fewer where it ends.
+
+    Above row 0 the row before ``lo`` is parsed too and dropped, so that a
+    column count that changes at ``lo`` is reported as a whole-file read
+    reports it; the row numbers in a ``ValueError`` count from the top of
+    the file.  An empty part is not warned about: the caller's shape check
+    reports it.
+    """
+    skip = max(lo - 1, 0)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            part = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip,
+                              max_rows=None if hi is None else hi - skip)
+    except ValueError as exc:
+        raise ValueError(re.sub(r"at row (\d+)",
+                                lambda m: f"at row {int(m[1]) + skip}",
+                                str(exc))) from None
+    return part[lo - skip:]
+
+
 def load_field(path: str) -> DecouplingField:
     """Read a field written by :func:`save_field`; ``u1`` is recomputed with
     the finite-difference stencil.  A missing, malformed, mis-shaped or
     non-finite file raises :class:`ConfigError`, and so do grids that
     :func:`solve_field` does not make (and :func:`eval_field` assumes): each
-    is ``np.linspace`` of its increasing end points, t from 0 to 1, x2 from 0."""
+    is ``np.linspace`` of its increasing end points, t from 0 to 1, x2 from 0.
+
+    On two CPUs a large file is parsed in two halves by ``run_halves``, the
+    upper one in the child process, and both are copied into one array.
+    The checks and their messages do not depend on the split."""
     meta = _read_sidecar(path)
     try:
         grids = [np.array(meta[k], dtype=float)
@@ -613,18 +662,30 @@ def load_field(path: str) -> DecouplingField:
             and (grids[0][0], grids[0][-1], grids[2][0]) == (0.0, 1.0, 0.0)):
         raise ConfigError(f"field sidecar for {path}: grids must be uniform "
                           f"and increasing, with t from 0 to 1 and x2 from 0")
+    from .fbsde import run_halves       # fbsde imports this module
+    expected = (shape[0] * shape[1], shape[2])
     try:
         with open(path, "rb") as fh:
             fh.seek(-1, os.SEEK_END)
             complete = fh.read(1) == b"\n"
-        u = np.loadtxt(path, delimiter=",", ndmin=2)
+        parts = run_halves(expected[0], lambda lo, hi: _read_rows(
+            path, lo, hi if hi < expected[0] else None), _SPLIT_MIN_ROWS)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read field file {path}: {exc}") from None
-    expected = (shape[0] * shape[1], shape[2])
-    if not complete or u.shape != expected:
+    n_read = sum(p.shape[0] for p in parts)
+    if (not complete or n_read != expected[0]
+            or any(p.shape[1] != expected[1] for p in parts)):
         raise ConfigError(f"field file {path} is truncated or mis-shaped: "
-                          f"{u.shape[0]} x {u.shape[1]} values, expected "
+                          f"{n_read} x {parts[0].shape[1]} values, expected "
                           f"{expected[0]} x {expected[1]}")
+    if len(parts) == 1:
+        u = parts.pop()
+    else:
+        # one array for the two halves: each is released once copied
+        u = np.empty(expected)
+        h = parts[0].shape[0]
+        u[:h] = parts.pop(0)
+        u[h:] = parts.pop()
     # min and max see every NaN and inf without a field-sized temporary
     if not (np.isfinite(u.min()) and np.isfinite(u.max())):
         raise ConfigError(f"field file {path} has a non-finite value")

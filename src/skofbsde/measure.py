@@ -103,7 +103,10 @@ def _erfc_positive(y: np.ndarray) -> np.ndarray:
         dely = (ym - ysq) * (ym + ysq)
         out[mid] = np.exp(-ysq * ysq) * np.exp(-dely) * ratio
 
-    big = y > 4.0
+    # erfc underflows to 0 from y = 27.3; from there on, and for an infinite
+    # y, no branch is taken
+    out[y >= 40.0] = 0.0
+    big = (y > 4.0) & (y < 40.0)
     if np.any(big):
         yb = y[big]
         z = 1.0 / (yb * yb)
@@ -122,7 +125,7 @@ def _erfc_positive(y: np.ndarray) -> np.ndarray:
 
 def phi(x) -> np.ndarray | float:
     """Standard normal CDF, absolute error well below ``PHI_ABS_TOL``;
-    NaN maps to NaN."""
+    -inf and inf map to 0 and 1, NaN to NaN."""
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa)

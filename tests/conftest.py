@@ -4,6 +4,7 @@ The expensive objects are session-scoped and carry the wall time of their
 construction so the acceptance tests can enforce the runtime budgets.
 """
 
+import os
 import time
 
 import numpy as np
@@ -17,6 +18,19 @@ from skofbsde.measure import TargetMeasure, make_g
 
 N_ACCEPT = 10_000
 N_STEPS_ACCEPT = 4096
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped:
+    the forked half of a split run must always be waited for."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:           # no child processes at all
+        return
+    pytest.fail("a child process was left "
+                + ("running" if pid == 0 else f"unreaped (pid {pid})"))
 
 
 class Timed:

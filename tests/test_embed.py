@@ -92,8 +92,9 @@ def test_clamp_fraction_weighted_per_step(case_uniform_k025, monkeypatch):
     r_max, K2 = embed._strong_limits(f, c["coeffs"])
     dB = np.array([normal_increments(int(s), 2048, er.dr) for s in er.seeds])
     whole = embed._integrate_strong(f, c["coeffs"], dB, er.dr, r_max, K2)
-    assert whole["clamp_hits"] > 0
-    assert fractions == [whole["clamp_hits"] / whole["total_steps"]] * 2
+    hits, steps = int(whole["clamp_hits"].sum()), int(whole["steps"].sum())
+    assert hits > 0
+    assert fractions == [hits / steps] * 2
 
 
 def test_strong_embed_dr_rule_enforced(case_uniform_k025):
@@ -257,15 +258,17 @@ def _strong_reference(f, coeffs, dB, dr, r_max, K2):
     beta_r = np.asarray(coeffs.beta(r_left))
     H_r = np.asarray(coeffs.clock_H(r_left))
     floor, L_g = f.deriv_floor_eps, f.g_lipschitz
-    rows, paths, clamp_hits, total_steps = [], [], 0, 0
+    rows, paths, clamp_hits, steps = [], [], [], []
     for dB_j in dB:
         sigma = Sigma = ibw = 0.0
         path = [sigma]
+        clamp_hits.append(0)
+        steps.append(0)
         for m in range(m_max):
             u1 = eval_field(f, np.clip([sigma], 0.0, 1.0), np.array([Sigma]),
                             H_r[m], "u1")[0]
-            clamp_hits += int(u1 < floor)
-            total_steps += 1
+            clamp_hits[-1] += int(u1 < floor)
+            steps[-1] += 1
             u1c = float(np.clip(u1, floor, L_g))
             b = beta_r[m]
             dsig = dr * b * b / (u1c * u1c)
@@ -288,8 +291,9 @@ def _strong_reference(f, coeffs, dB, dr, r_max, K2):
         paths.append(path)
     tau, Sigma_tau, ibw_tau, guard = map(np.array, zip(*rows))
     return {"tau": tau, "Sigma_tau": Sigma_tau, "int_beta_dB": ibw_tau,
-            "guard": guard.astype(np.int8), "clamp_hits": clamp_hits,
-            "total_steps": total_steps}, paths
+            "guard": guard.astype(np.int8),
+            "clamp_hits": np.array(clamp_hits, dtype=np.int64),
+            "steps": np.array(steps, dtype=np.int64)}, paths
 
 
 def test_strong_rule_matches_per_path_reference_with_mixed_stops(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,6 +33,24 @@ def test_phi_nan_propagates():
     res = phi(mixed)
     assert np.isnan(res).sum() == 3
     assert np.array_equal(res[~np.isnan(mixed)], phi(x))
+
+
+def test_phi_at_infinity():
+    # the tail branch of the erfc approximation gave NaN and a RuntimeWarning
+    # (inf - inf) for an infinite argument, and for finite ones above 1e154;
+    # they map to 0 and 1 now, and the values around them are unchanged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (phi(-np.inf), phi(np.inf)) == (0.0, 1.0)
+        assert phi(np.array([-np.inf, -1e300, -60.0, 60.0, 1e300, np.inf])
+                   ).tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+        normal = TargetMeasure.normal(0.0, 1.0)
+        assert (normal.cdf(-np.inf), normal.cdf(np.inf)) == (0.0, 1.0)
+        x = np.linspace(-60.0, 60.0, 2001)
+        mixed = np.insert(x, [0, 1000, 2001], [np.inf, -np.inf, np.nan])
+        res = phi(mixed)
+    assert res[0] == 1.0 and res[1001] == 0.0 and np.isnan(res[2003])
+    assert np.array_equal(res[np.isfinite(mixed)], phi(x))
 
 
 def test_phi_inv_against_scipy_grid():
