@@ -21,6 +21,7 @@ are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -81,12 +82,13 @@ def _load_column_csv(path: str, ncols: int, header: bool = False) -> np.ndarray:
     return data
 
 
-def build_measure(spec: dict) -> measure_mod.TargetMeasure:
+def build_transform(spec: dict) -> measure_mod.QuantileTransform:
     # DomainError (a ValueError) from the law's own checks, ValueError or
-    # TypeError from list entries that are not numbers
+    # TypeError from list entries that are not numbers, DiracMeasureError
+    # from a point-mass law
     try:
-        return _build_measure(spec)
-    except (ValueError, TypeError) as exc:
+        return measure_mod.make_g(_build_measure(spec))
+    except (ValueError, TypeError, DiracMeasureError) as exc:
         raise ConfigError(f"invalid measure: {exc}") from None
 
 
@@ -131,39 +133,16 @@ def _build_time_function(spec: dict, name: str) -> coeffs_mod.TimeFunction:
     raise ConfigError(f"unknown time-function kind {kind!r} in {name}")
 
 
-def build_coefficients(spec: dict,
-                       h_target: float) -> coeffs_mod.ProcessCoefficients:
-    _reject_extras(spec, {"G0", "alpha", "beta", "beta_floor"}, "coefficients")
-    alpha = _build_time_function(_take(spec, "alpha", kind=dict), "alpha")
-    beta = _build_time_function(_take(spec, "beta", kind=dict), "beta")
-    return coeffs_mod.ProcessCoefficients(
-        G0=_take(spec, "G0", 0.0, (int, float)),
-        alpha=alpha, beta=beta,
-        beta_floor=_take(spec, "beta_floor", kind=(int, float)),
-        h_target=h_target)
-
-
 _SOLVER_KEYS = {"nt", "nx1", "nx2", "x1_lo", "x1_hi", "x2_hi", "cutoff_H",
                 "fixpoint_tol", "fixpoint_max_iter", "deriv_floor_eps"}
 
 
-def build_solver_config(spec: dict, g_lipschitz: float) -> field_mod.SolverConfig:
-    _reject_extras(spec, _SOLVER_KEYS, "solver")
-    base = field_mod.SolverConfig.defaults(
-        g_lipschitz,
-        nt=_take(spec, "nt", 256, int),
-        nx1=_take(spec, "nx1", 257, int),
-        nx2=_take(spec, "nx2", 129, int))
-    overrides = {k: _take(spec, k, kind=int if k == "fixpoint_max_iter"
-                          else (int, float))
-                 for k in spec if k in _SOLVER_KEYS - {"nt", "nx1", "nx2"}}
-    cfg = field_mod.SolverConfig(**{**vars(base), **overrides}) if overrides else base
-    cfg.validate(g_lipschitz)
-    return cfg
-
-
 class RunConfig:
-    """Validated run configuration (strict schema, version 1)."""
+    """Validated run configuration (strict schema, version 1).
+
+    ``solver``, ``coefficients`` and ``delta`` are built and checked on
+    first read, the rest on construction: ``verify`` never builds them.
+    """
 
     TOP_KEYS = {"spec_version", "measure", "coefficients", "solver",
                 "simulation", "embedding", "output_dir"}
@@ -175,18 +154,11 @@ class RunConfig:
         if _take(raw, "spec_version", kind=int) != 1:
             raise ConfigError("unsupported spec_version (expected 1)")
 
-        self.measure = build_measure(dict(_take(raw, "measure", kind=dict)))
-        try:
-            self.g = measure_mod.make_g(self.measure)
-        except DiracMeasureError as exc:    # a point-mass target law
-            raise ConfigError(f"invalid measure: {exc}") from None
+        self.g = build_transform(dict(_take(raw, "measure", kind=dict)))
+        self.measure = self.g.measure
 
-        solver_spec = dict(_take(raw, "solver", {}, dict))
-        self.solver = build_solver_config(solver_spec, self.g.lipschitz)
-        # the clock reaches the solver's x2 box, which covers L_g^2
-        self.coefficients = build_coefficients(
-            dict(_take(raw, "coefficients", kind=dict)), self.solver.x2_hi)
-        self.delta = self.coefficients.delayed_drift()
+        self._solver_spec = dict(_take(raw, "solver", {}, dict))
+        self._coefficients_spec = dict(_take(raw, "coefficients", kind=dict))
 
         sim = dict(_take(raw, "simulation", {}, dict))
         _reject_extras(sim, {"n_paths", "n_steps", "seed"}, "simulation")
@@ -208,6 +180,39 @@ class RunConfig:
         out = _take(raw, "output_dir", "out", str)
         self.output_dir = out if os.path.isabs(out) else \
             os.path.join(base_dir, out)
+
+    @functools.cached_property
+    def solver(self) -> field_mod.SolverConfig:
+        spec, L_g = self._solver_spec, self.g.lipschitz
+        _reject_extras(spec, _SOLVER_KEYS, "solver")
+        base = field_mod.SolverConfig.defaults(
+            L_g,
+            nt=_take(spec, "nt", 256, int),
+            nx1=_take(spec, "nx1", 257, int),
+            nx2=_take(spec, "nx2", 129, int))
+        overrides = {k: _take(spec, k, kind=int if k == "fixpoint_max_iter"
+                              else (int, float))
+                     for k in spec if k in _SOLVER_KEYS - {"nt", "nx1", "nx2"}}
+        cfg = field_mod.SolverConfig(**{**vars(base), **overrides}) if overrides else base
+        cfg.validate(L_g)
+        return cfg
+
+    @functools.cached_property
+    def coefficients(self) -> coeffs_mod.ProcessCoefficients:
+        spec = self._coefficients_spec
+        _reject_extras(spec, {"G0", "alpha", "beta", "beta_floor"}, "coefficients")
+        alpha = _build_time_function(_take(spec, "alpha", kind=dict), "alpha")
+        beta = _build_time_function(_take(spec, "beta", kind=dict), "beta")
+        # the clock reaches the solver's x2 box, which covers L_g^2
+        return coeffs_mod.ProcessCoefficients(
+            G0=_take(spec, "G0", 0.0, (int, float)),
+            alpha=alpha, beta=beta,
+            beta_floor=_take(spec, "beta_floor", kind=(int, float)),
+            h_target=self.solver.x2_hi)
+
+    @functools.cached_property
+    def delta(self):
+        return self.coefficients.delayed_drift()
 
     def check_simulation(self) -> None:
         """Range rule for the simulation keys, also applied to the CLI
@@ -237,12 +242,12 @@ def _field_path(out_dir: str) -> str:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    os.makedirs(cfg.output_dir, exist_ok=True)
     f = field_mod.solve_field(cfg.g, cfg.delta, cfg.solver)
     # the coupled-system check only sets f.deriv_mismatch, which the
     # diagnostics report; f keeps its finite-difference derivatives
     field_mod.derivative_fields(f, "coupled_system", g=cfg.g, delta=cfg.delta)
     diag = field_mod.field_diagnostics(f, cfg.g, cfg.delta)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     field_mod.save_field(f, _field_path(cfg.output_dir), diag)
     print(json.dumps(diag.to_dict(), indent=2, sort_keys=True))
     print(f"field written to {_field_path(cfg.output_dir)}")
@@ -261,11 +266,12 @@ def _dump_paths(cfg: RunConfig, f, count: int) -> None:
 
 
 def cmd_embed(cfg: RunConfig, field_path: str, dump_paths: int = 0) -> int:
+    delta = cfg.delta     # the configuration is checked before the field
     f = field_mod.load_field(field_path)
     # a field solved for this law and drift has, bitwise, the terminal
     # layer that solve_field builds
     try:
-        term = field_mod.terminal_layer(cfg.g, cfg.delta, f.x1_grid, f.x2_grid)
+        term = field_mod.terminal_layer(cfg.g, delta, f.x1_grid, f.x2_grid)
     except HorizonError:    # the field's x2 grid lies beyond this clock
         term = None
     if term is None or not np.array_equal(f.u[-1], term):

@@ -83,6 +83,11 @@ class SolverConfig:
                    cutoff_H=4.0 * max(g_lipschitz, 1.0))
 
     def validate(self, g_lipschitz: float) -> None:
+        """Check the grid against L_g; the one place that refuses a g with
+        no finite constant (:class:`NonLipschitzError`)."""
+        if not np.isfinite(g_lipschitz):
+            raise NonLipschitzError("g has no finite Lipschitz constant: "
+                                    "the target law's quantile jumps")
         if self.nt < 2 or self.nx1 < 2 or self.nx2 < 2:
             raise ConfigError("nt, nx1, nx2 must all be >= 2")
         if not self.x1_lo < self.x1_hi:
@@ -213,19 +218,13 @@ def terminal_layer(g, delta, x1_grid, x2_grid) -> np.ndarray:
 def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
     """Backward induction for the decoupling field.
 
-    ``g`` is a vectorized callable with attributes ``lipschitz`` (finite) and
-    optionally ``non_lipschitz``; ``delta`` is a vectorized callable with
-    attribute ``deriv_sup``.  Raises :class:`NonLipschitzError` for step-like
-    transforms, :class:`ContractionError` when the per-step fixed point does
-    not converge and :class:`CutoffActiveError` when the gradient cutoff
-    binds.
+    ``g`` is a vectorized callable with attribute ``lipschitz``, which
+    ``cfg.validate`` checks; ``delta`` is a vectorized callable with
+    attribute ``deriv_sup``.  Raises :class:`ContractionError` when the
+    per-step fixed point does not converge and :class:`CutoffActiveError`
+    when the gradient cutoff binds.
     """
-    L_g = getattr(g, "lipschitz", None)
-    if L_g is None or not np.isfinite(L_g):
-        raise NonLipschitzError("g has no finite Lipschitz constant")
-    if getattr(g, "non_lipschitz", False):
-        raise NonLipschitzError("g flagged non-Lipschitz (step quantile or tail blowup)")
-    cfg.validate(L_g)
+    cfg.validate(g.lipschitz)
 
     nt, nx1, nx2 = cfg.nt, cfg.nx1, cfg.nx2
     t_grid = np.linspace(0.0, 1.0, nt + 1)
@@ -270,7 +269,7 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
     u1 = _gradient_into(np.empty_like(u), u, dx1, axis=1)
     f = DecouplingField(
         t_grid=t_grid, x1_grid=x1, x2_grid=x2, u=u, u1=u1,
-        g_lipschitz=float(L_g),
+        g_lipschitz=float(g.lipschitz),
         delta_deriv_sup=float(getattr(delta, "deriv_sup", np.nan)),
         cutoff_H=cfg.cutoff_H, deriv_floor_eps=cfg.deriv_floor_eps)
     # max |u1| without building |u1|

@@ -5,8 +5,8 @@ A target law ``nu`` is represented by its cumulative distribution function
 ``F^{-1}(y) = inf{x : F(x) >= y}``.  Composing the inverse with the standard
 normal CDF gives the non-decreasing transform ``g(x) = F^{-1}(Phi(x))``, which
 maps a standard normal sample to a sample of ``nu``.  The transform carries
-its Lipschitz constant, which sizes the solver's grid and bounds the
-control, and a flag for transforms with no finite one.
+its exact Lipschitz constant, which sizes the solver's grid and bounds the
+control, and ``math.inf`` where none exists.
 
 ``Phi`` and its inverse are evaluated by classical rational approximations
 (Cody's erf/erfc and Wichura's PPND16) so that results are plain IEEE-754
@@ -35,13 +35,6 @@ __all__ = [
 # Certified absolute accuracy of phi / phi_inv (validated in the test suite
 # against Phi(0) = 1/2 and Phi(1.96) = 0.9750021048517795).
 PHI_ABS_TOL = 1e-10
-
-# Lipschitz probe grid for transforms without an analytic constant: Phi mass
-# outside [-8, 8] is below 1e-15, so slopes outside cannot dominate.
-_PROBE_LO = -8.0
-_PROBE_HI = 8.0
-_PROBE_POINTS = 2001
-_PROBE_H = 1e-4
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -248,13 +241,11 @@ class TargetMeasure:
             mu, sigma = params["mu"], params["sigma"]
             if sigma < 0.0 or not np.isfinite(mu) or not np.isfinite(sigma):
                 raise DomainError("normal law needs finite mu and sigma >= 0")
-            self.support = (-math.inf, math.inf)
             self.mean, self.var = mu, sigma**2
         elif kind == "uniform":
             lo, hi = params["lo"], params["hi"]
             if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
                 raise DomainError("uniform law needs finite lo <= hi")
-            self.support = (lo, hi)
             self.mean, self.var = 0.5 * (lo + hi), (hi - lo) ** 2 / 12.0
         elif kind == "piecewise_cdf":
             xs = np.asarray(params["xs"], dtype=float)
@@ -267,7 +258,6 @@ class TargetMeasure:
             if np.any(np.diff(Fs) < 0.0) or Fs[0] < 0.0 or abs(Fs[-1] - 1.0) > 1e-12:
                 raise DomainError("piecewise CDF values must be non-decreasing from >=0 to 1")
             self._p = {"xs": xs, "Fs": Fs}
-            self.support = (float(xs[0]), float(xs[-1]))
             levels = (np.arange(10_000) + 0.5) / 10_000
             qs = self.quantile(levels)
             self.mean, self.var = float(qs.mean()), float(qs.var())
@@ -276,7 +266,6 @@ class TargetMeasure:
             if samples.ndim != 1 or samples.size < 1 or np.any(~np.isfinite(samples)):
                 raise DomainError("empirical law needs a non-empty finite sample vector")
             self._p = {"samples": samples}
-            self.support = (float(samples[0]), float(samples[-1]))
             self.mean, self.var = float(samples.mean()), float(samples.var())
         else:
             raise DomainError(f"unknown measure kind {kind!r}")
@@ -301,28 +290,32 @@ class TargetMeasure:
 
     # -- CDF / quantile ------------------------------------------------------
 
-    def cdf(self, x) -> np.ndarray | float:
-        """F(x) = nu((-inf, x]); total, non-decreasing, right-continuous."""
+    def cdf(self, x, left: bool = False) -> np.ndarray | float:
+        """F(x) = nu((-inf, x]); total, non-decreasing, right-continuous.
+        With ``left`` the left limit F(x-) = nu((-inf, x)), which differs
+        from F(x) only at an atom."""
         xa = np.asarray(x, dtype=float)
         scalar = xa.ndim == 0
         xa = np.atleast_1d(xa)
         if self.kind == "normal":
             mu, sigma = self._p["mu"], self._p["sigma"]
             if sigma == 0.0:
-                res = np.where(xa >= mu, 1.0, 0.0)
+                res = np.where(xa > mu if left else xa >= mu, 1.0, 0.0)
             else:
                 res = np.asarray(phi((xa - mu) / sigma))
         elif self.kind == "uniform":
             lo, hi = self._p["lo"], self._p["hi"]
             if hi == lo:
-                res = np.where(xa >= lo, 1.0, 0.0)
+                res = np.where(xa > lo if left else xa >= lo, 1.0, 0.0)
             else:
                 res = np.clip((xa - lo) / (hi - lo), 0.0, 1.0)
         elif self.kind == "piecewise_cdf":
             res = np.interp(xa, self._p["xs"], self._p["Fs"], left=0.0, right=1.0)
+            if left:    # the only atom sits at xs[0], of mass Fs[0]
+                res[xa == self._p["xs"][0]] = 0.0
         else:
             s = self._p["samples"]
-            res = np.searchsorted(s, xa, side="right") / s.size
+            res = np.searchsorted(s, xa, side="left" if left else "right") / s.size
         return float(res[0]) if scalar else res
 
     def quantile(self, y) -> np.ndarray | float:
@@ -341,8 +334,9 @@ class TargetMeasure:
         elif self.kind == "piecewise_cdf":
             xs, Fs = self._p["xs"], self._p["Fs"]
             # inf{x : F(x) >= y}: exact hits land on the first breakpoint of a
-            # flat run, strict ones interpolate the bracketing rising segment
-            i = np.searchsorted(Fs, ya, side="left")
+            # flat run, strict ones interpolate the bracketing rising segment,
+            # levels above a last value within 1e-12 below 1 on xs[-1]
+            i = np.minimum(np.searchsorted(Fs, ya, side="left"), Fs.size - 1)
             exact = Fs[i] <= ya
             j = np.maximum(i, 1)
             den = Fs[j] - Fs[j - 1]
@@ -356,10 +350,10 @@ class TargetMeasure:
         return float(res[0]) if scalar else res
 
     def is_dirac(self) -> bool:
-        return self.quantile(0.25) == self.quantile(0.75) == self.quantile(0.5)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TargetMeasure({self.kind}, support={self.support})"
+        """True for a point mass: the quantiles at the extreme levels
+        ``2**-53`` and ``1 - 2**-53`` coincide.  An atom that only covers
+        the quartiles leaves the law a real one."""
+        return self.quantile(2.0**-53) == self.quantile(1.0 - 2.0**-53)
 
 
 # ----------------------------------------------------------------------------
@@ -372,31 +366,25 @@ class QuantileTransform:
     Attributes
     ----------
     lipschitz : float
-        Best available Lipschitz constant of g (sup |g'|): analytic for the
-        normal and uniform laws, a finite-difference estimate on a probe
-        grid for the others.
-    non_lipschitz : bool
-        Set when the transform has jumps (step quantiles) or an unbounded
-        slope was detected on the probe grid.  Such transforms are rejected
-        by the field solver, not here.
+        Exact Lipschitz constant sup |g'| of g, or ``math.inf`` where g
+        jumps: for every empirical law, and for a piecewise CDF flat at a
+        level inside (0, 1).  ``SolverConfig.validate`` refuses ``inf``.
     """
 
     def __init__(self, measure: TargetMeasure):
         if measure.is_dirac():
             raise DiracMeasureError("g identically constant: target law is a Dirac measure")
         self.measure = measure
-        self.non_lipschitz = False
-
+        p = measure._p
         if measure.kind == "normal":
-            self.lipschitz = measure._p["sigma"]
+            self.lipschitz = p["sigma"]
         elif measure.kind == "uniform":
             # g = lo + scale * Phi, so |g'| <= scale/sqrt(2 pi)
-            scale = measure._p["hi"] - measure._p["lo"]
-            self.lipschitz = scale * _INV_SQRT_2PI
+            self.lipschitz = (p["hi"] - p["lo"]) * _INV_SQRT_2PI
+        elif measure.kind == "piecewise_cdf":
+            self.lipschitz = _piecewise_lipschitz(p["xs"], p["Fs"])
         else:
-            self.lipschitz = self._probe_lipschitz()
-            if measure.kind == "empirical":
-                self.non_lipschitz = True
+            self.lipschitz = math.inf
 
     def __call__(self, x) -> np.ndarray | float:
         p = np.clip(np.asarray(phi(x)), 1e-300, 1.0 - 1e-16)
@@ -414,22 +402,27 @@ class QuantileTransform:
         xa = np.asarray(x, dtype=float)
         return (np.asarray(self(xa + h)) - np.asarray(self(xa - h))) / (2.0 * h)
 
-    def _probe_lipschitz(self) -> float:
-        xs = np.linspace(_PROBE_LO, _PROBE_HI, _PROBE_POINTS)
-        h = _PROBE_H
-        slopes = np.abs(np.asarray(self(xs + h)) - np.asarray(self(xs))) / h
-        lip = float(slopes.max())
-        # slope still growing at the probe boundary hints at an unbounded g'
-        edge = max(slopes[0], slopes[-1])
-        if lip > 0.0 and edge >= 0.999 * lip and slopes.argmax() in (0, slopes.size - 1):
-            self.non_lipschitz = True
-        return lip
+
+def _piecewise_lipschitz(xs: np.ndarray, Fs: np.ndarray) -> float:
+    """sup |g'| for the piecewise-linear CDF through (xs, Fs).  Where F
+    rises from F_{j-1} to F_j, g' = s_j Phi' with s_j = (x_j - x_{j-1}) /
+    (F_j - F_{j-1}), largest at the point of [Phi^{-1}(F_{j-1}),
+    Phi^{-1}(F_j)] nearest 0.  A flat run inside (0, 1) is a jump of g, and
+    g never reaches levels of 1 and above."""
+    lo, hi = Fs[:-1], Fs[1:]
+    if np.any((lo == hi) & (lo > 0.0) & (lo < 1.0)):
+        return math.inf
+    rise = (hi > lo) & (lo < 1.0)
+    lo, hi = lo[rise], hi[rise]
+    above, below = lo >= 0.5, hi <= 0.5
+    nearest = np.zeros(lo.size)
+    nearest[above] = phi_inv(lo[above])
+    nearest[below] = phi_inv(hi[below])
+    return float((np.diff(xs)[rise] / (hi - lo) * norm_pdf(nearest)).max())
 
 
 def make_g(m: TargetMeasure) -> QuantileTransform:
-    """Build g = F^{-1} o Phi with its Lipschitz constant.
-
-    Rejects Dirac measures (constant g).  Non-Lipschitz transforms are
-    flagged, not rejected; the field solver refuses them.
-    """
+    """Build g = F^{-1} o Phi with its exact Lipschitz constant
+    (``math.inf`` where g jumps, which only the solver refuses).  Rejects
+    Dirac measures (constant g)."""
     return QuantileTransform(m)

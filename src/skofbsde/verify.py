@@ -69,14 +69,14 @@ def _sorted_samples(samples, what: str) -> np.ndarray:
 
 
 def ks_statistic(samples, m: TargetMeasure) -> float:
-    """sup_x |F_n(x) - F(x)| evaluated at the sample points (both one-sided
-    gaps)."""
+    """sup_x |F_n(x) - F(x)|, exact: at the i-th smallest sample x_i the
+    gap D+ compares i/n with F(x_i), and D- compares (i-1)/n with the left
+    limit F(x_i-), which is below F(x_i) at an atom of the law."""
     s = _sorted_samples(samples, "KS statistic")
     n = s.size
-    F = np.asarray(m.cdf(s))
     i = np.arange(1, n + 1)
-    d_plus = (i / n - F).max()
-    d_minus = (F - (i - 1) / n).max()
+    d_plus = (i / n - np.asarray(m.cdf(s))).max()
+    d_minus = (np.asarray(m.cdf(s, left=True)) - (i - 1) / n).max()
     return float(max(d_plus, d_minus, 0.0))
 
 

@@ -164,6 +164,97 @@ def test_empirical_measure_cannot_be_solved(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+def _results_csv(path, m, n=1000):
+    # a results file whose stopped values are n evenly spread quantiles of m
+    values = np.asarray(m.quantile((np.arange(n) + 0.5) / n))
+    with open(path, "w") as fh:
+        fh.write("seed,tau_weak,tau_strong,stopped_value\n")
+        for i, v in enumerate(values):
+            fh.write(f"{i},0.1,0.1,{float(v)!r}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 17, 40])
+def test_empirical_law_verifies_but_is_not_solved(tmp_path, capsys,
+                                                  solved_field, n):
+    from skofbsde.measure import TargetMeasure
+    samples = list(np.linspace(0, 1, n))
+    cfg = write_config(tmp_path, measure={"kind": "empirical",
+                                          "samples": samples})
+    res = _results_csv(tmp_path / "res.csv", TargetMeasure.empirical(samples))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"),
+                 "--results", res]) == 0
+    capsys.readouterr()
+    for argv in (["solve"], ["all"],
+                 ["embed", "--field", str(solved_field / "field.csv")]):
+        out = str(tmp_path / argv[0])
+        assert main([*argv, "--config", cfg, "--out", out]) == 3, argv
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("solver error:"), lines
+        assert "Lipschitz" in lines[0]
+        assert not os.path.exists(out)
+
+
+def test_piecewise_law_with_a_gap_is_not_solved(tmp_path, capsys):
+    cfg = write_config(tmp_path, measure={"kind": "piecewise_cdf",
+                                          "xs": [0, 1, 2, 3],
+                                          "Fs": [0, 0.5, 0.5, 1]})
+    out = str(tmp_path / "g")
+    assert main(["solve", "--config", cfg, "--out", out]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "no finite Lipschitz constant" in lines[0]
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("measure", [
+    {"kind": "empirical", "samples": [0, 0, 0, 1]},
+    {"kind": "piecewise_cdf", "xs": [0, 1], "Fs": [0.8, 1]},
+    {"kind": "empirical", "samples": [0, 1]},
+    {"kind": "piecewise_cdf", "xs": [0, 1], "Fs": [0.5, 1]}],
+    ids=["empirical_atom", "piecewise_atom", "empirical_two_atoms",
+         "piecewise_half_atom"])
+def test_laws_with_atoms_verify(tmp_path, capsys, measure):
+    # one atom covering the quartiles is no point mass, and KS reads the
+    # left limit at an atom: a sample of the law passes
+    cfg = write_config(tmp_path, measure=measure)
+    m = RunConfig.from_file(cfg).measure
+    res = _results_csv(tmp_path / "res.csv", m, n=10_000)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"),
+                 "--results", res]) == 0
+    report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+    assert report["ks"] <= 1e-4
+
+
+def test_verify_builds_no_coefficients_and_loads_no_scipy(tmp_path):
+    res = tmp_path / "res.csv"
+    res.write_text("seed,tau_weak,tau_strong,stopped_value\n"
+                   + "".join(f"{i},0.1,0.1,{(i + 0.5) / 200!r}\n"
+                             for i in range(200)))
+    code = (
+        "import sys\n"
+        "from skofbsde import cli, coeffs\n"
+        "calls = []\n"
+        "init = coeffs.ProcessCoefficients.__init__\n"
+        "def spy(self, *args, **kwargs):\n"
+        "    calls.append(args)\n"
+        "    init(self, *args, **kwargs)\n"
+        "coeffs.ProcessCoefficients.__init__ = spy\n"
+        f"argv = ['verify', '--config', {write_config(tmp_path)!r},\n"
+        f"        '--out', {str(tmp_path / 'v')!r}, '--results', {str(res)!r}]\n"
+        "assert cli.main(argv) == 0\n"
+        "assert not calls, 'verify built the coefficients'\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported'\n"
+        # the spy does see the build that a solve would make
+        "cli.RunConfig.from_file(argv[2]).delta\n"
+        "assert len(calls) == 1\n"
+    )
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-B", "-c", code], cwd=root,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_field_config_mismatch(tmp_path, capsys):
     cfg_u = write_config(tmp_path, "u.json")
     out = str(tmp_path / "m")
@@ -212,6 +303,8 @@ def test_contraction_failure_names_the_grid(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("solver error:"), lines
     assert "nt = 64" in lines[0] and "raise solver.nt" in lines[0]
+    # the output directory is made only for a field that is saved
+    assert not os.path.exists(tmp_path / "c")
 
 
 def test_table_coefficients_from_csv(tmp_path):
@@ -241,10 +334,13 @@ def test_piecewise_measure_config(tmp_path):
 
 
 def test_shipped_example_configs_parse():
+    # solver and coefficients are built on first read: read them
     root = os.path.join(os.path.dirname(__file__), "..", "configs")
     for name in ("normal_nodrift.json", "uniform_lineardrift.json",
                  "normal_sindrift.json", "smoke_small.json"):
-        RunConfig.from_file(os.path.join(root, name))
+        rc = RunConfig.from_file(os.path.join(root, name))
+        assert rc.coefficients.t_phys > 0.0
+        rc.solver.validate(rc.g.lipschitz)
 
 
 def test_x2_box_sets_the_clock_horizon(tmp_path, capsys):

@@ -449,11 +449,17 @@ def test_config_validation():
 
 
 def test_non_lipschitz_rejected():
-    g = make_g(TargetMeasure.empirical(np.linspace(0, 1, 32)))
     c = ProcessCoefficients(0.0, TimeFunction.const(0.0),
                             TimeFunction.const(1.0), 1.0, h_target=2.0)
-    with pytest.raises(NonLipschitzError):
-        solve_field(g, c.delayed_drift(), small_cfg(g.lipschitz))
+    # an empirical law, and a piecewise CDF with a gap in its support
+    for m in (TargetMeasure.empirical(np.linspace(0, 1, 32)),
+              TargetMeasure.piecewise_cdf([0, 1, 2, 3], [0, 0.5, 0.5, 1.0])):
+        g = make_g(m)
+        with pytest.raises(NonLipschitzError):
+            solve_field(g, c.delayed_drift(), small_cfg(g.lipschitz))
+        # a finite grid that passes every other check is refused too
+        with pytest.raises(NonLipschitzError):
+            small_cfg(1.0).validate(g.lipschitz)
 
 
 def test_cutoff_must_be_passive():

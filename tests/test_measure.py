@@ -97,6 +97,16 @@ def test_cdf_examples():
     assert emp.cdf(0.5) == 0.0 and emp.cdf(3.5) == 1.0
 
 
+def test_cdf_left_limits():
+    emp = TargetMeasure.empirical([1.0, 2.0, 2.0, 3.0])
+    assert emp.cdf(2.0, left=True) == 0.25 and emp.cdf(2.0) == 0.75
+    pw = TargetMeasure.piecewise_cdf([0.0, 1.0], [0.5, 1.0])
+    assert list(pw.cdf([0.0, 0.5], left=True)) == [0.0, 0.75]
+    assert pw.cdf(0.0) == 0.5
+    assert TargetMeasure.uniform(1.0, 1.0).cdf(1.0, left=True) == 0.0
+    assert TargetMeasure.normal(0.0, 1.0).cdf(0.3, left=True) == phi(0.3)
+
+
 def test_cdf_monotone_and_limits():
     for m in (TargetMeasure.normal(1, 2), TargetMeasure.uniform(-1, 3),
               TargetMeasure.empirical(np.linspace(0, 1, 17))):
@@ -197,9 +207,82 @@ def test_dirac_rejected():
         make_g(TargetMeasure.normal(1.0, 0.0))
 
 
+def test_point_mass_read_at_the_extreme_levels():
+    # one atom covering the quartiles is not a point mass
+    for m in (TargetMeasure.empirical([0.0, 0.0, 0.0, 1.0]),
+              TargetMeasure.piecewise_cdf([0, 1], [0.8, 1.0])):
+        assert not m.is_dirac()
+        make_g(m)
+    # all the mass on xs[0]
+    m = TargetMeasure.piecewise_cdf([0, 1], [1.0, 1.0])
+    assert m.is_dirac()
+    with pytest.raises(DiracMeasureError):
+        make_g(m)
+
+
 def test_empirical_flagged_non_lipschitz():
     g = make_g(TargetMeasure.empirical(np.linspace(0, 1, 50)))
-    assert g.non_lipschitz
+    assert g.lipschitz == np.inf
+
+
+def test_piecewise_lipschitz_regressions():
+    # a flat run at level 1/2 is a jump of g
+    gap = TargetMeasure.piecewise_cdf([0, 1, 2, 3], [0, 0.5, 0.5, 1.0])
+    assert make_g(gap).lipschitz == np.inf
+    # slope 1e5 on levels [0.3, 0.30001], whose end nearest 0 is the upper
+    steep = TargetMeasure.piecewise_cdf([0, 1, 2, 3], [0, 0.3, 0.30001, 1.0])
+    L = make_g(steep).lipschitz
+    assert L >= 3e4
+    assert L == pytest.approx(1e5 * norm.pdf(norm.ppf(0.30001)), rel=1e-9)
+    # the steepest segment [0.6, 1] peaks at its lower end
+    tame = TargetMeasure.piecewise_cdf([0.0, 0.5, 1.0], [0.0, 0.6, 1.0])
+    assert make_g(tame).lipschitz == pytest.approx(
+        1.25 * norm.pdf(norm.ppf(0.6)), rel=1e-12)
+    # flat ends at levels 0 and 1, or an atom at xs[0], leave g continuous
+    ends = TargetMeasure.piecewise_cdf([0, 1, 2, 3], [0.0, 0.0, 1.0, 1.0])
+    assert make_g(ends).lipschitz == pytest.approx(norm.pdf(0.0), rel=1e-12)
+    atom = TargetMeasure.piecewise_cdf([0, 1], [0.2, 1.0])
+    assert make_g(atom).lipschitz == pytest.approx(
+        1.25 * norm.pdf(0.0), rel=1e-12)
+    # but a flat run after the atom is a jump
+    atom_gap = TargetMeasure.piecewise_cdf([0, 1, 2], [0.2, 0.2, 1.0])
+    assert make_g(atom_gap).lipschitz == np.inf
+
+
+@st.composite
+def continuous_piecewise_laws(draw):
+    """A random piecewise-linear CDF whose g is continuous: an optional atom
+    at xs[0], rising segments, and optional flat runs at levels 0 and 1."""
+    widths = draw(st.lists(st.floats(1e-2, 5.0), min_size=1, max_size=6))
+    masses = draw(st.lists(st.floats(1e-2, 1.0), min_size=len(widths),
+                           max_size=len(widths)))
+    atom = draw(st.one_of(st.just(0.0), st.floats(1e-2, 1.0)))
+    if atom == 0.0 and draw(st.booleans()):
+        widths, masses = [draw(st.floats(1e-2, 5.0))] + widths, [0.0] + masses
+    if draw(st.booleans()):
+        widths, masses = widths + [draw(st.floats(1e-2, 5.0))], masses + [0.0]
+    cum = np.cumsum([atom] + masses)
+    loc = draw(st.floats(-10.0, 10.0))
+    return TargetMeasure.piecewise_cdf(loc + np.cumsum([0.0] + widths),
+                                       cum / cum[-1])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(continuous_piecewise_laws())
+def test_piecewise_lipschitz_property(m):
+    # the difference quotients of g on a dense grid, which holds the kinks
+    # Phi^{-1}(F_j), never exceed L_g (up to the rounding of g) and come
+    # within 1e-3 of it
+    g = make_g(m)
+    Fs = m._p["Fs"]
+    kinks = norm.ppf(Fs[(Fs > 0.0) & (Fs < 1.0)])
+    x = np.unique(np.concatenate([np.linspace(-8.0, 8.0, 160_001), kinks]))
+    gx = np.asarray(g(x))
+    dx = np.diff(x)
+    q = np.diff(gx) / dx
+    rounding = 4.0 * np.finfo(float).eps * np.abs(gx).max() / dx.min()
+    assert q.max() <= g.lipschitz * (1.0 + 1e-9) + rounding
+    assert q.max() >= g.lipschitz * (1.0 - 1e-3)
 
 
 def test_piecewise_validation():
@@ -209,6 +292,15 @@ def test_piecewise_validation():
         TargetMeasure.piecewise_cdf([0, 1], [0.5, 0.2])      # F decreasing
     with pytest.raises(DomainError):
         TargetMeasure.piecewise_cdf([0, 1], [0.0, 0.7])      # F never reaches 1
+
+
+def test_piecewise_last_value_just_below_one():
+    # accepted within 1e-12 of 1; the levels above it map to the last x
+    m = TargetMeasure.piecewise_cdf([0.0, 1.0], [0.0, 1.0 - 5e-13])
+    assert m.quantile(1.0 - 1e-13) == 1.0
+    g = make_g(m)
+    assert g(9.0) == 1.0
+    assert g.lipschitz == pytest.approx(norm.pdf(0.0), rel=1e-12)
 
 
 def test_piecewise_flat_run_inf_convention():

@@ -29,6 +29,30 @@ def test_ks_seeded_gaussian():
     assert ks_statistic(samples, TargetMeasure.normal(0, 1)) < 1.63 / np.sqrt(n)
 
 
+def test_ks_exact_at_atoms():
+    # perfect samples of laws with atoms: D- reads the left limit F(x-)
+    n = 10_000
+    assert ks_statistic(np.repeat([0.0, 1.0], n // 2),
+                        TargetMeasure.empirical([0.0, 1.0])) == 0.0
+    m = TargetMeasure.piecewise_cdf([0.0, 1.0], [0.5, 1.0])
+    samples = np.asarray(m.quantile((np.arange(n) + 0.5) / n))
+    assert ks_statistic(samples, m) <= 1.0 / n
+    # a sample all at the atom of mass 1/2 is off by 1/2
+    assert ks_statistic(np.zeros(n), m) == 0.5
+
+
+@pytest.mark.parametrize("m", [TargetMeasure.normal(0.5, 2.0),
+                               TargetMeasure.uniform(0.0, 1.0)],
+                         ids=lambda m: m.kind)
+def test_ks_of_continuous_laws_reads_F_on_both_sides(m):
+    # without atoms both gaps read F(x_i), bit for bit
+    s = np.sort(normal_increments(2718, 5000, 1.0) * 0.4 + 0.5)
+    F = np.asarray(m.cdf(s))
+    i = np.arange(1, s.size + 1)
+    expected = max((i / s.size - F).max(), (F - (i - 1) / s.size).max(), 0.0)
+    assert ks_statistic(s, m) == expected
+
+
 def test_ks_empty_rejected():
     with pytest.raises(DomainError):
         ks_statistic(np.array([]), TargetMeasure.normal(0, 1))
