@@ -3,7 +3,7 @@ artifact export.
 
 Subcommands
 -----------
-solve   : solve the decoupling field, write field CSV + diagnostics JSON.
+solve   : solve the decoupling field; write field.npy, field.json, field.csv.
 embed   : simulate paths, run weak and strong embeddings, write the per-path
           CSV (seed, tau_weak, tau_strong, stopped_value) and the law report.
 verify  : recompute the law report from a results CSV.
@@ -352,7 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="dump the first K simulated paths as CSV")
         if name == "embed":
             p.add_argument("--field", required=True,
-                           help="field.csv from solve (field.json beside it)")
+                           help="field.csv, .json or .npy from solve; u is "
+                                "read from field.npy beside field.json")
         if name == "verify":
             p.add_argument("--results", required=True, help="embedding CSV")
     return ap

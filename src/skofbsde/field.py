@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import shutil
-import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -41,12 +39,14 @@ CFL_SAFETY = 0.9
 Z_BOUND_TOL = 1e-2          # tolerance on sup|u1| <= L_g
 U2_BOUND_TOL = 1e-2         # tolerance on sup|u2| <= sup|delta'|
 _FORMAT_TAG = "skofbsde-field"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 # peak memory of `skofbsde solve` above a process that only reads the
 # config, in (nt+1) x nx1 x nx2 float64 arrays: 2.53 and 2.26 measured at
 # 256x257x129 and 512x257x129 (u and u1; every check works one time layer
 # at a time, and SciPy's import adds about 26 MB)
 _SOLVE_PEAK_ARRAYS = 3
+# fields of fewer values are cross-checked by the coupled system in one process
+_SPLIT_MIN_VALUES = 2**20
 
 
 @dataclass(frozen=True)
@@ -315,10 +315,12 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
     from the field's ``u1`` and the finite-difference x2 derivative ``u2``
     of ``u`` kept from the previous pass; it then forms the ``u2`` layer of
     n once, in a second layer buffer, and compares ``v1`` with ``u1[n]`` and
-    ``v2`` with that layer.  The worst mismatch goes to ``f.deriv_mismatch``;
-    no array of ``f`` is written and no field-sized array is made.  A
-    mismatch above the fixed tolerance 10 (dt + dx1^2 + dx2), ten times the
-    scheme's discretization error scale, raises
+    ``v2`` with that layer.  On two CPUs a field of ``_SPLIT_MIN_VALUES``
+    values or more runs the ``v2`` chain, with its own ``u2`` layers, in a
+    forked process (``run_halves``).  The worst mismatch goes to
+    ``f.deriv_mismatch``; no array of ``f`` is written and no field-sized
+    array is made.  A mismatch above the fixed tolerance 10 (dt + dx1^2 +
+    dx2), ten times the scheme's discretization error scale, raises
     :class:`DerivativeMismatchError` at the first (t, x1, x2) index, in C
     order, of the worst value.
     ``finite_difference`` drops ``f.u1`` and recomputes it from ``u`` with
@@ -334,47 +336,57 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
     if g is None or delta is None:
         raise ConfigError("coupled_system needs g and delta with .derivative")
 
+    from .fbsde import run_halves       # fbsde imports this module
     nt = f.t_grid.size - 1
     nx1, nx2 = f.x1_grid.size, f.x2_grid.size
     dt = f.t_grid[1] - f.t_grid[0]
     dx2 = f.x2_grid[1] - f.x2_grid[0]
     ab = _banded_matrix(nx1, dt / (2.0 * dx1**2))
     mismatch_tol = 10.0 * (dt + dx1**2 + dx2)
-
-    v1, v2, u2, u2_next, dv = np.empty((5, nx1, nx2))
-    v1[...] = np.asarray(g.derivative(f.x1_grid))[:, None]
-    v2[...] = -np.asarray(delta.derivative(f.x2_grid))[None, :]
-    # compare away from one-sided stencils and the top transport row; per
-    # derivative keep the worst value and its flat C-order index in the
-    # (t, x1, x2) inner block.  Layers arrive from t = T down, so a later
-    # layer wins a tie (smaller t index) and the first NaN in C order wins
+    v_terminal = np.empty((2, nx1, nx2))
+    v_terminal[0] = np.asarray(g.derivative(f.x1_grid))[:, None]
+    v_terminal[1] = -np.asarray(delta.derivative(f.x2_grid))[None, :]
+    # compare away from one-sided stencils and the top transport row
     inner = (slice(1, -1), slice(None, -1))
-    diff = np.empty((nx1 - 2, nx2 - 1))
-    worst_of = [(-np.inf, 0), (-np.inf, 0)]
-    for n in range(nt, -1, -1):
-        if n < nt:
-            zc = np.clip(f.u1[n + 1], -f.cutoff_H, f.cutoff_H)
-            a_coef = zc * zc
-            b_coef = 2.0 * f.u1[n + 1] * u2_next
-            v1, v2 = [solve_banded((1, 1), ab, vn + dt * (
+    block = (nt + 1, nx1 - 2, nx2 - 1)
+
+    def chains(lo: int, hi: int) -> list:
+        """Per chain k in [lo, hi), v1 then v2, the worst mismatch and its
+        flat C-order index in the (t, x1, x2) inner block.  Layers arrive
+        from t = T down, so a later layer wins a tie (smaller t index) and
+        the first NaN in C order wins."""
+        vs = list(v_terminal[lo:hi])
+        u2, u2_next, dv = np.empty((3, nx1, nx2))
+        diff = np.empty(block[1:])
+        worst_of = [(-np.inf, 0)] * (hi - lo)
+        for n in range(nt, -1, -1):
+            if n < nt:
+                zc = np.clip(f.u1[n + 1], -f.cutoff_H, f.cutoff_H)
+                a_coef = zc * zc
+                b_coef = 2.0 * f.u1[n + 1] * u2_next
+                vs = [solve_banded((1, 1), ab, vn + dt * (
                           a_coef * _d2_up(vn, dx2)
                           + b_coef * _gradient_into(dv, vn, dx1, axis=0)))
-                      for vn in (v1, v2)]
-        _gradient_into(u2, f.u[n], dx2, axis=1)
-        for k, (v, u_fd) in enumerate(((v1, f.u1[n]), (v2, u2))):
-            np.subtract(v[inner], u_fd[inner], out=diff)
-            np.abs(diff, out=diff)
-            i = int(diff.argmax())
-            m = diff.flat[i]
-            if np.isnan(m) or m >= worst_of[k][0]:
-                worst_of[k] = (m, n * diff.size + i)
-        u2, u2_next = u2_next, u2
-    (m1, i1), (m2, i2) = worst_of
+                      for vn in vs]
+            _gradient_into(u2, f.u[n], dx2, axis=1)
+            for j, (v, u_fd) in enumerate(zip(vs, (f.u1[n], u2)[lo:hi])):
+                np.subtract(v[inner], u_fd[inner], out=diff)
+                np.abs(diff, out=diff)
+                i = int(diff.argmax())
+                m = diff.flat[i]
+                if np.isnan(m) or m >= worst_of[j][0]:
+                    worst_of[j] = (m, n * diff.size + i)
+            u2, u2_next = u2_next, u2
+        return worst_of
+
+    halves = (run_halves(2, chains, 2) if f.u.size >= _SPLIT_MIN_VALUES
+              else [chains(0, 2)])
+    (m1, i1), (m2, i2) = [w for half in halves for w in half]
     m1, m2 = float(m1), float(m2)
     worst = max(m1, m2)
     if worst > mismatch_tol:
         flat = i1 if m1 >= m2 else i2
-        loc = np.unravel_index(flat, (f.t_grid.size,) + diff.shape)
+        loc = np.unravel_index(flat, block)
         raise DerivativeMismatchError(
             f"derivative methods disagree by {worst:.3e} > {mismatch_tol:.3e} "
             f"at (t, x1, x2) index {loc}",
@@ -524,37 +536,43 @@ def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostic
 
 
 # ----------------------------------------------------------------------------
-# export / import: CSV matrix of u, JSON sidecar with grids and metadata
+# export / import: u as a binary .npy array with a JSON sidecar of grids and
+# metadata; u also as a CSV text export, which is never read back
 # ----------------------------------------------------------------------------
 
 _VALUES_PER_WRITE = 2**16    # values formatted per write of the CSV
-# fields of fewer CSV rows are saved and loaded in one process
+# fields of fewer CSV rows are exported in one process
 _SPLIT_MIN_ROWS = 4096
 
 
+def _sibling(path: str, ext: str) -> str:
+    """``path`` with its extension, if it has one, replaced by ``ext``."""
+    name = path.rsplit("/", 1)[-1]
+    return (path[: path.rfind(".")] if "." in name else path) + ext
+
+
 def sidecar_path(path: str) -> str:
-    return path[: path.rfind(".")] + ".json" if "." in path.rsplit("/", 1)[-1] \
-        else path + ".json"
+    return _sibling(path, ".json")
 
 
 def save_field(f: DecouplingField, path: str,
                diagnostics: FieldDiagnostics | None = None) -> None:
-    """Write ``u`` as a text CSV matrix plus a JSON sidecar.
+    """Write ``u`` to the ``.npy`` file of ``path``'s stem, a JSON sidecar
+    of that stem and, as a text export, the CSV at ``path``.
 
-    The CSV holds ``u`` only: one row of nx2 comma-separated values per
-    (t, x1) pair, t outer, x1 middle, so (nt + 1) * nx1 rows.  Floats are
-    written with shortest round-trip precision, so save/load is exact.  The
-    sidecar holds the format tag and version, the shape, the three grids as
-    exact JSON lists, the bound metadata and ``diagnostics`` (``null`` when
-    none are given).
+    :func:`load_field` reads the ``.npy`` file: ``u`` written by
+    ``np.lib.format.write_array`` with no copy, in bytes that depend only
+    on ``u``.  The sidecar holds the format tag and version, the shape, the
+    three grids as exact JSON lists, the bound metadata and ``diagnostics``
+    (``null`` when none are given).  ``u1`` is not stored: :func:`load_field`
+    recomputes it with the finite-difference stencil of :func:`solve_field`.
 
-    ``u1`` is not stored: :func:`load_field` recomputes it with the same
-    finite-difference stencil as :func:`solve_field`.
-
-    On two CPUs a large field is formatted in two halves by ``run_halves``:
-    the upper rows go to a sibling temporary file in the child process and
-    are then appended to ``path``; the temporary file is removed also when
-    the save fails.  The bytes written do not depend on the split.
+    The CSV has one row of nx2 comma-separated values per (t, x1) pair, t
+    outer, x1 middle, in shortest round-trip float formatting.  On two CPUs
+    the upper rows of a large field are formatted by ``run_halves`` in the
+    child process to a sibling temporary file, then appended to ``path``;
+    the temporary file is removed also when the save fails.  The bytes
+    written do not depend on the split.
     """
     from .fbsde import run_halves       # fbsde imports this module
     nt1, nx1, nx2 = f.u.shape
@@ -575,6 +593,8 @@ def save_field(f: DecouplingField, path: str,
     finally:
         if os.path.exists(upper):
             os.remove(upper)
+    with open(_sibling(path, ".npy"), "wb") as fh:
+        np.lib.format.write_array(fh, f.u, allow_pickle=False)
     meta = {
         "format": _FORMAT_TAG,
         "version": _FORMAT_VERSION,
@@ -609,39 +629,37 @@ def _read_sidecar(path: str) -> dict:
     return meta
 
 
-def _read_rows(path: str, lo: int, hi: int | None) -> np.ndarray:
-    """Rows [lo, hi) of the CSV at ``path`` (to its end when ``hi`` is
-    ``None``), or fewer where it ends.
-
-    Above row 0 the row before ``lo`` is parsed too and dropped, so that a
-    column count that changes at ``lo`` is reported as a whole-file read
-    reports it; the row numbers in a ``ValueError`` count from the top of
-    the file.  An empty part is not warned about: the caller's shape check
-    reports it.
-    """
-    skip = max(lo - 1, 0)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            part = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip,
-                              max_rows=None if hi is None else hi - skip)
-    except ValueError as exc:
-        raise ValueError(re.sub(r"at row (\d+)",
-                                lambda m: f"at row {int(m[1]) + skip}",
-                                str(exc))) from None
-    return part[lo - skip:]
+def _read_array(path: str, shape: tuple) -> np.ndarray:
+    """The float64, C-ordered array of ``shape`` in the ``.npy`` file at
+    ``path``, read with no pickle.  The header is checked before
+    ``read_array`` sizes its buffer by it; ``ValueError`` says what is wrong."""
+    fmt = np.lib.format
+    with open(path, "rb") as fh:
+        read_header = (fmt.read_array_header_1_0 if fmt.read_magic(fh) == (1, 0)
+                       else fmt.read_array_header_2_0)
+        got_shape, fortran_order, dtype = read_header(fh)
+        if (got_shape, fortran_order, dtype) != (shape, False, np.dtype(float)):
+            raise ValueError(
+                f"{dtype} array of shape {got_shape}"
+                f"{' in Fortran order' if fortran_order else ''}, expected "
+                f"float64 of shape {shape} in C order")
+        fh.seek(0)
+        u = fmt.read_array(fh, allow_pickle=False)
+        if fh.read(1):
+            raise ValueError("bytes after the array")
+    return u
 
 
 def load_field(path: str) -> DecouplingField:
-    """Read a field written by :func:`save_field`; ``u1`` is recomputed with
-    the finite-difference stencil.  A missing, malformed, mis-shaped or
-    non-finite file raises :class:`ConfigError`, and so do grids that
+    """Read a field written by :func:`save_field`.  ``path`` names its CSV,
+    sidecar or ``.npy`` file; the sidecar and the ``.npy`` array are found
+    by the shared stem, and the CSV is not read.  ``u1`` is recomputed with
+    the finite-difference stencil.  A missing or malformed sidecar or array
+    raises :class:`ConfigError`, and so do an array that is not float64,
+    C-ordered, of the sidecar's shape and finite, and grids that
     :func:`solve_field` does not make (and :func:`eval_field` assumes): each
     is ``np.linspace`` of its increasing end points, t from 0 to 1, x2 from 0.
-
-    On two CPUs a large file is parsed in two halves by ``run_halves``, the
-    upper one in the child process, and both are copied into one array.
-    The checks and their messages do not depend on the split."""
+    """
     meta = _read_sidecar(path)
     try:
         grids = [np.array(meta[k], dtype=float)
@@ -661,34 +679,14 @@ def load_field(path: str) -> DecouplingField:
             and (grids[0][0], grids[0][-1], grids[2][0]) == (0.0, 1.0, 0.0)):
         raise ConfigError(f"field sidecar for {path}: grids must be uniform "
                           f"and increasing, with t from 0 to 1 and x2 from 0")
-    from .fbsde import run_halves       # fbsde imports this module
-    expected = (shape[0] * shape[1], shape[2])
+    npy = _sibling(path, ".npy")
     try:
-        with open(path, "rb") as fh:
-            fh.seek(-1, os.SEEK_END)
-            complete = fh.read(1) == b"\n"
-        parts = run_halves(expected[0], lambda lo, hi: _read_rows(
-            path, lo, hi if hi < expected[0] else None), _SPLIT_MIN_ROWS)
+        u = _read_array(npy, shape)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read field file {path}: {exc}") from None
-    n_read = sum(p.shape[0] for p in parts)
-    if (not complete or n_read != expected[0]
-            or any(p.shape[1] != expected[1] for p in parts)):
-        raise ConfigError(f"field file {path} is truncated or mis-shaped: "
-                          f"{n_read} x {parts[0].shape[1]} values, expected "
-                          f"{expected[0]} x {expected[1]}")
-    if len(parts) == 1:
-        u = parts.pop()
-    else:
-        # one array for the two halves: each is released once copied
-        u = np.empty(expected)
-        h = parts[0].shape[0]
-        u[:h] = parts.pop(0)
-        u[h:] = parts.pop()
+        raise ConfigError(f"cannot read field file {npy}: {exc}") from None
     # min and max see every NaN and inf without a field-sized temporary
     if not (np.isfinite(u.min()) and np.isfinite(u.max())):
-        raise ConfigError(f"field file {path} has a non-finite value")
-    u = u.reshape(shape)
+        raise ConfigError(f"field file {npy} has a non-finite value")
     u1 = _gradient_into(np.empty_like(u), u, grids[1][1] - grids[1][0], axis=1)
     return DecouplingField(t_grid=grids[0], x1_grid=grids[1], x2_grid=grids[2],
                            u=u, u1=u1, **scalars)

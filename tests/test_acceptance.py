@@ -252,8 +252,8 @@ def test_criterion_10_determinism(tmp_path, capsys):
     assert cli_main(["all", "--config", str(cfg_path), "--out", str(out1)]) == 0
     assert cli_main(["all", "--config", str(cfg_path), "--out", str(out2)]) == 0
     capsys.readouterr()
-    names = ("field.csv", "field.json", "embedding.csv", "law_report.json",
-             "verify_report.json", "stopped_hist.csv")
+    names = ("field.csv", "field.json", "field.npy", "embedding.csv",
+             "law_report.json", "verify_report.json", "stopped_hist.csv")
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     _report(10, f"reruns byte-identical across {len(names)} artifacts")

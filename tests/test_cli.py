@@ -75,6 +75,7 @@ def test_solve_embed_verify_chain(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "field.csv"))
     assert os.path.exists(os.path.join(out, "field.json"))
+    assert os.path.exists(os.path.join(out, "field.npy"))
     assert main(["embed", "--config", cfg, "--out", out,
                  "--field", os.path.join(out, "field.csv")]) == 0
     assert os.path.exists(os.path.join(out, "embedding.csv"))
@@ -93,7 +94,7 @@ def test_all_deterministic(tmp_path, capsys):
     assert main(["all", "--config", cfg, "--out", out1]) == 0
     assert main(["all", "--config", cfg, "--out", out2]) == 0
     capsys.readouterr()
-    for name in ("field.csv", "field.json", "embedding.csv",
+    for name in ("field.csv", "field.json", "field.npy", "embedding.csv",
                  "law_report.json", "verify_report.json", "stopped_hist.csv"):
         a = open(os.path.join(out1, name), "rb").read()
         b = open(os.path.join(out2, name), "rb").read()
@@ -395,42 +396,67 @@ def _empty_empirical_csv(tmp_path, cfg, field_dir):
     return ["solve", "--config", str(bad), "--out", str(tmp_path / "e")]
 
 
-def _truncated_field(tmp_path, cfg, field_dir):
-    path = field_dir / "field.csv"
-    text = path.read_text()
-    path.write_text(text[: len(text) // 2])
-    return ["embed", "--config", cfg, "--out", str(field_dir),
-            "--field", str(path)]
+def _field_array(name, edit):
+    """A case that rewrites ``field.npy`` through ``edit(path, u)``; the
+    embed names ``field.csv``, as the CLI chain does."""
+    def breaker(tmp_path, cfg, field_dir):
+        path = field_dir / "field.npy"
+        edit(path, np.load(path))
+        return ["embed", "--config", cfg, "--out", str(tmp_path / "new"),
+                "--field", str(field_dir / "field.csv")]
+    breaker.__name__ = name     # the test id
+    return breaker
 
 
-def _wrong_row_count(tmp_path, cfg, field_dir):
-    path = field_dir / "field.csv"
-    rows = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(rows[:-1]))
-    return ["embed", "--config", cfg, "--out", str(field_dir),
-            "--field", str(path)]
+def _truncate(path, u):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
 
 
-def _nan_in_field(tmp_path, cfg, field_dir):
-    # one NaN in an interior row of u: refused before any output is made
-    path = field_dir / "field.csv"
-    rows = path.read_text().splitlines(keepends=True)
-    mid = len(rows) // 2
-    cells = rows[mid].split(",")
-    cells[len(cells) // 2] = "nan"
-    rows[mid] = ",".join(cells)
-    path.write_text("".join(rows))
-    return ["embed", "--config", cfg, "--out", str(tmp_path / "new"),
-            "--field", str(path)]
+def _with_nan(path, u):
+    # one NaN in an interior layer of u: refused before any output is made
+    u[u.shape[0] // 2, u.shape[1] // 2, u.shape[2] // 2] = np.nan
+    np.save(path, u)
 
 
-def _version_1_sidecar(tmp_path, cfg, field_dir):
-    side = field_dir / "field.json"
-    meta = json.loads(side.read_text())
-    meta["version"] = 1
-    side.write_text(json.dumps(meta))
-    return ["embed", "--config", cfg, "--out", str(field_dir),
-            "--field", str(field_dir / "field.csv")]
+def _as_npz(path, u):
+    with open(path, "wb") as fh:
+        np.savez(fh, u=u)
+
+
+_truncated_field = _field_array("_truncated_field", _truncate)
+# one x1 row fewer in every time layer
+_wrong_row_count = _field_array(
+    "_wrong_row_count", lambda path, u: np.save(path, u[:, :-1]))
+_nan_in_field = _field_array("_nan_in_field", _with_nan)
+_npy_missing = _field_array("_npy_missing", lambda path, u: path.unlink())
+_float32_field = _field_array(
+    "_float32_field", lambda path, u: np.save(path, u.astype(np.float32)))
+_fortran_field = _field_array(
+    "_fortran_field", lambda path, u: np.save(path, np.asfortranarray(u)))
+_pickled_field = _field_array(
+    "_pickled_field",
+    lambda path, u: np.save(path, u.astype(object), allow_pickle=True))
+_npz_field = _field_array("_npz_field", _as_npz)
+_bytes_after_array = _field_array(
+    "_bytes_after_array", lambda path, u: path.write_bytes(
+        path.read_bytes() + b"\0" * 8))
+
+
+def _sidecar_version(name, version):
+    def breaker(tmp_path, cfg, field_dir):
+        side = field_dir / "field.json"
+        meta = json.loads(side.read_text())
+        meta["version"] = version
+        side.write_text(json.dumps(meta))
+        return ["embed", "--config", cfg, "--out", str(tmp_path / "new"),
+                "--field", str(field_dir / "field.csv")]
+    breaker.__name__ = name     # the test id
+    return breaker
+
+
+_version_1_sidecar = _sidecar_version("_version_1_sidecar", 1)
+_version_2_sidecar = _sidecar_version("_version_2_sidecar", 2)
 
 
 def _edited_sidecar(name, key, edit):
@@ -576,6 +602,7 @@ _expr_overflow = _alpha_expr("_expr_overflow", "(1e308*10)*s")
 # a part of the one stderr line that names the refusal
 _MESSAGE = {
     _version_1_sidecar: "re-run skofbsde solve",
+    _version_2_sidecar: "re-run skofbsde solve",
     _oversized_grid: "memory",
     _t_grid_ends_at_half: "grids must be uniform",
     _x2_grid_off_zero: "grids must be uniform",
@@ -585,6 +612,14 @@ _MESSAGE = {
     _solver_T_all: "unknown config keys in solver: ['T']",
     _coefficients_T_phys: "unknown config keys in coefficients: ['T_phys']",
     _nan_in_field: "non-finite",
+    _truncated_field: "cannot read field file",
+    _wrong_row_count: "expected float64 of shape (65, 65, 33) in C order",
+    _npy_missing: "No such file",
+    _float32_field: "float32 array",
+    _fortran_field: "in Fortran order",
+    _pickled_field: "object array",
+    _npz_field: "cannot read field file",
+    _bytes_after_array: "bytes after the array",
     _negative_dump_paths: "--dump-paths",
 }
 
@@ -611,12 +646,14 @@ def solved_field(tmp_path_factory):
     _expr_conditional, _expr_string, _expr_subscript, _expr_overflow,
     _solver_T_solve, _solver_T_embed, _solver_T_all, _t_grid_ends_at_half,
     _x2_grid_off_zero, _x1_grid_non_uniform, _coefficients_T_phys,
-    _nan_in_field, _negative_dump_paths])
+    _nan_in_field, _negative_dump_paths, _npy_missing, _float32_field,
+    _fortran_field, _pickled_field, _npz_field, _bytes_after_array,
+    _version_2_sidecar])
 def test_malformed_input_exits_1(tmp_path, solved_field, breaker):
     cfg = write_config(tmp_path)
     field_dir = tmp_path / "f"
     field_dir.mkdir()
-    for name in ("field.csv", "field.json"):
+    for name in ("field.csv", "field.json", "field.npy"):
         shutil.copy(solved_field / name, field_dir / name)
     argv = breaker(tmp_path, cfg, field_dir)
     out = argv[argv.index("--out") + 1]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from skofbsde.errors import (ConfigError, CutoffActiveError,
                              NonLipschitzError)
 from skofbsde.field import (SolverConfig, derivative_fields, eval_field,
                             field_diagnostics, load_field, save_field,
-                            sidecar_path, solve_field)
+                            solve_field)
 from skofbsde.measure import TargetMeasure, make_g
 from skofbsde.verify import OracleField
 
@@ -215,12 +216,19 @@ def test_coupled_check_forms_each_u2_layer_once(case_uniform_k05,
         return gradient_into(*args, **kwargs)
 
     monkeypatch.setattr(field_mod, "_gradient_into", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     derivative_fields(f, "coupled_system", g=c["g"], delta=c["delta"])
     # the x2 stencil of u once per layer, nt + 1; the x1 stencil of v1 and
     # v2 once per step each, 2 nt
     nt = f.t_grid.size - 1
     assert (axes.count(1), axes.count(0)) == (nt + 1, 2 * nt)
     assert f.deriv_mismatch is not None
+    # on two CPUs the v2 chain runs in a child with its own u2 layers, and
+    # this process forms the same u2 layers once each for v1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    axes.clear()
+    derivative_fields(f, "coupled_system", g=c["g"], delta=c["delta"])
+    assert (axes.count(1), axes.count(0)) == (nt + 1, nt)
 
 
 @pytest.mark.parametrize("ndim, axis", [(2, 0), (2, 1), (3, 0), (3, 1),
@@ -486,14 +494,22 @@ def test_save_load_round_trip(tmp_path, case_uniform_k05):
     assert g2.g_lipschitz == f.g_lipschitz
     meta = json.loads((tmp_path / "field.json").read_text())
     assert meta["diagnostics"] == json.loads(json.dumps(diag.to_dict()))
+    assert meta["version"] == 3
+    # the sidecar or the array name the same field
+    for name in ("field.json", "field.npy"):
+        assert np.array_equal(load_field(str(tmp_path / name)).u, f.u), name
+    # the CSV is a text export of the same u, not read by load_field
     nt1, nx1, nx2 = f.u.shape
     lines = (tmp_path / "field.csv").read_text().splitlines()
     assert len(lines) == nt1 * nx1
     assert all(line.count(",") == nx2 - 1 for line in lines)
+    exported = np.loadtxt(path, delimiter=",").reshape(f.u.shape)
+    assert exported.tobytes() == f.u.tobytes()
     again = str(tmp_path / "again.csv")
     save_field(f, again, diag)
-    for a, b in ((path, again), (sidecar_path(path), sidecar_path(again))):
-        assert open(a, "rb").read() == open(b, "rb").read()
+    for ext in (".csv", ".json", ".npy"):
+        a, b = (tmp_path / f"field{ext}"), (tmp_path / f"again{ext}")
+        assert a.read_bytes() == b.read_bytes(), ext
 
 
 def test_load_recomputes_fd_derivatives(tmp_path, case_uniform_k05):

@@ -1,4 +1,5 @@
-"""The two-process split of path ensembles and of the field CSV.
+"""The two-process split of path ensembles, of the field CSV export and of
+the coupled derivative check.
 
 Each test forces the split by lowering the minimum sizes (and by reporting
 two CPUs, so the split also happens on a one-CPU machine) and compares with
@@ -12,15 +13,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_cli import write_config
 from test_fbsde import _ENSEMBLES
 
 from skofbsde import fbsde
 from skofbsde import field as field_mod
-from skofbsde.cli import main
 from skofbsde.embed import strong_embed_on_W
-from skofbsde.errors import ConfigError, ContractionError, DomainError
-from skofbsde.field import load_field, save_field
+from skofbsde.errors import (ContractionError, DerivativeMismatchError,
+                             DomainError)
+from skofbsde.field import derivative_fields, save_field
 
 
 @pytest.fixture
@@ -41,6 +41,7 @@ def forks(monkeypatch):
         minimum = 2 if on else 10**9
         monkeypatch.setattr(fbsde, "_SPLIT_MIN_PATHS", minimum)
         monkeypatch.setattr(field_mod, "_SPLIT_MIN_ROWS", minimum)
+        monkeypatch.setattr(field_mod, "_SPLIT_MIN_VALUES", minimum)
 
     split.calls = calls
     return split
@@ -175,106 +176,61 @@ def test_no_split_below_the_minimum_or_on_one_cpu(forks, monkeypatch):
 
 def test_field_split_is_bitwise_equal(tmp_path, case_small, forks):
     f = case_small.value["field"]
-    paths = [str(tmp_path / f"{name}.csv") for name in ("one", "two")]
-    for on, path in zip((False, True), paths):
+    for on, name in ((False, "one"), (True, "two")):
         forks(on)
-        save_field(f, path)
+        save_field(f, str(tmp_path / f"{name}.csv"))
     assert len(forks.calls) == 1
-    one, two = ((tmp_path / f"{name}.csv").read_bytes()
-                for name in ("one", "two"))
-    assert one == two
-    assert sorted(os.listdir(tmp_path)) == ["one.csv", "one.json", "two.csv",
-                                            "two.json"]
-    loaded = []
+    for ext in ("csv", "npy"):
+        one, two = ((tmp_path / f"{name}.{ext}").read_bytes()
+                    for name in ("one", "two"))
+        assert one == two, ext
+    assert sorted(os.listdir(tmp_path)) == [
+        f"{name}.{ext}" for name in ("one", "two")
+        for ext in ("csv", "json", "npy")]
+
+
+class _Scaled:
+    """A terminal function whose derivative is ``scale`` times the real
+    one: a forced mismatch of one derivative chain."""
+
+    def __init__(self, fn, scale):
+        self.fn, self.scale = fn, scale
+
+    def derivative(self, x):
+        return self.scale * np.asarray(self.fn.derivative(x))
+
+
+@pytest.mark.parametrize("wrong", ["none", "g", "delta", "both", "tie"])
+def test_coupled_check_split_is_bitwise_equal(case_small, forks, wrong):
+    # the v2 chain runs in the child: its worst value, and the tie rule
+    # between the chains, give the one-process mismatch and location.
+    # With both wrong, the v2 chain holds the worst value
+    c = case_small.value
+    g, delta, f0 = c["g"], c["delta"], c["field"]
+    if wrong in ("g", "both"):
+        g = _Scaled(g, 5.0)
+    if wrong in ("delta", "both"):
+        delta = _Scaled(delta, 10.0)
+    if wrong == "tie":
+        # an infinite u1 and u2 at t = 0, which no coefficient reads: the
+        # chains tie at inf and the v1 chain names the location
+        u, u1 = f0.u.copy(), f0.u1.copy()
+        u1[0, 10, 5] = u[0, 40, 20] = np.inf
+        f0 = replace(f0, u=u, u1=u1)
+    results = []
     for on in (False, True):
         forks(on)
-        loaded.append(load_field(paths[0]))
-    assert len(forks.calls) == 2
-    for name in ("u", "u1", "t_grid", "x1_grid", "x2_grid"):
-        assert _equal(getattr(loaded[0], name), getattr(loaded[1], name))
-    assert np.array_equal(loaded[1].u, f.u)
-
-
-def _cut_mid_row(rows, k):
-    return "".join(rows[:k]) + rows[k][: len(rows[k]) // 2]
-
-
-def _drop_value(rows, k):
-    rows[k] = rows[k].split(",", 1)[1]
-    return "".join(rows)
-
-
-def _set_value(rows, k, text):
-    cells = rows[k].split(",")
-    cells[3] = text
-    rows[k] = ",".join(cells)
-    return "".join(rows)
-
-
-# corruptions in the upper half of the 65 x 65 rows (the split is at 2112)
-_BROKEN = {
-    "cut_mid_row": lambda rows: _cut_mid_row(rows, 3000),
-    "cut_mid_first_upper_row": lambda rows: _cut_mid_row(rows, 2112),
-    "last_row_missing": lambda rows: "".join(rows[:-1]),
-    "extra_row": lambda rows: "".join(rows + rows[-1:]),
-    "ragged_first_upper_row": lambda rows: _drop_value(rows, 2112),
-    "ragged_row": lambda rows: _drop_value(rows, 3000),
-    "text_cell": lambda rows: _set_value(rows, 3000, "abc"),
-    "nan_cell": lambda rows: _set_value(rows, 3000, "nan"),
-    "inf_cell": lambda rows: _set_value(rows, 2112, "-inf"),
-}
-
-# a part of each message; the row numbers count from the top of the file
-_REFUSAL = {
-    "cut_mid_row": "columns changed from 33 to 17 at row 3001",
-    "cut_mid_first_upper_row": "columns changed from 33 to 17 at row 2113",
-    "last_row_missing": "4224 x 33 values, expected 4225 x 33",
-    "extra_row": "4226 x 33 values, expected 4225 x 33",
-    "ragged_first_upper_row": "columns changed from 33 to 32 at row 2113",
-    "ragged_row": "columns changed from 33 to 32 at row 3001",
-    "text_cell": "could not convert string 'abc' to float64 at row 3000",
-    "nan_cell": "has a non-finite value",
-    "inf_cell": "has a non-finite value",
-}
-
-
-def _broken_field(tmp_path, f, breaker):
-    """``f`` saved in one process, then broken by ``_BROKEN[breaker]``."""
-    path = str(tmp_path / "field.csv")
-    save_field(f, path)
-    with open(path) as fh:
-        text = _BROKEN[breaker](fh.read().splitlines(keepends=True))
-    with open(path, "w") as fh:
-        fh.write(text)
-    return path
-
-
-@pytest.mark.parametrize("breaker", list(_BROKEN))
-def test_broken_upper_half_gives_the_one_process_message(tmp_path, case_small,
-                                                         forks, breaker):
-    forks(False)
-    path = _broken_field(tmp_path, case_small.value["field"], breaker)
-    messages = []
-    for on in (False, True):
-        forks(on)
-        with pytest.raises(ConfigError) as info:
-            load_field(path)
-        messages.append(str(info.value))
+        f = replace(f0, deriv_mismatch=None)
+        try:
+            derivative_fields(f, "coupled_system", g=g, delta=delta)
+            results.append(f.deriv_mismatch)
+        except DerivativeMismatchError as exc:
+            results.append((exc.location, exc.discrepancy, str(exc)))
     assert len(forks.calls) == 1
-    assert messages[0] == messages[1]
-    assert _REFUSAL[breaker] in messages[1]
-
-
-def test_broken_upper_half_exits_1(tmp_path, case_small, forks, capsys):
-    forks(False)
-    cfg = write_config(tmp_path)
-    path = _broken_field(tmp_path, case_small.value["field"], "nan_cell")
-    forks(True)
-    out = str(tmp_path / "out")
-    assert main(["embed", "--config", cfg, "--field", path, "--out", out]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"config error: field file {path} has a non-finite value"]
-    assert not os.path.exists(out)
+    assert results[0] == results[1]
+    assert isinstance(results[0], float) == (wrong == "none")
+    if wrong == "tie":
+        assert results[0][:2] == ((0, 9, 5), np.inf)
 
 
 @pytest.mark.parametrize("half", ["upper", "lower"])
