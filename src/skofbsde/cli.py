@@ -244,7 +244,7 @@ def _field_path(out_dir: str) -> str:
 def cmd_solve(cfg: RunConfig) -> int:
     f = field_mod.solve_field(cfg.g, cfg.delta, cfg.solver)
     # the coupled-system check only sets f.deriv_mismatch, which the
-    # diagnostics report; f keeps its finite-difference derivatives
+    # diagnostics report
     field_mod.derivative_fields(f, "coupled_system", g=cfg.g, delta=cfg.delta)
     diag = field_mod.field_diagnostics(f, cfg.g, cfg.delta)
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -372,6 +372,10 @@ def main(argv=None) -> int:
         cfg.check_simulation()
         if getattr(args, "dump_paths", 0) < 0:
             raise ConfigError("--dump-paths must be >= 0")
+        if args.command != "verify":
+            # the strong pass's step rule refuses a run before any work
+            embed_mod.strong_step(cfg.g.lipschitz, cfg.coefficients,
+                                  cfg.embed_steps, cfg.K1)
 
         if args.command == "solve":
             return cmd_solve(cfg)

@@ -41,7 +41,7 @@ from .field import DecouplingField, eval_field
 
 __all__ = ["WeakEmbedding", "StrongStop", "EmbeddingResult", "weak_embed",
            "weak_embed_ensemble", "strong_stopping_time", "strong_embed_on_W",
-           "coupled_round_trip", "SIGMA_RATE_TOL"]
+           "coupled_round_trip", "strong_step", "SIGMA_RATE_TOL"]
 
 # step-size rule for the (sigma, Sigma) integration: L_g^2 dr / beta_floor^2
 # must not exceed this
@@ -54,13 +54,15 @@ _STRONG_SEED_SALT = 0xD1FF5EED0001
 # paths per block of the three ensemble routines: per-call overhead against
 # block memory.  A weak or round-trip block holds two (block, n_steps + 1)
 # arrays (X2, Y); a strong block holds (block, 256) noise chunks.  One pass,
-# 4096 steps, u and u1 resident, peak RSS in MB (s); x86-64, one BLAS thread:
-#   weak at 512 / 768 / 1024, many_paths field, 2048 paths, from 32 MB:
-#   78 / 96 / 112 (3.5-3.6 / 3.1-3.2 / 2.8-3.2); default field, 1024 paths,
-#   from 160 MB: 206 / 222 / 241 (1.9-2.1 / 1.8 / 1.5-1.6).  Round trip, 500
-#   paths, at 256 / 512: many_paths 63 / 81 (1.8 / 1.2-1.5), default 191 /
-#   209 (1.8-2.0 / 1.3-1.6).  A smaller block saves memory but costs time, so
-#   the sizes stay; the weak pass sets the peak of `skofbsde embed`.
+# 4096 steps, u resident, peak RSS in MB (s), two runs in one process;
+# x86-64, one BLAS thread:
+#   weak at 512 / 768 / 1024, many_paths field, 2048 paths, from 31 MB:
+#   77 / 95-96 / 111-112 (2.6-3.8 / 2.5-3.6 / 3.1-3.3); default field, 1024
+#   paths, from 95 MB: 141 / 157-158 / 176 (1.3-1.9 / 1.7-2.1 / 1.4-1.8).
+#   Round trip, 500 paths, at 256 / 512: many_paths 62 / 80 (1.9-2.2 /
+#   1.1-1.3), default 127 / 144 (1.6-2.9 / 1.3-1.6).  A smaller block saves
+#   memory but costs time, so the sizes stay; the weak pass sets the peak of
+#   `skofbsde embed`.
 _WEAK_BLOCK = 1024
 _STRONG_BLOCK = 2048
 _ROUND_TRIP_BLOCK = 512
@@ -217,24 +219,48 @@ class StrongStop:
     clamp_fraction: float
 
 
+def _r_max(g_lipschitz: float, coeffs: ProcessCoefficients,
+           K1: float | None = None) -> float:
+    """Where the strong rule's r-grid ends: min(K1, T_phys (1 - 1e-9)),
+    inside the clock table that ends at H(T_phys) = x2_hi.  K1 left ``None``
+    takes the default 2 H^{-1}(L_g^2).  With the default box 1.05 L_g^2 (and
+    sup beta^2 < 20 beta_floor^2) the cap binds, not K1, and still lies
+    above every time H^{-1}(L_g^2)."""
+    if K1 is None:
+        K1 = 2.0 * float(coeffs.clock_H_inv(g_lipschitz ** 2))
+    return min(K1, coeffs.t_phys * (1.0 - 1e-9))
+
+
 def _strong_limits(f: DecouplingField, coeffs: ProcessCoefficients,
                    K1: float | None = None, K2: float | None = None):
-    """``(r_max, K2)``: where the strong rule's r-grid ends, and its Sigma
-    guard.
+    """``(r_max, K2)``: where the strong rule's r-grid ends (:func:`_r_max`),
+    and its Sigma guard.
 
     The field's horizon is 1, as the solver makes it and ``load_field``
-    checks.  Guards left ``None`` take the defaults K1 = 2 H^{-1}(L_g^2) and
-    K2 = 10 sqrt(2 H^{-1}(L_g^2)) max(sup |beta|, 1).  ``r_max`` is min(K1,
-    T_phys (1 - 1e-9)), inside the clock table that ends at H(T_phys) = x2_hi.
-    With the default box 1.05 L_g^2 (and sup beta^2 < 20 beta_floor^2) this
-    cap binds, not K1, and still lies above every time H^{-1}(L_g^2).
+    checks.  K2 left ``None`` takes the default
+    10 sqrt(2 H^{-1}(L_g^2)) max(sup |beta|, 1).
     """
-    K1_default = 2.0 * tau_bound(f, coeffs)
     if K2 is None:
         beta_sup = float(np.abs(coeffs.beta(np.linspace(0.0, coeffs.t_phys, 2049))).max())
-        K2 = 10.0 * np.sqrt(max(K1_default, 1e-12)) * max(beta_sup, 1.0)
-    K1 = K1_default if K1 is None else K1
-    return min(K1, coeffs.t_phys * (1.0 - 1e-9)), K2
+        K2 = 10.0 * np.sqrt(max(2.0 * tau_bound(f, coeffs), 1e-12)) * max(beta_sup, 1.0)
+    return _r_max(f.g_lipschitz, coeffs, K1), K2
+
+
+def strong_step(g_lipschitz: float, coeffs: ProcessCoefficients,
+                n_steps: int, K1: float | None = None) -> float:
+    """The step ``dr = r_max / n_steps`` of the strong pass.
+
+    Raises :class:`ConfigError` when ``dr L_g^2 / beta_floor^2`` exceeds
+    ``SIGMA_RATE_TOL``.  The rule reads only L_g, the clock, K1 and the step
+    count, so the command line checks it when it reads the configuration,
+    before any work.
+    """
+    dr = _r_max(g_lipschitz, coeffs, K1) / n_steps
+    if g_lipschitz > 0 and dr * g_lipschitz**2 / coeffs.beta_floor**2 > SIGMA_RATE_TOL:
+        raise ConfigError(
+            f"dr = {dr:.3e} too coarse for the time-change rate; "
+            f"increase the embedding n_steps")
+    return dr
 
 
 def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
@@ -386,13 +412,8 @@ def strong_embed_on_W(f: DecouplingField, coeffs: ProcessCoefficients,
     measured and its mean absolute defect reported as
     ``strong_identity_mean``.
     """
+    dr = strong_step(f.g_lipschitz, coeffs, n_steps, K1)
     r_max, K2 = _strong_limits(f, coeffs, K1, K2)
-    dr = r_max / n_steps
-    if f.g_lipschitz > 0 and dr * f.g_lipschitz**2 / coeffs.beta_floor**2 > SIGMA_RATE_TOL:
-        raise ConfigError(
-            f"dr = {dr:.3e} too coarse for the time-change rate; "
-            f"increase the embedding n_steps")
-
     c = float(eval_field(f, 0.0, 0.0, 0.0, "u"))
     seeds = path_seed(seed ^ _STRONG_SEED_SALT, np.arange(n_paths))
 

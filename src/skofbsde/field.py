@@ -41,10 +41,10 @@ U2_BOUND_TOL = 1e-2         # tolerance on sup|u2| <= sup|delta'|
 _FORMAT_TAG = "skofbsde-field"
 _FORMAT_VERSION = 3
 # peak memory of `skofbsde solve` above a process that only reads the
-# config, in (nt+1) x nx1 x nx2 float64 arrays: 2.53 and 2.26 measured at
-# 256x257x129 and 512x257x129 (u and u1; every check works one time layer
-# at a time, and SciPy's import adds about 26 MB)
-_SOLVE_PEAK_ARRAYS = 3
+# config, in (nt+1) x nx1 x nx2 float64 arrays: 1.53 and 1.26 measured at
+# 256x257x129 and 512x257x129 (u alone; the solve and every check work one
+# time layer at a time, and SciPy's import adds about 26 MB)
+_SOLVE_PEAK_ARRAYS = 2
 # fields of fewer values are cross-checked by the coupled system in one process
 _SPLIT_MIN_VALUES = 2**20
 
@@ -151,27 +151,32 @@ class FieldDiagnostics:
 
 @dataclass
 class DecouplingField:
-    """Solved field ``u`` with its finite-difference x1 derivative ``u1``
-    (the control Z, set by :func:`solve_field` and :func:`load_field`) and
-    certified-bound metadata.
+    """Solved field ``u`` with its certified-bound metadata.
 
-    The x2 derivative is not stored: the path side never reads it, and its
-    two readers, the coupled check and the diagnostics, form it one time
-    layer at a time.  The checks only read the field; the coupled check of
-    :func:`derivative_fields` records its worst mismatch in
-    ``deriv_mismatch``.
+    No derivative of ``u`` is stored.  The control Z = u1, the x1
+    derivative, is formed from ``u`` with the x1 stencil of
+    :func:`solve_field` where it is read: the checks form it one time layer
+    at a time, and :func:`eval_field` forms a two-wide slab around the
+    query's cell and keeps it in ``_u1_memo`` until the cell changes.  The
+    x2 derivative has two readers, the coupled check and the diagnostics,
+    which form it one time layer at a time too.  The checks only read the
+    field; the coupled check of :func:`derivative_fields` records its worst
+    mismatch in ``deriv_mismatch``.
     """
 
     t_grid: np.ndarray
     x1_grid: np.ndarray
     x2_grid: np.ndarray
     u: np.ndarray
-    u1: np.ndarray
     g_lipschitz: float
     delta_deriv_sup: float
     cutoff_H: float
     deriv_floor_eps: float
     deriv_mismatch: float | None = None
+    # (axis, cell index, u1 slab) of the last eval_field lookup; not an
+    # argument, so ``dataclasses.replace`` starts a copy without it
+    _u1_memo: tuple | None = dc_field(default=None, init=False, repr=False,
+                                      compare=False)
 
 
 # ----------------------------------------------------------------------------
@@ -238,6 +243,11 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
     u[nt] = terminal_layer(g, delta, x1, x2)
 
     ab = _banded_matrix(nx1, dt / (2.0 * dx1**2))
+    # sup |u1| of each finished layer, tested against the cutoff at the end
+    u1_layer = np.empty((nx1, nx2))
+    u1_sup = np.empty(nt + 1)
+    _gradient_into(u1_layer, u[nt], dx1, axis=0)
+    u1_sup[nt] = max(u1_layer.max(), -u1_layer.min())
 
     for n in range(nt - 1, -1, -1):
         unext = u[n + 1]
@@ -265,17 +275,16 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
                 f"cutoff not passive at t = {t_grid[n]:.6g}: "
                 f"max |z| = {np.abs(z).max():.6g} >= {cfg.cutoff_H:.6g}")
         u[n] = w
+        _gradient_into(u1_layer, w, dx1, axis=0)
+        u1_sup[n] = max(u1_layer.max(), -u1_layer.min())
 
-    u1 = _gradient_into(np.empty_like(u), u, dx1, axis=1)
-    f = DecouplingField(
-        t_grid=t_grid, x1_grid=x1, x2_grid=x2, u=u, u1=u1,
+    if u1_sup.max() >= cfg.cutoff_H:
+        raise CutoffActiveError("cutoff not passive: sup |u1| reached the cutoff radius")
+    return DecouplingField(
+        t_grid=t_grid, x1_grid=x1, x2_grid=x2, u=u,
         g_lipschitz=float(g.lipschitz),
         delta_deriv_sup=float(getattr(delta, "deriv_sup", np.nan)),
         cutoff_H=cfg.cutoff_H, deriv_floor_eps=cfg.deriv_floor_eps)
-    # max |u1| without building |u1|
-    if max(u1.max(), -u1.min()) >= cfg.cutoff_H:
-        raise CutoffActiveError("cutoff not passive: sup |u1| reached the cutoff radius")
-    return f
 
 
 def _gradient_into(out: np.ndarray, w: np.ndarray, dx: float,
@@ -300,8 +309,8 @@ def _gradient_into(out: np.ndarray, w: np.ndarray, dx: float,
 
 def derivative_fields(f: DecouplingField, method: str = "finite_difference",
                       g=None, delta=None) -> DecouplingField:
-    """Check the field's derivatives against the coupled linear system, or
-    refill ``u1`` by finite differences.  Returns ``f``.
+    """Check the field's derivatives against the coupled linear system.
+    Returns ``f``.
 
     ``coupled_system`` needs the terminal-derivative callables ``g`` and
     ``delta``.  It solves the linear backward equations satisfied by the
@@ -312,24 +321,20 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
     with terminal data g'(x1) for the x1 derivative ``v1`` and -delta'(x2)
     for the x2 derivative ``v2``, in one loop from n = nt down to 0.  Each
     pass advances ``(v1, v2)`` with the coefficients of layer n + 1, frozen
-    from the field's ``u1`` and the finite-difference x2 derivative ``u2``
-    of ``u`` kept from the previous pass; it then forms the ``u2`` layer of
-    n once, in a second layer buffer, and compares ``v1`` with ``u1[n]`` and
-    ``v2`` with that layer.  On two CPUs a field of ``_SPLIT_MIN_VALUES``
-    values or more runs the ``v2`` chain, with its own ``u2`` layers, in a
-    forked process (``run_halves``).  The worst mismatch goes to
-    ``f.deriv_mismatch``; no array of ``f`` is written and no field-sized
-    array is made.  A mismatch above the fixed tolerance 10 (dt + dx1^2 +
-    dx2), ten times the scheme's discretization error scale, raises
-    :class:`DerivativeMismatchError` at the first (t, x1, x2) index, in C
-    order, of the worst value.
-    ``finite_difference`` drops ``f.u1`` and recomputes it from ``u`` with
-    no temporaries: two field arrays unless the caller holds the old ``u1``.
+    from the finite-difference derivatives ``u1`` and ``u2`` of ``u`` kept
+    from the previous pass; it then forms the ``u1`` and ``u2`` layers of n
+    once each, and compares ``v1`` with the one and ``v2`` with the other.
+    On two CPUs a field of ``_SPLIT_MIN_VALUES`` values or more runs the
+    ``v2`` chain, with its own ``u1`` and ``u2`` layers, in a forked process
+    (``run_halves``).  The worst mismatch goes to ``f.deriv_mismatch``; no
+    array of ``f`` is written and no field-sized array is made.  A mismatch
+    above the fixed tolerance 10 (dt + dx1^2 + dx2), ten times the scheme's
+    discretization error scale, raises :class:`DerivativeMismatchError` at
+    the first (t, x1, x2) index, in C order, of the worst value.
+    ``finite_difference`` does nothing: the field stores no derivative to
+    refill, since ``u1`` is formed from ``u`` where it is read.
     """
-    dx1 = f.x1_grid[1] - f.x1_grid[0]
     if method == "finite_difference":
-        f.u1 = None
-        f.u1 = _gradient_into(np.empty_like(f.u), f.u, dx1, axis=1)
         return f
     if method != "coupled_system":
         raise ConfigError(f"unknown derivative method {method!r}")
@@ -340,6 +345,7 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
     nt = f.t_grid.size - 1
     nx1, nx2 = f.x1_grid.size, f.x2_grid.size
     dt = f.t_grid[1] - f.t_grid[0]
+    dx1 = f.x1_grid[1] - f.x1_grid[0]
     dx2 = f.x2_grid[1] - f.x2_grid[0]
     ab = _banded_matrix(nx1, dt / (2.0 * dx1**2))
     mismatch_tol = 10.0 * (dt + dx1**2 + dx2)
@@ -356,26 +362,28 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
         from t = T down, so a later layer wins a tie (smaller t index) and
         the first NaN in C order wins."""
         vs = list(v_terminal[lo:hi])
-        u2, u2_next, dv = np.empty((3, nx1, nx2))
+        u1, u1_next, u2, u2_next, dv = np.empty((5, nx1, nx2))
         diff = np.empty(block[1:])
         worst_of = [(-np.inf, 0)] * (hi - lo)
         for n in range(nt, -1, -1):
             if n < nt:
-                zc = np.clip(f.u1[n + 1], -f.cutoff_H, f.cutoff_H)
+                zc = np.clip(u1_next, -f.cutoff_H, f.cutoff_H)
                 a_coef = zc * zc
-                b_coef = 2.0 * f.u1[n + 1] * u2_next
+                b_coef = 2.0 * u1_next * u2_next
                 vs = [solve_banded((1, 1), ab, vn + dt * (
                           a_coef * _d2_up(vn, dx2)
                           + b_coef * _gradient_into(dv, vn, dx1, axis=0)))
                       for vn in vs]
+            _gradient_into(u1, f.u[n], dx1, axis=0)
             _gradient_into(u2, f.u[n], dx2, axis=1)
-            for j, (v, u_fd) in enumerate(zip(vs, (f.u1[n], u2)[lo:hi])):
+            for j, (v, u_fd) in enumerate(zip(vs, (u1, u2)[lo:hi])):
                 np.subtract(v[inner], u_fd[inner], out=diff)
                 np.abs(diff, out=diff)
                 i = int(diff.argmax())
                 m = diff.flat[i]
                 if np.isnan(m) or m >= worst_of[j][0]:
                     worst_of[j] = (m, n * diff.size + i)
+            u1, u1_next = u1_next, u1
             u2, u2_next = u2_next, u2
         return worst_of
 
@@ -399,13 +407,69 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
 # evaluation
 # ----------------------------------------------------------------------------
 
+def _corner_index(strides: tuple, base) -> np.ndarray:
+    """Flat indices of the 8 corners of the cells at flat index ``base`` in a
+    C-contiguous buffer with (t, x1, x2) element ``strides``, row
+    4*ot + 2*o2 + o1 for offset (ot, o1, o2): x1 pairs are adjacent rows,
+    x2 pairs rows two apart."""
+    st, s1, s2 = strides
+    offsets = np.array([0, s1, s2, s1 + s2, st, st + s1, st + s2, st + s1 + s2])
+    return np.add.outer(offsets, base)
+
+
+def _u1_slab(f: DecouplingField, axis: int, i: int) -> np.ndarray:
+    """u1, formed from ``u`` with the x1 stencil, on the two time layers
+    from index ``i`` (``axis`` 0; shape (2, nx1, nx2)) or on the two x2
+    columns from index ``i`` (``axis`` 2; x2 first, shape (2, nt + 1, nx1),
+    so that each column is contiguous).
+
+    The slab is kept on ``f`` until another is asked for, and its buffer is
+    reused along the same axis: a step of one cell forward keeps the shared
+    layer or column and forms only the new one."""
+    memo = f._u1_memo
+    if memo is not None and memo[:2] == (axis, i):
+        return memo[2]
+    w = f.u[i:i + 2] if axis == 0 else np.moveaxis(f.u[:, :, i:i + 2], 2, 0)
+    x1_axis = 1 if axis == 0 else 2
+    dx1 = f.x1_grid[1] - f.x1_grid[0]
+    if memo is None or memo[0] != axis:
+        slab = _gradient_into(np.empty(w.shape), w, dx1, axis=x1_axis)
+    elif memo[1] == i - 1:
+        slab = memo[2]
+        slab[0] = slab[1]
+        _gradient_into(slab[1], w[1], dx1, axis=x1_axis - 1)
+    else:
+        slab = _gradient_into(memo[2], w, dx1, axis=x1_axis)
+    f._u1_memo = (axis, i, slab)
+    return slab
+
+
+def _u1_corners(f: DecouplingField, idx: np.ndarray, i1) -> np.ndarray:
+    """u1 at the corners ``idx`` of :func:`_corner_index` in ``u``, from
+    the values of ``u`` at the x1 nodes i1 - 1 to i1 + 2, bitwise the x1
+    stencil: central inside, one-sided at the box edges."""
+    nx1, nx2 = f.u.shape[1:]
+    dx1 = f.x1_grid[1] - f.x1_grid[0]
+    flat = f.u.reshape(-1)
+    lo, hi = np.maximum(i1 - 1, 0), np.minimum(i1 + 2, nx1 - 1)
+    at_i1, at_next = np.take(flat, idx[0::2]), np.take(flat, idx[1::2])
+    out = np.empty(idx.shape)
+    # the step (hi - lo) dx1 is 2 dx1 inside and dx1 at an edge, exactly
+    out[0::2] = ((at_next - np.take(flat, idx[0::2] + (lo - i1) * nx2))
+                 / ((i1 + 1 - lo) * dx1))
+    out[1::2] = ((np.take(flat, idx[1::2] + (hi - i1 - 1) * nx2) - at_i1)
+                 / ((hi - i1) * dx1))
+    return out
+
+
 def eval_field(f: DecouplingField, t, x1, x2,
                which: str | tuple[str, ...] = "u"):
     """Trilinear interpolation.
 
-    At a grid node each component returns the stored value up to rounding,
-    not always bitwise: a cell weight ``(q - q_lo) / dq`` that should be 0 or
-    1 can come out one ulp off.
+    At a grid node ``u`` returns the stored value and ``u1`` the value of
+    the x1 stencil of :func:`solve_field`, up to rounding, not always
+    bitwise: a cell weight ``(q - q_lo) / dq`` that should be 0 or 1 can
+    come out one ulp off.
 
     t must lie in [0, 1].  x1 queries outside the box extrapolate linearly
     for ``u`` (the field is asymptotically affine) and clamp for the
@@ -414,14 +478,22 @@ def eval_field(f: DecouplingField, t, x1, x2,
     ``"u1"``) or is a tuple of names; a tuple returns a tuple of results
     read off one shared stencil.  Any other name, ``"u2"`` included (the
     field stores no x2 derivative), raises :class:`DomainError`.
+
+    The ``u1`` corner values are formed from ``u``.  A query with a scalar
+    ``t`` (an Euler sweep) reads them from ``u1`` on the two time layers of
+    its cell, and one with an array ``t`` and a scalar ``x2`` (the strong
+    rule) from ``u1`` on the two x2 columns of its cell; the slab is kept on
+    the field until a query's cell changes.  Any other query forms them
+    from the neighbouring values of ``u``.
     """
     single = isinstance(which, str)
-    comps = {"u": f.u, "u1": f.u1}
     names = (which,) if single else which
     try:
-        arrs = [comps[name] for name in names]
-    except (KeyError, TypeError):
-        raise DomainError(f"unknown field component {which!r}") from None
+        known = {"u", "u1"}.issuperset(names)
+    except TypeError:
+        known = False
+    if not known:
+        raise DomainError(f"unknown field component {which!r}")
 
     x1q = np.asarray(x1, dtype=float)
     x2q = np.asarray(x2, dtype=float)
@@ -452,20 +524,36 @@ def eval_field(f: DecouplingField, t, x1, x2,
     w2 = np.minimum(np.maximum(0.0, (x2q - f.x2_grid[i2]) / dx2), 1.0)
     # u extrapolates in x1 on the raw weight, u1 clamps to the box edge
     w1_clip = (np.minimum(np.maximum(0.0, w1), 1.0)
-               if any(name != "u" for name in names) else None)
+               if "u1" in names else None)
 
-    # flat indices of the 8 corners, row 4*ot + 2*o2 + o1 for offset
-    # (ot, o1, o2): x1 pairs are adjacent rows, x2 pairs rows two apart
-    base = (it * nx1 + i1) * nx2 + i2
-    s0 = nx1 * nx2
-    offsets = np.array([0, nx2, 1, nx2 + 1, s0, s0 + nx2, s0 + 1, s0 + nx2 + 1])
-    idx = np.add.outer(offsets, base)
+    corners = {}
+    strides = (nx1 * nx2, nx2, 1)
+    if np.ndim(tq) == 0:
+        # an Euler sweep: u and u1 on the two time layers of the cell, read
+        # with one index
+        idx = _corner_index(strides, i1 * nx2 + i2)
+        if "u" in names:
+            corners["u"] = np.take(f.u[it:it + 2].reshape(-1), idx)
+        if "u1" in names:
+            corners["u1"] = np.take(_u1_slab(f, 0, it).reshape(-1), idx)
+    else:
+        if "u" in names or x2q.ndim > 0:
+            idx = _corner_index(strides, (it * nx1 + i1) * nx2 + i2)
+        if "u" in names:
+            corners["u"] = np.take(f.u.reshape(-1), idx)
+        if "u1" in names and x2q.ndim == 0:
+            # the strong rule: u1 on the two x2 columns of the cell
+            corners["u1"] = np.take(_u1_slab(f, 2, int(i2)).reshape(-1),
+                                    _corner_index((nx1, 1, nt1 * nx1),
+                                                  it * nx1 + i1))
+        elif "u1" in names:
+            corners["u1"] = _u1_corners(f, idx, i1)
     a2, at = 1 - w2, 1 - wt
 
     out = []
-    for name, arr in zip(names, arrs):
+    for name in names:
         w = w1 if name == "u" else w1_clip
-        v = np.take(arr.reshape(-1), idx)
+        v = corners[name]
         c = v[0::2] * (1 - w) + v[1::2] * w
         d = c[0::2] * a2 + c[1::2] * w2
         res = d[0] * at + d[1] * wt
@@ -480,7 +568,8 @@ def eval_field(f: DecouplingField, t, x1, x2,
 def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostics:
     """Measure the certified bounds on the solved field; the field is only
     read, one time layer at a time, so no field-sized array is made.  The
-    x2 derivative of each layer is formed with the stencil of ``u1``.
+    x1 and x2 derivatives of each layer are formed once, with the x1
+    stencil along each axis.
 
     Failures are reported in the ``checks`` list, never raised.
     ``deriv_mismatch`` is copied from the field, so run the coupled check
@@ -493,18 +582,21 @@ def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostic
     # per-layer extrema, reduced at the end; max and min are exact and
     # propagate a NaN, so the results equal the whole-array reductions
     nt1 = f.u.shape[0]
-    u2 = np.empty(f.u.shape[1:])
+    u1, u1_next, u2 = np.empty((3,) + f.u.shape[1:])
+    _gradient_into(u1, f.u[0], dx1, axis=0)
     stats = np.empty((7, nt1))
     z_abs, u2_abs, u1_min, u1_step, ux1, ux2, ux1x1 = stats
     u1_min[-1] = np.inf     # u1 at T is not interior
     u1_step[-1] = -np.inf
     for n in range(nt1):
-        u, u1 = f.u[n], f.u1[n]
+        u = f.u[n]
         z_abs[n] = np.abs(u1).max()
         u2_abs[n] = np.abs(_gradient_into(u2, u, dx2, axis=1)).max()
         if n + 1 < nt1:
+            _gradient_into(u1_next, f.u[n + 1], dx1, axis=0)
             u1_min[n] = u1.min()
-            u1_step[n] = np.abs(f.u1[n + 1] - u1).max()
+            u1_step[n] = np.abs(u1_next - u1).max()
+            u1, u1_next = u1_next, u1
         ux1[n] = np.abs(u[1:] - u[:-1]).max()
         ux2[n] = np.abs(u[:, 1:] - u[:, :-1]).max()
         ux1x1[n] = np.abs(u[2:] - 2.0 * u[1:-1] + u[:-2]).max()
@@ -564,8 +656,8 @@ def save_field(f: DecouplingField, path: str,
     ``np.lib.format.write_array`` with no copy, in bytes that depend only
     on ``u``.  The sidecar holds the format tag and version, the shape, the
     three grids as exact JSON lists, the bound metadata and ``diagnostics``
-    (``null`` when none are given).  ``u1`` is not stored: :func:`load_field`
-    recomputes it with the finite-difference stencil of :func:`solve_field`.
+    (``null`` when none are given).  No derivative is stored: its readers
+    form ``u1`` from ``u``.
 
     The CSV has one row of nx2 comma-separated values per (t, x1) pair, t
     outer, x1 middle, in shortest round-trip float formatting.  On two CPUs
@@ -653,8 +745,7 @@ def _read_array(path: str, shape: tuple) -> np.ndarray:
 def load_field(path: str) -> DecouplingField:
     """Read a field written by :func:`save_field`.  ``path`` names its CSV,
     sidecar or ``.npy`` file; the sidecar and the ``.npy`` array are found
-    by the shared stem, and the CSV is not read.  ``u1`` is recomputed with
-    the finite-difference stencil.  A missing or malformed sidecar or array
+    by the shared stem, and the CSV is not read.  A missing or malformed sidecar or array
     raises :class:`ConfigError`, and so do an array that is not float64,
     C-ordered, of the sidecar's shape and finite, and grids that
     :func:`solve_field` does not make (and :func:`eval_field` assumes): each
@@ -687,6 +778,5 @@ def load_field(path: str) -> DecouplingField:
     # min and max see every NaN and inf without a field-sized temporary
     if not (np.isfinite(u.min()) and np.isfinite(u.max())):
         raise ConfigError(f"field file {npy} has a non-finite value")
-    u1 = _gradient_into(np.empty_like(u), u, grids[1][1] - grids[1][0], axis=1)
     return DecouplingField(t_grid=grids[0], x1_grid=grids[1], x2_grid=grids[2],
-                           u=u, u1=u1, **scalars)
+                           u=u, **scalars)

@@ -205,8 +205,9 @@ class OracleField:
 def shifted_field(f: DecouplingField, coef_t: float = 0.0,
                   coef_time_to_go: float = 0.0) -> DecouplingField:
     """Copy of the field with u replaced by u + coef_t * t
-    + coef_time_to_go * (T - t); the derivative arrays are shared with ``f``
-    (nothing writes into a field's arrays).
+    + coef_time_to_go * (T - t).  Its ``u1`` is formed from the new ``u``,
+    so it moves from that of ``f`` by rounding only; the copy starts with
+    no ``eval_field`` slab of its own.
 
     Used as a deliberate corruption: a time-affine shift breaks the
     martingale property of Y and moves the starting constant, so downstream

@@ -10,6 +10,8 @@ import time
 import numpy as np
 import pytest
 
+from skofbsde import fbsde
+from skofbsde import field as field_mod
 from skofbsde.coeffs import ProcessCoefficients, TimeFunction
 from skofbsde.embed import strong_embed_on_W, weak_embed_ensemble
 from skofbsde.fbsde import simulate_ensemble
@@ -31,6 +33,30 @@ def no_child_process_left():
         return
     pytest.fail("a child process was left "
                 + ("running" if pid == 0 else f"unreaped (pid {pid})"))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the forks of this process; ``split(on)`` forces the two-process
+    split of ``run_halves`` on or off, also on a one-CPU machine."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def split(on: bool):
+        minimum = 2 if on else 10**9
+        monkeypatch.setattr(fbsde, "_SPLIT_MIN_PATHS", minimum)
+        monkeypatch.setattr(field_mod, "_SPLIT_MIN_ROWS", minimum)
+        monkeypatch.setattr(field_mod, "_SPLIT_MIN_VALUES", minimum)
+
+    split.calls = calls
+    return split
 
 
 class Timed:

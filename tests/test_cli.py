@@ -260,8 +260,10 @@ def test_field_config_mismatch(tmp_path, capsys):
     cfg_u = write_config(tmp_path, "u.json")
     out = str(tmp_path / "m")
     assert main(["solve", "--config", cfg_u, "--out", out]) == 0
+    # the normal law's L_g of 1 needs 1050 strong steps or more
     cfg_n = write_config(tmp_path, "n.json",
-                         measure={"kind": "normal", "mu": 0.0, "sigma": 1.0})
+                         measure={"kind": "normal", "mu": 0.0, "sigma": 1.0},
+                         embedding={"n_steps": 2048})
     assert main(["embed", "--config", cfg_n, "--out", out,
                  "--field", os.path.join(out, "field.csv")]) == 1
     # the other way round the field's x2 grid (up to 1.05 L_g^2 of the
@@ -296,10 +298,12 @@ def test_field_for_another_drift_rejected(tmp_path, capsys):
 def test_contraction_failure_names_the_grid(tmp_path, capsys):
     # a strong constant drift on a coarse time grid: the per-step fixed
     # point does not contract, and the message names nt and the remedy
+    # (the law's L_g of 0.80 needs 426 strong steps or more)
     cfg = write_config(tmp_path, measure={"kind": "uniform", "lo": 0.0,
                                           "hi": 2.0},
                        coefficients={"alpha": {"kind": "const",
-                                               "value": 16.0}})
+                                               "value": 16.0}},
+                       embedding={"n_steps": 512})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "c")]) == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("solver error:"), lines
@@ -584,6 +588,24 @@ _normal_point_mass = _solve_with(
 _oversized_grid = _solve_with(
     "_oversized_grid", solver={"nt": 200_000, "nx1": 100_001, "nx2": 100_001})
 
+# the strong pass's step rule: dr = 5.768e-04 at 4096 steps for this law's
+# L_g of 1.5, refused before any work by each command that runs it
+_COARSE_STRONG_STEP = {"measure": {"kind": "normal", "mu": 0.0, "sigma": 1.5},
+                       "embedding": {"n_steps": 4096}}
+_coarse_strong_step_solve = _solve_with("_coarse_strong_step_solve",
+                                        **_COARSE_STRONG_STEP)
+
+
+def _coarse_strong_step_embed(tmp_path, cfg, field_dir):
+    bad = write_config(tmp_path, "bad.json", **_COARSE_STRONG_STEP)
+    return ["embed", "--config", bad, "--out", str(tmp_path / "new"),
+            "--field", str(field_dir / "field.csv")]
+
+
+def _coarse_strong_step_all(tmp_path, cfg, field_dir):
+    bad = write_config(tmp_path, "bad.json", **_COARSE_STRONG_STEP)
+    return ["all", "--config", bad, "--out", str(tmp_path / "new")]
+
 
 def _alpha_expr(name, expr):
     return _solve_with(name, coefficients={"alpha": {"kind": "expr",
@@ -621,6 +643,9 @@ _MESSAGE = {
     _npz_field: "cannot read field file",
     _bytes_after_array: "bytes after the array",
     _negative_dump_paths: "--dump-paths",
+    _coarse_strong_step_solve: "dr = 5.768e-04 too coarse",
+    _coarse_strong_step_embed: "dr = 5.768e-04 too coarse",
+    _coarse_strong_step_all: "dr = 5.768e-04 too coarse",
 }
 
 
@@ -648,7 +673,8 @@ def solved_field(tmp_path_factory):
     _x2_grid_off_zero, _x1_grid_non_uniform, _coefficients_T_phys,
     _nan_in_field, _negative_dump_paths, _npy_missing, _float32_field,
     _fortran_field, _pickled_field, _npz_field, _bytes_after_array,
-    _version_2_sidecar])
+    _version_2_sidecar, _coarse_strong_step_solve, _coarse_strong_step_embed,
+    _coarse_strong_step_all])
 def test_malformed_input_exits_1(tmp_path, solved_field, breaker):
     cfg = write_config(tmp_path)
     field_dir = tmp_path / "f"

@@ -3,7 +3,8 @@ the coupled derivative check.
 
 Each test forces the split by lowering the minimum sizes (and by reporting
 two CPUs, so the split also happens on a one-CPU machine) and compares with
-the run that stays in one process.
+the run that stays in one process; the ``forks`` fixture of ``conftest.py``
+does both.
 """
 
 import builtins
@@ -21,30 +22,6 @@ from skofbsde.embed import strong_embed_on_W
 from skofbsde.errors import (ContractionError, DerivativeMismatchError,
                              DomainError)
 from skofbsde.field import derivative_fields, save_field
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Count the forks of this process; ``split(on)`` forces the split on
-    or off."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
-    def split(on: bool):
-        minimum = 2 if on else 10**9
-        monkeypatch.setattr(fbsde, "_SPLIT_MIN_PATHS", minimum)
-        monkeypatch.setattr(field_mod, "_SPLIT_MIN_ROWS", minimum)
-        monkeypatch.setattr(field_mod, "_SPLIT_MIN_VALUES", minimum)
-
-    split.calls = calls
-    return split
 
 
 def _equal(a, b):
@@ -212,11 +189,13 @@ def test_coupled_check_split_is_bitwise_equal(case_small, forks, wrong):
     if wrong in ("delta", "both"):
         delta = _Scaled(delta, 10.0)
     if wrong == "tie":
-        # an infinite u1 and u2 at t = 0, which no coefficient reads: the
-        # chains tie at inf and the v1 chain names the location
-        u, u1 = f0.u.copy(), f0.u1.copy()
-        u1[0, 10, 5] = u[0, 40, 20] = np.inf
-        f0 = replace(f0, u=u, u1=u1)
+        # an infinite u node at t = 0, which no coefficient reads, makes
+        # u1 infinite at its two x1 neighbours and u2 at its two x2
+        # neighbours: the chains tie at inf and the v1 chain names the
+        # location, the lower x1 neighbour (9, 5), inner index (8, 5)
+        u = f0.u.copy()
+        u[0, 10, 5] = np.inf
+        f0 = replace(f0, u=u)
     results = []
     for on in (False, True):
         forks(on)
@@ -230,7 +209,7 @@ def test_coupled_check_split_is_bitwise_equal(case_small, forks, wrong):
     assert results[0] == results[1]
     assert isinstance(results[0], float) == (wrong == "none")
     if wrong == "tie":
-        assert results[0][:2] == ((0, 9, 5), np.inf)
+        assert results[0][:2] == ((0, 8, 5), np.inf)
 
 
 @pytest.mark.parametrize("half", ["upper", "lower"])
