@@ -84,9 +84,20 @@ def _warn_if_clamped(fraction: float, where: str) -> None:
                       RuntimeWarning, stacklevel=3)
 
 
+def _tau_max(g_lipschitz: float, coeffs: ProcessCoefficients) -> float:
+    """H^{-1}(L_g^2), the certified bound on every stopping time."""
+    return float(coeffs.clock_H_inv(g_lipschitz ** 2))
+
+
 def tau_bound(f: DecouplingField, coeffs: ProcessCoefficients) -> float:
     """Certified bound H^{-1}(L_g^2) on every stopping time."""
-    return float(coeffs.clock_H_inv(f.g_lipschitz ** 2))
+    return _tau_max(f.g_lipschitz, coeffs)
+
+
+def _default_K1(g_lipschitz: float, coeffs: ProcessCoefficients) -> float:
+    """The strong rule's default guard K1 = 2 H^{-1}(L_g^2); the default K2
+    is set from it too."""
+    return 2.0 * _tau_max(g_lipschitz, coeffs)
 
 
 @dataclass
@@ -223,11 +234,11 @@ def _r_max(g_lipschitz: float, coeffs: ProcessCoefficients,
            K1: float | None = None) -> float:
     """Where the strong rule's r-grid ends: min(K1, T_phys (1 - 1e-9)),
     inside the clock table that ends at H(T_phys) = x2_hi.  K1 left ``None``
-    takes the default 2 H^{-1}(L_g^2).  With the default box 1.05 L_g^2 (and
+    takes :func:`_default_K1`.  With the default box 1.05 L_g^2 (and
     sup beta^2 < 20 beta_floor^2) the cap binds, not K1, and still lies
     above every time H^{-1}(L_g^2)."""
     if K1 is None:
-        K1 = 2.0 * float(coeffs.clock_H_inv(g_lipschitz ** 2))
+        K1 = _default_K1(g_lipschitz, coeffs)
     return min(K1, coeffs.t_phys * (1.0 - 1e-9))
 
 
@@ -238,11 +249,13 @@ def _strong_limits(f: DecouplingField, coeffs: ProcessCoefficients,
 
     The field's horizon is 1, as the solver makes it and ``load_field``
     checks.  K2 left ``None`` takes the default
-    10 sqrt(2 H^{-1}(L_g^2)) max(sup |beta|, 1).
+    10 sqrt(K1_default) max(sup |beta|, 1), with K1_default of
+    :func:`_default_K1`.
     """
     if K2 is None:
         beta_sup = float(np.abs(coeffs.beta(np.linspace(0.0, coeffs.t_phys, 2049))).max())
-        K2 = 10.0 * np.sqrt(max(2.0 * tau_bound(f, coeffs), 1e-12)) * max(beta_sup, 1.0)
+        K1_default = _default_K1(f.g_lipschitz, coeffs)
+        K2 = 10.0 * np.sqrt(max(K1_default, 1e-12)) * max(beta_sup, 1.0)
     return _r_max(f.g_lipschitz, coeffs, K1), K2
 
 

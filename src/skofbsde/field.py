@@ -530,7 +530,11 @@ def eval_field(f: DecouplingField, t, x1, x2,
     strides = (nx1 * nx2, nx2, 1)
     if np.ndim(tq) == 0:
         # an Euler sweep: u and u1 on the two time layers of the cell, read
-        # with one index
+        # with one index.  A time slab costs one stencil layer per cell where
+        # _u1_corners costs four gathers of u per step: on the default grid
+        # (x86-64, one CPU, medians of 9) sweeps of 4096 x 1024 and 1024 x
+        # 4096 paths x steps took 1.15 and 1.16 s of CPU with the slab, 1.30
+        # and 1.44 s with _u1_corners
         idx = _corner_index(strides, i1 * nx2 + i2)
         if "u" in names:
             corners["u"] = np.take(f.u[it:it + 2].reshape(-1), idx)
