@@ -162,6 +162,10 @@ class DecouplingField:
     which form it one time layer at a time too.  The checks only read the
     field; the coupled check of :func:`derivative_fields` records its worst
     mismatch in ``deriv_mismatch``.
+
+    ``u`` of a field solved in two halves (:func:`solve_field`) lives in a
+    shared anonymous mapping, which every later fork shares too: a forked
+    child must never write it.
     """
 
     t_grid: np.ndarray
@@ -183,13 +187,20 @@ class DecouplingField:
 # difference operators
 # ----------------------------------------------------------------------------
 
-def _d2_up(w: np.ndarray, dx2: float) -> np.ndarray:
+def _d2_up(w: np.ndarray, dx2: float, out: np.ndarray | None = None
+           ) -> np.ndarray:
     """d/dx2 one-sided towards larger x2 (where information comes from in the
-    backward sweep); the top row falls back to a difference from below."""
-    out = np.empty_like(w)
-    out[:, :-1] = (w[:, 1:] - w[:, :-1]) / dx2
-    out[:, -1] = (w[:, -1] - w[:, -2]) / dx2
-    return out
+    backward sweep), into ``out`` when given.  With ``out`` one column
+    narrower than ``w`` every column is a difference from above (a column
+    range below the top); otherwise the top row falls back to a difference
+    from below."""
+    if out is None:
+        out = np.empty_like(w)
+    k = w.shape[1] - 1
+    np.subtract(w[:, 1:], w[:, :-1], out=out[:, :k])
+    if k < out.shape[1]:
+        np.subtract(w[:, -1], w[:, -2], out=out[:, -1])
+    return np.divide(out, dx2, out=out)
 
 
 def _banded_matrix(nx1: int, a: float) -> np.ndarray:
@@ -228,8 +239,22 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
     attribute ``deriv_sup``.  Raises :class:`ContractionError` when the
     per-step fixed point does not converge and :class:`CutoffActiveError`
     when the gradient cutoff binds.
+
+    Within a time step the scheme is separable across x2 columns: the x1
+    gradient, the clip, the update and the tridiagonal solve each read one
+    column, and only the x2 difference reads column j + 1, of the finished
+    layer n + 1.  On two CPUs a field of ``_SPLIT_MIN_VALUES`` values or
+    more solves its upper half of columns in a forked process
+    (``run_halves``), with ``u`` in a shared anonymous mapping that each
+    half writes in its own columns.  Over a socket pair the halves exchange
+    their largest change at each fixed-point iteration, so they stop
+    together, and their largest |z| once each layer is written, so the
+    lower half reads column h of a layer only after the upper half wrote
+    it.  ``u``, the residuals and the error messages do not depend on the
+    split.
     """
     cfg.validate(g.lipschitz)
+    from .fbsde import run_halves       # fbsde imports this module
 
     nt, nx1, nx2 = cfg.nt, cfg.nx1, cfg.nx2
     t_grid = np.linspace(0.0, 1.0, nt + 1)
@@ -239,46 +264,94 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
     dx1 = x1[1] - x1[0]
     dx2 = x2[1] - x2[0]
 
-    u = np.empty((nt + 1, nx1, nx2))
+    shape = (nt + 1, nx1, nx2)
+    split = (nt + 1) * nx1 * nx2 >= _SPLIT_MIN_VALUES
+    if split:
+        import mmap
+        import socket
+        import struct
+        # the forked half writes its columns into the same pages
+        u = np.frombuffer(mmap.mmap(-1, 8 * (nt + 1) * nx1 * nx2)).reshape(shape)
+        ends = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+    else:
+        u = np.empty(shape)
     u[nt] = terminal_layer(g, delta, x1, x2)
-
     ab = _banded_matrix(nx1, dt / (2.0 * dx1**2))
-    # sup |u1| of each finished layer, tested against the cutoff at the end
-    u1_layer = np.empty((nx1, nx2))
-    u1_sup = np.empty(nt + 1)
-    _gradient_into(u1_layer, u[nt], dx1, axis=0)
-    u1_sup[nt] = max(u1_layer.max(), -u1_layer.min())
 
-    for n in range(nt - 1, -1, -1):
-        unext = u[n + 1]
-        v2 = _d2_up(unext, dx2)
-        w = unext
-        residuals = []
-        for _ in range(cfg.fixpoint_max_iter):
-            z = _gradient_into(np.empty_like(w), w, dx1, axis=0)
-            zc = np.clip(z, -cfg.cutoff_H, cfg.cutoff_H)
-            rhs = unext + dt * (zc * zc) * v2
-            unew = solve_banded((1, 1), ab, rhs)
-            change = float(np.abs(unew - w).max())
-            residuals.append(change)
-            w = unew
-            if change < cfg.fixpoint_tol:
-                break
-        else:
-            raise ContractionError(
-                f"contraction failure at t = {t_grid[n]:.6g} (nt = {nt}): "
-                f"residual {residuals[-1]:.3e} after {cfg.fixpoint_max_iter} "
-                f"iterations; a smaller time step helps, raise solver.nt",
-                residuals=residuals)
-        if np.abs(z).max() >= cfg.cutoff_H:
-            raise CutoffActiveError(
-                f"cutoff not passive at t = {t_grid[n]:.6g}: "
-                f"max |z| = {np.abs(z).max():.6g} >= {cfg.cutoff_H:.6g}")
-        u[n] = w
-        _gradient_into(u1_layer, w, dx1, axis=0)
-        u1_sup[n] = max(u1_layer.max(), -u1_layer.min())
+    def columns(lo: int, hi: int) -> float | None:
+        """Solve the columns [lo, hi) of every layer below T into ``u``.
+        Returns their sup |u1| over all layers, or None when the other half
+        ended first."""
+        peer = None
+        if hi - lo < nx2:
+            peer = ends[lo > 0]
+            ends[lo == 0].close()
 
-    if u1_sup.max() >= cfg.cutoff_H:
+        def both(x: float) -> float:
+            """The larger of ``x`` and the other half's, NaN first."""
+            if peer is None:
+                return x
+            peer.send(struct.pack("d", x))
+            got = peer.recv(8)
+            if not got:
+                raise EOFError
+            y, = struct.unpack("d", got)
+            return x if x != x or x >= y else y
+
+        # work arrays of one layer's columns, reused by every iteration;
+        # sup |u1| of the finished layers, tested against the cutoff at the end
+        z, rhs, diff, v2 = np.empty((4, nx1, hi - lo))
+        u1_sup = float(np.abs(_gradient_into(z, u[nt, :, lo:hi], dx1, axis=0)).max())
+        try:
+            for n in range(nt - 1, -1, -1):
+                unext = u[n + 1, :, lo:hi]
+                _d2_up(u[n + 1, :, lo:hi + 1], dx2, out=v2)
+                w = unext
+                residuals = []
+                for _ in range(cfg.fixpoint_max_iter):
+                    _gradient_into(z, w, dx1, axis=0)
+                    # rhs = unext + dt * clip(z)^2 * v2
+                    np.clip(z, -cfg.cutoff_H, cfg.cutoff_H, out=rhs)
+                    np.multiply(rhs, rhs, out=rhs)
+                    np.multiply(rhs, dt, out=rhs)
+                    np.multiply(rhs, v2, out=rhs)
+                    np.add(unext, rhs, out=rhs)
+                    unew = solve_banded((1, 1), ab, rhs)
+                    np.subtract(unew, w, out=diff)
+                    change = both(float(np.abs(diff, out=diff).max()))
+                    residuals.append(change)
+                    w = unew
+                    if change < cfg.fixpoint_tol:
+                        break
+                else:
+                    raise ContractionError(
+                        f"contraction failure at t = {t_grid[n]:.6g} (nt = {nt}): "
+                        f"residual {residuals[-1]:.3e} after {cfg.fixpoint_max_iter} "
+                        f"iterations; a smaller time step helps, raise solver.nt",
+                        residuals=residuals)
+                u[n, :, lo:hi] = w
+                # after the write: the lower half reads column h next
+                z_max = both(float(np.abs(z, out=z).max()))
+                if z_max >= cfg.cutoff_H:
+                    raise CutoffActiveError(
+                        f"cutoff not passive at t = {t_grid[n]:.6g}: "
+                        f"max |z| = {z_max:.6g} >= {cfg.cutoff_H:.6g}")
+                _gradient_into(z, w, dx1, axis=0)
+                u1_sup = max(u1_sup, float(np.abs(z, out=z).max()))
+        except (EOFError, ConnectionError):     # the other half ended
+            return None
+        return u1_sup
+
+    if split:
+        try:
+            # 3 columns or more: the top one reads the one below it
+            u1_sups = run_halves(nx2, columns, 3)
+        finally:
+            for end in ends:
+                end.close()
+    else:
+        u1_sups = [columns(0, nx2)]
+    if max(u1_sups) >= cfg.cutoff_H:
         raise CutoffActiveError("cutoff not passive: sup |u1| reached the cutoff radius")
     return DecouplingField(
         t_grid=t_grid, x1_grid=x1, x2_grid=x2, u=u,
@@ -573,37 +646,49 @@ def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostic
     """Measure the certified bounds on the solved field; the field is only
     read, one time layer at a time, so no field-sized array is made.  The
     x1 and x2 derivatives of each layer are formed once, with the x1
-    stencil along each axis.
+    stencil along each axis.  On two CPUs a field of ``_SPLIT_MIN_VALUES``
+    values or more takes the extrema of its upper half of time layers in a
+    forked process (``run_halves``); max and min are exact, so the results
+    do not depend on the split.
 
     Failures are reported in the ``checks`` list, never raised.
     ``deriv_mismatch`` is copied from the field, so run the coupled check
     first to have it reported.
     """
+    from .fbsde import run_halves       # fbsde imports this module
     dt = f.t_grid[1] - f.t_grid[0]
     dx1 = f.x1_grid[1] - f.x1_grid[0]
     dx2 = f.x2_grid[1] - f.x2_grid[0]
-
-    # per-layer extrema, reduced at the end; max and min are exact and
-    # propagate a NaN, so the results equal the whole-array reductions
     nt1 = f.u.shape[0]
-    u1, u1_next, u2 = np.empty((3,) + f.u.shape[1:])
-    _gradient_into(u1, f.u[0], dx1, axis=0)
-    stats = np.empty((7, nt1))
-    z_abs, u2_abs, u1_min, u1_step, ux1, ux2, ux1x1 = stats
-    u1_min[-1] = np.inf     # u1 at T is not interior
-    u1_step[-1] = -np.inf
-    for n in range(nt1):
-        u = f.u[n]
-        z_abs[n] = np.abs(u1).max()
-        u2_abs[n] = np.abs(_gradient_into(u2, u, dx2, axis=1)).max()
-        if n + 1 < nt1:
-            _gradient_into(u1_next, f.u[n + 1], dx1, axis=0)
-            u1_min[n] = u1.min()
-            u1_step[n] = np.abs(u1_next - u1).max()
-            u1, u1_next = u1_next, u1
-        ux1[n] = np.abs(u[1:] - u[:-1]).max()
-        ux2[n] = np.abs(u[:, 1:] - u[:, :-1]).max()
-        ux1x1[n] = np.abs(u[2:] - 2.0 * u[1:-1] + u[:-2]).max()
+
+    def extrema(lo: int, hi: int) -> np.ndarray:
+        """Seven rows of extrema, one column per layer of [lo, hi); the u1
+        step of the last layer reads layer hi.  Max and min propagate a NaN,
+        so their reductions equal the whole-array ones."""
+        u1, u1_next, u2 = np.empty((3,) + f.u.shape[1:])
+        _gradient_into(u1, f.u[lo], dx1, axis=0)
+        stats = np.empty((7, hi - lo))
+        z_abs, u2_abs, u1_min, u1_step, ux1, ux2, ux1x1 = stats
+        for i, n in enumerate(range(lo, hi)):
+            u = f.u[n]
+            z_abs[i] = np.abs(u1).max()
+            u2_abs[i] = np.abs(_gradient_into(u2, u, dx2, axis=1)).max()
+            if n + 1 < nt1:
+                _gradient_into(u1_next, f.u[n + 1], dx1, axis=0)
+                u1_min[i] = u1.min()
+                u1_step[i] = np.abs(u1_next - u1).max()
+                u1, u1_next = u1_next, u1
+            else:
+                u1_min[i] = np.inf      # u1 at T is not interior
+                u1_step[i] = -np.inf
+            ux1[i] = np.abs(u[1:] - u[:-1]).max()
+            ux2[i] = np.abs(u[:, 1:] - u[:, :-1]).max()
+            ux1x1[i] = np.abs(u[2:] - 2.0 * u[1:-1] + u[:-2]).max()
+        return stats
+
+    halves = (run_halves(nt1, extrema, 2) if f.u.size >= _SPLIT_MIN_VALUES
+              else [extrema(0, nt1)])
+    z_abs, u2_abs, u1_min, u1_step, ux1, ux2, ux1x1 = np.concatenate(halves, 1)
     z_sup = float(z_abs.max())
     u2_sup = float(u2_abs.max())
     min_u1_interior = float(u1_min.min())

@@ -1,4 +1,5 @@
-"""The two-process split of path ensembles, of the field CSV export and of
+"""The two-process split of path ensembles, of the field solve (by x2
+columns) and diagnostics (by time layers), of the field CSV export and of
 the coupled derivative check.
 
 Each test forces the split by lowering the minimum sizes (and by reporting
@@ -9,6 +10,7 @@ does both.
 
 import builtins
 import os
+import signal
 import time
 from dataclasses import replace
 
@@ -18,10 +20,13 @@ from test_fbsde import _ENSEMBLES
 
 from skofbsde import fbsde
 from skofbsde import field as field_mod
+from skofbsde.coeffs import ProcessCoefficients, TimeFunction
 from skofbsde.embed import strong_embed_on_W
-from skofbsde.errors import (ContractionError, DerivativeMismatchError,
-                             DomainError)
-from skofbsde.field import derivative_fields, save_field
+from skofbsde.errors import (ContractionError, CutoffActiveError,
+                             DerivativeMismatchError, DomainError)
+from skofbsde.field import (SolverConfig, derivative_fields,
+                            field_diagnostics, save_field, solve_field)
+from skofbsde.measure import TargetMeasure, make_g
 
 
 def _equal(a, b):
@@ -231,3 +236,114 @@ def test_failed_save_leaves_no_temporary_file(tmp_path, case_small, forks,
         save_field(case_small.value["field"], str(tmp_path / "field.csv"))
     assert len(forks.calls) == 1
     assert not [p for p in os.listdir(tmp_path) if p.endswith(".part")]
+
+
+@pytest.mark.parametrize("nx2", [2, 3, 33])
+def test_solve_split_is_bitwise_equal(case_small, forks, nx2):
+    # odd nx2 splits the columns unevenly (1 + 2 and 16 + 17); two columns
+    # stay in one process, since the top one reads the one below it
+    c = case_small.value
+    cfg = replace(c["cfg"], nx2=nx2)
+    fields = []
+    for on in (False, True):
+        forks(on)
+        fields.append(solve_field(c["g"], c["delta"], cfg))
+    assert len(forks.calls) == (nx2 > 2)
+    one, two = fields
+    assert one.u.shape == (65, 65, nx2)
+    assert one.u.tobytes() == two.u.tobytes()
+
+
+def _failing_solve(case):
+    """(g, delta, cfg) of a solve that fails: the fixed point does not
+    contract (the case of test_cli's test_contraction_failure_names_the_grid),
+    or the cutoff binds, on sup |u1| at the end (test_field's
+    test_cutoff_must_be_passive) or on max |z| within a step."""
+    measure, alpha = {"contraction": (TargetMeasure.uniform(0.0, 2.0), 16.0),
+                      "cutoff_u1": (TargetMeasure.normal(0.0, 1.0), 0.0),
+                      "cutoff_z": (TargetMeasure.normal(0.0, 1.0), 1.0)}[case]
+    g = make_g(measure)
+    h = 2.0 if case == "cutoff_u1" else 1.05 * g.lipschitz**2
+    coeffs = ProcessCoefficients(0.0, TimeFunction.const(alpha),
+                                 TimeFunction.const(1.0), 1.0, h_target=h)
+    cfg = SolverConfig.defaults(g.lipschitz, nt=64, nx1=65, nx2=33)
+    if case != "contraction":
+        cfg = replace(cfg, cutoff_H=g.lipschitz * (1.0 + 1e-9))
+    return g, coeffs.delayed_drift(), cfg
+
+
+@pytest.mark.parametrize("case", ["contraction", "cutoff_u1", "cutoff_z"])
+def test_solve_split_fails_as_one_process(forks, case):
+    # both halves stop together, on the residuals and max |z| of the whole
+    # layer, so the message and the residuals are those of one process
+    g, delta, cfg = _failing_solve(case)
+    errors = []
+    for on in (False, True):
+        forks(on)
+        with pytest.raises((ContractionError, CutoffActiveError)) as info:
+            solve_field(g, delta, cfg)
+        errors.append((type(info.value), str(info.value),
+                       getattr(info.value, "residuals", None)))
+    assert len(forks.calls) == 1
+    assert errors[0] == errors[1]
+    kind, message, residuals = errors[0]
+    if case == "contraction":
+        assert kind is ContractionError and len(residuals) == 200
+    else:
+        assert kind is CutoffActiveError
+        assert ("max |z|" in message) == (case == "cutoff_z")
+
+
+@pytest.mark.parametrize("half, end", [("upper", "exit"), ("upper", "raise"),
+                                       ("lower", "raise")])
+def test_solve_half_failure_ends_both(case_small, forks, monkeypatch, half,
+                                      end):
+    # one half ends mid-solve while the other waits for its message: the
+    # waiting half returns, or is killed, and the child is reaped
+    forks(True)
+    c = case_small.value
+    parent = os.getpid()
+    real = field_mod.solve_banded
+    calls = []
+
+    def failing(l_and_u, ab, b):
+        calls.append(1)
+        if len(calls) == 100 and (os.getpid() != parent) == (half == "upper"):
+            if end == "exit":
+                os._exit(3)
+            raise KeyError(f"{half} half")
+        return real(l_and_u, ab, b)
+
+    def hung(signum, frame):
+        raise TimeoutError("a half waits for the other after 30 s")
+
+    monkeypatch.setattr(field_mod, "solve_banded", failing)
+    expected = ((RuntimeError, r"items \[16, 33\) ended without") if end == "exit"
+                else (KeyError, f"{half} half"))
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(expected[0], match=expected[1]):
+            solve_field(c["g"], c["delta"], c["cfg"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks.calls) == 1
+
+
+def test_diagnostics_split_is_bitwise_equal(case_small, forks):
+    # the halves of the 65 time layers are 32 and 33; a NaN in the upper
+    # half reaches the extrema as in one process
+    c = case_small.value
+    f = c["field"]
+    nan_u = f.u.copy()
+    nan_u[40, 10, 5] = np.nan
+    for u in (f.u, nan_u):
+        reports = []
+        for on in (False, True):
+            forks(on)
+            diag = field_diagnostics(replace(f, u=u), c["g"], c["delta"])
+            reports.append(repr(diag.to_dict()))
+        assert reports[0] == reports[1]
+    assert len(forks.calls) == 2
+    assert "nan" in reports[0]
