@@ -82,17 +82,23 @@ def _load_column_csv(path: str, ncols: int, header: bool = False) -> np.ndarray:
     return data
 
 
-def build_transform(spec: dict) -> measure_mod.QuantileTransform:
+def _take_path(d: dict, key: str, base_dir: str, default=_REQUIRED) -> str:
+    """A path key of the config, relative to the config file's directory
+    ``base_dir``; an absolute path is kept as it is."""
+    return os.path.join(base_dir, _take(d, key, default, str))
+
+
+def build_transform(spec: dict, base_dir: str) -> measure_mod.QuantileTransform:
     # DomainError (a ValueError) from the law's own checks, ValueError or
     # TypeError from list entries that are not numbers, DiracMeasureError
     # from a point-mass law
     try:
-        return measure_mod.make_g(_build_measure(spec))
+        return measure_mod.make_g(_build_measure(spec, base_dir))
     except (ValueError, TypeError, DiracMeasureError) as exc:
         raise ConfigError(f"invalid measure: {exc}") from None
 
 
-def _build_measure(spec: dict) -> measure_mod.TargetMeasure:
+def _build_measure(spec: dict, base_dir: str) -> measure_mod.TargetMeasure:
     kind = _take(spec, "kind", kind=str)
     if kind == "normal":
         _reject_extras(spec, {"kind", "mu", "sigma"}, "measure")
@@ -111,21 +117,22 @@ def _build_measure(spec: dict) -> measure_mod.TargetMeasure:
     if kind == "empirical":
         _reject_extras(spec, {"kind", "csv", "samples"}, "measure")
         if "csv" in spec:
-            samples = _load_column_csv(spec["csv"], 1)[:, 0]
+            samples = _load_column_csv(_take_path(spec, "csv", base_dir), 1)[:, 0]
         else:
             samples = np.asarray(_take(spec, "samples", kind=list), dtype=float)
         return measure_mod.TargetMeasure.empirical(samples)
     raise ConfigError(f"unknown measure kind {kind!r}")
 
 
-def _build_time_function(spec: dict, name: str) -> coeffs_mod.TimeFunction:
+def _build_time_function(spec: dict, name: str,
+                         base_dir: str) -> coeffs_mod.TimeFunction:
     kind = _take(spec, "kind", kind=str)
     if kind == "const":
         _reject_extras(spec, {"kind", "value"}, name)
         return coeffs_mod.TimeFunction.const(_take(spec, "value", kind=(int, float)))
     if kind == "table":
         _reject_extras(spec, {"kind", "csv"}, name)
-        tab = _load_column_csv(_take(spec, "csv", kind=str), 2)
+        tab = _load_column_csv(_take_path(spec, "csv", base_dir), 2)
         return coeffs_mod.TimeFunction.table(tab[:, 0], tab[:, 1])
     if kind == "expr":
         _reject_extras(spec, {"kind", "expr"}, name)
@@ -133,8 +140,10 @@ def _build_time_function(spec: dict, name: str) -> coeffs_mod.TimeFunction:
     raise ConfigError(f"unknown time-function kind {kind!r} in {name}")
 
 
-_SOLVER_KEYS = {"nt", "nx1", "nx2", "x1_lo", "x1_hi", "x2_hi", "cutoff_H",
-                "fixpoint_tol", "fixpoint_max_iter", "deriv_floor_eps"}
+# the solver section's keys, SolverConfig's fields, each with its kind
+_SOLVER_KINDS = {
+    name: int if fld.type == "int" else (int, float)
+    for name, fld in field_mod.SolverConfig.__dataclass_fields__.items()}
 
 
 class RunConfig:
@@ -142,6 +151,8 @@ class RunConfig:
 
     ``solver``, ``coefficients`` and ``delta`` are built and checked on
     first read, the rest on construction: ``verify`` never builds them.
+    Relative paths in the config (``output_dir`` and each ``csv``) are taken
+    from ``base_dir``, the config file's directory.
     """
 
     TOP_KEYS = {"spec_version", "measure", "coefficients", "solver",
@@ -154,7 +165,9 @@ class RunConfig:
         if _take(raw, "spec_version", kind=int) != 1:
             raise ConfigError("unsupported spec_version (expected 1)")
 
-        self.g = build_transform(dict(_take(raw, "measure", kind=dict)))
+        self._base_dir = base_dir
+        self.g = build_transform(dict(_take(raw, "measure", kind=dict)),
+                                 base_dir)
         self.measure = self.g.measure
 
         self._solver_spec = dict(_take(raw, "solver", {}, dict))
@@ -177,23 +190,14 @@ class RunConfig:
         if any(k is not None and k <= 0 for k in (self.K1, self.K2)):
             raise ConfigError("embedding K1 and K2 must be positive")
 
-        out = _take(raw, "output_dir", "out", str)
-        self.output_dir = out if os.path.isabs(out) else \
-            os.path.join(base_dir, out)
+        self.output_dir = _take_path(raw, "output_dir", base_dir, "out")
 
     @functools.cached_property
     def solver(self) -> field_mod.SolverConfig:
         spec, L_g = self._solver_spec, self.g.lipschitz
-        _reject_extras(spec, _SOLVER_KEYS, "solver")
-        base = field_mod.SolverConfig.defaults(
-            L_g,
-            nt=_take(spec, "nt", 256, int),
-            nx1=_take(spec, "nx1", 257, int),
-            nx2=_take(spec, "nx2", 129, int))
-        overrides = {k: _take(spec, k, kind=int if k == "fixpoint_max_iter"
-                              else (int, float))
-                     for k in spec if k in _SOLVER_KEYS - {"nt", "nx1", "nx2"}}
-        cfg = field_mod.SolverConfig(**{**vars(base), **overrides}) if overrides else base
+        _reject_extras(spec, _SOLVER_KINDS.keys(), "solver")
+        cfg = field_mod.SolverConfig.defaults(
+            L_g, **{k: _take(spec, k, kind=_SOLVER_KINDS[k]) for k in spec})
         cfg.validate(L_g)
         return cfg
 
@@ -201,8 +205,10 @@ class RunConfig:
     def coefficients(self) -> coeffs_mod.ProcessCoefficients:
         spec = self._coefficients_spec
         _reject_extras(spec, {"G0", "alpha", "beta", "beta_floor"}, "coefficients")
-        alpha = _build_time_function(_take(spec, "alpha", kind=dict), "alpha")
-        beta = _build_time_function(_take(spec, "beta", kind=dict), "beta")
+        alpha = _build_time_function(_take(spec, "alpha", kind=dict), "alpha",
+                                     self._base_dir)
+        beta = _build_time_function(_take(spec, "beta", kind=dict), "beta",
+                                    self._base_dir)
         # the clock reaches the solver's x2 box, which covers L_g^2
         return coeffs_mod.ProcessCoefficients(
             G0=_take(spec, "G0", 0.0, (int, float)),
@@ -374,8 +380,8 @@ def main(argv=None) -> int:
             raise ConfigError("--dump-paths must be >= 0")
         if args.command != "verify":
             # the strong pass's step rule refuses a run before any work
-            embed_mod.strong_step(cfg.g.lipschitz, cfg.coefficients,
-                                  cfg.embed_steps, cfg.K1)
+            embed_mod.strong_limits(cfg.g.lipschitz, cfg.coefficients,
+                                    cfg.embed_steps, cfg.K1)
 
         if args.command == "solve":
             return cmd_solve(cfg)

@@ -160,9 +160,10 @@ class ProcessCoefficients:
 
     The quadrature grid spans ``[0, T_phys]``, and ``t_phys`` solves
     ``H(T_phys) = h_target``: callers pass the solver's x2 box ``x2_hi``,
-    which covers the embedding bound L_g^2.  Instances are immutable after
-    construction.  An error raised while ``alpha`` or ``beta`` is tabulated
-    is a :class:`ConfigError`.
+    which covers the embedding bound L_g^2.  ``beta_sup`` is the largest
+    ``|beta|`` on that grid.  Instances are immutable after construction.
+    An error raised while ``alpha`` or ``beta`` is tabulated is a
+    :class:`ConfigError`.
     """
 
     def __init__(self, G0: float, alpha: TimeFunction, beta: TimeFunction,
@@ -191,7 +192,7 @@ class ProcessCoefficients:
             raise ConfigError("alpha/beta must be finite on [0, T_phys]")
         self._h_tab = self._cumtrapz(self._grid, beta_vals**2)
         self._dhat_tab = self.G0 + self._cumtrapz(self._grid, alpha_vals)
-        self.alpha_sup = float(np.abs(alpha_vals).max())
+        self.beta_sup = float(np.abs(beta_vals).max())
         self._delta_deriv_sup = float(np.abs(alpha_vals / beta_vals**2).max())
 
     @staticmethod

@@ -41,7 +41,7 @@ from .field import DecouplingField, eval_field
 
 __all__ = ["WeakEmbedding", "StrongStop", "EmbeddingResult", "weak_embed",
            "weak_embed_ensemble", "strong_stopping_time", "strong_embed_on_W",
-           "coupled_round_trip", "strong_step", "SIGMA_RATE_TOL"]
+           "coupled_round_trip", "strong_limits", "SIGMA_RATE_TOL"]
 
 # step-size rule for the (sigma, Sigma) integration: L_g^2 dr / beta_floor^2
 # must not exceed this
@@ -84,20 +84,44 @@ def _warn_if_clamped(fraction: float, where: str) -> None:
                       RuntimeWarning, stacklevel=3)
 
 
-def _tau_max(g_lipschitz: float, coeffs: ProcessCoefficients) -> float:
-    """H^{-1}(L_g^2), the certified bound on every stopping time."""
-    return float(coeffs.clock_H_inv(g_lipschitz ** 2))
+def strong_limits(g_lipschitz: float, coeffs: ProcessCoefficients,
+                  n_steps: int | None = None, K1: float | None = None,
+                  K2: float | None = None):
+    """``(tau_bound, r_max, K2, dr)`` of the strong pass.
+
+    ``tau_bound`` is H^{-1}(L_g^2), the certified bound on every stopping
+    time.  The r-grid ends at ``r_max = min(K1, T_phys (1 - 1e-9))``, inside
+    the clock table that ends at H(T_phys) = x2_hi; K1 left ``None`` is
+    2 tau_bound.  With the default box 1.05 L_g^2 (and
+    sup beta^2 < 20 beta_floor^2) the cap binds, not K1, and still lies
+    above tau_bound.  K2 left ``None`` is
+    10 sqrt(2 tau_bound) max(sup |beta|, 1), with sup |beta| read on the
+    coefficients' quadrature grid.
+
+    ``dr`` is ``None`` unless ``n_steps`` is given; then
+    ``dr = r_max / n_steps``, and a :class:`ConfigError` is raised when
+    ``dr L_g^2 / beta_floor^2`` exceeds ``SIGMA_RATE_TOL``.  The rule reads
+    only L_g, the clock, K1 and the step count, so the command line checks
+    it when it reads the configuration, before any work.
+    """
+    bound = float(coeffs.clock_H_inv(g_lipschitz ** 2))
+    r_max = min(2.0 * bound if K1 is None else K1,
+                coeffs.t_phys * (1.0 - 1e-9))
+    if K2 is None:
+        K2 = 10.0 * np.sqrt(max(2.0 * bound, 1e-12)) * max(coeffs.beta_sup, 1.0)
+    dr = None
+    if n_steps is not None:
+        dr = r_max / n_steps
+        if g_lipschitz > 0 and dr * g_lipschitz**2 / coeffs.beta_floor**2 > SIGMA_RATE_TOL:
+            raise ConfigError(
+                f"dr = {dr:.3e} too coarse for the time-change rate; "
+                f"increase the embedding n_steps")
+    return bound, r_max, K2, dr
 
 
 def tau_bound(f: DecouplingField, coeffs: ProcessCoefficients) -> float:
     """Certified bound H^{-1}(L_g^2) on every stopping time."""
-    return _tau_max(f.g_lipschitz, coeffs)
-
-
-def _default_K1(g_lipschitz: float, coeffs: ProcessCoefficients) -> float:
-    """The strong rule's default guard K1 = 2 H^{-1}(L_g^2); the default K2
-    is set from it too."""
-    return 2.0 * _tau_max(g_lipschitz, coeffs)
+    return strong_limits(f.g_lipschitz, coeffs)[0]
 
 
 @dataclass
@@ -230,52 +254,6 @@ class StrongStop:
     clamp_fraction: float
 
 
-def _r_max(g_lipschitz: float, coeffs: ProcessCoefficients,
-           K1: float | None = None) -> float:
-    """Where the strong rule's r-grid ends: min(K1, T_phys (1 - 1e-9)),
-    inside the clock table that ends at H(T_phys) = x2_hi.  K1 left ``None``
-    takes :func:`_default_K1`.  With the default box 1.05 L_g^2 (and
-    sup beta^2 < 20 beta_floor^2) the cap binds, not K1, and still lies
-    above every time H^{-1}(L_g^2)."""
-    if K1 is None:
-        K1 = _default_K1(g_lipschitz, coeffs)
-    return min(K1, coeffs.t_phys * (1.0 - 1e-9))
-
-
-def _strong_limits(f: DecouplingField, coeffs: ProcessCoefficients,
-                   K1: float | None = None, K2: float | None = None):
-    """``(r_max, K2)``: where the strong rule's r-grid ends (:func:`_r_max`),
-    and its Sigma guard.
-
-    The field's horizon is 1, as the solver makes it and ``load_field``
-    checks.  K2 left ``None`` takes the default
-    10 sqrt(K1_default) max(sup |beta|, 1), with K1_default of
-    :func:`_default_K1`.
-    """
-    if K2 is None:
-        beta_sup = float(np.abs(coeffs.beta(np.linspace(0.0, coeffs.t_phys, 2049))).max())
-        K1_default = _default_K1(f.g_lipschitz, coeffs)
-        K2 = 10.0 * np.sqrt(max(K1_default, 1e-12)) * max(beta_sup, 1.0)
-    return _r_max(f.g_lipschitz, coeffs, K1), K2
-
-
-def strong_step(g_lipschitz: float, coeffs: ProcessCoefficients,
-                n_steps: int, K1: float | None = None) -> float:
-    """The step ``dr = r_max / n_steps`` of the strong pass.
-
-    Raises :class:`ConfigError` when ``dr L_g^2 / beta_floor^2`` exceeds
-    ``SIGMA_RATE_TOL``.  The rule reads only L_g, the clock, K1 and the step
-    count, so the command line checks it when it reads the configuration,
-    before any work.
-    """
-    dr = _r_max(g_lipschitz, coeffs, K1) / n_steps
-    if g_lipschitz > 0 and dr * g_lipschitz**2 / coeffs.beta_floor**2 > SIGMA_RATE_TOL:
-        raise ConfigError(
-            f"dr = {dr:.3e} too coarse for the time-change rate; "
-            f"increase the embedding n_steps")
-    return dr
-
-
 def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
                       dB: np.ndarray | IncrementStreams, dr: float,
                       r_max: float, K2: float, keep_paths: bool = False):
@@ -370,7 +348,7 @@ def strong_stopping_time(f: DecouplingField, coeffs: ProcessCoefficients,
     >= K2), not raised.  Warns when the clamp was active on more than 0.1%
     of the steps.
     """
-    r_max, K2 = _strong_limits(f, coeffs, K1, K2)
+    _, r_max, K2, _ = strong_limits(f.g_lipschitz, coeffs, K1=K1, K2=K2)
     res = _integrate_strong(f, coeffs, np.asarray(dB, dtype=float)[None, :],
                             dr, r_max, K2, keep_paths=True)
     clamp_fraction = _clamp_fraction(res["clamp_hits"], res["steps"])
@@ -425,8 +403,8 @@ def strong_embed_on_W(f: DecouplingField, coeffs: ProcessCoefficients,
     measured and its mean absolute defect reported as
     ``strong_identity_mean``.
     """
-    dr = strong_step(f.g_lipschitz, coeffs, n_steps, K1)
-    r_max, K2 = _strong_limits(f, coeffs, K1, K2)
+    bound, r_max, K2, dr = strong_limits(f.g_lipschitz, coeffs, n_steps,
+                                         K1, K2)
     c = float(eval_field(f, 0.0, 0.0, 0.0, "u"))
     seeds = path_seed(seed ^ _STRONG_SEED_SALT, np.arange(n_paths))
 
@@ -446,7 +424,7 @@ def strong_embed_on_W(f: DecouplingField, coeffs: ProcessCoefficients,
               "K2": int(np.count_nonzero(guards == 2))}
     identity = None if g is None else float(
         np.mean(np.abs(stopped - np.asarray(g(Sigma_tau)))))
-    return EmbeddingResult(c=c, tau_bound=tau_bound(f, coeffs), seeds=seeds,
+    return EmbeddingResult(c=c, tau_bound=bound, seeds=seeds,
                            tau_strong=tau, stopped_value=stopped,
                            guard_counts=counts,
                            clamp_fraction=clamp_fraction,
@@ -463,8 +441,8 @@ def coupled_round_trip(f: DecouplingField, coeffs: ProcessCoefficients,
     independent increments (the extension never matters unless the crossing
     is a few steps late).
     """
-    r_max, K2 = _strong_limits(f, coeffs)
-    dr = tau_bound(f, coeffs) / 2048.0
+    bound, r_max, K2, _ = strong_limits(f.g_lipschitz, coeffs)
+    dr = bound / 2048.0
     M = int(np.ceil(r_max / dr))
 
     r_u = np.arange(M + 1) * dr

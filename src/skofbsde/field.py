@@ -54,16 +54,17 @@ class SolverConfig:
     """Grid and iteration parameters of the backward solve.
 
     ``nt`` counts time steps of the unit horizon (the time grid is
-    ``np.linspace(0, 1, nt + 1)``); ``nx1`` and ``nx2`` count spatial nodes.  ``cutoff_H`` is the radius of the gradient
-    cutoff and must lie strictly above the Lipschitz constant of g so the
-    cutoff stays passive.  ``deriv_floor_eps`` is the lower clamp applied to
-    u1 wherever it enters a denominator downstream.
+    ``np.linspace(0, 1, nt + 1)``); ``nx1`` and ``nx2`` count spatial nodes.
+    ``cutoff_H`` is the radius of the gradient cutoff and must lie strictly
+    above the Lipschitz constant of g so the cutoff stays passive.
+    ``deriv_floor_eps`` is the lower clamp applied to u1 wherever it enters
+    a denominator downstream.
     """
 
     nt: int = 256
     nx1: int = 257
     nx2: int = 129
-    x1_lo: float = -6.0
+    x1_lo: float = -6.0             # Gaussian mass beyond [-6, 6] < 1e-8
     x1_hi: float = 6.0
     x2_hi: float = 1.05
     cutoff_H: float = 4.0
@@ -72,15 +73,13 @@ class SolverConfig:
     deriv_floor_eps: float = 1e-6
 
     @classmethod
-    def defaults(cls, g_lipschitz: float, nt: int = 256, nx1: int = 257,
-                 nx2: int = 129) -> "SolverConfig":
-        """Spec defaults: x1 box [-6, 6] (Gaussian mass beyond < 1e-8),
-        x2 box [0, 1.05 L_g^2] (forced by the X2 dynamics and the Z bound;
-        the 5% margin is also the clock's horizon, ``H(T_phys) = x2_hi``),
-        cutoff 4 max(L_g, 1)."""
-        return cls(nt=nt, nx1=nx1, nx2=nx2, x1_lo=-6.0, x1_hi=6.0,
-                   x2_hi=1.05 * g_lipschitz**2,
-                   cutoff_H=4.0 * max(g_lipschitz, 1.0))
+    def defaults(cls, g_lipschitz: float, **keys) -> "SolverConfig":
+        """The field defaults, with the two set by L_g: the x2 box
+        [0, 1.05 L_g^2] (forced by the X2 dynamics and the Z bound; the 5%
+        margin is also the clock's horizon, ``H(T_phys) = x2_hi``) and the
+        cutoff 4 max(L_g, 1).  ``keys`` override any field."""
+        return cls(**{"x2_hi": 1.05 * g_lipschitz**2,
+                      "cutoff_H": 4.0 * max(g_lipschitz, 1.0), **keys})
 
     def validate(self, g_lipschitz: float) -> None:
         """Check the grid against L_g; the one place that refuses a g with

@@ -327,6 +327,50 @@ def test_table_coefficients_from_csv(tmp_path):
     assert rc.coefficients.clock_H(half) == pytest.approx(half, abs=1e-9)
 
 
+def test_relative_csv_paths_resolve_beside_the_config(tmp_path, capsys,
+                                                      monkeypatch):
+    # every relative path of a config (each csv and output_dir) is taken
+    # from the config file's directory, whatever the working directory
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    (cfg_dir / "beta.csv").write_text("0.0,1.0\n1.0,1.0\n2.0,1.0\n")
+    (cfg_dir / "samples.csv").write_text("0.1\n0.4\n0.7\n")
+    table = write_config(cfg_dir, "table.json", coefficients={
+        "beta": {"kind": "table", "csv": "beta.csv"}})
+    empirical = write_config(cfg_dir, "empirical.json", measure={
+        "kind": "empirical", "csv": "samples.csv"})
+    for cwd in (cfg_dir, tmp_path):
+        monkeypatch.chdir(cwd)
+        assert main(["solve", "--config", table]) == 0, cwd
+        assert (cfg_dir / "out" / "field.npy").exists()
+        shutil.rmtree(cfg_dir / "out")
+        rc = RunConfig.from_file(empirical)
+        assert rc.measure.kind == "empirical"
+        assert rc.measure.mean == pytest.approx(0.4, abs=1e-15)
+    capsys.readouterr()
+
+
+def test_empty_solver_section_takes_the_defaults():
+    from dataclasses import fields, replace
+    from skofbsde.field import SolverConfig
+    raw = json.loads(json.dumps(BASE))
+    raw["solver"] = {}
+    rc = RunConfig(raw)
+    L_g = rc.g.lipschitz
+    assert rc.solver == SolverConfig.defaults(L_g)
+    assert rc.solver.x2_hi == 1.05 * L_g**2
+    # each key overrides its field, and only it
+    values = {"nt": 300, "nx1": 101, "nx2": 65, "x1_lo": -5, "x1_hi": 5.5,
+              "x2_hi": 2.0, "cutoff_H": 3.0, "fixpoint_tol": 1e-8,
+              "fixpoint_max_iter": 50, "deriv_floor_eps": 1e-5}
+    assert set(values) == {f.name for f in fields(SolverConfig)}
+    for key, value in values.items():
+        raw["solver"] = {key: value}
+        want = replace(SolverConfig.defaults(L_g), **{key: value})
+        assert RunConfig(raw).solver == want, key
+        assert want != SolverConfig.defaults(L_g), key
+
+
 def test_piecewise_measure_config(tmp_path):
     cfg = write_config(tmp_path)
     raw = json.loads(open(cfg).read())
@@ -576,6 +620,9 @@ _piecewise_nan_x = _solve_with(
                                  "Fs": [0.0, 0.5, 1.0]})
 _text_in_samples = _solve_with(
     "_text_in_samples", measure={"kind": "empirical", "samples": [1, "x", 3]})
+# a path key takes only a string
+_numeric_csv_path = _solve_with(
+    "_numeric_csv_path", measure={"kind": "empirical", "csv": 5})
 _zero_K1 = _solve_with("_zero_K1", embedding={"K1": 0})
 _negative_K1 = _solve_with("_negative_K1", embedding={"K1": -1.0})
 _zero_K2 = _solve_with("_zero_K2", embedding={"K2": 0.0})
@@ -646,6 +693,7 @@ _MESSAGE = {
     _coarse_strong_step_solve: "dr = 5.768e-04 too coarse",
     _coarse_strong_step_embed: "dr = 5.768e-04 too coarse",
     _coarse_strong_step_all: "dr = 5.768e-04 too coarse",
+    _numeric_csv_path: "config key 'csv' has wrong type (int)",
 }
 
 
@@ -674,7 +722,7 @@ def solved_field(tmp_path_factory):
     _nan_in_field, _negative_dump_paths, _npy_missing, _float32_field,
     _fortran_field, _pickled_field, _npz_field, _bytes_after_array,
     _version_2_sidecar, _coarse_strong_step_solve, _coarse_strong_step_embed,
-    _coarse_strong_step_all])
+    _coarse_strong_step_all, _numeric_csv_path])
 def test_malformed_input_exits_1(tmp_path, solved_field, breaker):
     cfg = write_config(tmp_path)
     field_dir = tmp_path / "f"

@@ -91,7 +91,8 @@ def test_delta_lipschitz_estimate():
                             TimeFunction.const(1.2), 1.2, h_target=2.88)
     xs = np.linspace(0.0, c.h_max - 1e-6, 2000)
     slopes = np.abs(np.diff(np.asarray(c.delta(xs))) / np.diff(xs))
-    bound = c.alpha_sup / c.beta_floor**2
+    t = np.linspace(0.0, c.t_phys, 4096)
+    bound = float(np.abs(c.alpha(t)).max()) / c.beta_floor**2
     assert slopes.max() <= bound + 1e-6
     d = c.delayed_drift()
     assert d.deriv_sup <= bound + 1e-12

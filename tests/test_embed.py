@@ -89,7 +89,7 @@ def test_clamp_fraction_weighted_per_step(case_uniform_k025, monkeypatch):
         with pytest.warns(RuntimeWarning, match="clamp"):
             er = strong_embed_on_W(f, c["coeffs"], 37, 2048, seed=12)
         fractions.append(er.clamp_fraction)
-    r_max, K2 = embed._strong_limits(f, c["coeffs"])
+    _, r_max, K2, _ = embed.strong_limits(f.g_lipschitz, c["coeffs"])
     dB = np.array([normal_increments(int(s), 2048, er.dr) for s in er.seeds])
     whole = embed._integrate_strong(f, c["coeffs"], dB, er.dr, r_max, K2)
     hits, steps = int(whole["clamp_hits"].sum()), int(whole["steps"].sum())
@@ -134,14 +134,50 @@ def test_weak_ensemble_fields(case_uniform_k025):
 def test_strong_limits(case_uniform_k025):
     c = case_uniform_k025.value
     f, coeffs = c["field"], c["coeffs"]
+    L_g = f.g_lipschitz
     cap = coeffs.t_phys * (1.0 - 1e-9)
-    r_max, K2 = embed._strong_limits(f, coeffs)
-    assert r_max == min(2.0 * tau_bound(f, coeffs), cap)
-    assert K2 > 0.0
+    bound, r_max, K2, dr = embed.strong_limits(L_g, coeffs)
+    assert bound == tau_bound(f, coeffs)
+    assert bound == float(coeffs.clock_H_inv(L_g ** 2))
+    assert r_max == min(2.0 * bound, cap)
+    assert K2 == 10.0 * np.sqrt(2.0 * bound) * max(coeffs.beta_sup, 1.0)
+    assert dr is None
     # explicit guards: K1 only moves the horizon, and only below the cap
-    assert embed._strong_limits(f, coeffs, K1=0.05, K2=3.0) == (0.05, 3.0)
-    assert embed._strong_limits(f, coeffs, K1=0.05) == (0.05, K2)
-    assert embed._strong_limits(f, coeffs, K1=10.0 * cap) == (cap, K2)
+    assert embed.strong_limits(L_g, coeffs, K1=0.05, K2=3.0) == (
+        bound, 0.05, 3.0, None)
+    assert embed.strong_limits(L_g, coeffs, K1=0.05) == (bound, 0.05, K2, None)
+    assert embed.strong_limits(L_g, coeffs, K1=10.0 * cap) == (
+        bound, cap, K2, None)
+    # the step is r_max / n_steps, for the default and an explicit K1
+    assert embed.strong_limits(L_g, coeffs, 2048) == (
+        bound, r_max, K2, r_max / 2048)
+    assert embed.strong_limits(L_g, coeffs, 512, K1=0.05)[3] == 0.05 / 512
+
+
+def test_strong_limits_default_K2_reads_sup_beta():
+    # a varying beta, as in the many_paths benchmark config: sup |beta| is
+    # 1.2 at s = 0
+    beta = TimeFunction.expression("1.0 + 0.2*cos(3*s)")
+    coeffs = ProcessCoefficients(0.0, TimeFunction.const(0.3), beta, 0.8,
+                                 h_target=1.05)
+    assert coeffs.beta_sup == pytest.approx(1.2, abs=1e-12)
+    bound, _, K2, _ = embed.strong_limits(1.0, coeffs)
+    assert K2 == 10.0 * np.sqrt(2.0 * bound) * coeffs.beta_sup
+
+
+def test_strong_limits_refuses_coarse_step():
+    # the CLI's coarse-step config: normal(0, 1.5), alpha 0.25, beta 1, at
+    # 4096 embedding steps
+    L_g = 1.5
+    coeffs = ProcessCoefficients(0.0, TimeFunction.const(0.25),
+                                 TimeFunction.const(1.0), 1.0,
+                                 h_target=1.05 * L_g**2)
+    with pytest.raises(ConfigError, match=r"^dr = 5\.768e-04 too coarse for "
+                       r"the time-change rate; increase the embedding "
+                       r"n_steps$"):
+        embed.strong_limits(L_g, coeffs, 4096)
+    # without a step count the rule is not applied
+    assert embed.strong_limits(L_g, coeffs)[3] is None
 
 
 def _per_path_weak(c, n_paths, n_steps, seed, g=None):
@@ -227,7 +263,7 @@ def test_round_trip_matches_per_path_reference(case_uniform_k025):
     f, coeffs = c["field"], c["coeffs"]
     rt = coupled_round_trip(f, coeffs, 37, 1024, seed=55)
     dr = rt["dr"]
-    r_max, K2 = embed._strong_limits(f, coeffs)
+    _, r_max, K2, _ = embed.strong_limits(f.g_lipschitz, coeffs)
     M = int(np.ceil(r_max / dr))
     r_u = np.arange(M + 1) * dr
     paths, embs = _per_path_weak(c, 37, 1024, 55)
@@ -303,8 +339,8 @@ def test_strong_rule_matches_per_path_reference_with_mixed_stops(
     c = case_uniform_k025.value
     f, coeffs = c["field"], c["coeffs"]
     K1, K2, n_steps = 0.1, 1.5, 512
-    r_max, K2 = embed._strong_limits(f, coeffs, K1, K2)
-    dr = r_max / n_steps
+    _, r_max, K2, dr = embed.strong_limits(f.g_lipschitz, coeffs, n_steps,
+                                           K1, K2)
     seeds = path_seed(3 ^ embed._STRONG_SEED_SALT, np.arange(37))
     dB = np.array([normal_increments(int(s), n_steps, dr) for s in seeds])
     ref, ref_paths = _strong_reference(f, coeffs, dB, dr, r_max, K2)
