@@ -116,6 +116,9 @@ def _build_measure(spec: dict, base_dir: str) -> measure_mod.TargetMeasure:
             _take(spec, "xs", kind=list), _take(spec, "Fs", kind=list))
     if kind == "empirical":
         _reject_extras(spec, {"kind", "csv", "samples"}, "measure")
+        if {"csv", "samples"} <= spec.keys():
+            raise ConfigError("an empirical measure takes 'csv' or "
+                              "'samples', not both")
         if "csv" in spec:
             samples = _load_column_csv(_take_path(spec, "csv", base_dir), 1)[:, 0]
         else:

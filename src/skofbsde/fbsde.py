@@ -15,6 +15,14 @@ a path's increments do not depend on the chunk width.
 By certified bound, |Z| <= L_g; evaluated controls are projected onto that
 interval (raw magnitudes are recorded for the bound diagnostics).
 
+Of the three lookups of a step, only Z feeds back (into X2).  The sweep's
+loop over steps therefore reads only u1 and updates X2; X1 and its x1 cells
+are formed before the loop and Y = u is read after it, at the cells the u1
+reads found, once per block of steps (``_STEP_BLOCK_BYTES`` per (steps,
+paths) array).  The cells, weights and interpolation are the helpers of
+``eval_field``, so the outputs are bitwise those of one
+``eval_field(f, t_k, X1_k, X2_k, ("u1", "u"))`` per step.
+
 Every path ensemble here and in the embeddings runs through ``map_blocks``:
 on a machine with two CPUs, the upper half of a large ensemble runs in one
 forked process (``run_halves``); each half runs its blocks of consecutive
@@ -32,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .field import DecouplingField, eval_field
+from .field import (DecouplingField, _corner_index, _lerp, _time_cell,
+                    _u1_slab, _unit, _x1_cell, _x2_cell, eval_field)
 from .measure import phi_inv
 
 __all__ = ["FbsdePath", "EnsembleResult", "MartingaleReport", "path_seed",
@@ -47,6 +56,9 @@ _ENSEMBLE_BLOCK = 1024
 _SPLIT_MIN_PATHS = 256
 # columns per draw of IncrementStreams: a (1024, 256) chunk is 2 MiB
 _NOISE_CHUNK = 256
+# bytes of one (steps, paths) float array of an Euler sweep's block of steps:
+# X1, its cells and weights, and Y, which is read a block at a time
+_STEP_BLOCK_BYTES = 2**16
 N_CHECKPOINTS = 8
 
 
@@ -190,12 +202,14 @@ class IncrementStreams:
         # strictly interior uniforms (v + 1/2) / 2^53 from the top 53 bits of
         # each word: what Generator.integers(0, 2**53) draws from the same
         # words (Lemire's method with a power-of-two range), without its
-        # fixed cost per call
+        # fixed cost per call.  The words are freed before phi_inv, which
+        # works in the one float buffer
         v >>= np.uint64(11)
-        u = v.astype(np.float64)
-        u += 0.5
-        u *= 2.0**-53
-        z = phi_inv(u)
+        z = v.astype(np.float64)
+        del v
+        z += 0.5
+        z *= 2.0**-53
+        phi_inv(z, out=z)
         z *= self.scale
         return z
 
@@ -204,6 +218,7 @@ class IncrementStreams:
         runs 0, 1, ... in order."""
         c = k % _NOISE_CHUNK
         if c == 0:
+            self._chunk = None          # freed before the next is drawn
             self._chunk = self.next(min(_NOISE_CHUNK, self.n_steps - k), rows)
             if rows is not None:
                 self._row_of[rows] = np.arange(len(rows))
@@ -240,11 +255,19 @@ def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
     shape (n_paths, n_steps + 1).  With ``paths`` set, ``W`` and ``Z`` are
     whole path arrays of that shape too; otherwise ``W`` is only the running
     column W_T, of shape (n_paths,), and ``Z`` is ``None``.  ``X1`` is not
-    stored: it is ``x1_0 + W``, formed column by column for the field
-    lookups.  W adds up the increments in step order, as ``np.cumsum`` does.
+    stored: it is ``x1_0 + W``, formed a block of steps at a time for the
+    field lookups.  W adds up the increments in step order, as ``np.cumsum``
+    does.
+
+    The loop over steps reads u1 and updates X2; each block of
+    ``_STEP_BLOCK_BYTES // (8 n_paths)`` steps forms X1 and its x1 cells
+    before the loop and reads Y = u after it, at the cells the u1 reads
+    found, with one gather of ``u`` (see the module docstring).
     """
     dt = 1.0 / n_steps
     n = seeds.size
+    nx2 = f.u.shape[2]
+    strides = (f.u.shape[1] * nx2, nx2, 1)
 
     t_grid = np.linspace(0.0, 1.0, n_steps + 1)
     # one buffer for all path arrays: freed as a whole when the last view
@@ -253,22 +276,47 @@ def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
     W, Z = rest if paths else (None, None)
     noise = IncrementStreams(seeds, n_steps, dt)
     w = np.zeros(n)
-    X2[:, 0] = x2_0
+    x2 = np.full(n, float(x2_0))
+    X2[:, 0] = x2
     L_g = f.g_lipschitz
     z_raw_max = np.zeros(n)
+    m = max(_STEP_BLOCK_BYTES // (8 * n), 1)
 
-    for k in range(n_steps + 1):
-        if paths:
-            W[:, k] = w
-        zk, Y[:, k] = eval_field(f, t_grid[k], x1_0 + w, X2[:, k],
-                                 ("u1", "u"))
-        np.maximum(z_raw_max, np.abs(zk), out=z_raw_max)
-        zk = np.minimum(np.maximum(-L_g, zk), L_g)
-        if paths:
-            Z[:, k] = zk
-        if k < n_steps:
-            X2[:, k + 1] = X2[:, k] + zk * zk * dt
-            w = w + noise.column(k)
+    for k0 in range(0, n_steps + 1, m):
+        k1 = min(k0 + m, n_steps + 1)
+        steps = range(k0, k1)
+        x1 = np.empty((k1 - k0, n))
+        for x1k, k in zip(x1, steps):
+            if paths:
+                W[:, k] = w
+            np.add(x1_0, w, out=x1k)
+            if k < n_steps:
+                w = w + noise.column(k)
+        # per step: the flat index of each path's cell corner in u, the
+        # time weight and the x1 and x2 weights (u1 clamps x1, u does not)
+        cell, w1 = _x1_cell(f, x1)
+        del x1
+        cell *= nx2
+        w1_unit, w2 = _unit(w1), np.empty_like(w1)
+        it, wt = _time_cell(f, t_grid[k0:k1, None])
+        for j, k in enumerate(steps):
+            i2, w2[j] = _x2_cell(f, x2)
+            cell[j] += i2
+            zk = _lerp(np.take(_u1_slab(f, 0, int(it[j, 0])).reshape(-1),
+                               _corner_index(strides, cell[j])),
+                       w1_unit[j], w2[j], wt[j, 0])
+            cell[j] += it[j, 0] * strides[0]
+            np.maximum(z_raw_max, np.abs(zk), out=z_raw_max)
+            zk = np.minimum(np.maximum(-L_g, zk), L_g)
+            if paths:
+                Z[:, k] = zk
+            if k < n_steps:
+                x2 = x2 + zk * zk * dt
+                X2[:, k + 1] = x2
+        del w1_unit
+        Y[:, k0:k1] = _lerp(
+            np.take(f.u.reshape(-1), _corner_index(strides, cell)),
+            w1, w2, wt).T
     return t_grid, W if paths else w, X2, Y, Z, z_raw_max
 
 

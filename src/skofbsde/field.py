@@ -21,6 +21,7 @@ restriction dt <= CFL_SAFETY * dx2 / L_g^2.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -155,8 +156,9 @@ class DecouplingField:
     No derivative of ``u`` is stored.  The control Z = u1, the x1
     derivative, is formed from ``u`` with the x1 stencil of
     :func:`solve_field` where it is read: the checks form it one time layer
-    at a time, and :func:`eval_field` forms a two-wide slab around the
-    query's cell and keeps it in ``_u1_memo`` until the cell changes.  The
+    at a time, and :func:`eval_field` and the Euler sweep form a two-wide
+    slab around the query's cell and keep it in ``_u1_memo`` until the cell
+    changes.  The
     x2 derivative has two readers, the coupled check and the diagnostics,
     which form it one time layer at a time too.  The checks only read the
     field; the coupled check of :func:`derivative_fields` records its worst
@@ -213,11 +215,31 @@ def _banded_matrix(nx1: int, a: float) -> np.ndarray:
     return ab
 
 
+@functools.cache
+def _gtsv():
+    """LAPACK ``dgtsv``, looked up on the first solve, so the commands that
+    never solve do not load SciPy."""
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs(("gtsv",), (np.empty(0),))[0]
+
+
 def solve_banded(l_and_u, ab, b):
-    """``scipy.linalg.solve_banded``.  SciPy is imported on the first call,
-    so the commands that never solve do not load it."""
-    from scipy.linalg import solve_banded as scipy_solve_banded
-    return scipy_solve_banded(l_and_u, ab, b)
+    """``scipy.linalg.solve_banded(l_and_u, ab, b)`` for the tridiagonal
+    layout ``l_and_u == (1, 1)``, bitwise: LAPACK ``gtsv`` called directly
+    with the diagonals SciPy passes it, without SciPy's argument checks and
+    batching (about 50 us per call).  ``ab`` is the package's own finite
+    matrix; a right-hand side with an inf or a NaN raises ``ValueError``,
+    as SciPy's check does."""
+    if tuple(l_and_u) != (1, 1):
+        raise ValueError(f"only the (1, 1) tridiagonal layout is solved, "
+                         f"not {l_and_u}")
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side must not contain infs or NaNs")
+    *_, x, info = _gtsv()(ab[2, :-1], ab[1], ab[0, 1:], b,
+                          False, False, False, False)
+    if info:
+        raise np.linalg.LinAlgError(f"gtsv failed with info = {info}")
+    return x
 
 
 # ----------------------------------------------------------------------------
@@ -534,6 +556,47 @@ def _u1_corners(f: DecouplingField, idx: np.ndarray, i1) -> np.ndarray:
     return out
 
 
+def _time_cell(f: DecouplingField, t):
+    """Cell index and weight of time queries in [0, 1], of the shape of
+    ``t``; raises :class:`DomainError` outside."""
+    tq = np.asarray(t, dtype=float)
+    if not np.all((-1e-12 <= tq) & (tq <= 1.0 + 1e-12)):
+        raise DomainError("time query outside [0, 1]")
+    dt = float(f.t_grid[1] - f.t_grid[0])
+    it = np.minimum(np.maximum(0, (tq / dt).astype(int)), f.t_grid.size - 2)
+    return it, np.minimum(np.maximum(0.0, (tq - f.t_grid[it]) / dt), 1.0)
+
+
+def _x1_cell(f: DecouplingField, x1q: np.ndarray):
+    """Cell index and raw weight of x1 queries.  Outside the box the weight
+    leaves [0, 1]: ``u`` extrapolates linearly on it, and ``u1`` clamps it
+    with :func:`_unit` (the certified bounds must not be amplified)."""
+    dx1 = f.x1_grid[1] - f.x1_grid[0]
+    i1 = np.minimum(np.maximum(0, ((x1q - f.x1_grid[0]) / dx1).astype(int)),
+                    f.x1_grid.size - 2)
+    return i1, (x1q - f.x1_grid[i1]) / dx1
+
+
+def _x2_cell(f: DecouplingField, x2q: np.ndarray):
+    """Cell index and weight of x2 queries; x2 clamps on both sides."""
+    dx2 = f.x2_grid[1] - f.x2_grid[0]
+    i2 = np.minimum(np.maximum(0, (x2q / dx2).astype(int)), f.x2_grid.size - 2)
+    return i2, _unit((x2q - f.x2_grid[i2]) / dx2)
+
+
+def _unit(w):
+    """``w`` clamped to [0, 1]."""
+    return np.minimum(np.maximum(0.0, w), 1.0)
+
+
+def _lerp(v: np.ndarray, w1, w2, wt):
+    """Trilinear interpolation of corner values ``v``, rows ordered as in
+    :func:`_corner_index`, with the x1, x2 and time weights."""
+    c = v[0::2] * (1 - w1) + v[1::2] * w1
+    d = c[0::2] * (1 - w2) + c[1::2] * w2
+    return d[0] * (1 - wt) + d[1] * wt
+
+
 def eval_field(f: DecouplingField, t, x1, x2,
                which: str | tuple[str, ...] = "u"):
     """Trilinear interpolation.
@@ -551,12 +614,17 @@ def eval_field(f: DecouplingField, t, x1, x2,
     read off one shared stencil.  Any other name, ``"u2"`` included (the
     field stores no x2 derivative), raises :class:`DomainError`.
 
+    The arguments broadcast against each other.  A scalar ``t`` and an
+    array ``t`` of equal values (say an (m, 1) column of times against
+    (m, n) points) give bitwise equal results.
+
     The ``u1`` corner values are formed from ``u``.  A query with a scalar
-    ``t`` (an Euler sweep) reads them from ``u1`` on the two time layers of
-    its cell, and one with an array ``t`` and a scalar ``x2`` (the strong
-    rule) from ``u1`` on the two x2 columns of its cell; the slab is kept on
-    the field until a query's cell changes.  Any other query forms them
-    from the neighbouring values of ``u``.
+    ``t`` reads them from ``u1`` on the two time layers of its cell (the
+    slab the Euler sweep of ``fbsde`` reads step by step), and one with an
+    array ``t`` and a scalar ``x2`` (the strong rule) from ``u1`` on the two
+    x2 columns of its cell; the slab is kept on the field until a query's
+    cell changes.  Any other query forms them from the neighbouring values
+    of ``u``.
     """
     single = isinstance(which, str)
     names = (which,) if single else which
@@ -570,48 +638,25 @@ def eval_field(f: DecouplingField, t, x1, x2,
     x1q = np.asarray(x1, dtype=float)
     x2q = np.asarray(x2, dtype=float)
     nt1, nx1, nx2 = f.u.shape
-    dt = float(f.t_grid[1] - f.t_grid[0])
-    dx1 = f.x1_grid[1] - f.x1_grid[0]
-    dx2 = f.x2_grid[1] - f.x2_grid[0]
-
-    # cell index and weight of each coordinate at that coordinate's own
-    # shape; a scalar time stays a Python float
-    if np.ndim(t) == 0:
-        tq = float(t)
-        if not -1e-12 <= tq <= 1.0 + 1e-12:
-            raise DomainError("time query outside [0, 1]")
-        it = min(max(int(tq / dt), 0), nt1 - 2)
-        wt = min(max((tq - float(f.t_grid[it])) / dt, 0.0), 1.0)
-    else:
-        tq = np.asarray(t, dtype=float)
-        if not np.all((-1e-12 <= tq) & (tq <= 1.0 + 1e-12)):
-            raise DomainError("time query outside [0, 1]")
-        it = np.minimum(np.maximum(0, (tq / dt).astype(int)), nt1 - 2)
-        wt = np.minimum(np.maximum(0.0, (tq - f.t_grid[it]) / dt), 1.0)
-    scalar = np.ndim(tq) == 0 and x1q.ndim == 0 and x2q.ndim == 0
-    i1 = np.minimum(np.maximum(0, ((x1q - f.x1_grid[0]) / dx1).astype(int)),
-                    nx1 - 2)
-    w1 = (x1q - f.x1_grid[i1]) / dx1
-    i2 = np.minimum(np.maximum(0, (x2q / dx2).astype(int)), nx2 - 2)
-    w2 = np.minimum(np.maximum(0.0, (x2q - f.x2_grid[i2]) / dx2), 1.0)
-    # u extrapolates in x1 on the raw weight, u1 clamps to the box edge
-    w1_clip = (np.minimum(np.maximum(0.0, w1), 1.0)
-               if "u1" in names else None)
+    it, wt = _time_cell(f, t)
+    scalar = np.ndim(t) == 0 and x1q.ndim == 0 and x2q.ndim == 0
+    i1, w1 = _x1_cell(f, x1q)
+    i2, w2 = _x2_cell(f, x2q)
 
     corners = {}
     strides = (nx1 * nx2, nx2, 1)
-    if np.ndim(tq) == 0:
-        # an Euler sweep: u and u1 on the two time layers of the cell, read
-        # with one index.  A time slab costs one stencil layer per cell where
-        # _u1_corners costs four gathers of u per step: on the default grid
-        # (x86-64, one CPU, medians of 9) sweeps of 4096 x 1024 and 1024 x
-        # 4096 paths x steps took 1.15 and 1.16 s of CPU with the slab, 1.30
-        # and 1.44 s with _u1_corners
+    if np.ndim(t) == 0:
+        # u and u1 on the two time layers of the cell, read with one index.
+        # A time slab costs one stencil layer per cell where _u1_corners
+        # costs four gathers of u per step: on the default grid (x86-64, one
+        # CPU, medians of 9) Euler sweeps of 4096 x 1024 and 1024 x 4096
+        # paths x steps, then one call per step, took 1.15 and 1.16 s of CPU
+        # with the slab, 1.30 and 1.44 s with _u1_corners
         idx = _corner_index(strides, i1 * nx2 + i2)
         if "u" in names:
             corners["u"] = np.take(f.u[it:it + 2].reshape(-1), idx)
         if "u1" in names:
-            corners["u1"] = np.take(_u1_slab(f, 0, it).reshape(-1), idx)
+            corners["u1"] = np.take(_u1_slab(f, 0, int(it)).reshape(-1), idx)
     else:
         if "u" in names or x2q.ndim > 0:
             idx = _corner_index(strides, (it * nx1 + i1) * nx2 + i2)
@@ -624,15 +669,10 @@ def eval_field(f: DecouplingField, t, x1, x2,
                                                   it * nx1 + i1))
         elif "u1" in names:
             corners["u1"] = _u1_corners(f, idx, i1)
-    a2, at = 1 - w2, 1 - wt
 
     out = []
     for name in names:
-        w = w1 if name == "u" else w1_clip
-        v = corners[name]
-        c = v[0::2] * (1 - w) + v[1::2] * w
-        d = c[0::2] * a2 + c[1::2] * w2
-        res = d[0] * at + d[1] * wt
+        res = _lerp(corners[name], w1 if name == "u" else _unit(w1), w2, wt)
         out.append(float(res) if scalar else res)
     return out[0] if single else tuple(out)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
+from .fbsde import run_halves
 from .field import DecouplingField
 from .measure import TargetMeasure
 
@@ -170,31 +171,43 @@ class OracleField:
         """Cross-check the quadrature against Monte Carlo at the
         ``_ORACLE_PROBES`` points (t, x1); raises if any probe is off by more
         than three standard errors.  ``g`` is evaluated ``_ORACLE_CHUNK``
-        points at a time into one n-array, so its temporaries stay small."""
-        rng = np.random.default_rng(seed)
-        xi = rng.standard_normal(n)
-        gv = np.empty(n)
+        points at a time into one n-array, so its temporaries stay small.
+
+        The probes run in two halves through ``run_halves`` (on two CPUs
+        the later probes in a forked process); each half draws the same
+        seeded normals, so the report and the first failing probe's error
+        do not depend on the split."""
+
+        def probes(lo: int, hi: int) -> dict:
+            xi = np.random.default_rng(seed).standard_normal(n)
+            gv = np.empty(n)
+            report = {}
+            for t, x1 in _ORACLE_PROBES[lo:hi]:
+                s = np.sqrt(1.0 - t)
+                for i in range(0, n, _ORACLE_CHUNK):
+                    gv[i:i + _ORACLE_CHUNK] = self.g(
+                        x1 + s * xi[i:i + _ORACLE_CHUNK])
+                if self.kind == "no_drift":
+                    mc, se = gv.mean(), gv.std() / np.sqrt(n)
+                else:
+                    ev = np.exp(np.multiply(gv, -2.0 * self.kappa, out=gv),
+                                out=gv)
+                    mc_mean, mc_se = ev.mean(), ev.std() / np.sqrt(n)
+                    mc = -np.log(mc_mean) / (2.0 * self.kappa)
+                    se = mc_se / mc_mean / abs(2.0 * self.kappa)
+                quad = self(t, x1)
+                ok = abs(quad - mc) <= 3.0 * se + 1e-12
+                report[(t, x1)] = {"quadrature": float(quad), "mc": float(mc),
+                                   "se": float(se), "ok": bool(ok)}
+                if not ok:
+                    raise DomainError(
+                        f"oracle self-check failed at (t={t}, x1={x1}): "
+                        f"quad={quad:.6g} mc={mc:.6g} se={se:.2e}")
+            return report
+
         report = {}
-        for t, x1 in _ORACLE_PROBES:
-            s = np.sqrt(1.0 - t)
-            for lo in range(0, n, _ORACLE_CHUNK):
-                gv[lo:lo + _ORACLE_CHUNK] = self.g(
-                    x1 + s * xi[lo:lo + _ORACLE_CHUNK])
-            if self.kind == "no_drift":
-                mc, se = gv.mean(), gv.std() / np.sqrt(n)
-            else:
-                ev = np.exp(np.multiply(gv, -2.0 * self.kappa, out=gv), out=gv)
-                mc_mean, mc_se = ev.mean(), ev.std() / np.sqrt(n)
-                mc = -np.log(mc_mean) / (2.0 * self.kappa)
-                se = mc_se / mc_mean / abs(2.0 * self.kappa)
-            quad = self(t, x1)
-            ok = abs(quad - mc) <= 3.0 * se + 1e-12
-            report[(t, x1)] = {"quadrature": float(quad), "mc": float(mc),
-                               "se": float(se), "ok": bool(ok)}
-            if not ok:
-                raise DomainError(
-                    f"oracle self-check failed at (t={t}, x1={x1}): "
-                    f"quad={quad:.6g} mc={mc:.6g} se={se:.2e}")
+        for half in run_halves(len(_ORACLE_PROBES), probes, 2):
+            report.update(half)
         return report
 
 

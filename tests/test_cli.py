@@ -444,6 +444,17 @@ def _empty_empirical_csv(tmp_path, cfg, field_dir):
     return ["solve", "--config", str(bad), "--out", str(tmp_path / "e")]
 
 
+def _empirical_csv_and_samples(tmp_path, cfg, field_dir):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("0.1\n0.4\n0.7\n")
+    raw = json.loads(open(cfg).read())
+    raw["measure"] = {"kind": "empirical", "csv": str(samples),
+                      "samples": [5, 6, 7, 8]}
+    bad = tmp_path / "empirical.json"
+    bad.write_text(json.dumps(raw))
+    return ["solve", "--config", str(bad), "--out", str(tmp_path / "e")]
+
+
 def _field_array(name, edit):
     """A case that rewrites ``field.npy`` through ``edit(path, u)``; the
     embed names ``field.csv``, as the CLI chain does."""
@@ -694,6 +705,7 @@ _MESSAGE = {
     _coarse_strong_step_embed: "dr = 5.768e-04 too coarse",
     _coarse_strong_step_all: "dr = 5.768e-04 too coarse",
     _numeric_csv_path: "config key 'csv' has wrong type (int)",
+    _empirical_csv_and_samples: "takes 'csv' or 'samples', not both",
 }
 
 
@@ -722,7 +734,7 @@ def solved_field(tmp_path_factory):
     _nan_in_field, _negative_dump_paths, _npy_missing, _float32_field,
     _fortran_field, _pickled_field, _npz_field, _bytes_after_array,
     _version_2_sidecar, _coarse_strong_step_solve, _coarse_strong_step_embed,
-    _coarse_strong_step_all, _numeric_csv_path])
+    _coarse_strong_step_all, _numeric_csv_path, _empirical_csv_and_samples])
 def test_malformed_input_exits_1(tmp_path, solved_field, breaker):
     cfg = write_config(tmp_path)
     field_dir = tmp_path / "f"

@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skofbsde import embed, fbsde
 from skofbsde.embed import (_STRONG_SEED_SALT, coupled_round_trip,
@@ -11,6 +11,7 @@ from skofbsde.embed import (_STRONG_SEED_SALT, coupled_round_trip,
 from skofbsde.fbsde import (IncrementStreams, backward_residual,
                             martingale_check, normal_increments, path_seed,
                             simulate_block, simulate_ensemble)
+from skofbsde.field import eval_field
 from skofbsde.measure import phi_inv
 from skofbsde.verify import shifted_field
 
@@ -201,6 +202,59 @@ def test_simulate_block_returns_whole_paths(case_uniform_k025):
         assert p.z_abs_max_raw == q.z_abs_max_raw
 
 
+def _reference_sweep(f, seeds, n_steps, x1_0, x2_0):
+    """The Euler sweep with every lookup made at every step: one
+    ``eval_field(..., ("u1", "u"))`` call per step, at X1 = x1_0 + W formed
+    column by column.  Returns whole (paths, steps + 1) arrays."""
+    dt = 1.0 / n_steps
+    n = seeds.size
+    t_grid = np.linspace(0.0, 1.0, n_steps + 1)
+    W, X2, Y, Z = np.empty((4, n, n_steps + 1))
+    noise = IncrementStreams(seeds, n_steps, dt)
+    w = np.zeros(n)
+    X2[:, 0] = x2_0
+    L_g = f.g_lipschitz
+    z_raw_max = np.zeros(n)
+    for k in range(n_steps + 1):
+        W[:, k] = w
+        zk, Y[:, k] = eval_field(f, t_grid[k], x1_0 + w, X2[:, k],
+                                 ("u1", "u"))
+        np.maximum(z_raw_max, np.abs(zk), out=z_raw_max)
+        zk = np.minimum(np.maximum(-L_g, zk), L_g)
+        Z[:, k] = zk
+        if k < n_steps:
+            X2[:, k + 1] = X2[:, k] + zk * zk * dt
+            w = w + noise.column(k)
+    return t_grid, W, X2, Y, Z, z_raw_max
+
+
+@pytest.mark.parametrize("case", ["case_small", "case_uniform_k025"])
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**64 - 1), n_paths=st.integers(1, 9),
+       x1_0=st.floats(-7.0, 7.0), x2_0=st.floats(0.0, 1.5),
+       block=st.integers(2, 7), blocks=st.integers(1, 6), data=st.data(),
+       paths=st.booleans())
+def test_sweep_matches_per_step_reference(request, case, seed, n_paths, x1_0,
+                                          x2_0, block, blocks, data, paths):
+    # blocks of `block` steps over n_steps + 1 sweep points, a multiple of
+    # neither; x1_0 outside the box [-6, 6] (u extrapolates, u1 clamps) and
+    # x2_0 above its top: every array bitwise the per-step sweep's
+    f = request.getfixturevalue(case).value["field"]
+    n_steps = blocks * block + data.draw(st.integers(1, block - 1)) - 1
+    seeds = path_seed(seed, np.arange(n_paths))
+    want = _reference_sweep(f, seeds, n_steps, x1_0, x2_0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fbsde, "_STEP_BLOCK_BYTES", 8 * n_paths * block)
+        got = fbsde._simulate_arrays(f, seeds, n_steps, x1_0, x2_0, paths)
+    if not paths:
+        want = list(want)
+        want[1], want[4] = want[1][:, -1], None
+    for name, a, b in zip(("t_grid", "W", "X2", "Y", "Z", "z_abs_max_raw"),
+                          got, want):
+        assert (a is None and b is None) or np.array_equal(a, b), name
+
+
 # each ensemble routine, its block-size constant, and a small unit-horizon run
 _ENSEMBLES = {
     "simulate_ensemble": (fbsde, "_ENSEMBLE_BLOCK", lambda c: simulate_ensemble(
@@ -219,10 +273,13 @@ def test_ensemble_block_invariance(case_uniform_k025, monkeypatch, routine):
     module, constant, run = _ENSEMBLES[routine]
     results = []
     # 37 paths: a multiple of neither block size; noise chunks of 7 columns
-    # divide none of the step counts
-    for block, chunk in ((5, 256), (16, 256), (16, 7)):
+    # divide none of the step counts; Euler sweeps of the default step
+    # block and of 1 and 3 steps (16 paths) per block
+    for block, chunk, step_bytes in ((5, 256, fbsde._STEP_BLOCK_BYTES),
+                                     (16, 256, 8), (16, 7, 3 * 8 * 16)):
         monkeypatch.setattr(module, constant, block)
         monkeypatch.setattr(fbsde, "_NOISE_CHUNK", chunk)
+        monkeypatch.setattr(fbsde, "_STEP_BLOCK_BYTES", step_bytes)
         res = run(case_uniform_k025.value)
         results.append(res if isinstance(res, dict) else vars(res))
     a = results[0]

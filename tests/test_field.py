@@ -179,6 +179,27 @@ def test_eval_field_tuple_matches_per_name(case_uniform_k05, shape):
         assert u1[1] == eval_field(f, args[0], f.x1_grid[-1], args[2][1], "u1")
 
 
+@pytest.mark.parametrize("names", ["u", "u1", ("u1", "u")])
+def test_eval_field_time_column_matches_scalar_times(case_uniform_k05, names):
+    # an (m, 1) column of times against (m, n) points, as the Euler sweep
+    # reads Y a block of steps at a time: row j is bitwise the scalar-t
+    # call at t[j], at and between time nodes, x1 and x2 outside the box
+    f = case_uniform_k05.value["field"]
+    rng = np.random.default_rng(12)
+    lo, hi, x2_hi = f.x1_grid[0], f.x1_grid[-1], f.x2_grid[-1]
+    t = np.concatenate([f.t_grid[[0, 1, 17, -2, -1]], rng.uniform(0, 1, 7)])
+    x1 = rng.uniform(lo - 2.0, hi + 2.0, (t.size, 50))
+    x2 = rng.uniform(-0.2, x2_hi + 0.2, (t.size, 50))
+    got = eval_field(f, t[:, None], x1, x2, names)
+    for j in range(t.size):
+        want = eval_field(f, t[j], x1[j], x2[j], names)
+        if isinstance(names, str):
+            assert np.array_equal(got[j], want)
+        else:
+            for a, b in zip(got, want):
+                assert np.array_equal(a[j], b)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.data())
 def test_eval_field_exact_at_nodes_property(case_uniform_k05, data):
@@ -283,6 +304,24 @@ def test_eval_field_u1_is_the_lerp_of_the_stencil_property(case_small, forks,
             assert np.array_equal(eval_field(f, *q, "u1"), want)
         assert np.array_equal(u1, want)
         assert np.array_equal(u, eval_field(f, *q, "u"))
+
+
+def test_solve_banded_is_scipys_and_refuses_non_finite():
+    # LAPACK gtsv called directly: bitwise SciPy's (1, 1) banded solve, and
+    # an inf or NaN in the right-hand side still raises
+    from scipy.linalg import solve_banded as scipy_solve_banded
+    ab = field_mod._banded_matrix(257, 0.37)
+    b = np.random.default_rng(3).standard_normal((257, 65))
+    for rhs in (b, b[:, 0], b[:, 10:20]):
+        assert np.array_equal(field_mod.solve_banded((1, 1), ab, rhs),
+                              scipy_solve_banded((1, 1), ab, rhs))
+    for bad in (np.nan, np.inf, -np.inf):
+        rhs = b.copy()
+        rhs[100, 7] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            field_mod.solve_banded((1, 1), ab, rhs)
+    with pytest.raises(ValueError, match="tridiagonal"):
+        field_mod.solve_banded((2, 1), ab, b)
 
 
 def test_derivative_methods_agree(case_uniform_k05):

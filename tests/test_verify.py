@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -152,6 +153,39 @@ def test_oracle_validate_in_chunks(kind, kappa):
         tracemalloc.stop()
     assert report == _reference_validate(orc, 20_240_001, 1_000_000)
     assert peak < 48 * 2**20, peak / 2**20
+
+
+class _OffOracle(OracleField):
+    """An oracle whose quadrature is off by 1 at the times in ``off``."""
+
+    def __init__(self, off, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.off = off
+
+    def __call__(self, t, x1, x2=0.0):
+        return super().__call__(t, x1, x2) + (1.0 if t in self.off else 0.0)
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("off", [(), (0.0,), (0.5,), (0.25, 0.5)])
+def test_oracle_validate_halves(forks, monkeypatch, split, off):
+    # the first probe runs here, the other two in a forked process when
+    # two CPUs are there: the report, and the error of the first failing
+    # probe, are those of the probes run one after another
+    if not split:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    orc = _OffOracle(off, "linear_drift", make_g(TargetMeasure.uniform(0, 1)),
+                     kappa=0.5)
+    want = _reference_validate(orc, 3, 100_000)
+    if off:
+        t, x1 = next(p for p in verify._ORACLE_PROBES if p[0] in off)
+        with pytest.raises(DomainError,
+                           match=rf"^oracle self-check failed at "
+                                 rf"\(t={t}, x1={x1}\): quad="):
+            orc.validate(seed=3, n=100_000)
+    else:
+        assert orc.validate(seed=3, n=100_000) == want
+    assert len(forks.calls) == (1 if split else 0)
 
 
 def test_oracle_no_overflow_large_kappa():
