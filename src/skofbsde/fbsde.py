@@ -202,14 +202,13 @@ class IncrementStreams:
         # strictly interior uniforms (v + 1/2) / 2^53 from the top 53 bits of
         # each word: what Generator.integers(0, 2**53) draws from the same
         # words (Lemire's method with a power-of-two range), without its
-        # fixed cost per call.  The words are freed before phi_inv, which
-        # works in the one float buffer
+        # fixed cost per call.  The words are freed before phi_inv runs
         v >>= np.uint64(11)
         z = v.astype(np.float64)
         del v
         z += 0.5
         z *= 2.0**-53
-        phi_inv(z, out=z)
+        z = phi_inv(z)
         z *= self.scale
         return z
 
@@ -280,7 +279,7 @@ def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
     X2[:, 0] = x2
     L_g = f.g_lipschitz
     z_raw_max = np.zeros(n)
-    m = max(_STEP_BLOCK_BYTES // (8 * n), 1)
+    m = max(_STEP_BLOCK_BYTES // (8 * max(n, 1)), 1)
 
     for k0 in range(0, n_steps + 1, m):
         k1 = min(k0 + m, n_steps + 1)

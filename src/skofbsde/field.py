@@ -519,7 +519,9 @@ def _u1_slab(f: DecouplingField, axis: int, i: int) -> np.ndarray:
 
     The slab is kept on ``f`` until another is asked for, and its buffer is
     reused along the same axis: a step of one cell forward keeps the shared
-    layer or column and forms only the new one."""
+    layer or column and forms only the new one.  The Euler sweep of
+    ``fbsde`` is the one reader of time slabs; ``eval_field`` reads x2
+    columns (the strong rule)."""
     memo = f._u1_memo
     if memo is not None and memo[:2] == (axis, i):
         return memo[2]
@@ -619,12 +621,9 @@ def eval_field(f: DecouplingField, t, x1, x2,
     (m, n) points) give bitwise equal results.
 
     The ``u1`` corner values are formed from ``u``.  A query with a scalar
-    ``t`` reads them from ``u1`` on the two time layers of its cell (the
-    slab the Euler sweep of ``fbsde`` reads step by step), and one with an
-    array ``t`` and a scalar ``x2`` (the strong rule) from ``u1`` on the two
-    x2 columns of its cell; the slab is kept on the field until a query's
-    cell changes.  Any other query forms them from the neighbouring values
-    of ``u``.
+    ``x2`` (the strong rule) reads them from ``u1`` on the two x2 columns of
+    its cell, a slab kept on the field until a query's cell changes.  Any
+    other query forms them from the neighbouring values of ``u``.
     """
     single = isinstance(which, str)
     names = (which,) if single else which
@@ -645,30 +644,17 @@ def eval_field(f: DecouplingField, t, x1, x2,
 
     corners = {}
     strides = (nx1 * nx2, nx2, 1)
-    if np.ndim(t) == 0:
-        # u and u1 on the two time layers of the cell, read with one index.
-        # A time slab costs one stencil layer per cell where _u1_corners
-        # costs four gathers of u per step: on the default grid (x86-64, one
-        # CPU, medians of 9) Euler sweeps of 4096 x 1024 and 1024 x 4096
-        # paths x steps, then one call per step, took 1.15 and 1.16 s of CPU
-        # with the slab, 1.30 and 1.44 s with _u1_corners
-        idx = _corner_index(strides, i1 * nx2 + i2)
-        if "u" in names:
-            corners["u"] = np.take(f.u[it:it + 2].reshape(-1), idx)
-        if "u1" in names:
-            corners["u1"] = np.take(_u1_slab(f, 0, int(it)).reshape(-1), idx)
-    else:
-        if "u" in names or x2q.ndim > 0:
-            idx = _corner_index(strides, (it * nx1 + i1) * nx2 + i2)
-        if "u" in names:
-            corners["u"] = np.take(f.u.reshape(-1), idx)
-        if "u1" in names and x2q.ndim == 0:
-            # the strong rule: u1 on the two x2 columns of the cell
-            corners["u1"] = np.take(_u1_slab(f, 2, int(i2)).reshape(-1),
-                                    _corner_index((nx1, 1, nt1 * nx1),
-                                                  it * nx1 + i1))
-        elif "u1" in names:
-            corners["u1"] = _u1_corners(f, idx, i1)
+    if "u" in names or x2q.ndim > 0:
+        idx = _corner_index(strides, (it * nx1 + i1) * nx2 + i2)
+    if "u" in names:
+        corners["u"] = np.take(f.u.reshape(-1), idx)
+    if "u1" in names and x2q.ndim == 0:
+        # the strong rule: u1 on the two x2 columns of the cell
+        corners["u1"] = np.take(_u1_slab(f, 2, int(i2)).reshape(-1),
+                                _corner_index((nx1, 1, nt1 * nx1),
+                                              it * nx1 + i1))
+    elif "u1" in names:
+        corners["u1"] = _u1_corners(f, idx, i1)
 
     out = []
     for name in names:

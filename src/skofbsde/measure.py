@@ -193,19 +193,16 @@ def _phi_inv_tail(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(q < 0.0, -val, val)
 
 
-def phi_inv(p, out=None) -> np.ndarray | float:
+def phi_inv(p) -> np.ndarray | float:
     """Standard normal quantile for p in (0, 1); raises DomainError outside.
 
     Works through the points in chunks of ``_PHI_INV_CHUNK``: the central
     rational function is evaluated on every point of a chunk, in place, and
-    the points in the tails are then overwritten.  ``out``, a C-contiguous
-    float array of the shape of ``p``, receives the result and may be ``p``
-    itself: the tail points of a chunk are read before it is overwritten.
+    the points in the tails are then overwritten.
     """
     pa = np.asarray(p, dtype=float)
     flat = pa.ravel()
-    res = np.empty(pa.shape) if out is None else out
-    dest = res.reshape(-1)
+    out = np.empty(flat.shape)
     width = min(flat.size, _PHI_INV_CHUNK)
     q_buf, r_buf, den_buf = np.empty((3, width))
     for lo in range(0, flat.size, _PHI_INV_CHUNK):
@@ -214,16 +211,15 @@ def phi_inv(p, out=None) -> np.ndarray | float:
             raise DomainError("phi_inv requires probabilities strictly inside (0, 1)")
         n = pc.size
         q = np.subtract(pc, 0.5, out=q_buf[:n])
-        tail = np.flatnonzero(np.abs(q) > 0.425)
-        p_tail = pc[tail]
         r = np.multiply(q, q, out=r_buf[:n])
         np.subtract(0.180625, r, out=r)
-        oc = _poly(_PPND_A, r, dest[lo:lo + n])
+        oc = _poly(_PPND_A, r, out[lo:lo + n])
         oc *= q
         oc /= _poly(_PPND_B, r, den_buf[:n])
+        tail = np.flatnonzero(np.abs(q) > 0.425)
         if tail.size:
-            oc[tail] = _phi_inv_tail(p_tail, q[tail])
-    return float(res) if pa.ndim == 0 else res
+            oc[tail] = _phi_inv_tail(pc[tail], q[tail])
+    return float(out[0]) if pa.ndim == 0 else out.reshape(pa.shape)
 
 
 # ----------------------------------------------------------------------------

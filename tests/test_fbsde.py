@@ -200,6 +200,8 @@ def test_simulate_block_returns_whole_paths(case_uniform_k025):
         for name in ("t_grid", "W", "X1", "X2", "Y", "Z"):
             assert np.array_equal(getattr(p, name), getattr(q, name)), name
         assert p.z_abs_max_raw == q.z_abs_max_raw
+    # no indices, no paths
+    assert simulate_block(f, 55, [], n_steps, x1_0=x1_0, x2_0=x2_0) == []
 
 
 def _reference_sweep(f, seeds, n_steps, x1_0, x2_0):

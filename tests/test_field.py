@@ -252,7 +252,8 @@ def test_eval_field_u1_is_the_lerp_of_the_stencil_property(case_small, forks,
     # whole-array stencil: for sweeps of scalar t and of scalar x2 that
     # move one cell forward or back, stay or jump, for arrays in both, at
     # and beyond both x1 box edges, on a shifted copy and in the forked
-    # half of a split run
+    # half of a split run.  The time slab the Euler sweep reads is bitwise
+    # the stencil's two layers along the same moves
     f = case_small.value["field"]
     if data.draw(st.booleans(), label="shifted"):
         f = shifted_field(f, coef_t=data.draw(st.floats(-0.2, 0.2)))
@@ -295,6 +296,10 @@ def test_eval_field_u1_is_the_lerp_of_the_stencil_property(case_small, forks,
     child = data.draw(st.booleans(), label="child")
     for q in queries:
         want = _lerp_reference(f, ref, *q)
+        if kind == "t":
+            it = int(field_mod._time_cell(f, q[0])[0])
+            assert np.array_equal(field_mod._u1_slab(f, 0, it),
+                                  ref[it:it + 2])
         if child:
             forks(True)
             _, (u1, u) = fbsde.run_halves(

@@ -82,9 +82,6 @@ def test_phi_inv_chunk_edges():
     want = np.array([phi_inv(float(v)) for v in p])
     assert np.array_equal(phi_inv(p), want)
     assert np.array_equal(phi_inv(p.reshape(-1, 5)), want.reshape(-1, 5))
-    # in place: the tail points of each chunk are read before it is written
-    q = p.copy()
-    assert phi_inv(q, out=q) is q and np.array_equal(q, want)
     assert type(phi_inv(0.3)) is float
     p[chunk + 5] = 1.0
     with pytest.raises(DomainError):
