@@ -37,7 +37,8 @@ from .coeffs import ProcessCoefficients
 from .errors import ConfigError
 from .fbsde import (FbsdePath, IncrementStreams, _simulate_arrays, map_blocks,
                     normal_increments, path_seed)
-from .field import DecouplingField, eval_field
+from .field import (DecouplingField, _corner_index, _lerp, _time_cell,
+                    _u1_slab, _unit, _x1_cell, _x2_cell, eval_field)
 
 __all__ = ["WeakEmbedding", "StrongStop", "EmbeddingResult", "weak_embed",
            "weak_embed_ensemble", "strong_stopping_time", "strong_embed_on_W",
@@ -275,7 +276,12 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
     m_max = min(M, int(np.ceil(r_max / dr)))
     r_left = np.arange(m_max) * dr
     beta_r = np.asarray(coeffs.beta(r_left))
-    H_r = np.asarray(coeffs.clock_H(r_left))
+    # u1 at step m is read on the two x2 columns of the cell of H(r_m), a
+    # slab this pass holds, with the cell helpers of eval_field
+    i2_r, w2_r = _x2_cell(f, np.asarray(coeffs.clock_H(r_left)))
+    nt1, nx1 = f.u.shape[:2]
+    strides = (nx1, 1, nt1 * nx1)
+    slab = None
 
     L_g = f.g_lipschitz
     floor = f.deriv_floor_eps
@@ -297,7 +303,12 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
     for m in range(m_max):
         if ids.size == 0:
             break
-        u1 = eval_field(f, np.clip(sigma, 0.0, 1.0), Sigma, H_r[m], "u1")
+        it, wt = _time_cell(f, np.clip(sigma, 0.0, 1.0))
+        i1, w1 = _x1_cell(f, Sigma)
+        slab = _u1_slab(f, 2, int(i2_r[m]), slab)
+        u1 = _lerp(np.take(slab[1].reshape(-1),
+                           _corner_index(strides, it * nx1 + i1)),
+                   _unit(w1), w2_r[m], wt)
         clamp_hits[ids[u1 < floor]] += 1
         u1c = np.clip(u1, floor, L_g)
 

@@ -19,8 +19,10 @@ Of the three lookups of a step, only Z feeds back (into X2).  The sweep's
 loop over steps therefore reads only u1 and updates X2; X1 and its x1 cells
 are formed before the loop and Y = u is read after it, at the cells the u1
 reads found, once per block of steps (``_STEP_BLOCK_BYTES`` per (steps,
-paths) array).  The cells, weights and interpolation are the helpers of
-``eval_field``, so the outputs are bitwise those of one
+paths) array).  Each sweep holds its own u1 slab of two time layers
+(``field._u1_slab``); nothing is kept on the field, so a forked half and
+a later sweep start with none.  The cells, weights and interpolation are
+the helpers of ``eval_field``, so the outputs are bitwise those of one
 ``eval_field(f, t_k, X1_k, X2_k, ("u1", "u"))`` per step.
 
 Every path ensemble here and in the embeddings runs through ``map_blocks``:
@@ -280,6 +282,7 @@ def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
     L_g = f.g_lipschitz
     z_raw_max = np.zeros(n)
     m = max(_STEP_BLOCK_BYTES // (8 * max(n, 1)), 1)
+    slab = None                         # this sweep's (index, u1 time slab)
 
     for k0 in range(0, n_steps + 1, m):
         k1 = min(k0 + m, n_steps + 1)
@@ -301,7 +304,8 @@ def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
         for j, k in enumerate(steps):
             i2, w2[j] = _x2_cell(f, x2)
             cell[j] += i2
-            zk = _lerp(np.take(_u1_slab(f, 0, int(it[j, 0])).reshape(-1),
+            slab = _u1_slab(f, 0, int(it[j, 0]), slab)
+            zk = _lerp(np.take(slab[1].reshape(-1),
                                _corner_index(strides, cell[j])),
                        w1_unit[j], w2[j], wt[j, 0])
             cell[j] += it[j, 0] * strides[0]

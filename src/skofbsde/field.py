@@ -156,13 +156,14 @@ class DecouplingField:
     No derivative of ``u`` is stored.  The control Z = u1, the x1
     derivative, is formed from ``u`` with the x1 stencil of
     :func:`solve_field` where it is read: the checks form it one time layer
-    at a time, and :func:`eval_field` and the Euler sweep form a two-wide
-    slab around the query's cell and keep it in ``_u1_memo`` until the cell
-    changes.  The
-    x2 derivative has two readers, the coupled check and the diagnostics,
-    which form it one time layer at a time too.  The checks only read the
-    field; the coupled check of :func:`derivative_fields` records its worst
-    mismatch in ``deriv_mismatch``.
+    at a time, :func:`eval_field` from the neighbours of each query's cell,
+    and the two path loops (the Euler sweep and the strong rule) as a
+    two-wide slab that each loop holds itself (:func:`_u1_slab`).  The
+    field keeps no lookup state.  The x2 derivative has two readers, the
+    coupled check and the diagnostics, which form it one time layer at a
+    time too.  The checks only read the field; the coupled check of
+    :func:`derivative_fields` records its worst mismatch in
+    ``deriv_mismatch``.
 
     ``u`` of a field solved in two halves (:func:`solve_field`) lives in a
     shared anonymous mapping, which every later fork shares too: a forked
@@ -178,10 +179,6 @@ class DecouplingField:
     cutoff_H: float
     deriv_floor_eps: float
     deriv_mismatch: float | None = None
-    # (axis, cell index, u1 slab) of the last eval_field lookup; not an
-    # argument, so ``dataclasses.replace`` starts a copy without it
-    _u1_memo: tuple | None = dc_field(default=None, init=False, repr=False,
-                                      compare=False)
 
 
 # ----------------------------------------------------------------------------
@@ -511,33 +508,32 @@ def _corner_index(strides: tuple, base) -> np.ndarray:
     return np.add.outer(offsets, base)
 
 
-def _u1_slab(f: DecouplingField, axis: int, i: int) -> np.ndarray:
-    """u1, formed from ``u`` with the x1 stencil, on the two time layers
-    from index ``i`` (``axis`` 0; shape (2, nx1, nx2)) or on the two x2
-    columns from index ``i`` (``axis`` 2; x2 first, shape (2, nt + 1, nx1),
-    so that each column is contiguous).
+def _u1_slab(f: DecouplingField, axis: int, i: int, last=None) -> tuple:
+    """``(i, slab)``: u1, formed from ``u`` with the x1 stencil, on the two
+    time layers from index ``i`` (``axis`` 0; shape (2, nx1, nx2)) or on
+    the two x2 columns from index ``i`` (``axis`` 2; x2 first, shape
+    (2, nt + 1, nx1), so that each column is contiguous).
 
-    The slab is kept on ``f`` until another is asked for, and its buffer is
-    reused along the same axis: a step of one cell forward keeps the shared
-    layer or column and forms only the new one.  The Euler sweep of
-    ``fbsde`` is the one reader of time slabs; ``eval_field`` reads x2
-    columns (the strong rule)."""
-    memo = f._u1_memo
-    if memo is not None and memo[:2] == (axis, i):
-        return memo[2]
+    ``last`` is the pair this function returned to the same caller before,
+    along the same axis, or ``None``.  The same index returns ``last``;
+    another writes the new slab into its buffer, and a step of one cell
+    forward keeps the shared layer or column and forms only the new one.
+    The caller holds the pair, so nothing is kept on ``f``: the Euler sweep
+    of ``fbsde`` reads time slabs, the strong rule of ``embed`` x2 columns."""
+    if last is not None and last[0] == i:
+        return last
     w = f.u[i:i + 2] if axis == 0 else np.moveaxis(f.u[:, :, i:i + 2], 2, 0)
     x1_axis = 1 if axis == 0 else 2
     dx1 = f.x1_grid[1] - f.x1_grid[0]
-    if memo is None or memo[0] != axis:
+    if last is None:
         slab = _gradient_into(np.empty(w.shape), w, dx1, axis=x1_axis)
-    elif memo[1] == i - 1:
-        slab = memo[2]
+    elif last[0] == i - 1:
+        slab = last[1]
         slab[0] = slab[1]
         _gradient_into(slab[1], w[1], dx1, axis=x1_axis - 1)
     else:
-        slab = _gradient_into(memo[2], w, dx1, axis=x1_axis)
-    f._u1_memo = (axis, i, slab)
-    return slab
+        slab = _gradient_into(last[1], w, dx1, axis=x1_axis)
+    return i, slab
 
 
 def _u1_corners(f: DecouplingField, idx: np.ndarray, i1) -> np.ndarray:
@@ -618,12 +614,8 @@ def eval_field(f: DecouplingField, t, x1, x2,
 
     The arguments broadcast against each other.  A scalar ``t`` and an
     array ``t`` of equal values (say an (m, 1) column of times against
-    (m, n) points) give bitwise equal results.
-
-    The ``u1`` corner values are formed from ``u``.  A query with a scalar
-    ``x2`` (the strong rule) reads them from ``u1`` on the two x2 columns of
-    its cell, a slab kept on the field until a query's cell changes.  Any
-    other query forms them from the neighbouring values of ``u``.
+    (m, n) points) give bitwise equal results.  The ``u1`` corner values
+    are formed from the neighbouring values of ``u`` (:func:`_u1_corners`).
     """
     single = isinstance(which, str)
     names = (which,) if single else which
@@ -636,24 +628,17 @@ def eval_field(f: DecouplingField, t, x1, x2,
 
     x1q = np.asarray(x1, dtype=float)
     x2q = np.asarray(x2, dtype=float)
-    nt1, nx1, nx2 = f.u.shape
+    nx1, nx2 = f.u.shape[1:]
     it, wt = _time_cell(f, t)
     scalar = np.ndim(t) == 0 and x1q.ndim == 0 and x2q.ndim == 0
     i1, w1 = _x1_cell(f, x1q)
     i2, w2 = _x2_cell(f, x2q)
 
+    idx = _corner_index((nx1 * nx2, nx2, 1), (it * nx1 + i1) * nx2 + i2)
     corners = {}
-    strides = (nx1 * nx2, nx2, 1)
-    if "u" in names or x2q.ndim > 0:
-        idx = _corner_index(strides, (it * nx1 + i1) * nx2 + i2)
     if "u" in names:
         corners["u"] = np.take(f.u.reshape(-1), idx)
-    if "u1" in names and x2q.ndim == 0:
-        # the strong rule: u1 on the two x2 columns of the cell
-        corners["u1"] = np.take(_u1_slab(f, 2, int(i2)).reshape(-1),
-                                _corner_index((nx1, 1, nt1 * nx1),
-                                              it * nx1 + i1))
-    elif "u1" in names:
+    if "u1" in names:
         corners["u1"] = _u1_corners(f, idx, i1)
 
     out = []
@@ -671,49 +656,36 @@ def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostic
     """Measure the certified bounds on the solved field; the field is only
     read, one time layer at a time, so no field-sized array is made.  The
     x1 and x2 derivatives of each layer are formed once, with the x1
-    stencil along each axis.  On two CPUs a field of ``_SPLIT_MIN_VALUES``
-    values or more takes the extrema of its upper half of time layers in a
-    forked process (``run_halves``); max and min are exact, so the results
-    do not depend on the split.
+    stencil along each axis.  Each bound is the extremum of the per-layer
+    extrema; max and min propagate a NaN, so they equal the whole-array
+    reductions.
 
     Failures are reported in the ``checks`` list, never raised.
     ``deriv_mismatch`` is copied from the field, so run the coupled check
     first to have it reported.
     """
-    from .fbsde import run_halves       # fbsde imports this module
     dt = f.t_grid[1] - f.t_grid[0]
     dx1 = f.x1_grid[1] - f.x1_grid[0]
     dx2 = f.x2_grid[1] - f.x2_grid[0]
     nt1 = f.u.shape[0]
-
-    def extrema(lo: int, hi: int) -> np.ndarray:
-        """Seven rows of extrema, one column per layer of [lo, hi); the u1
-        step of the last layer reads layer hi.  Max and min propagate a NaN,
-        so their reductions equal the whole-array ones."""
-        u1, u1_next, u2 = np.empty((3,) + f.u.shape[1:])
-        _gradient_into(u1, f.u[lo], dx1, axis=0)
-        stats = np.empty((7, hi - lo))
-        z_abs, u2_abs, u1_min, u1_step, ux1, ux2, ux1x1 = stats
-        for i, n in enumerate(range(lo, hi)):
-            u = f.u[n]
-            z_abs[i] = np.abs(u1).max()
-            u2_abs[i] = np.abs(_gradient_into(u2, u, dx2, axis=1)).max()
-            if n + 1 < nt1:
-                _gradient_into(u1_next, f.u[n + 1], dx1, axis=0)
-                u1_min[i] = u1.min()
-                u1_step[i] = np.abs(u1_next - u1).max()
-                u1, u1_next = u1_next, u1
-            else:
-                u1_min[i] = np.inf      # u1 at T is not interior
-                u1_step[i] = -np.inf
-            ux1[i] = np.abs(u[1:] - u[:-1]).max()
-            ux2[i] = np.abs(u[:, 1:] - u[:, :-1]).max()
-            ux1x1[i] = np.abs(u[2:] - 2.0 * u[1:-1] + u[:-2]).max()
-        return stats
-
-    halves = (run_halves(nt1, extrema, 2) if f.u.size >= _SPLIT_MIN_VALUES
-              else [extrema(0, nt1)])
-    z_abs, u2_abs, u1_min, u1_step, ux1, ux2, ux1x1 = np.concatenate(halves, 1)
+    u1, u1_next, u2 = np.empty((3,) + f.u.shape[1:])
+    _gradient_into(u1, f.u[0], dx1, axis=0)
+    z_abs, u2_abs, u1_min, u1_step, ux1, ux2, ux1x1 = np.empty((7, nt1))
+    for n in range(nt1):
+        u = f.u[n]
+        z_abs[n] = np.abs(u1).max()
+        u2_abs[n] = np.abs(_gradient_into(u2, u, dx2, axis=1)).max()
+        if n + 1 < nt1:
+            _gradient_into(u1_next, f.u[n + 1], dx1, axis=0)
+            u1_min[n] = u1.min()
+            u1_step[n] = np.abs(u1_next - u1).max()
+            u1, u1_next = u1_next, u1
+        else:
+            u1_min[n] = np.inf      # u1 at T is not interior
+            u1_step[n] = -np.inf
+        ux1[n] = np.abs(u[1:] - u[:-1]).max()
+        ux2[n] = np.abs(u[:, 1:] - u[:, :-1]).max()
+        ux1x1[n] = np.abs(u[2:] - 2.0 * u[1:-1] + u[:-2]).max()
     z_sup = float(z_abs.max())
     u2_sup = float(u2_abs.max())
     min_u1_interior = float(u1_min.min())

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .fbsde import run_halves
 from .field import DecouplingField
 from .measure import TargetMeasure
 
@@ -169,45 +168,33 @@ class OracleField:
 
     def validate(self, seed: int = 20_240_001, n: int = 1_000_000) -> dict:
         """Cross-check the quadrature against Monte Carlo at the
-        ``_ORACLE_PROBES`` points (t, x1); raises if any probe is off by more
-        than three standard errors.  ``g`` is evaluated ``_ORACLE_CHUNK``
-        points at a time into one n-array, so its temporaries stay small.
-
-        The probes run in two halves through ``run_halves`` (on two CPUs
-        the later probes in a forked process); each half draws the same
-        seeded normals, so the report and the first failing probe's error
-        do not depend on the split."""
-
-        def probes(lo: int, hi: int) -> dict:
-            xi = np.random.default_rng(seed).standard_normal(n)
-            gv = np.empty(n)
-            report = {}
-            for t, x1 in _ORACLE_PROBES[lo:hi]:
-                s = np.sqrt(1.0 - t)
-                for i in range(0, n, _ORACLE_CHUNK):
-                    gv[i:i + _ORACLE_CHUNK] = self.g(
-                        x1 + s * xi[i:i + _ORACLE_CHUNK])
-                if self.kind == "no_drift":
-                    mc, se = gv.mean(), gv.std() / np.sqrt(n)
-                else:
-                    ev = np.exp(np.multiply(gv, -2.0 * self.kappa, out=gv),
-                                out=gv)
-                    mc_mean, mc_se = ev.mean(), ev.std() / np.sqrt(n)
-                    mc = -np.log(mc_mean) / (2.0 * self.kappa)
-                    se = mc_se / mc_mean / abs(2.0 * self.kappa)
-                quad = self(t, x1)
-                ok = abs(quad - mc) <= 3.0 * se + 1e-12
-                report[(t, x1)] = {"quadrature": float(quad), "mc": float(mc),
-                                   "se": float(se), "ok": bool(ok)}
-                if not ok:
-                    raise DomainError(
-                        f"oracle self-check failed at (t={t}, x1={x1}): "
-                        f"quad={quad:.6g} mc={mc:.6g} se={se:.2e}")
-            return report
-
+        ``_ORACLE_PROBES`` points (t, x1), all on the same seeded normals;
+        raises at the first probe that is off by more than three standard
+        errors.  ``g`` is evaluated ``_ORACLE_CHUNK`` points at a time into
+        one n-array, so its temporaries stay small."""
+        xi = np.random.default_rng(seed).standard_normal(n)
+        gv = np.empty(n)
         report = {}
-        for half in run_halves(len(_ORACLE_PROBES), probes, 2):
-            report.update(half)
+        for t, x1 in _ORACLE_PROBES:
+            s = np.sqrt(1.0 - t)
+            for i in range(0, n, _ORACLE_CHUNK):
+                gv[i:i + _ORACLE_CHUNK] = self.g(
+                    x1 + s * xi[i:i + _ORACLE_CHUNK])
+            if self.kind == "no_drift":
+                mc, se = gv.mean(), gv.std() / np.sqrt(n)
+            else:
+                ev = np.exp(np.multiply(gv, -2.0 * self.kappa, out=gv), out=gv)
+                mc_mean, mc_se = ev.mean(), ev.std() / np.sqrt(n)
+                mc = -np.log(mc_mean) / (2.0 * self.kappa)
+                se = mc_se / mc_mean / abs(2.0 * self.kappa)
+            quad = self(t, x1)
+            ok = abs(quad - mc) <= 3.0 * se + 1e-12
+            report[(t, x1)] = {"quadrature": float(quad), "mc": float(mc),
+                               "se": float(se), "ok": bool(ok)}
+            if not ok:
+                raise DomainError(
+                    f"oracle self-check failed at (t={t}, x1={x1}): "
+                    f"quad={quad:.6g} mc={mc:.6g} se={se:.2e}")
         return report
 
 
@@ -218,9 +205,8 @@ class OracleField:
 def shifted_field(f: DecouplingField, coef_t: float = 0.0,
                   coef_time_to_go: float = 0.0) -> DecouplingField:
     """Copy of the field with u replaced by u + coef_t * t
-    + coef_time_to_go * (T - t).  Its ``u1`` is formed from the new ``u``,
-    so it moves from that of ``f`` by rounding only; the copy starts with
-    no ``eval_field`` slab of its own.
+    + coef_time_to_go * (T - t).  Its ``u1`` is formed from the new ``u``
+    where it is read, so it moves from that of ``f`` by rounding only.
 
     Used as a deliberate corruption: a time-affine shift breaks the
     martingale property of Y and moves the starting constant, so downstream

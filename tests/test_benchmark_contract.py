@@ -63,3 +63,36 @@ def test_cli_artifacts_carry_the_keys_the_benchmark_reads(tmp_path):
     rep = json.loads((out / "verify_report.json").read_text())
     assert isinstance(rep["ks"], float)
     assert isinstance(rep["ks_passed"], bool)
+
+
+def test_traced_exact_counts_repeat(tmp_path):
+    # perfbench/run.py's counts_repeat check: the EXACT_COUNTS of two traced
+    # `embed` runs on one field with one seed are equal, computed by the
+    # benchmark's own span and count code
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    cfg, out = "configs/smoke_small.json", tmp_path / "out"
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, "-B", *argv], cwd=ROOT,
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    run("-m", "skofbsde.cli", "solve", "--config", cfg, "--out", str(out))
+    counts = []
+    for k in range(2):
+        trace = tmp_path / f"embed{k}.json"
+        run("perfbench/child.py", "--trace", str(trace), "cli", "embed",
+            "--config", cfg, "--field", str(out / "field.csv"), "--seed", "5",
+            "--out", str(tmp_path / f"embed{k}"))
+        code = (
+            "import json, sys; sys.path.insert(0, 'perfbench'); import run; "
+            f"p = {{'start': 0, 'end': 0, 'trace': {str(trace)!r}}}; "
+            "spans = run.load_spans([p], 'pass', 'w'); "
+            "traced = {'spans': spans, 'total_s': 0.0, 'quality': {}}; "
+            "m = run.layer_metrics(traced, 0.0, [spans[0]]); "
+            "print(json.dumps(run.exact_counts(m), sort_keys=True))")
+        counts.append(json.loads(run("-c", code)))
+    assert counts[0] == counts[1]
+    assert counts[0]["field.eval_points"] > 0
+    assert counts[0]["measure.phi_inv_points"] > 0

@@ -386,7 +386,8 @@ def test_shipped_example_configs_parse():
     # solver and coefficients are built on first read: read them
     root = os.path.join(os.path.dirname(__file__), "..", "configs")
     for name in ("normal_nodrift.json", "uniform_lineardrift.json",
-                 "normal_sindrift.json", "smoke_small.json"):
+                 "normal_sindrift.json", "smoke_small.json",
+                 "uniform_timevarying_beta.json"):
         rc = RunConfig.from_file(os.path.join(root, name))
         assert rc.coefficients.t_phys > 0.0
         rc.solver.validate(rc.g.lipschitz)
@@ -408,6 +409,20 @@ def test_x2_box_sets_the_clock_horizon(tmp_path, capsys):
     bound = json.loads((out / "law_report.json").read_text())["tau_bound"]
     taus = np.loadtxt(out / "embedding.csv", delimiter=",", skiprows=1)[:, 1:3]
     assert taus.shape == (200, 2) and np.all(taus <= bound + 1e-9)
+
+
+def test_time_varying_beta_runs(tmp_path, capsys):
+    # beta = 1 + 0.5 s: the clock's table fell short of x2_hi by 1e-9
+    # (relative), and `all` exited 4 before the solve
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    out = tmp_path / "run"
+    assert main(["all", "--config",
+                 os.path.join(root, "uniform_timevarying_beta.json"),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    law = json.loads((out / "law_report.json").read_text())
+    assert law["law_strong"]["ks_passed"] and law["law_weak"]["ks_passed"]
+    assert law["guard_counts"] == {"K1": 0, "K2": 0}
 
 
 def _bad_table_cell(tmp_path, cfg, field_dir):

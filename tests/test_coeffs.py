@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from conftest import make_case
 from hypothesis import given, settings, strategies as st
 
+from skofbsde import coeffs as coeffs_mod
 from skofbsde.coeffs import ProcessCoefficients, TimeFunction
 from skofbsde.errors import ConfigError, DomainError, HorizonError
 from skofbsde.field import DecouplingField, eval_field
+from skofbsde.measure import TargetMeasure
 
 
 def const_coeffs(alpha=0.0, beta=1.0, horizon=2.0, G0=0.0):
@@ -175,3 +178,73 @@ def test_clock_monotone_property(c):
     inv = c.clock_H_inv(xs)
     assert np.all(np.diff(inv) > 0)
     assert inv[0] == 0.0 and inv[-1] == pytest.approx(c.t_phys, abs=1e-12)
+
+
+@st.composite
+def time_varying_betas(draw):
+    """(beta, beta_floor): 1 + A cos(w s + p) with its floor 1 - A, or a
+    piecewise-linear table above a random floor."""
+    if draw(st.booleans()):
+        a = draw(st.floats(0.05, 0.5))
+        w = draw(st.floats(0.5, 20.0))
+        p = draw(st.floats(0.0, 6.3))
+        return (TimeFunction.expression(f"1 + {a!r} * cos({w!r} * s + {p!r})"),
+                1.0 - a)
+    floor = draw(st.floats(0.3, 2.0))
+    steps = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=8))
+    t = np.concatenate([[0.0], np.cumsum(steps)])
+    v = floor * np.array(draw(st.lists(st.floats(1.0, 2.0), min_size=t.size,
+                                       max_size=t.size)))
+    return TimeFunction.table(t, v), floor
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(time_varying_betas(), st.floats(0.05, 4.0), st.floats(0.0, 0.3))
+def test_time_varying_beta_reaches_the_box_property(beta_floor, h_target,
+                                                    alpha):
+    # the clock's table ends at h_target (the solver's x2_hi), so the
+    # terminal layer's delta(x2_hi) is inside the clock and a solve runs.
+    # A uniform law of width b has L_g = b / sqrt(2 pi), and the default
+    # box 1.05 L_g^2 is h_target
+    beta, floor = beta_floor
+    width = np.sqrt(2.0 * np.pi * h_target / 1.05)
+    case = make_case(TargetMeasure.uniform(0.0, width),
+                     TimeFunction.const(alpha), beta, floor,
+                     nt=64, nx1=65, nx2=33)
+    x2_hi = case["cfg"].x2_hi
+    c = case["coeffs"]
+    assert c.h_max >= x2_hi
+    assert c.clock_H_inv(x2_hi) <= c.t_phys
+    assert np.isfinite(case["delta"](x2_hi))
+    assert np.isfinite(case["field"].u).all()
+
+
+def test_clock_pins_only_a_small_shortfall(monkeypatch):
+    # 1 + 0.5 s on the box of uniform(0, 1) falls short by 1e-9 (relative)
+    # and is pinned; a query past the pinned end still raises, and the
+    # message tells the two numbers apart.  The many_paths beta overshoots
+    # the same box and keeps its table
+    h = 1.05 / (2.0 * np.pi)
+
+    def clock(expr, floor):
+        return ProcessCoefficients(0.0, TimeFunction.const(0.0),
+                                   TimeFunction.expression(expr), floor,
+                                   h_target=h)
+
+    ramp = clock("1.0 + 0.5*s", 1.0)
+    assert ramp.h_max == h and ramp.clock_H_inv(h) == ramp.t_phys
+    beyond = h * (1.0 + 1e-9)
+    with pytest.raises(HorizonError) as info:
+        ramp.clock_H_inv(beyond)
+    assert str(info.value) == (f"horizon too short: H(T_phys) = {h!r} "
+                               f"< {beyond!r}")
+    over = clock("1.0 + 0.2*cos(3*s)", 0.8)
+    assert over.h_max > h
+    with pytest.raises(HorizonError):
+        over.clock_H_inv(over.h_max * (1.0 + 1e-9))
+    # a shortfall beyond the tolerance is not absorbed
+    monkeypatch.setattr(coeffs_mod, "H_PIN_RTOL", 1e-10)
+    short = clock("1.0 + 0.5*s", 1.0)
+    assert short.h_max < h
+    with pytest.raises(HorizonError):
+        short.clock_H_inv(h)

@@ -15,9 +15,9 @@ from skofbsde import field as field_mod
 from skofbsde.errors import (ConfigError, CutoffActiveError,
                              DerivativeMismatchError, DomainError,
                              NonLipschitzError)
-from skofbsde.field import (SolverConfig, derivative_fields, eval_field,
-                            field_diagnostics, load_field, save_field,
-                            solve_field)
+from skofbsde.field import (DecouplingField, SolverConfig, derivative_fields,
+                            eval_field, field_diagnostics, load_field,
+                            save_field, solve_field)
 from skofbsde.measure import TargetMeasure, make_g
 from skofbsde.verify import OracleField, shifted_field
 
@@ -247,13 +247,14 @@ def _lerp_reference(f, arr, t, x1, x2):
 @given(data=st.data())
 def test_eval_field_u1_is_the_lerp_of_the_stencil_property(case_small, forks,
                                                           data):
-    # u1 formed from u where it is read, from a slab kept on the field or
-    # from the neighbours of the cell, is bitwise the lookup of the
-    # whole-array stencil: for sweeps of scalar t and of scalar x2 that
-    # move one cell forward or back, stay or jump, for arrays in both, at
-    # and beyond both x1 box edges, on a shifted copy and in the forked
-    # half of a split run.  The time slab the Euler sweep reads is bitwise
-    # the stencil's two layers along the same moves
+    # u1 formed from u where it is read is bitwise the lookup of the
+    # whole-array stencil: eval_field for sweeps of scalar t and of scalar
+    # x2 that move one cell forward or back, stay or jump, for arrays in
+    # both, at and beyond both x1 box edges, on a shifted copy and in the
+    # forked half of a split run.  The slabs the path loops read, _u1_slab
+    # calls along the time or the x2 axis with the same moves, each given
+    # the pair before it, are bitwise the stencil's two layers or columns,
+    # written into the first pair's buffer
     f = case_small.value["field"]
     if data.draw(st.booleans(), label="shifted"):
         f = shifted_field(f, coef_t=data.draw(st.floats(-0.2, 0.2)))
@@ -271,24 +272,29 @@ def test_eval_field_u1_is_the_lerp_of_the_stencil_property(case_small, forks,
                                            max_size=x1.size)))
 
     kind = data.draw(st.sampled_from(["t", "x2", "arrays"]), label="kind")
+    axis = 0 if kind == "t" else 2
     grid = f.t_grid if kind == "t" else f.x2_grid
     last = grid.size - 2
     k = data.draw(st.integers(0, last), label="first cell")
-    scalars = []
+    scalars, cells = [], []
     for move in ["stay"] + data.draw(st.lists(st.sampled_from(
             ["forward", "backward", "stay", "jump", "outside"]),
             max_size=8), label="moves"):
         k = {"forward": min(k + 1, last), "backward": max(k - 1, 0),
              "jump": data.draw(st.integers(0, last))}.get(move, k)
+        cells.append(k)
         scalars.append(
             data.draw(st.sampled_from([-0.1, x2_hi + 0.1]))
             if move == "outside" and kind == "x2"
             else grid[k] + data.draw(st.floats(0.0, 1.0)) * (grid[1] - grid[0]))
-    # the last lookup read a slab along the other axis, from the same index
-    # where the grids allow
-    j = min(k, f.x2_grid.size - 2)
-    eval_field(f, *((arrays(0.0, 1.0), x1, f.x2_grid[j]) if kind == "t"
-                    else (f.t_grid[k], x1, arrays(-0.1, x2_hi + 0.1))), "u1")
+    pair = None
+    for i in cells:
+        got = field_mod._u1_slab(f, axis, i, pair)
+        want = (ref[i:i + 2] if axis == 0
+                else np.moveaxis(ref[:, :, i:i + 2], 2, 0))
+        assert got[0] == i and np.array_equal(got[1], want)
+        assert pair is None or got[1] is pair[1]
+        pair = got
     queries = [(s, x1, arrays(-0.1, x2_hi + 0.1)) if kind == "t"
                else (arrays(0.0, 1.0), x1, s) if kind == "x2"
                else (arrays(0.0, 1.0), x1, arrays(-0.1, x2_hi + 0.1))
@@ -296,10 +302,6 @@ def test_eval_field_u1_is_the_lerp_of_the_stencil_property(case_small, forks,
     child = data.draw(st.booleans(), label="child")
     for q in queries:
         want = _lerp_reference(f, ref, *q)
-        if kind == "t":
-            it = int(field_mod._time_cell(f, q[0])[0])
-            assert np.array_equal(field_mod._u1_slab(f, 0, it),
-                                  ref[it:it + 2])
         if child:
             forks(True)
             _, (u1, u) = fbsde.run_halves(
@@ -309,6 +311,22 @@ def test_eval_field_u1_is_the_lerp_of_the_stencil_property(case_small, forks,
             assert np.array_equal(eval_field(f, *q, "u1"), want)
         assert np.array_equal(u1, want)
         assert np.array_equal(u, eval_field(f, *q, "u"))
+
+
+def test_lookups_leave_no_state_on_the_field(case_small):
+    # the path loops hold their own u1 slabs: after a sweep, a strong pass
+    # and eval_field calls the field has only its dataclass fields, bound to
+    # the same objects, and none of them is set outside the constructor
+    c = case_small.value
+    f = dataclasses.replace(c["field"])
+    before = {name: id(value) for name, value in vars(f).items()}
+    assert set(before) == {fl.name for fl in dataclasses.fields(f)}
+    assert all(fl.init for fl in dataclasses.fields(DecouplingField))
+    fbsde.simulate_block(f, 3, range(5), 64)
+    strong_embed_on_W(f, c["coeffs"], 5, 512, seed=3)
+    eval_field(f, 0.3, np.linspace(-1.0, 1.0, 5), 0.05, ("u1", "u"))
+    eval_field(f, np.full(5, 0.3), 0.2, np.linspace(0.0, 0.1, 5), "u1")
+    assert {name: id(value) for name, value in vars(f).items()} == before
 
 
 def test_solve_banded_is_scipys_and_refuses_non_finite():

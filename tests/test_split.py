@@ -1,6 +1,5 @@
 """The two-process split of path ensembles, of the field solve (by x2
-columns) and diagnostics (by time layers), of the field CSV export and of
-the coupled derivative check.
+columns), of the field CSV export and of the coupled derivative check.
 
 Each test forces the split by lowering the minimum sizes (and by reporting
 two CPUs, so the split also happens on a one-CPU machine) and compares with
@@ -24,8 +23,8 @@ from skofbsde.coeffs import ProcessCoefficients, TimeFunction
 from skofbsde.embed import strong_embed_on_W
 from skofbsde.errors import (ContractionError, CutoffActiveError,
                              DerivativeMismatchError, DomainError)
-from skofbsde.field import (SolverConfig, derivative_fields,
-                            field_diagnostics, save_field, solve_field)
+from skofbsde.field import (SolverConfig, derivative_fields, save_field,
+                            solve_field)
 from skofbsde.measure import TargetMeasure, make_g
 
 
@@ -329,21 +328,3 @@ def test_solve_half_failure_ends_both(case_small, forks, monkeypatch, half,
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert len(forks.calls) == 1
-
-
-def test_diagnostics_split_is_bitwise_equal(case_small, forks):
-    # the halves of the 65 time layers are 32 and 33; a NaN in the upper
-    # half reaches the extrema as in one process
-    c = case_small.value
-    f = c["field"]
-    nan_u = f.u.copy()
-    nan_u[40, 10, 5] = np.nan
-    for u in (f.u, nan_u):
-        reports = []
-        for on in (False, True):
-            forks(on)
-            diag = field_diagnostics(replace(f, u=u), c["g"], c["delta"])
-            reports.append(repr(diag.to_dict()))
-        assert reports[0] == reports[1]
-    assert len(forks.calls) == 2
-    assert "nan" in reports[0]
