@@ -29,13 +29,6 @@ from .errors import ConfigError, DomainError, HorizonError
 __all__ = ["TimeFunction", "ProcessCoefficients", "DelayedDrift"]
 
 MIN_QUAD_POINTS = 4096
-# the clock table is built twice, to find T_phys and then on [0, T_phys],
-# and the two trapezoid rules differ: for 3000 random betas
-# 1 + A cos(w s + p) (A <= 0.5, w <= 20) and 3000 piecewise-linear tables the
-# kept table ended within 1.1e-5 (relative) of h_target, on either side.
-# A shortfall up to this tolerance is quadrature error, and the last node
-# is pinned to h_target
-H_PIN_RTOL = 1e-4
 
 # names allowed in "expr" time functions; evaluated with numpy semantics
 _EXPR_NS = {
@@ -168,9 +161,8 @@ class ProcessCoefficients:
     The quadrature grid spans ``[0, T_phys]``, and ``t_phys`` solves
     ``H(T_phys) = h_target``: callers pass the solver's x2 box ``x2_hi``,
     which covers the embedding bound L_g^2.  A clock table that falls short
-    of ``h_target`` by at most ``H_PIN_RTOL`` (relative) ends at
-    ``h_target``, so the box's top is inside the clock; an overshoot is
-    kept.  ``beta_sup`` is the largest
+    of ``h_target`` ends at ``h_target``, so the box's top is inside the
+    clock; an overshoot is kept.  ``beta_sup`` is the largest
     ``|beta|`` on that grid.  Instances are immutable after construction.
     An error raised while ``alpha`` or ``beta`` is tabulated is a
     :class:`ConfigError`.
@@ -201,9 +193,11 @@ class ProcessCoefficients:
         if np.any(~np.isfinite(alpha_vals)) or np.any(~np.isfinite(beta_vals)):
             raise ConfigError("alpha/beta must be finite on [0, T_phys]")
         self._h_tab = self._cumtrapz(self._grid, beta_vals**2)
-        # raising the last node only steepens the last cell of H, so the
-        # certified bounds of H^{-1} and delta still hold
-        if 0.0 < h_target - self._h_tab[-1] <= H_PIN_RTOL * h_target:
+        # the table is built twice, to find T_phys and then on [0, T_phys],
+        # and the two trapezoid rules differ, so the kept table can end
+        # short of h_target.  Raising the last node only steepens the last
+        # cell of H, so the certified bounds of H^{-1} and delta still hold
+        if self._h_tab[-1] < h_target:
             self._h_tab[-1] = h_target
         self._dhat_tab = self.G0 + self._cumtrapz(self._grid, alpha_vals)
         self.beta_sup = float(np.abs(beta_vals).max())

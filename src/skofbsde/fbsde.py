@@ -22,8 +22,9 @@ reads found, once per block of steps (``_STEP_BLOCK_BYTES`` per (steps,
 paths) array).  Each sweep holds its own u1 slab of two time layers
 (``field._u1_slab``); nothing is kept on the field, so a forked half and
 a later sweep start with none.  The cells, weights and interpolation are
-the helpers of ``eval_field``, so the outputs are bitwise those of one
-``eval_field(f, t_k, X1_k, X2_k, ("u1", "u"))`` per step.
+the helpers of ``eval_field``, so the outputs are bitwise those of two
+calls per step, ``eval_field(f, t_k, X1_k, X2_k, "u1")`` and the same with
+``"u"``.
 
 Every path ensemble here and in the embeddings runs through ``map_blocks``:
 on a machine with two CPUs, the upper half of a large ensemble runs in one

@@ -40,7 +40,7 @@ CFL_SAFETY = 0.9
 Z_BOUND_TOL = 1e-2          # tolerance on sup|u1| <= L_g
 U2_BOUND_TOL = 1e-2         # tolerance on sup|u2| <= sup|delta'|
 _FORMAT_TAG = "skofbsde-field"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 # peak memory of `skofbsde solve` above a process that only reads the
 # config, in (nt+1) x nx1 x nx2 float64 arrays: 1.53 and 1.26 measured at
 # 256x257x129 and 512x257x129 (u alone; the solve and every check work one
@@ -165,6 +165,10 @@ class DecouplingField:
     :func:`derivative_fields` records its worst mismatch in
     ``deriv_mismatch``.
 
+    The three grids are always the ``np.linspace`` grids of :func:`_grids`,
+    fixed by the shape of ``u`` and the box ends ``x1_lo``, ``x1_hi`` and
+    ``x2_hi``; the evaluation helpers assume uniform spacing.
+
     ``u`` of a field solved in two halves (:func:`solve_field`) lives in a
     shared anonymous mapping, which every later fork shares too: a forked
     child must never write it.
@@ -243,6 +247,16 @@ def solve_banded(l_and_u, ab, b):
 # solver
 # ----------------------------------------------------------------------------
 
+def _grids(shape: tuple, x1_lo: float, x1_hi: float, x2_hi: float) -> tuple:
+    """The t, x1 and x2 grids of a field of ``shape``: ``np.linspace`` on
+    [0, 1], [x1_lo, x1_hi] and [0, x2_hi].  Both :func:`solve_field` and
+    :func:`load_field` build them here, so a loaded grid is bitwise the
+    solved one (``linspace`` returns its two ends exactly)."""
+    nt1, nx1, nx2 = shape
+    return (np.linspace(0.0, 1.0, nt1), np.linspace(x1_lo, x1_hi, nx1),
+            np.linspace(0.0, x2_hi, nx2))
+
+
 def terminal_layer(g, delta, x1_grid, x2_grid) -> np.ndarray:
     """The terminal data u(1, x1, x2) = g(x1) - delta(x2) on the grid, the
     layer ``u[nt]`` of every field solved for ``g`` and ``delta``."""
@@ -275,14 +289,12 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
     from .fbsde import run_halves       # fbsde imports this module
 
     nt, nx1, nx2 = cfg.nt, cfg.nx1, cfg.nx2
-    t_grid = np.linspace(0.0, 1.0, nt + 1)
-    x1 = np.linspace(cfg.x1_lo, cfg.x1_hi, nx1)
-    x2 = np.linspace(0.0, cfg.x2_hi, nx2)
+    shape = (nt + 1, nx1, nx2)
+    t_grid, x1, x2 = _grids(shape, cfg.x1_lo, cfg.x1_hi, cfg.x2_hi)
     dt = 1.0 / nt
     dx1 = x1[1] - x1[0]
     dx2 = x2[1] - x2[0]
 
-    shape = (nt + 1, nx1, nx2)
     split = (nt + 1) * nx1 * nx2 >= _SPLIT_MIN_VALUES
     if split:
         import mmap
@@ -595,8 +607,7 @@ def _lerp(v: np.ndarray, w1, w2, wt):
     return d[0] * (1 - wt) + d[1] * wt
 
 
-def eval_field(f: DecouplingField, t, x1, x2,
-               which: str | tuple[str, ...] = "u"):
+def eval_field(f: DecouplingField, t, x1, x2, which: str = "u"):
     """Trilinear interpolation.
 
     At a grid node ``u`` returns the stored value and ``u1`` the value of
@@ -607,23 +618,16 @@ def eval_field(f: DecouplingField, t, x1, x2,
     t must lie in [0, 1].  x1 queries outside the box extrapolate linearly
     for ``u`` (the field is asymptotically affine) and clamp for the
     derivative fields (their certified bounds must not be amplified).  x2
-    clamps on both sides.  ``which`` names one component (``"u"`` or
-    ``"u1"``) or is a tuple of names; a tuple returns a tuple of results
-    read off one shared stencil.  Any other name, ``"u2"`` included (the
-    field stores no x2 derivative), raises :class:`DomainError`.
+    clamps on both sides.  ``which`` names the one component returned,
+    ``"u"`` or ``"u1"``; anything else, ``"u2"`` (the field stores no x2
+    derivative) or a tuple of names included, raises :class:`DomainError`.
 
     The arguments broadcast against each other.  A scalar ``t`` and an
     array ``t`` of equal values (say an (m, 1) column of times against
     (m, n) points) give bitwise equal results.  The ``u1`` corner values
     are formed from the neighbouring values of ``u`` (:func:`_u1_corners`).
     """
-    single = isinstance(which, str)
-    names = (which,) if single else which
-    try:
-        known = {"u", "u1"}.issuperset(names)
-    except TypeError:
-        known = False
-    if not known:
+    if which not in ("u", "u1"):
         raise DomainError(f"unknown field component {which!r}")
 
     x1q = np.asarray(x1, dtype=float)
@@ -635,17 +639,11 @@ def eval_field(f: DecouplingField, t, x1, x2,
     i2, w2 = _x2_cell(f, x2q)
 
     idx = _corner_index((nx1 * nx2, nx2, 1), (it * nx1 + i1) * nx2 + i2)
-    corners = {}
-    if "u" in names:
-        corners["u"] = np.take(f.u.reshape(-1), idx)
-    if "u1" in names:
-        corners["u1"] = _u1_corners(f, idx, i1)
-
-    out = []
-    for name in names:
-        res = _lerp(corners[name], w1 if name == "u" else _unit(w1), w2, wt)
-        out.append(float(res) if scalar else res)
-    return out[0] if single else tuple(out)
+    if which == "u":
+        res = _lerp(np.take(f.u.reshape(-1), idx), w1, w2, wt)
+    else:
+        res = _lerp(_u1_corners(f, idx, i1), _unit(w1), w2, wt)
+    return float(res) if scalar else res
 
 
 # ----------------------------------------------------------------------------
@@ -714,8 +712,8 @@ def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostic
 
 
 # ----------------------------------------------------------------------------
-# export / import: u as a binary .npy array with a JSON sidecar of grids and
-# metadata; u also as a CSV text export, which is never read back
+# export / import: u as a binary .npy array with a JSON sidecar of its shape,
+# box ends and metadata; u also as a CSV text export, which is never read back
 # ----------------------------------------------------------------------------
 
 _VALUES_PER_WRITE = 2**16    # values formatted per write of the CSV
@@ -740,10 +738,11 @@ def save_field(f: DecouplingField, path: str,
 
     :func:`load_field` reads the ``.npy`` file: ``u`` written by
     ``np.lib.format.write_array`` with no copy, in bytes that depend only
-    on ``u``.  The sidecar holds the format tag and version, the shape, the
-    three grids as exact JSON lists, the bound metadata and ``diagnostics``
-    (``null`` when none are given).  No derivative is stored: its readers
-    form ``u1`` from ``u``.
+    on ``u``.  The sidecar holds the format tag and version, the shape,
+    the box ends ``x1_lo``, ``x1_hi`` and ``x2_hi`` that fix the three grids
+    (:func:`_grids`), the bound metadata and ``diagnostics`` (``null`` when
+    none are given).  No derivative is stored: its readers form ``u1`` from
+    ``u``.
 
     The CSV has one row of nx2 comma-separated values per (t, x1) pair, t
     outer, x1 middle, in shortest round-trip float formatting.  On two CPUs
@@ -777,9 +776,9 @@ def save_field(f: DecouplingField, path: str,
         "format": _FORMAT_TAG,
         "version": _FORMAT_VERSION,
         "shape": [nt1, nx1, nx2],
-        "t_grid": f.t_grid.tolist(),
-        "x1_grid": f.x1_grid.tolist(),
-        "x2_grid": f.x2_grid.tolist(),
+        "x1_lo": float(f.x1_grid[0]),
+        "x1_hi": float(f.x1_grid[-1]),
+        "x2_hi": float(f.x2_grid[-1]),
         "g_lipschitz": f.g_lipschitz,
         "delta_deriv_sup": f.delta_deriv_sup,
         "cutoff_H": f.cutoff_H,
@@ -831,31 +830,31 @@ def _read_array(path: str, shape: tuple) -> np.ndarray:
 def load_field(path: str) -> DecouplingField:
     """Read a field written by :func:`save_field`.  ``path`` names its CSV,
     sidecar or ``.npy`` file; the sidecar and the ``.npy`` array are found
-    by the shared stem, and the CSV is not read.  A missing or malformed sidecar or array
-    raises :class:`ConfigError`, and so do an array that is not float64,
-    C-ordered, of the sidecar's shape and finite, and grids that
-    :func:`solve_field` does not make (and :func:`eval_field` assumes): each
-    is ``np.linspace`` of its increasing end points, t from 0 to 1, x2 from 0.
+    by the shared stem, and the CSV is not read.  The grids are built by
+    :func:`_grids` from the sidecar's shape and box ends, as the solve built
+    them.  A missing or malformed sidecar or array raises
+    :class:`ConfigError`, and so do a shape that is not three integers of
+    at least 2, box ends that are not finite with ``x1_lo < x1_hi`` and
+    ``x2_hi > 0``, and an array that is not float64, C-ordered, of the
+    sidecar's shape and finite.
     """
     meta = _read_sidecar(path)
     try:
-        grids = [np.array(meta[k], dtype=float)
-                 for k in ("t_grid", "x1_grid", "x2_grid")]
-        shape = tuple(int(n) for n in meta["shape"])
+        shape = tuple(meta["shape"])
+        x1_lo, x1_hi, x2_hi = (float(meta[k])
+                               for k in ("x1_lo", "x1_hi", "x2_hi"))
         scalars = {k: float(meta[k]) for k in ("g_lipschitz", "delta_deriv_sup",
                                               "cutoff_H", "deriv_floor_eps")}
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed field sidecar for {path}: "
                           f"{exc!r}") from None
-    if tuple(g.size for g in grids) != shape:
-        raise ConfigError(f"field sidecar for {path}: grid sizes do not match "
-                          f"shape {shape}")
-    if not (all(g.ndim == 1 and g.size >= 2 and g[0] < g[-1]
-                and np.array_equal(g, np.linspace(g[0], g[-1], g.size))
-                for g in grids)
-            and (grids[0][0], grids[0][-1], grids[2][0]) == (0.0, 1.0, 0.0)):
-        raise ConfigError(f"field sidecar for {path}: grids must be uniform "
-                          f"and increasing, with t from 0 to 1 and x2 from 0")
+    if not (len(shape) == 3 and all(type(n) is int and n >= 2 for n in shape)):
+        raise ConfigError(f"field sidecar for {path}: shape {list(shape)} is "
+                          f"not three integers of at least 2")
+    if not (np.isfinite([x1_lo, x1_hi, x2_hi]).all() and x1_lo < x1_hi
+            and x2_hi > 0.0):
+        raise ConfigError(f"field sidecar for {path}: the box needs finite "
+                          f"x1_lo < x1_hi and x2_hi > 0")
     npy = _sibling(path, ".npy")
     try:
         u = _read_array(npy, shape)
@@ -864,5 +863,4 @@ def load_field(path: str) -> DecouplingField:
     # min and max see every NaN and inf without a field-sized temporary
     if not (np.isfinite(u.min()) and np.isfinite(u.max())):
         raise ConfigError(f"field file {npy} has a non-finite value")
-    return DecouplingField(t_grid=grids[0], x1_grid=grids[1], x2_grid=grids[2],
-                           u=u, **scalars)
+    return DecouplingField(*_grids(shape, x1_lo, x1_hi, x2_hi), u=u, **scalars)

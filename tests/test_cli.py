@@ -88,6 +88,32 @@ def test_solve_embed_verify_chain(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_embed_never_reads_field_csv(tmp_path, capsys):
+    # embed reads field.json and field.npy by the stem of --field: with the
+    # CSV export deleted it runs, and writes the same bytes as beside it
+    cfg = write_config(tmp_path)
+    field_dir = tmp_path / "f"
+    assert main(["solve", "--config", cfg, "--out", str(field_dir)]) == 0
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for name in ("field.json", "field.npy"):
+        shutil.copy(field_dir / name, bare / name)
+    outs = []
+    for d in (field_dir, bare):
+        outs.append(tmp_path / f"embed_{d.name}")
+        assert main(["embed", "--config", cfg, "--out", str(outs[-1]),
+                     "--field", str(d / "field.csv"), "--dump-paths", "3"]) == 0
+    capsys.readouterr()
+    assert not (bare / "field.csv").exists()
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*")
+                   if p.is_file())
+    assert len(files) == 6
+    assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*")
+                           if p.is_file())
+    for rel in files:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+
 def test_all_deterministic(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -517,11 +543,13 @@ _bytes_after_array = _field_array(
         path.read_bytes() + b"\0" * 8))
 
 
-def _sidecar_version(name, version):
+def _edited_sidecar(name, **edits):
+    """A case that sets each key of ``edits`` in ``field.json`` to its
+    function of the sidecar's values."""
     def breaker(tmp_path, cfg, field_dir):
         side = field_dir / "field.json"
         meta = json.loads(side.read_text())
-        meta["version"] = version
+        meta.update({key: edit(meta) for key, edit in edits.items()})
         side.write_text(json.dumps(meta))
         return ["embed", "--config", cfg, "--out", str(tmp_path / "new"),
                 "--field", str(field_dir / "field.csv")]
@@ -529,36 +557,22 @@ def _sidecar_version(name, version):
     return breaker
 
 
-_version_1_sidecar = _sidecar_version("_version_1_sidecar", 1)
-_version_2_sidecar = _sidecar_version("_version_2_sidecar", 2)
+_version_1_sidecar = _edited_sidecar("_version_1_sidecar", version=lambda m: 1)
+_version_2_sidecar = _edited_sidecar("_version_2_sidecar", version=lambda m: 2)
+_version_3_sidecar = _edited_sidecar("_version_3_sidecar", version=lambda m: 3)
 
-
-def _edited_sidecar(name, key, edit):
-    def breaker(tmp_path, cfg, field_dir):
-        side = field_dir / "field.json"
-        meta = json.loads(side.read_text())
-        meta[key] = edit(np.array(meta[key])).tolist()
-        side.write_text(json.dumps(meta))
-        return ["embed", "--config", cfg, "--out", str(tmp_path / "new"),
-                "--field", str(field_dir / "field.csv")]
-    breaker.__name__ = name     # the test id
-    return breaker
-
-
-def _moved_node(x):
-    x[3] += 1e-3
-    return x
-
-
-# uniform grids that solve_field does not make, and one non-uniform grid
-_t_grid_ends_at_half = _edited_sidecar(
-    "_t_grid_ends_at_half", "t_grid",
-    lambda t: np.linspace(0.0, 0.5, t.size))
-_x2_grid_off_zero = _edited_sidecar(
-    "_x2_grid_off_zero", "x2_grid",
-    lambda x: np.linspace(0.01, 0.01 + x[-1], x.size))
-_x1_grid_non_uniform = _edited_sidecar(
-    "_x1_grid_non_uniform", "x1_grid", _moved_node)
+# box ends and shapes that fix no grid
+_x1_ends_reversed = _edited_sidecar(
+    "_x1_ends_reversed", x1_lo=lambda m: m["x1_hi"],
+    x1_hi=lambda m: m["x1_lo"])
+_nan_x1_lo = _edited_sidecar("_nan_x1_lo", x1_lo=lambda m: float("nan"))
+_x2_hi_zero = _edited_sidecar("_x2_hi_zero", x2_hi=lambda m: 0.0)
+_x2_hi_negative = _edited_sidecar("_x2_hi_negative",
+                                  x2_hi=lambda m: -m["x2_hi"])
+_non_integer_shape = _edited_sidecar(
+    "_non_integer_shape", shape=lambda m: [m["shape"][0] + 0.5] + m["shape"][1:])
+_shape_entry_one = _edited_sidecar(
+    "_shape_entry_one", shape=lambda m: m["shape"][:2] + [1])
 
 
 def _solver_T(command):
@@ -698,10 +712,14 @@ _expr_overflow = _alpha_expr("_expr_overflow", "(1e308*10)*s")
 _MESSAGE = {
     _version_1_sidecar: "re-run skofbsde solve",
     _version_2_sidecar: "re-run skofbsde solve",
+    _version_3_sidecar: "re-run skofbsde solve",
     _oversized_grid: "memory",
-    _t_grid_ends_at_half: "grids must be uniform",
-    _x2_grid_off_zero: "grids must be uniform",
-    _x1_grid_non_uniform: "grids must be uniform",
+    _x1_ends_reversed: "finite x1_lo < x1_hi",
+    _nan_x1_lo: "finite x1_lo < x1_hi",
+    _x2_hi_zero: "x2_hi > 0",
+    _x2_hi_negative: "x2_hi > 0",
+    _non_integer_shape: "not three integers of at least 2",
+    _shape_entry_one: "not three integers of at least 2",
     _solver_T_solve: "unknown config keys in solver: ['T']",
     _solver_T_embed: "unknown config keys in solver: ['T']",
     _solver_T_all: "unknown config keys in solver: ['T']",
@@ -744,8 +762,9 @@ def solved_field(tmp_path_factory):
     _zero_K1, _negative_K1, _zero_K2, _uniform_point_mass, _normal_point_mass,
     _oversized_grid, _expr_syntax_error, _expr_division_by_zero, _expr_list,
     _expr_conditional, _expr_string, _expr_subscript, _expr_overflow,
-    _solver_T_solve, _solver_T_embed, _solver_T_all, _t_grid_ends_at_half,
-    _x2_grid_off_zero, _x1_grid_non_uniform, _coefficients_T_phys,
+    _solver_T_solve, _solver_T_embed, _solver_T_all, _x1_ends_reversed,
+    _nan_x1_lo, _x2_hi_zero, _x2_hi_negative, _non_integer_shape,
+    _shape_entry_one, _version_3_sidecar, _coefficients_T_phys,
     _nan_in_field, _negative_dump_paths, _npy_missing, _float32_field,
     _fortran_field, _pickled_field, _npz_field, _bytes_after_array,
     _version_2_sidecar, _coarse_strong_step_solve, _coarse_strong_step_embed,

@@ -219,11 +219,17 @@ def test_time_varying_beta_reaches_the_box_property(beta_floor, h_target,
     assert np.isfinite(case["field"].u).all()
 
 
-def test_clock_pins_only_a_small_shortfall(monkeypatch):
+def _trapezoid_table(c):
+    """The clock table of ``c`` before the pin: the trapezoid rule of
+    beta^2 on the kept grid."""
+    return c._cumtrapz(c._grid, coeffs_mod._tabulate(c.beta, c._grid)**2)
+
+
+def test_clock_pins_only_a_small_shortfall():
     # 1 + 0.5 s on the box of uniform(0, 1) falls short by 1e-9 (relative)
     # and is pinned; a query past the pinned end still raises, and the
-    # message tells the two numbers apart.  The many_paths beta overshoots
-    # the same box and keeps its table
+    # message tells the two numbers apart.  The pin moves the last node
+    # only.  The many_paths beta overshoots the same box and keeps its table
     h = 1.05 / (2.0 * np.pi)
 
     def clock(expr, floor):
@@ -238,13 +244,28 @@ def test_clock_pins_only_a_small_shortfall(monkeypatch):
         ramp.clock_H_inv(beyond)
     assert str(info.value) == (f"horizon too short: H(T_phys) = {h!r} "
                                f"< {beyond!r}")
+    table = _trapezoid_table(ramp)
+    assert 0.0 < h - table[-1] < 2e-9 * h
+    assert np.array_equal(ramp._h_tab[:-1], table[:-1])
     over = clock("1.0 + 0.2*cos(3*s)", 0.8)
     assert over.h_max > h
+    assert np.array_equal(over._h_tab, _trapezoid_table(over))
     with pytest.raises(HorizonError):
         over.clock_H_inv(over.h_max * (1.0 + 1e-9))
-    # a shortfall beyond the tolerance is not absorbed
-    monkeypatch.setattr(coeffs_mod, "H_PIN_RTOL", 1e-10)
-    short = clock("1.0 + 0.5*s", 1.0)
-    assert short.h_max < h
-    with pytest.raises(HorizonError):
-        short.clock_H_inv(h)
+
+
+def test_clock_reaches_the_box_for_a_fast_beta():
+    # a beta of frequency 640 whose kept table falls short of the box by
+    # 4.9e-4 (relative): the clock still ends at h_target, the box's top
+    # is inside it, and a 64x65x33 field solves.  The box 1.05 L_g^2 of
+    # uniform(0, b) is 3.863
+    width = np.sqrt(2.0 * np.pi * 3.863 / 1.05)
+    beta = TimeFunction.expression("1 + 0.482 * cos(640.0 * s + 0.871)")
+    case = make_case(TargetMeasure.uniform(0.0, width),
+                     TimeFunction.const(0.1), beta, 0.518,
+                     nt=64, nx1=65, nx2=33)
+    c, x2_hi = case["coeffs"], case["cfg"].x2_hi
+    assert (x2_hi - _trapezoid_table(c)[-1]) / x2_hi > 4e-4
+    assert c.h_max == x2_hi and c.clock_H_inv(x2_hi) == c.t_phys
+    assert np.isfinite(case["delta"](x2_hi))
+    assert np.isfinite(case["field"].u).all()

@@ -206,8 +206,9 @@ def test_simulate_block_returns_whole_paths(case_uniform_k025):
 
 def _reference_sweep(f, seeds, n_steps, x1_0, x2_0):
     """The Euler sweep with every lookup made at every step: one
-    ``eval_field(..., ("u1", "u"))`` call per step, at X1 = x1_0 + W formed
-    column by column.  Returns whole (paths, steps + 1) arrays."""
+    ``eval_field`` call for ``u1`` and one for ``u`` per step, at
+    X1 = x1_0 + W formed column by column.  Returns whole (paths, steps + 1)
+    arrays."""
     dt = 1.0 / n_steps
     n = seeds.size
     t_grid = np.linspace(0.0, 1.0, n_steps + 1)
@@ -219,8 +220,8 @@ def _reference_sweep(f, seeds, n_steps, x1_0, x2_0):
     z_raw_max = np.zeros(n)
     for k in range(n_steps + 1):
         W[:, k] = w
-        zk, Y[:, k] = eval_field(f, t_grid[k], x1_0 + w, X2[:, k],
-                                 ("u1", "u"))
+        zk = eval_field(f, t_grid[k], x1_0 + w, X2[:, k], "u1")
+        Y[:, k] = eval_field(f, t_grid[k], x1_0 + w, X2[:, k], "u")
         np.maximum(z_raw_max, np.abs(zk), out=z_raw_max)
         zk = np.minimum(np.maximum(-L_g, zk), L_g)
         Z[:, k] = zk

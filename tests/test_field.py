@@ -137,9 +137,12 @@ def test_eval_field_domain_errors(case_linear):
         eval_field(f, 0.5, 0.0, 0.0, "u2")
     with pytest.raises(DomainError):
         eval_field(f, 0.5, 0.0, 0.0, ("u", "u2"))
+    # one component per call
+    with pytest.raises(DomainError):
+        eval_field(f, 0.5, 0.0, 0.0, ("u1", "u"))
 
 
-def _tuple_query_shapes(f):
+def _query_shapes(f):
     """The argument shapes eval_field serves, with x1 outside the box (u
     extrapolates, u1 clamps) and x2 outside [0, x2_hi]."""
     rng = np.random.default_rng(11)
@@ -161,26 +164,27 @@ def _tuple_query_shapes(f):
 
 @pytest.mark.parametrize("shape", ["sweep", "strong_rule", "broadcast_2d",
                                    "outside_box", "scalar"])
-def test_eval_field_tuple_matches_per_name(case_uniform_k05, shape):
+def test_eval_field_query_shapes(case_uniform_k05, shape):
+    # each component, read one per call, is bitwise the lookup of the
+    # whole-array reference: u with its x1 weight unclamped, u1 clamped
     f = case_uniform_k05.value["field"]
-    args = _tuple_query_shapes(f)[shape]
-    names = ("u1", "u")
-    got = eval_field(f, *args, names)
-    assert isinstance(got, tuple) and len(got) == 2
-    for name, res in zip(names, got):
-        assert np.array_equal(res, eval_field(f, *args, name))
+    args = _query_shapes(f)[shape]
+    u1_ref = field_mod._gradient_into(np.empty_like(f.u), f.u,
+                                      f.x1_grid[1] - f.x1_grid[0], axis=1)
+    u, u1 = eval_field(f, *args, "u"), eval_field(f, *args, "u1")
+    assert np.array_equal(u, _lerp_reference(f, f.u, *args, clamp_x1=False))
+    assert np.array_equal(u1, _lerp_reference(f, u1_ref, *args))
     if shape == "scalar":
-        assert all(type(v) is float for v in got)
+        assert type(u) is float and type(u1) is float
     if shape == "outside_box":
-        u, u1 = got[1], got[0]
         # u extrapolates past the x1 box, u1 clamps to its edge values
         assert u[0] != eval_field(f, args[0], f.x1_grid[0], args[2][0])
         assert u1[0] == eval_field(f, args[0], f.x1_grid[0], args[2][0], "u1")
         assert u1[1] == eval_field(f, args[0], f.x1_grid[-1], args[2][1], "u1")
 
 
-@pytest.mark.parametrize("names", ["u", "u1", ("u1", "u")])
-def test_eval_field_time_column_matches_scalar_times(case_uniform_k05, names):
+@pytest.mark.parametrize("name", ["u", "u1"])
+def test_eval_field_time_column_matches_scalar_times(case_uniform_k05, name):
     # an (m, 1) column of times against (m, n) points, as the Euler sweep
     # reads Y a block of steps at a time: row j is bitwise the scalar-t
     # call at t[j], at and between time nodes, x1 and x2 outside the box
@@ -190,14 +194,9 @@ def test_eval_field_time_column_matches_scalar_times(case_uniform_k05, names):
     t = np.concatenate([f.t_grid[[0, 1, 17, -2, -1]], rng.uniform(0, 1, 7)])
     x1 = rng.uniform(lo - 2.0, hi + 2.0, (t.size, 50))
     x2 = rng.uniform(-0.2, x2_hi + 0.2, (t.size, 50))
-    got = eval_field(f, t[:, None], x1, x2, names)
+    got = eval_field(f, t[:, None], x1, x2, name)
     for j in range(t.size):
-        want = eval_field(f, t[j], x1[j], x2[j], names)
-        if isinstance(names, str):
-            assert np.array_equal(got[j], want)
-        else:
-            for a, b in zip(got, want):
-                assert np.array_equal(a[j], b)
+        assert np.array_equal(got[j], eval_field(f, t[j], x1[j], x2[j], name))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -213,15 +212,16 @@ def test_eval_field_exact_at_nodes_property(case_uniform_k05, data):
     q = (f.t_grid[it], f.x1_grid[i1], f.x2_grid[i2])
     # u1 at the node is the x1 stencil of its x1 line of u
     u1 = np.gradient(f.u[it, :, i2], f.x1_grid[1] - f.x1_grid[0])[i1]
-    for want, got in zip((f.u[it, i1, i2], u1),
-                         eval_field(f, *q, ("u", "u1"))):
-        assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
+    for want, name in ((f.u[it, i1, i2], "u"), (u1, "u1")):
+        assert eval_field(f, *q, name) == pytest.approx(want, rel=1e-14,
+                                                        abs=1e-14)
 
 
-def _lerp_reference(f, arr, t, x1, x2):
-    """The trilinear lookup of a derivative component in a whole (t, x1, x2)
-    array, with eval_field's cell weights and order of operations; x1
-    clamps to the box edge."""
+def _lerp_reference(f, arr, t, x1, x2, clamp_x1=True):
+    """The trilinear lookup of a component in a whole (t, x1, x2) array,
+    with eval_field's cell weights and order of operations; x1 clamps to
+    the box edge (a derivative) or, with ``clamp_x1`` false, extrapolates
+    (``u``)."""
     t, x1, x2 = np.broadcast_arrays(*(np.asarray(q, dtype=float)
                                       for q in (t, x1, x2)))
     nt1, nx1, nx2 = arr.shape
@@ -231,7 +231,9 @@ def _lerp_reference(f, arr, t, x1, x2):
     it = np.clip((t / dt).astype(int), 0, nt1 - 2)
     wt = np.clip((t - f.t_grid[it]) / dt, 0.0, 1.0)
     i1 = np.clip(((x1 - f.x1_grid[0]) / dx1).astype(int), 0, nx1 - 2)
-    w1 = np.clip((x1 - f.x1_grid[i1]) / dx1, 0.0, 1.0)
+    w1 = (x1 - f.x1_grid[i1]) / dx1
+    if clamp_x1:
+        w1 = np.clip(w1, 0.0, 1.0)
     i2 = np.clip((x2 / dx2).astype(int), 0, nx2 - 2)
     w2 = np.clip((x2 - f.x2_grid[i2]) / dx2, 0.0, 1.0)
     d = []
@@ -305,12 +307,12 @@ def test_eval_field_u1_is_the_lerp_of_the_stencil_property(case_small, forks,
         if child:
             forks(True)
             _, (u1, u) = fbsde.run_halves(
-                2, lambda lo_, hi_: eval_field(f, *q, ("u1", "u")), 2)
+                2, lambda lo_, hi_: (eval_field(f, *q, "u1"),
+                                     eval_field(f, *q, "u")), 2)
         else:
-            u1, u = eval_field(f, *q, ("u1", "u"))
-            assert np.array_equal(eval_field(f, *q, "u1"), want)
+            u1, u = eval_field(f, *q, "u1"), eval_field(f, *q, "u")
         assert np.array_equal(u1, want)
-        assert np.array_equal(u, eval_field(f, *q, "u"))
+        assert np.array_equal(u, _lerp_reference(f, f.u, *q, clamp_x1=False))
 
 
 def test_lookups_leave_no_state_on_the_field(case_small):
@@ -324,7 +326,8 @@ def test_lookups_leave_no_state_on_the_field(case_small):
     assert all(fl.init for fl in dataclasses.fields(DecouplingField))
     fbsde.simulate_block(f, 3, range(5), 64)
     strong_embed_on_W(f, c["coeffs"], 5, 512, seed=3)
-    eval_field(f, 0.3, np.linspace(-1.0, 1.0, 5), 0.05, ("u1", "u"))
+    eval_field(f, 0.3, np.linspace(-1.0, 1.0, 5), 0.05, "u1")
+    eval_field(f, 0.3, np.linspace(-1.0, 1.0, 5), 0.05, "u")
     eval_field(f, np.full(5, 0.3), 0.2, np.linspace(0.0, 0.1, 5), "u1")
     assert {name: id(value) for name, value in vars(f).items()} == before
 
@@ -702,7 +705,12 @@ def test_save_load_round_trip(tmp_path, case_uniform_k05):
     assert g2.g_lipschitz == f.g_lipschitz
     meta = json.loads((tmp_path / "field.json").read_text())
     assert meta["diagnostics"] == json.loads(json.dumps(diag.to_dict()))
-    assert meta["version"] == 3
+    assert meta["version"] == 4
+    # the grids are stored by their ends, as numbers a reader can see
+    assert meta["shape"] == list(f.u.shape)
+    assert (meta["x1_lo"], meta["x1_hi"], meta["x2_hi"]) == (
+        f.x1_grid[0], f.x1_grid[-1], f.x2_grid[-1])
+    assert not {"t_grid", "x1_grid", "x2_grid"} & set(meta)
     # the sidecar or the array name the same field
     for name in ("field.json", "field.npy"):
         assert np.array_equal(load_field(str(tmp_path / name)).u, f.u), name
@@ -718,6 +726,24 @@ def test_save_load_round_trip(tmp_path, case_uniform_k05):
     for ext in (".csv", ".json", ".npy"):
         a, b = (tmp_path / f"field{ext}"), (tmp_path / f"again{ext}")
         assert a.read_bytes() == b.read_bytes(), ext
+
+
+def test_save_load_round_trip_off_default_box(tmp_path, case_uniform_k05):
+    # the sidecar's box ends give back the solve's grids bitwise, also off
+    # the default box
+    g = case_uniform_k05.value["g"]
+    delta = ProcessCoefficients(0.0, TimeFunction.const(0.5),
+                                TimeFunction.const(1.0), 1.0,
+                                h_target=2.0).delayed_drift()
+    cfg = dataclasses.replace(small_cfg(g.lipschitz), x1_lo=-5.0, x1_hi=5.5,
+                              x2_hi=2.0)
+    f = solve_field(g, delta, cfg)
+    assert (f.x1_grid[0], f.x1_grid[-1], f.x2_grid[-1]) == (-5.0, 5.5, 2.0)
+    path = str(tmp_path / "field.csv")
+    save_field(f, path)
+    g2 = load_field(path)
+    for name in ("u", "t_grid", "x1_grid", "x2_grid"):
+        assert np.array_equal(getattr(f, name), getattr(g2, name)), name
 
 
 def test_load_recomputes_fd_derivatives(tmp_path, case_uniform_k05):
