@@ -278,12 +278,13 @@ def cmd_embed(cfg: RunConfig, field_path: str, dump_paths: int = 0) -> int:
     delta = cfg.delta     # the configuration is checked before the field
     f = field_mod.load_field(field_path)
     # a field solved for this law and drift has, bitwise, the terminal
-    # layer that solve_field builds
+    # layer that solve_field builds, and this law's L_g
     try:
         term = field_mod.terminal_layer(cfg.g, delta, f.x1_grid, f.x2_grid)
     except HorizonError:    # the field's x2 grid lies beyond this clock
         term = None
-    if term is None or not np.array_equal(f.u[-1], term):
+    if (term is None or not np.array_equal(f.u[-1], term)
+            or f.g_lipschitz != cfg.g.lipschitz):
         raise ConfigError("field file is not compatible with this configuration")
     os.makedirs(cfg.output_dir, exist_ok=True)
 

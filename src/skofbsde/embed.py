@@ -15,7 +15,7 @@ Strong construction: the pair (sigma, Sigma) is integrated from
     d sigma_r = beta_r^2 / u1(sigma_r, Sigma_r, H(r))^2 dr,
     d Sigma_r = beta_r / u1(sigma_r, Sigma_r, H(r)) dB_r,
 
-with u1 clamped into [deriv_floor_eps, L_g] (positivity holds before the
+with u1 clamped into [DERIV_FLOOR_EPS, L_g] (positivity holds before the
 terminal time but with no quantitative floor; L_g is the certified upper
 bound).  A block integrates only its live paths.  A path stops at the
 first crossing sigma_r >= 1, located by linear interpolation inside the
@@ -47,6 +47,7 @@ __all__ = ["WeakEmbedding", "StrongStop", "EmbeddingResult", "weak_embed",
 # step-size rule for the (sigma, Sigma) integration: L_g^2 dr / beta_floor^2
 # must not exceed this
 SIGMA_RATE_TOL = 1e-3
+DERIV_FLOOR_EPS = 1e-6      # floor of u1 in the strong rule's beta / u1
 # fraction of integration steps with the u1 floor clamp active that triggers
 # a warning
 CLAMP_WARN_FRACTION = 1e-3
@@ -230,9 +231,8 @@ def weak_embed_ensemble(f: DecouplingField, coeffs: ProcessCoefficients,
     seeds = path_seed(seed, np.arange(n_paths))
 
     def run_block(lo: int, hi: int):
-        t_grid, W_T, X2, Y, _, zmax = _simulate_arrays(
-            f, seeds[lo:hi], n_steps, 0.0, 0.0)
-        # X1 = x1_0 + W with x1_0 = 0
+        t_grid, W_T, X2, Y, _, zmax = _simulate_arrays(f, seeds[lo:hi],
+                                                       n_steps)
         tau, stopped, residual, _, _ = _weak_time_change(
             coeffs, t_grid, X2, Y, W_T, g)
         return seeds[lo:hi], tau, stopped, residual, zmax, X2[:, -1]
@@ -283,8 +283,7 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
     strides = (nx1, 1, nt1 * nx1)
     slab = None
 
-    L_g = f.g_lipschitz
-    floor = f.deriv_floor_eps
+    L_g, floor = f.g_lipschitz, DERIV_FLOOR_EPS
 
     ids = np.arange(n)
     sigma, Sigma, ibw = np.zeros((3, n))
@@ -460,8 +459,7 @@ def coupled_round_trip(f: DecouplingField, coeffs: ProcessCoefficients,
     seeds = path_seed(seed, np.arange(n_paths))
 
     def run_block(lo: int, hi: int):
-        t_grid, W_T, X2, Y, _, _ = _simulate_arrays(f, seeds[lo:hi], n_steps,
-                                                    0.0, 0.0)
+        t_grid, W_T, X2, Y, _, _ = _simulate_arrays(f, seeds[lo:hi], n_steps)
         tau_w, _, resid, r_grid, B = _weak_time_change(
             coeffs, t_grid, X2, Y, W_T, None, paths=True)
         del X2, Y                       # freed before the strong pass

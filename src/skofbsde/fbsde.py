@@ -1,9 +1,9 @@
 """Euler simulation of the decoupled forward-backward system.
 
-Paths follow X1 = x1 + W, dX2 = Z^2 dt with the control read off the solved
-field, Z = u1(t, X1, X2), and Y = u(t, X1, X2).  The backward-equation defect
-of simulated paths is the ground-truth oracle for the PDE solve: if the two
-disagree, the paths win.
+Paths start at the origin and follow X1 = W, dX2 = Z^2 dt with the control
+read off the solved field, Z = u1(t, X1, X2), and Y = u(t, X1, X2).  The
+backward-equation defect of simulated paths is the ground-truth oracle for
+the PDE solve: if the two disagree, the paths win.
 
 Randomness is reproducible bit-for-bit across platforms: each path owns a
 64-bit seed (SplitMix64-derived from a base seed and the path index), feeding
@@ -250,16 +250,15 @@ class FbsdePath:
 
 
 def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
-                     x1_0: float, x2_0: float, paths: bool = False):
-    """Vectorized Euler sweep for a block of paths.
+                     paths: bool = False):
+    """Vectorized Euler sweep for a block of paths from the origin.
 
     Returns ``(t_grid, W, X2, Y, Z, z_abs_max_raw)``; ``X2`` and ``Y`` have
     shape (n_paths, n_steps + 1).  With ``paths`` set, ``W`` and ``Z`` are
     whole path arrays of that shape too; otherwise ``W`` is only the running
     column W_T, of shape (n_paths,), and ``Z`` is ``None``.  ``X1`` is not
-    stored: it is ``x1_0 + W``, formed a block of steps at a time for the
-    field lookups.  W adds up the increments in step order, as ``np.cumsum``
-    does.
+    stored: it is ``W``, copied a block of steps at a time for the field
+    lookups.  W adds up the increments in step order, as ``np.cumsum`` does.
 
     The loop over steps reads u1 and updates X2; each block of
     ``_STEP_BLOCK_BYTES // (8 n_paths)`` steps forms X1 and its x1 cells
@@ -278,7 +277,7 @@ def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
     W, Z = rest if paths else (None, None)
     noise = IncrementStreams(seeds, n_steps, dt)
     w = np.zeros(n)
-    x2 = np.full(n, float(x2_0))
+    x2 = np.zeros(n)
     X2[:, 0] = x2
     L_g = f.g_lipschitz
     z_raw_max = np.zeros(n)
@@ -292,7 +291,7 @@ def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
         for x1k, k in zip(x1, steps):
             if paths:
                 W[:, k] = w
-            np.add(x1_0, w, out=x1k)
+            x1k[:] = w
             if k < n_steps:
                 w = w + noise.column(k)
         # per step: the flat index of each path's cell corner in u, the
@@ -324,24 +323,22 @@ def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
     return t_grid, W if paths else w, X2, Y, Z, z_raw_max
 
 
-def _paths(t_grid, W, X2, Y, Z, zmax, seeds, x1_0: float) -> list[FbsdePath]:
+def _paths(t_grid, W, X2, Y, Z, zmax, seeds) -> list[FbsdePath]:
     """Whole paths from the arrays of ``_simulate_arrays(..., paths=True)``."""
-    return [FbsdePath(t_grid=t_grid, W=W[i], X1=x1_0 + W[i], X2=X2[i],
+    return [FbsdePath(t_grid=t_grid, W=W[i], X1=W[i].copy(), X2=X2[i],
                       Y=Y[i], Z=Z[i], seed=int(seeds[i]),
                       z_abs_max_raw=float(zmax[i]))
             for i in range(seeds.size)]
 
 
 def simulate_block(f: DecouplingField, base_seed: int, indices,
-                   n_steps: int, x1_0: float = 0.0,
-                   x2_0: float = 0.0) -> list[FbsdePath]:
+                   n_steps: int) -> list[FbsdePath]:
     """Simulate the paths with the given indices, each keyed by
     ``path_seed(base_seed, index)`` and independent of the other indices."""
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
     seeds = path_seed(base_seed, np.asarray(indices, dtype=int))
-    arrays = _simulate_arrays(f, seeds, n_steps, x1_0, x2_0, paths=True)
-    return _paths(*arrays, seeds, x1_0)
+    return _paths(*_simulate_arrays(f, seeds, n_steps, paths=True), seeds)
 
 
 @dataclass
@@ -374,8 +371,7 @@ def simulate_ensemble(f: DecouplingField, n_paths: int, n_steps: int,
     seeds = path_seed(seed, np.arange(n_paths))
 
     def run_block(lo: int, hi: int):
-        _, W_T, X2, Y, _, zmax = _simulate_arrays(f, seeds[lo:hi], n_steps,
-                                                  0.0, 0.0)
+        _, W_T, X2, Y, _, zmax = _simulate_arrays(f, seeds[lo:hi], n_steps)
         qv = np.cumsum(np.diff(Y, axis=1) ** 2, axis=1)
         # from X2_0 = 0, X2_k is the running sum of Z^2 dt up to step k - 1
         return (Y[:, ck], X2[:, ck], qv[:, ck - 1], W_T, X2[:, -1],

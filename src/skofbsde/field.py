@@ -39,8 +39,10 @@ __all__ = ["SolverConfig", "DecouplingField", "FieldDiagnostics", "BoundCheck",
 CFL_SAFETY = 0.9
 Z_BOUND_TOL = 1e-2          # tolerance on sup|u1| <= L_g
 U2_BOUND_TOL = 1e-2         # tolerance on sup|u2| <= sup|delta'|
+FIXPOINT_TOL = 1e-9         # a solve step's fixed point stops below this
+FIXPOINT_MAX_ITER = 200     # and fails after this many iterations
 _FORMAT_TAG = "skofbsde-field"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 # peak memory of `skofbsde solve` above a process that only reads the
 # config, in (nt+1) x nx1 x nx2 float64 arrays: 1.53 and 1.26 measured at
 # 256x257x129 and 512x257x129 (u alone; the solve and every check work one
@@ -52,14 +54,13 @@ _SPLIT_MIN_VALUES = 2**20
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid and iteration parameters of the backward solve.
+    """The grid of the backward solve.
 
     ``nt`` counts time steps of the unit horizon (the time grid is
-    ``np.linspace(0, 1, nt + 1)``); ``nx1`` and ``nx2`` count spatial nodes.
-    ``cutoff_H`` is the radius of the gradient cutoff and must lie strictly
-    above the Lipschitz constant of g so the cutoff stays passive.
-    ``deriv_floor_eps`` is the lower clamp applied to u1 wherever it enters
-    a denominator downstream.
+    ``np.linspace(0, 1, nt + 1)``); ``nx1`` and ``nx2`` count spatial nodes
+    of the box [x1_lo, x1_hi] x [0, x2_hi].  The other constants are those
+    of the stages that read them: :func:`_cutoff`, ``FIXPOINT_TOL`` and
+    ``FIXPOINT_MAX_ITER`` here, and ``embed.DERIV_FLOOR_EPS``.
     """
 
     nt: int = 256
@@ -68,19 +69,14 @@ class SolverConfig:
     x1_lo: float = -6.0             # Gaussian mass beyond [-6, 6] < 1e-8
     x1_hi: float = 6.0
     x2_hi: float = 1.05
-    cutoff_H: float = 4.0
-    fixpoint_tol: float = 1e-9
-    fixpoint_max_iter: int = 200
-    deriv_floor_eps: float = 1e-6
 
     @classmethod
     def defaults(cls, g_lipschitz: float, **keys) -> "SolverConfig":
-        """The field defaults, with the two set by L_g: the x2 box
-        [0, 1.05 L_g^2] (forced by the X2 dynamics and the Z bound; the 5%
-        margin is also the clock's horizon, ``H(T_phys) = x2_hi``) and the
-        cutoff 4 max(L_g, 1).  ``keys`` override any field."""
-        return cls(**{"x2_hi": 1.05 * g_lipschitz**2,
-                      "cutoff_H": 4.0 * max(g_lipschitz, 1.0), **keys})
+        """The field defaults, with the x2 box [0, 1.05 L_g^2] set by L_g
+        (forced by the X2 dynamics and the Z bound; the 5% margin is also
+        the clock's horizon, ``H(T_phys) = x2_hi``).  ``keys`` override any
+        field."""
+        return cls(**{"x2_hi": 1.05 * g_lipschitz**2, **keys})
 
     def validate(self, g_lipschitz: float) -> None:
         """Check the grid against L_g; the one place that refuses a g with
@@ -94,12 +90,6 @@ class SolverConfig:
             raise ConfigError("x1_lo must be below x1_hi")
         if self.x2_hi < g_lipschitz**2 * (1.0 - 1e-12):
             raise ConfigError("x2_hi must cover L_g^2 (reachable set of X2)")
-        if self.cutoff_H <= g_lipschitz:
-            raise ConfigError("cutoff_H must exceed L_g for a passive cutoff")
-        if self.fixpoint_tol <= 0.0 or self.fixpoint_max_iter < 1:
-            raise ConfigError("invalid fixed-point parameters")
-        if self.deriv_floor_eps <= 0.0:
-            raise ConfigError("deriv_floor_eps must be positive")
         dt = 1.0 / self.nt
         dx2 = self.x2_hi / (self.nx2 - 1)
         if g_lipschitz > 0.0 and dt > CFL_SAFETY * dx2 / g_lipschitz**2 * (1.0 + 1e-12):
@@ -151,7 +141,9 @@ class FieldDiagnostics:
 
 @dataclass
 class DecouplingField:
-    """Solved field ``u`` with its certified-bound metadata.
+    """Solved field ``u`` with its two certified bounds, ``g_lipschitz``
+    (L_g >= sup |u1|; it sets the Z clip and :func:`_cutoff`) and
+    ``delta_deriv_sup`` (sup |delta'| >= sup |u2|).
 
     No derivative of ``u`` is stored.  The control Z = u1, the x1
     derivative, is formed from ``u`` with the x1 stencil of
@@ -180,8 +172,6 @@ class DecouplingField:
     u: np.ndarray
     g_lipschitz: float
     delta_deriv_sup: float
-    cutoff_H: float
-    deriv_floor_eps: float
     deriv_mismatch: float | None = None
 
 
@@ -257,6 +247,11 @@ def _grids(shape: tuple, x1_lo: float, x1_hi: float, x2_hi: float) -> tuple:
             np.linspace(0.0, x2_hi, nx2))
 
 
+def _cutoff(L_g: float) -> float:
+    """Radius of the gradient cutoff, above the certified sup |u1| <= L_g."""
+    return 4.0 * max(L_g, 1.0)
+
+
 def terminal_layer(g, delta, x1_grid, x2_grid) -> np.ndarray:
     """The terminal data u(1, x1, x2) = g(x1) - delta(x2) on the grid, the
     layer ``u[nt]`` of every field solved for ``g`` and ``delta``."""
@@ -270,7 +265,7 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
     ``cfg.validate`` checks; ``delta`` is a vectorized callable with
     attribute ``deriv_sup``.  Raises :class:`ContractionError` when the
     per-step fixed point does not converge and :class:`CutoffActiveError`
-    when the gradient cutoff binds.
+    when the gradient cutoff (:func:`_cutoff`) binds.
 
     Within a time step the scheme is separable across x2 columns: the x1
     gradient, the clip, the update and the tridiagonal solve each read one
@@ -294,6 +289,7 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
     dt = 1.0 / nt
     dx1 = x1[1] - x1[0]
     dx2 = x2[1] - x2[0]
+    cutoff = _cutoff(g.lipschitz)
 
     split = (nt + 1) * nx1 * nx2 >= _SPLIT_MIN_VALUES
     if split:
@@ -338,10 +334,10 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
                 _d2_up(u[n + 1, :, lo:hi + 1], dx2, out=v2)
                 w = unext
                 residuals = []
-                for _ in range(cfg.fixpoint_max_iter):
+                for _ in range(FIXPOINT_MAX_ITER):
                     _gradient_into(z, w, dx1, axis=0)
                     # rhs = unext + dt * clip(z)^2 * v2
-                    np.clip(z, -cfg.cutoff_H, cfg.cutoff_H, out=rhs)
+                    np.clip(z, -cutoff, cutoff, out=rhs)
                     np.multiply(rhs, rhs, out=rhs)
                     np.multiply(rhs, dt, out=rhs)
                     np.multiply(rhs, v2, out=rhs)
@@ -351,21 +347,21 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
                     change = both(float(np.abs(diff, out=diff).max()))
                     residuals.append(change)
                     w = unew
-                    if change < cfg.fixpoint_tol:
+                    if change < FIXPOINT_TOL:
                         break
                 else:
                     raise ContractionError(
                         f"contraction failure at t = {t_grid[n]:.6g} (nt = {nt}): "
-                        f"residual {residuals[-1]:.3e} after {cfg.fixpoint_max_iter} "
+                        f"residual {residuals[-1]:.3e} after {FIXPOINT_MAX_ITER} "
                         f"iterations; a smaller time step helps, raise solver.nt",
                         residuals=residuals)
                 u[n, :, lo:hi] = w
                 # after the write: the lower half reads column h next
                 z_max = both(float(np.abs(z, out=z).max()))
-                if z_max >= cfg.cutoff_H:
+                if z_max >= cutoff:
                     raise CutoffActiveError(
                         f"cutoff not passive at t = {t_grid[n]:.6g}: "
-                        f"max |z| = {z_max:.6g} >= {cfg.cutoff_H:.6g}")
+                        f"max |z| = {z_max:.6g} >= {cutoff:.6g}")
                 _gradient_into(z, w, dx1, axis=0)
                 u1_sup = max(u1_sup, float(np.abs(z, out=z).max()))
         except (EOFError, ConnectionError):     # the other half ended
@@ -381,13 +377,10 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
                 end.close()
     else:
         u1_sups = [columns(0, nx2)]
-    if max(u1_sups) >= cfg.cutoff_H:
+    if max(u1_sups) >= cutoff:
         raise CutoffActiveError("cutoff not passive: sup |u1| reached the cutoff radius")
-    return DecouplingField(
-        t_grid=t_grid, x1_grid=x1, x2_grid=x2, u=u,
-        g_lipschitz=float(g.lipschitz),
-        delta_deriv_sup=float(getattr(delta, "deriv_sup", np.nan)),
-        cutoff_H=cfg.cutoff_H, deriv_floor_eps=cfg.deriv_floor_eps)
+    return DecouplingField(t_grid, x1, x2, u, float(g.lipschitz),
+                           float(delta.deriv_sup))
 
 
 def _gradient_into(out: np.ndarray, w: np.ndarray, dx: float,
@@ -452,6 +445,7 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
     dx2 = f.x2_grid[1] - f.x2_grid[0]
     ab = _banded_matrix(nx1, dt / (2.0 * dx1**2))
     mismatch_tol = 10.0 * (dt + dx1**2 + dx2)
+    cutoff = _cutoff(f.g_lipschitz)
     v_terminal = np.empty((2, nx1, nx2))
     v_terminal[0] = np.asarray(g.derivative(f.x1_grid))[:, None]
     v_terminal[1] = -np.asarray(delta.derivative(f.x2_grid))[None, :]
@@ -470,7 +464,7 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
         worst_of = [(-np.inf, 0)] * (hi - lo)
         for n in range(nt, -1, -1):
             if n < nt:
-                zc = np.clip(u1_next, -f.cutoff_H, f.cutoff_H)
+                zc = np.clip(u1_next, -cutoff, cutoff)
                 a_coef = zc * zc
                 b_coef = 2.0 * u1_next * u2_next
                 vs = [solve_banded((1, 1), ab, vn + dt * (
@@ -658,9 +652,10 @@ def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostic
     extrema; max and min propagate a NaN, so they equal the whole-array
     reductions.
 
-    Failures are reported in the ``checks`` list, never raised.
-    ``deriv_mismatch`` is copied from the field, so run the coupled check
-    first to have it reported.
+    Failures are reported in the ``checks`` list, never raised; a
+    sup |delta'| that is not finite fails the u2 check.  ``deriv_mismatch``
+    is copied from the field, so run the coupled check first to have it
+    reported.
     """
     dt = f.t_grid[1] - f.t_grid[0]
     dx1 = f.x1_grid[1] - f.x1_grid[0]
@@ -693,16 +688,17 @@ def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostic
 
     L_g = f.g_lipschitz if g is None else float(g.lipschitz)
     d_sup = f.delta_deriv_sup if delta is None else float(delta.deriv_sup)
+    cutoff = _cutoff(f.g_lipschitz)
 
     checks = [
         BoundCheck("z_sup <= L_g + tol", z_sup, L_g, Z_BOUND_TOL,
                    z_sup <= L_g + Z_BOUND_TOL),
         BoundCheck("u2_sup <= sup|delta'| + tol", u2_sup, d_sup, U2_BOUND_TOL,
-                   (not np.isfinite(d_sup)) or u2_sup <= d_sup + U2_BOUND_TOL),
+                   d_sup < np.inf and u2_sup <= d_sup + U2_BOUND_TOL),
         BoundCheck("min u1 (t < T) > 0", min_u1_interior, 0.0, 0.0,
                    min_u1_interior > 0.0),
-        BoundCheck("cutoff passive: z_sup < cutoff_H", z_sup, f.cutoff_H, 0.0,
-                   z_sup < f.cutoff_H),
+        BoundCheck("cutoff passive: z_sup < cutoff_H", z_sup, cutoff, 0.0,
+                   z_sup < cutoff),
     ]
     return FieldDiagnostics(z_sup=z_sup, u2_sup=u2_sup,
                             min_u1_interior=min_u1_interior,
@@ -738,11 +734,11 @@ def save_field(f: DecouplingField, path: str,
 
     :func:`load_field` reads the ``.npy`` file: ``u`` written by
     ``np.lib.format.write_array`` with no copy, in bytes that depend only
-    on ``u``.  The sidecar holds the format tag and version, the shape,
+    on ``u``.  The sidecar holds the format tag and version (5), the shape,
     the box ends ``x1_lo``, ``x1_hi`` and ``x2_hi`` that fix the three grids
-    (:func:`_grids`), the bound metadata and ``diagnostics`` (``null`` when
-    none are given).  No derivative is stored: its readers form ``u1`` from
-    ``u``.
+    (:func:`_grids`), the certified bounds ``g_lipschitz`` and
+    ``delta_deriv_sup`` and ``diagnostics`` (``null`` when none are given).
+    No derivative is stored: its readers form ``u1`` from ``u``.
 
     The CSV has one row of nx2 comma-separated values per (t, x1) pair, t
     outer, x1 middle, in shortest round-trip float formatting.  On two CPUs
@@ -781,8 +777,6 @@ def save_field(f: DecouplingField, path: str,
         "x2_hi": float(f.x2_grid[-1]),
         "g_lipschitz": f.g_lipschitz,
         "delta_deriv_sup": f.delta_deriv_sup,
-        "cutoff_H": f.cutoff_H,
-        "deriv_floor_eps": f.deriv_floor_eps,
         "diagnostics": diagnostics.to_dict() if diagnostics else None,
     }
     with open(sidecar_path(path), "w") as fh:
@@ -835,16 +829,15 @@ def load_field(path: str) -> DecouplingField:
     them.  A missing or malformed sidecar or array raises
     :class:`ConfigError`, and so do a shape that is not three integers of
     at least 2, box ends that are not finite with ``x1_lo < x1_hi`` and
-    ``x2_hi > 0``, and an array that is not float64, C-ordered, of the
-    sidecar's shape and finite.
+    ``x2_hi > 0``, bounds that are not finite with ``g_lipschitz > 0`` and
+    ``delta_deriv_sup >= 0``, and an array that is not float64, C-ordered,
+    of the sidecar's shape and finite.
     """
     meta = _read_sidecar(path)
     try:
         shape = tuple(meta["shape"])
-        x1_lo, x1_hi, x2_hi = (float(meta[k])
-                               for k in ("x1_lo", "x1_hi", "x2_hi"))
-        scalars = {k: float(meta[k]) for k in ("g_lipschitz", "delta_deriv_sup",
-                                              "cutoff_H", "deriv_floor_eps")}
+        x1_lo, x1_hi, x2_hi, L_g, d_sup = (float(meta[k]) for k in (
+            "x1_lo", "x1_hi", "x2_hi", "g_lipschitz", "delta_deriv_sup"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed field sidecar for {path}: "
                           f"{exc!r}") from None
@@ -855,6 +848,9 @@ def load_field(path: str) -> DecouplingField:
             and x2_hi > 0.0):
         raise ConfigError(f"field sidecar for {path}: the box needs finite "
                           f"x1_lo < x1_hi and x2_hi > 0")
+    if not (0.0 < L_g < np.inf and 0.0 <= d_sup < np.inf):
+        raise ConfigError(f"field sidecar for {path}: the bounds need finite "
+                          f"g_lipschitz > 0 and delta_deriv_sup >= 0")
     npy = _sibling(path, ".npy")
     try:
         u = _read_array(npy, shape)
@@ -863,4 +859,4 @@ def load_field(path: str) -> DecouplingField:
     # min and max see every NaN and inf without a field-sized temporary
     if not (np.isfinite(u.min()) and np.isfinite(u.max())):
         raise ConfigError(f"field file {npy} has a non-finite value")
-    return DecouplingField(*_grids(shape, x1_lo, x1_hi, x2_hi), u=u, **scalars)
+    return DecouplingField(*_grids(shape, x1_lo, x1_hi, x2_hi), u, L_g, d_sup)

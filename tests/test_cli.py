@@ -387,8 +387,7 @@ def test_empty_solver_section_takes_the_defaults():
     assert rc.solver.x2_hi == 1.05 * L_g**2
     # each key overrides its field, and only it
     values = {"nt": 300, "nx1": 101, "nx2": 65, "x1_lo": -5, "x1_hi": 5.5,
-              "x2_hi": 2.0, "cutoff_H": 3.0, "fixpoint_tol": 1e-8,
-              "fixpoint_max_iter": 50, "deriv_floor_eps": 1e-5}
+              "x2_hi": 2.0}
     assert set(values) == {f.name for f in fields(SolverConfig)}
     for key, value in values.items():
         raw["solver"] = {key: value}
@@ -560,6 +559,29 @@ def _edited_sidecar(name, **edits):
 _version_1_sidecar = _edited_sidecar("_version_1_sidecar", version=lambda m: 1)
 _version_2_sidecar = _edited_sidecar("_version_2_sidecar", version=lambda m: 2)
 _version_3_sidecar = _edited_sidecar("_version_3_sidecar", version=lambda m: 3)
+_version_4_sidecar = _edited_sidecar("_version_4_sidecar", version=lambda m: 4)
+
+# certified bounds that no solve writes, and an L_g of another law: 0.5 and
+# 0.3 (this law's is 0.3989) are finite and positive, so only the
+# compatibility check refuses them
+_zero_g_lipschitz = _edited_sidecar("_zero_g_lipschitz",
+                                    g_lipschitz=lambda m: 0.0)
+_nan_g_lipschitz = _edited_sidecar("_nan_g_lipschitz",
+                                   g_lipschitz=lambda m: float("nan"))
+_inf_g_lipschitz = _edited_sidecar("_inf_g_lipschitz",
+                                   g_lipschitz=lambda m: float("inf"))
+_negative_g_lipschitz = _edited_sidecar("_negative_g_lipschitz",
+                                        g_lipschitz=lambda m: -0.5)
+_other_g_lipschitz = _edited_sidecar("_other_g_lipschitz",
+                                     g_lipschitz=lambda m: 0.5)
+_low_g_lipschitz = _edited_sidecar("_low_g_lipschitz",
+                                   g_lipschitz=lambda m: 0.3)
+_nan_delta_deriv_sup = _edited_sidecar(
+    "_nan_delta_deriv_sup", delta_deriv_sup=lambda m: float("nan"))
+_inf_delta_deriv_sup = _edited_sidecar(
+    "_inf_delta_deriv_sup", delta_deriv_sup=lambda m: float("inf"))
+_negative_delta_deriv_sup = _edited_sidecar(
+    "_negative_delta_deriv_sup", delta_deriv_sup=lambda m: -0.25)
 
 # box ends and shapes that fix no grid
 _x1_ends_reversed = _edited_sidecar(
@@ -644,8 +666,15 @@ _nan_beta_floor = _solve_with("_nan_beta_floor",
 _coefficients_T_phys = _solve_with("_coefficients_T_phys",
                                    coefficients={"T_phys": 2.0})
 _bool_n_paths = _solve_with("_bool_n_paths", simulation={"n_paths": True})
-_nan_fixpoint_tol = _solve_with("_nan_fixpoint_tol",
-                                solver={"fixpoint_tol": float("nan")})
+_nan_x2_hi = _solve_with("_nan_x2_hi", solver={"x2_hi": float("nan")})
+# the solve's constants other than the grid are not keys, at any value
+_solver_cutoff_H = _solve_with("_solver_cutoff_H", solver={"cutoff_H": 4.0})
+_solver_fixpoint_tol = _solve_with("_solver_fixpoint_tol",
+                                   solver={"fixpoint_tol": 1e-9})
+_solver_fixpoint_max_iter = _solve_with("_solver_fixpoint_max_iter",
+                                        solver={"fixpoint_max_iter": 200})
+_solver_deriv_floor_eps = _solve_with("_solver_deriv_floor_eps",
+                                      solver={"deriv_floor_eps": 1e-6})
 _uniform_lo_above_hi = _solve_with(
     "_uniform_lo_above_hi", measure={"kind": "uniform", "lo": 2.0, "hi": 1.0})
 _normal_negative_sigma = _solve_with(
@@ -713,6 +742,24 @@ _MESSAGE = {
     _version_1_sidecar: "re-run skofbsde solve",
     _version_2_sidecar: "re-run skofbsde solve",
     _version_3_sidecar: "re-run skofbsde solve",
+    _version_4_sidecar: "re-run skofbsde solve",
+    _zero_g_lipschitz: "finite g_lipschitz > 0 and delta_deriv_sup >= 0",
+    _nan_g_lipschitz: "finite g_lipschitz > 0 and delta_deriv_sup >= 0",
+    _inf_g_lipschitz: "finite g_lipschitz > 0 and delta_deriv_sup >= 0",
+    _negative_g_lipschitz: "finite g_lipschitz > 0 and delta_deriv_sup >= 0",
+    _nan_delta_deriv_sup: "finite g_lipschitz > 0 and delta_deriv_sup >= 0",
+    _inf_delta_deriv_sup: "finite g_lipschitz > 0 and delta_deriv_sup >= 0",
+    _negative_delta_deriv_sup:
+        "finite g_lipschitz > 0 and delta_deriv_sup >= 0",
+    _other_g_lipschitz: "not compatible with this configuration",
+    _low_g_lipschitz: "not compatible with this configuration",
+    _nan_x2_hi: "config key 'x2_hi' must be a finite number",
+    _solver_cutoff_H: "unknown config keys in solver: ['cutoff_H']",
+    _solver_fixpoint_tol: "unknown config keys in solver: ['fixpoint_tol']",
+    _solver_fixpoint_max_iter:
+        "unknown config keys in solver: ['fixpoint_max_iter']",
+    _solver_deriv_floor_eps:
+        "unknown config keys in solver: ['deriv_floor_eps']",
     _oversized_grid: "memory",
     _x1_ends_reversed: "finite x1_lo < x1_hi",
     _nan_x1_lo: "finite x1_lo < x1_hi",
@@ -757,7 +804,7 @@ def solved_field(tmp_path_factory):
     _bad_table_cell, _empty_table_csv, _empty_empirical_csv, _truncated_field,
     _wrong_row_count, _version_1_sidecar, _zero_paths, _bad_results_cell,
     _header_only_results, _nan_results_cell, _negative_seed, _nan_G0,
-    _nan_beta_floor, _bool_n_paths, _nan_fixpoint_tol, _uniform_lo_above_hi,
+    _nan_beta_floor, _bool_n_paths, _nan_x2_hi, _uniform_lo_above_hi,
     _normal_negative_sigma, _normal_nan_mu, _piecewise_nan_x, _text_in_samples,
     _zero_K1, _negative_K1, _zero_K2, _uniform_point_mass, _normal_point_mass,
     _oversized_grid, _expr_syntax_error, _expr_division_by_zero, _expr_list,
@@ -768,7 +815,12 @@ def solved_field(tmp_path_factory):
     _nan_in_field, _negative_dump_paths, _npy_missing, _float32_field,
     _fortran_field, _pickled_field, _npz_field, _bytes_after_array,
     _version_2_sidecar, _coarse_strong_step_solve, _coarse_strong_step_embed,
-    _coarse_strong_step_all, _numeric_csv_path, _empirical_csv_and_samples])
+    _coarse_strong_step_all, _numeric_csv_path, _empirical_csv_and_samples,
+    _version_4_sidecar, _zero_g_lipschitz, _nan_g_lipschitz, _inf_g_lipschitz,
+    _negative_g_lipschitz, _other_g_lipschitz, _low_g_lipschitz,
+    _nan_delta_deriv_sup, _inf_delta_deriv_sup, _negative_delta_deriv_sup,
+    _solver_cutoff_H, _solver_fixpoint_tol, _solver_fixpoint_max_iter,
+    _solver_deriv_floor_eps])
 def test_malformed_input_exits_1(tmp_path, solved_field, breaker):
     cfg = write_config(tmp_path)
     field_dir = tmp_path / "f"

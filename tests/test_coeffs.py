@@ -43,8 +43,7 @@ def test_nan_argument_fails_the_range_check(routine, nan):
         grid = np.linspace(0.0, 1.0, 3)
         u = np.zeros((3, 3, 3))
         f = DecouplingField(grid, grid, grid, u, g_lipschitz=1.0,
-                            delta_deriv_sup=0.0, cutoff_H=4.0,
-                            deriv_floor_eps=1e-6)
+                            delta_deriv_sup=0.0)
         call = lambda t: eval_field(f, t, 0.0, 0.0)
     else:
         call = getattr(const_coeffs(), routine)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,7 +80,8 @@ def test_clamp_fraction_weighted_per_step(case_uniform_k025, monkeypatch):
     # a floor above most of u1 makes the clamp fire on a sizeable share of
     # steps; the fraction is total hits over total active steps
     c = case_uniform_k025.value
-    f = replace(c["field"], deriv_floor_eps=0.3)
+    f = c["field"]
+    monkeypatch.setattr(embed, "DERIV_FLOOR_EPS", 0.3)
     fractions = []
     for block in (5, 16):                 # 37 paths: a multiple of neither
         monkeypatch.setattr(embed, "_STRONG_BLOCK", block)
@@ -293,7 +292,7 @@ def _strong_reference(f, coeffs, dB, dr, r_max, K2):
     r_left = np.arange(m_max) * dr
     beta_r = np.asarray(coeffs.beta(r_left))
     H_r = np.asarray(coeffs.clock_H(r_left))
-    floor, L_g = f.deriv_floor_eps, f.g_lipschitz
+    floor, L_g = embed.DERIV_FLOOR_EPS, f.g_lipschitz
     rows, paths, clamp_hits, steps = [], [], [], []
     for dB_j in dB:
         sigma = Sigma = ibw = 0.0

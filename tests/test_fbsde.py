@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 import weakref
 
@@ -185,43 +186,43 @@ def test_z_and_x2_bounds(case_uniform_k05):
 
 def test_simulate_block_returns_whole_paths(case_uniform_k025):
     f = case_uniform_k025.value["field"]
-    x1_0, x2_0, n_steps = 0.25, 0.005, 256
-    paths = simulate_block(f, 55, range(37), n_steps, x1_0=x1_0, x2_0=x2_0)
+    n_steps = 256
+    paths = simulate_block(f, 55, range(37), n_steps)
     assert len(paths) == 37
     for i, p in enumerate(paths):
         for a in (p.W, p.X1, p.X2, p.Y, p.Z):
             assert a.shape == (n_steps + 1,)
-        assert np.array_equal(p.X1, x1_0 + p.W)
-        assert p.W[0] == 0.0 and p.X2[0] == x2_0
+        # every path starts at the origin
+        assert np.array_equal(p.X1, p.W)
+        assert p.W[0] == 0.0 and p.X2[0] == 0.0
         assert np.array_equal(p.W[1:], np.cumsum(
             normal_increments(p.seed, n_steps, 1.0 / n_steps)))
         # one path alone gives the same arrays as inside a block
-        q = simulate_block(f, 55, [i], n_steps, x1_0=x1_0, x2_0=x2_0)[0]
+        q = simulate_block(f, 55, [i], n_steps)[0]
         for name in ("t_grid", "W", "X1", "X2", "Y", "Z"):
             assert np.array_equal(getattr(p, name), getattr(q, name)), name
         assert p.z_abs_max_raw == q.z_abs_max_raw
     # no indices, no paths
-    assert simulate_block(f, 55, [], n_steps, x1_0=x1_0, x2_0=x2_0) == []
+    assert simulate_block(f, 55, [], n_steps) == []
 
 
-def _reference_sweep(f, seeds, n_steps, x1_0, x2_0):
+def _reference_sweep(f, seeds, n_steps):
     """The Euler sweep with every lookup made at every step: one
-    ``eval_field`` call for ``u1`` and one for ``u`` per step, at
-    X1 = x1_0 + W formed column by column.  Returns whole (paths, steps + 1)
-    arrays."""
+    ``eval_field`` call for ``u1`` and one for ``u`` per step, at X1 = W
+    from the origin.  Returns whole (paths, steps + 1) arrays."""
     dt = 1.0 / n_steps
     n = seeds.size
     t_grid = np.linspace(0.0, 1.0, n_steps + 1)
     W, X2, Y, Z = np.empty((4, n, n_steps + 1))
     noise = IncrementStreams(seeds, n_steps, dt)
     w = np.zeros(n)
-    X2[:, 0] = x2_0
+    X2[:, 0] = 0.0
     L_g = f.g_lipschitz
     z_raw_max = np.zeros(n)
     for k in range(n_steps + 1):
         W[:, k] = w
-        zk = eval_field(f, t_grid[k], x1_0 + w, X2[:, k], "u1")
-        Y[:, k] = eval_field(f, t_grid[k], x1_0 + w, X2[:, k], "u")
+        zk = eval_field(f, t_grid[k], w, X2[:, k], "u1")
+        Y[:, k] = eval_field(f, t_grid[k], w, X2[:, k], "u")
         np.maximum(z_raw_max, np.abs(zk), out=z_raw_max)
         zk = np.minimum(np.maximum(-L_g, zk), L_g)
         Z[:, k] = zk
@@ -235,21 +236,22 @@ def _reference_sweep(f, seeds, n_steps, x1_0, x2_0):
 @settings(max_examples=25, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**64 - 1), n_paths=st.integers(1, 9),
-       x1_0=st.floats(-7.0, 7.0), x2_0=st.floats(0.0, 1.5),
-       block=st.integers(2, 7), blocks=st.integers(1, 6), data=st.data(),
-       paths=st.booleans())
-def test_sweep_matches_per_step_reference(request, case, seed, n_paths, x1_0,
-                                          x2_0, block, blocks, data, paths):
+       shift=st.floats(-7.0, 7.0), block=st.integers(2, 7),
+       blocks=st.integers(1, 6), data=st.data(), paths=st.booleans())
+def test_sweep_matches_per_step_reference(request, case, seed, n_paths, shift,
+                                          block, blocks, data, paths):
     # blocks of `block` steps over n_steps + 1 sweep points, a multiple of
-    # neither; x1_0 outside the box [-6, 6] (u extrapolates, u1 clamps) and
-    # x2_0 above its top: every array bitwise the per-step sweep's
+    # neither; the x1 box shifted by up to 7, so that paths start outside
+    # it (u extrapolates, u1 clamps): every array bitwise the per-step
+    # sweep's
     f = request.getfixturevalue(case).value["field"]
+    f = dataclasses.replace(f, x1_grid=f.x1_grid + shift)
     n_steps = blocks * block + data.draw(st.integers(1, block - 1)) - 1
     seeds = path_seed(seed, np.arange(n_paths))
-    want = _reference_sweep(f, seeds, n_steps, x1_0, x2_0)
+    want = _reference_sweep(f, seeds, n_steps)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fbsde, "_STEP_BLOCK_BYTES", 8 * n_paths * block)
-        got = fbsde._simulate_arrays(f, seeds, n_steps, x1_0, x2_0, paths)
+        got = fbsde._simulate_arrays(f, seeds, n_steps, paths)
     if not paths:
         want = list(want)
         want[1], want[4] = want[1][:, -1], None

@@ -434,8 +434,9 @@ def _reference_coupled(f, g, delta):
                              (nx1, nx2))
     v2[nt] = np.broadcast_to(-np.asarray(delta.derivative(f.x2_grid))[None, :],
                              (nx1, nx2))
+    cutoff = field_mod._cutoff(f.g_lipschitz)
     for n in range(nt - 1, -1, -1):
-        zc = np.clip(u1[n + 1], -f.cutoff_H, f.cutoff_H)
+        zc = np.clip(u1[n + 1], -cutoff, cutoff)
         a_coef = zc * zc
         b_coef = 2.0 * u1[n + 1] * u2[n + 1]
         for v in (v1, v2):
@@ -607,6 +608,18 @@ def test_diagnostics_pass_on_cases(case_trivial, case_linear, case_uniform_k05,
         assert diag.min_u1_interior > 0.0
 
 
+def test_unknown_u2_bound_fails_its_check(case_uniform_k05):
+    # a bound that is not finite fails its check instead of passing it
+    f = case_uniform_k05.value["field"]
+    assert field_diagnostics(f).all_passed
+    for bound in (np.nan, np.inf):
+        diag = field_diagnostics(dataclasses.replace(f, delta_deriv_sup=bound))
+        u2_check = diag.checks[1]
+        assert u2_check.name == "u2_sup <= sup|delta'| + tol"
+        assert not u2_check.passed and not diag.all_passed
+        assert all(c.passed for c in diag.checks if c is not u2_check)
+
+
 @st.composite
 def lipschitz_laws(draw):
     """A random uniform, normal or piecewise-linear-CDF law whose g has
@@ -659,12 +672,16 @@ def test_cfl_enforced():
 
 
 def test_config_validation():
+    # the config holds the grid alone; the solve's other constants belong
+    # to the stage that reads them
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "nt", "nx1", "nx2", "x1_lo", "x1_hi", "x2_hi"]
+    assert not {"cutoff_H", "deriv_floor_eps"} & {
+        f.name for f in dataclasses.fields(DecouplingField)}
     with pytest.raises(ConfigError):
         SolverConfig.defaults(1.0, nt=1).validate(1.0)
-    with pytest.raises(ConfigError):   # cutoff below L_g
-        SolverConfig(cutoff_H=0.5).validate(1.0)
     with pytest.raises(ConfigError):   # x2 box does not cover L_g^2
-        SolverConfig(x2_hi=0.5, cutoff_H=4.0).validate(1.0)
+        SolverConfig(x2_hi=0.5).validate(1.0)
 
 
 def test_non_lipschitz_rejected():
@@ -681,15 +698,16 @@ def test_non_lipschitz_rejected():
             small_cfg(1.0).validate(g.lipschitz)
 
 
-def test_cutoff_must_be_passive():
+def test_cutoff_must_be_passive(monkeypatch):
     # cutoff barely above L_g is triggered by transient gradients
     g = make_g(TargetMeasure.normal(0, 1))
     c = ProcessCoefficients(0.0, TimeFunction.const(0.0),
                             TimeFunction.const(1.0), 1.0, h_target=2.0)
     cfg = SolverConfig.defaults(g.lipschitz, nt=64, nx1=65, nx2=33)
-    bad = SolverConfig(**{**vars(cfg), "cutoff_H": g.lipschitz * (1.0 + 1e-9)})
+    assert field_mod._cutoff(g.lipschitz) == 4.0 * max(g.lipschitz, 1.0)
+    monkeypatch.setattr(field_mod, "_cutoff", lambda L_g: L_g * (1.0 + 1e-9))
     with pytest.raises(CutoffActiveError):
-        solve_field(g, c.delayed_drift(), bad)
+        solve_field(g, c.delayed_drift(), cfg)
 
 
 def test_save_load_round_trip(tmp_path, case_uniform_k05):
@@ -705,7 +723,11 @@ def test_save_load_round_trip(tmp_path, case_uniform_k05):
     assert g2.g_lipschitz == f.g_lipschitz
     meta = json.loads((tmp_path / "field.json").read_text())
     assert meta["diagnostics"] == json.loads(json.dumps(diag.to_dict()))
-    assert meta["version"] == 4
+    assert meta["version"] == 5
+    # of the bounds, only the two certified ones that readers use
+    assert (meta["g_lipschitz"], meta["delta_deriv_sup"]) == (
+        f.g_lipschitz, f.delta_deriv_sup)
+    assert not {"cutoff_H", "deriv_floor_eps"} & set(meta)
     # the grids are stored by their ends, as numbers a reader can see
     assert meta["shape"] == list(f.u.shape)
     assert (meta["x1_lo"], meta["x1_hi"], meta["x2_hi"]) == (

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from test_fbsde import _ENSEMBLES
 
-from skofbsde import fbsde
+from skofbsde import embed, fbsde
 from skofbsde import field as field_mod
 from skofbsde.coeffs import ProcessCoefficients, TimeFunction
 from skofbsde.embed import strong_embed_on_W
@@ -51,10 +51,11 @@ def test_ensemble_split_is_bitwise_equal(case_small, monkeypatch, forks,
         assert _equal(a[key], b[key]), key
 
 
-def test_clamp_counts_of_both_halves(case_small, forks):
+def test_clamp_counts_of_both_halves(case_small, forks, monkeypatch):
     # the clamp hits and steps come back per path with the child's half
     c = case_small.value
-    f = replace(c["field"], deriv_floor_eps=0.3)
+    f = c["field"]
+    monkeypatch.setattr(embed, "DERIV_FLOOR_EPS", 0.3)
     fractions = []
     for on in (False, True):
         forks(on)
@@ -253,11 +254,12 @@ def test_solve_split_is_bitwise_equal(case_small, forks, nx2):
     assert one.u.tobytes() == two.u.tobytes()
 
 
-def _failing_solve(case):
+def _failing_solve(case, monkeypatch):
     """(g, delta, cfg) of a solve that fails: the fixed point does not
     contract (the case of test_cli's test_contraction_failure_names_the_grid),
     or the cutoff binds, on sup |u1| at the end (test_field's
-    test_cutoff_must_be_passive) or on max |z| within a step."""
+    test_cutoff_must_be_passive) or on max |z| within a step.  The cutoff
+    cases set the radius just above L_g; a fork made later inherits it."""
     measure, alpha = {"contraction": (TargetMeasure.uniform(0.0, 2.0), 16.0),
                       "cutoff_u1": (TargetMeasure.normal(0.0, 1.0), 0.0),
                       "cutoff_z": (TargetMeasure.normal(0.0, 1.0), 1.0)}[case]
@@ -267,15 +269,16 @@ def _failing_solve(case):
                                  TimeFunction.const(1.0), 1.0, h_target=h)
     cfg = SolverConfig.defaults(g.lipschitz, nt=64, nx1=65, nx2=33)
     if case != "contraction":
-        cfg = replace(cfg, cutoff_H=g.lipschitz * (1.0 + 1e-9))
+        monkeypatch.setattr(field_mod, "_cutoff",
+                            lambda L_g: L_g * (1.0 + 1e-9))
     return g, coeffs.delayed_drift(), cfg
 
 
 @pytest.mark.parametrize("case", ["contraction", "cutoff_u1", "cutoff_z"])
-def test_solve_split_fails_as_one_process(forks, case):
+def test_solve_split_fails_as_one_process(forks, monkeypatch, case):
     # both halves stop together, on the residuals and max |z| of the whole
     # layer, so the message and the residuals are those of one process
-    g, delta, cfg = _failing_solve(case)
+    g, delta, cfg = _failing_solve(case, monkeypatch)
     errors = []
     for on in (False, True):
         forks(on)
