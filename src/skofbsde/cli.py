@@ -276,15 +276,17 @@ def _dump_paths(cfg: RunConfig, f, count: int) -> None:
 
 def cmd_embed(cfg: RunConfig, field_path: str, dump_paths: int = 0) -> int:
     delta = cfg.delta     # the configuration is checked before the field
+    s = cfg.solver
     f = field_mod.load_field(field_path)
-    # a field solved for this law and drift has, bitwise, the terminal
-    # layer that solve_field builds, and this law's L_g
-    try:
-        term = field_mod.terminal_layer(cfg.g, delta, f.x1_grid, f.x2_grid)
-    except HorizonError:    # the field's x2 grid lies beyond this clock
-        term = None
-    if (term is None or not np.array_equal(f.u[-1], term)
-            or f.g_lipschitz != cfg.g.lipschitz):
+    # a field solved for this configuration has its grid, exactly (so its x2
+    # grid lies within this clock), and, bitwise, the terminal layer that
+    # solve_field builds and this law's L_g
+    if (f.u.shape != (s.nt + 1, s.nx1, s.nx2)
+            or (f.x1_grid[0], f.x1_grid[-1], f.x2_grid[-1])
+            != (s.x1_lo, s.x1_hi, s.x2_hi)
+            or f.g_lipschitz != cfg.g.lipschitz
+            or not np.array_equal(f.u[-1], field_mod.terminal_layer(
+                cfg.g, delta, f.x1_grid, f.x2_grid))):
         raise ConfigError("field file is not compatible with this configuration")
     os.makedirs(cfg.output_dir, exist_ok=True)
 

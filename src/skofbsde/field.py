@@ -22,9 +22,12 @@ restriction dt <= CFL_SAFETY * dx2 / L_g^2.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import json
 import os
 import shutil
+import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -44,9 +47,9 @@ FIXPOINT_MAX_ITER = 200     # and fails after this many iterations
 _FORMAT_TAG = "skofbsde-field"
 _FORMAT_VERSION = 5
 # peak memory of `skofbsde solve` above a process that only reads the
-# config, in (nt+1) x nx1 x nx2 float64 arrays: 1.53 and 1.26 measured at
+# config, in (nt+1) x nx1 x nx2 float64 arrays: 1.14 and 1.07 measured at
 # 256x257x129 and 512x257x129 (u alone; the solve and every check work one
-# time layer at a time, and SciPy's import adds about 26 MB)
+# time layer at a time, and SciPy's LAPACK module adds about 2.4 MB)
 _SOLVE_PEAK_ARRAYS = 2
 # fields of fewer values are cross-checked by the coupled system in one process
 _SPLIT_MIN_VALUES = 2**20
@@ -208,10 +211,32 @@ def _banded_matrix(nx1: int, a: float) -> np.ndarray:
 
 @functools.cache
 def _gtsv():
-    """LAPACK ``dgtsv``, looked up on the first solve, so the commands that
-    never solve do not load SciPy."""
-    from scipy.linalg import get_lapack_funcs
-    return get_lapack_funcs(("gtsv",), (np.empty(0),))[0]
+    """LAPACK ``dgtsv``: the f2py wrapper that
+    ``scipy.linalg.get_lapack_funcs(("gtsv",), ...)`` returns, loaded on the
+    first solve from SciPy's compiled module ``scipy/linalg/_flapack``.
+
+    The module is loaded from its file, not imported: after numpy,
+    ``import scipy.linalg`` takes 0.2-0.3 s and adds 27 MB of RSS, this
+    load 3-5 ms and 2.4 MB (2 vCPUs, x86-64, Python 3.11, SciPy 1.17).
+    ``find_spec`` locates the package without running ``scipy/__init__``.
+    The module is named ``_flapack``, as its init function requires, and is
+    taken out of ``sys.modules`` again, so a later ``import scipy.linalg``
+    initializes its own copy.  A missing SciPy, or a missing module file,
+    raises ``ImportError`` (the loader's names the file)."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("SciPy is not installed: the field solve needs "
+                          "its LAPACK module scipy/linalg/_flapack")
+    path = os.path.join(spec.submodule_search_locations[0], "linalg",
+                        "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    loader = importlib.machinery.ExtensionFileLoader("_flapack", path)
+    module = loader.create_module(importlib.util.spec_from_loader(
+        "_flapack", loader))
+    # a single-phase extension module enters sys.modules as it is created
+    if sys.modules.get("_flapack") is module:
+        del sys.modules["_flapack"]
+    loader.exec_module(module)
+    return module.dgtsv
 
 
 def solve_banded(l_and_u, ab, b):

@@ -704,6 +704,25 @@ _normal_point_mass = _solve_with(
 _oversized_grid = _solve_with(
     "_oversized_grid", solver={"nt": 200_000, "nx1": 100_001, "nx2": 100_001})
 
+
+def _embed_with(name, **overrides):
+    def breaker(tmp_path, cfg, field_dir):
+        bad = write_config(tmp_path, "bad.json", **overrides)
+        return ["embed", "--config", bad, "--out", str(tmp_path / "new"),
+                "--field", str(field_dir / "field.json")]
+    breaker.__name__ = name     # the test id
+    return breaker
+
+
+# the field of BASE read by a configuration of another grid: its terminal
+# layer, formed on its own grids, and its L_g match this law's
+_field_of_other_nt = _embed_with("_field_of_other_nt", solver={"nt": 128})
+_field_of_other_nx2 = _embed_with("_field_of_other_nx2", solver={"nx2": 17})
+_field_of_other_x1_box = _embed_with("_field_of_other_x1_box",
+                                     solver={"x1_lo": -5.0, "x1_hi": 5.0})
+_field_of_other_x2_box = _embed_with("_field_of_other_x2_box",
+                                     solver={"x2_hi": 2.0})
+
 # the strong pass's step rule: dr = 5.768e-04 at 4096 steps for this law's
 # L_g of 1.5, refused before any work by each command that runs it
 _COARSE_STRONG_STEP = {"measure": {"kind": "normal", "mu": 0.0, "sigma": 1.5},
@@ -786,6 +805,10 @@ _MESSAGE = {
     _coarse_strong_step_all: "dr = 5.768e-04 too coarse",
     _numeric_csv_path: "config key 'csv' has wrong type (int)",
     _empirical_csv_and_samples: "takes 'csv' or 'samples', not both",
+    _field_of_other_nt: "not compatible with this configuration",
+    _field_of_other_nx2: "not compatible with this configuration",
+    _field_of_other_x1_box: "not compatible with this configuration",
+    _field_of_other_x2_box: "not compatible with this configuration",
 }
 
 
@@ -820,7 +843,8 @@ def solved_field(tmp_path_factory):
     _negative_g_lipschitz, _other_g_lipschitz, _low_g_lipschitz,
     _nan_delta_deriv_sup, _inf_delta_deriv_sup, _negative_delta_deriv_sup,
     _solver_cutoff_H, _solver_fixpoint_tol, _solver_fixpoint_max_iter,
-    _solver_deriv_floor_eps])
+    _solver_deriv_floor_eps, _field_of_other_nt, _field_of_other_nx2,
+    _field_of_other_x1_box, _field_of_other_x2_box])
 def test_malformed_input_exits_1(tmp_path, solved_field, breaker):
     cfg = write_config(tmp_path)
     field_dir = tmp_path / "f"
@@ -845,8 +869,8 @@ def test_malformed_input_exits_1(tmp_path, solved_field, breaker):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # SciPy is loaded only by the field solver's first banded solve, so the
-    # commands that never solve do not pay for it
+    # the field solver loads only SciPy's LAPACK module, from its file, on
+    # its first banded solve: no command imports the SciPy package
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -856,8 +880,27 @@ def test_cli_import_leaves_scipy_unloaded():
         "assert 'scipy' not in sys.modules, 'scipy imported'\n"
         "assert callable(field.solve_banded)\n"
         "f = field.solve_field(cfg.g, cfg.delta, cfg.solver)\n"
-        "assert 'scipy' in sys.modules\n"
+        "field.derivative_fields(f, 'coupled_system', g=cfg.g, delta=cfg.delta)\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported'\n"
         "assert f.u.shape == (65, 65, 33) and np.isfinite(f.u).all()\n"
+    )
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-B", "-c", code], cwd=root,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_all_loads_no_scipy_package(tmp_path):
+    # solve, coupled check, embed and verify in one process: SciPy's LAPACK
+    # module is the only part of SciPy loaded, and it is not registered
+    code = (
+        "import sys\n"
+        "import skofbsde.cli as cli\n"
+        "assert cli.main(['all', '--config', 'configs/smoke_small.json',\n"
+        f"                 '--out', {str(tmp_path / 'all')!r}]) == 0\n"
+        "loaded = {'scipy', 'scipy.linalg', '_flapack'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
     )
     root = os.path.join(os.path.dirname(__file__), "..")
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))

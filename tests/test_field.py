@@ -2,6 +2,9 @@ import dataclasses
 import json
 import mmap
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -333,14 +336,38 @@ def test_lookups_leave_no_state_on_the_field(case_small):
 
 
 def test_solve_banded_is_scipys_and_refuses_non_finite():
-    # LAPACK gtsv called directly: bitwise SciPy's (1, 1) banded solve, and
-    # an inf or NaN in the right-hand side still raises
-    from scipy.linalg import solve_banded as scipy_solve_banded
+    # LAPACK gtsv loaded from SciPy's _flapack module without SciPy: the
+    # routine that get_lapack_funcs returns, and bitwise SciPy's (1, 1)
+    # banded solve on the shapes the solves use (the halves of the default
+    # and the small grids, one column, and strided views), in a process
+    # that imports scipy.linalg only after the load, so its own _flapack is
+    # a second init of the module; an inf or NaN in the right-hand side
+    # still raises
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from skofbsde import field\n"
+        "gtsv = field._gtsv()\n"
+        "assert 'scipy' not in sys.modules and '_flapack' not in sys.modules\n"
+        "from scipy.linalg import get_lapack_funcs, solve_banded\n"
+        "ref = get_lapack_funcs(('gtsv',), (np.empty(0),))[0]\n"
+        "assert gtsv is not ref\n"
+        "assert gtsv.__doc__.splitlines()[0] == ref.__doc__.splitlines()[0]\n"
+        "rng = np.random.default_rng(3)\n"
+        "bs = [rng.standard_normal(shape) for shape in\n"
+        "      ((257, 65), (257, 64), (65, 17), (65, 16), (257,))]\n"
+        "for b in bs + [bs[0][:, 0], bs[0][:, 10:20]]:\n"
+        "    ab = field._banded_matrix(b.shape[0], 0.37)\n"
+        "    assert np.array_equal(field.solve_banded((1, 1), ab, b),\n"
+        "                          solve_banded((1, 1), ab, b)), b.shape\n"
+    )
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-B", "-c", code], cwd=root,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
     ab = field_mod._banded_matrix(257, 0.37)
     b = np.random.default_rng(3).standard_normal((257, 65))
-    for rhs in (b, b[:, 0], b[:, 10:20]):
-        assert np.array_equal(field_mod.solve_banded((1, 1), ab, rhs),
-                              scipy_solve_banded((1, 1), ab, rhs))
     for bad in (np.nan, np.inf, -np.inf):
         rhs = b.copy()
         rhs[100, 7] = bad
@@ -348,6 +375,22 @@ def test_solve_banded_is_scipys_and_refuses_non_finite():
             field_mod.solve_banded((1, 1), ab, rhs)
     with pytest.raises(ValueError, match="tridiagonal"):
         field_mod.solve_banded((2, 1), ab, b)
+
+
+def test_gtsv_without_scipy_module_raises_import_error(tmp_path, monkeypatch):
+    # no SciPy, or a SciPy directory without its LAPACK module: the load
+    # fails with ImportError, naming the missing file
+    util = field_mod.importlib.util
+    monkeypatch.setattr(util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="SciPy is not installed"):
+        field_mod._gtsv.__wrapped__()
+    fake = field_mod.importlib.machinery.ModuleSpec("scipy", None,
+                                                    is_package=True)
+    fake.submodule_search_locations.append(str(tmp_path))
+    monkeypatch.setattr(util, "find_spec", lambda name: fake)
+    with pytest.raises(ImportError,
+                       match=re.escape(str(tmp_path / "linalg" / "_flapack"))):
+        field_mod._gtsv.__wrapped__()
 
 
 def test_derivative_methods_agree(case_uniform_k05):
@@ -563,7 +606,7 @@ def test_solve_check_diagnostics_save_hold_one_field_array(tmp_path):
     # (1.41 measured; 2.41 while the field also held u1).  This field has
     # 2^20 values or more, so u is in the mapping that the solve shares with
     # its forked half: its bytes are added to the traced peak
-    import scipy.linalg  # noqa: F401  (loaded outside the trace)
+    field_mod._gtsv()  # LAPACK loaded outside the trace
 
     g, _, delta, cfg, field_bytes = _uniform_k025_128()
     assert field_bytes // 8 >= field_mod._SPLIT_MIN_VALUES
