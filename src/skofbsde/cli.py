@@ -264,14 +264,15 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def _dump_paths(cfg: RunConfig, f, count: int) -> None:
+    from ._floattext import rows_text     # loaded only when paths are dumped
     pdir = os.path.join(cfg.output_dir, "paths")
     os.makedirs(pdir, exist_ok=True)
     for p in fbsde_mod.simulate_block(f, cfg.seed, range(count), cfg.n_steps):
         out = os.path.join(pdir, f"path_{p.seed:020d}.csv")
-        with open(out, "w") as fh:
-            fh.write("t,W,X1,X2,Y,Z\n")
-            for row in zip(p.t_grid, p.W, p.X1, p.X2, p.Y, p.Z):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        with open(out, "wb") as fh:
+            fh.write(b"t,W,X1,X2,Y,Z\n")
+            fh.write(rows_text(np.column_stack(
+                (p.t_grid, p.W, p.X1, p.X2, p.Y, p.Z))))
 
 
 def cmd_embed(cfg: RunConfig, field_path: str, dump_paths: int = 0) -> int:

@@ -737,7 +737,13 @@ def field_diagnostics(f: DecouplingField, g=None, delta=None) -> FieldDiagnostic
 # box ends and metadata; u also as a CSV text export, which is never read back
 # ----------------------------------------------------------------------------
 
-_VALUES_PER_WRITE = 2**16    # values formatted per write of the CSV
+# values formatted per write of the CSV.  Each call's temporaries are then
+# 16 KiB arrays, and the heap they free is reused.  From 4096 values on,
+# glibc gave the freed top of the heap back after each call and faulted it
+# in again, about 300 pages a call at 8192.  Saving the default field in a
+# fresh process took 1.4-1.5 s at 2048 values, 1.6-2.0 s at 4096, 1.8-2.1 s
+# at 8192 and 1.7-2.4 s at 1024 (three runs each, two Xeon vCPUs).
+_VALUES_PER_WRITE = 2048
 # fields of fewer CSV rows are exported in one process
 _SPLIT_MIN_ROWS = 4096
 
@@ -755,7 +761,9 @@ def sidecar_path(path: str) -> str:
 def save_field(f: DecouplingField, path: str,
                diagnostics: FieldDiagnostics | None = None) -> None:
     """Write ``u`` to the ``.npy`` file of ``path``'s stem, a JSON sidecar
-    of that stem and, as a text export, the CSV at ``path``.
+    of that stem and, as a text export, the CSV at ``path``.  A ``path``
+    that names the ``.npy`` file or the sidecar itself raises
+    ``ValueError`` before anything is written.
 
     :func:`load_field` reads the ``.npy`` file: ``u`` written by
     ``np.lib.format.write_array`` with no copy, in bytes that depend only
@@ -766,12 +774,19 @@ def save_field(f: DecouplingField, path: str,
     No derivative is stored: its readers form ``u1`` from ``u``.
 
     The CSV has one row of nx2 comma-separated values per (t, x1) pair, t
-    outer, x1 middle, in shortest round-trip float formatting.  On two CPUs
-    the upper rows of a large field are formatted by ``run_halves`` in the
-    child process to a sibling temporary file, then appended to ``path``;
-    the temporary file is removed also when the save fails.  The bytes
-    written do not depend on the split.
+    outer, x1 middle, each value exactly as ``repr`` writes it: the bytes
+    of ``",".join(map(repr, row))`` for each row.
+    ``_floattext.rows_text`` formats them from the bits of ``u`` in whole
+    numpy arrays, for the whole rows of at most ``_VALUES_PER_WRITE`` values
+    at a time.  On two CPUs the upper rows of a large field are formatted by
+    ``run_halves`` in the child process to a sibling temporary file, then
+    appended to ``path``; the temporary file is removed also when the save
+    fails.  The bytes written do not depend on the split.
     """
+    if path in (_sibling(path, ".npy"), sidecar_path(path)):
+        raise ValueError(f"save_field: {path!r} names the .npy file or the "
+                         f"sidecar, so the CSV would be overwritten")
+    from ._floattext import rows_text
     from .fbsde import run_halves       # fbsde imports this module
     nt1, nx1, nx2 = f.u.shape
     rows = f.u.reshape(nt1 * nx1, nx2)
@@ -779,10 +794,9 @@ def save_field(f: DecouplingField, path: str,
     upper = f"{path}.{os.getpid()}.part"
 
     def write(lo: int, hi: int) -> None:
-        with open(path if lo == 0 else upper, "w") as fh:
+        with open(path if lo == 0 else upper, "wb") as fh:
             for start in range(lo, hi, step):
-                fh.write("".join(",".join(map(repr, row)) + "\n" for row in
-                                 rows[start:min(start + step, hi)].tolist()))
+                fh.write(rows_text(rows[start:min(start + step, hi)]))
 
     try:
         if len(run_halves(rows.shape[0], write, _SPLIT_MIN_ROWS)) == 2:

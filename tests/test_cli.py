@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from skofbsde.cli import RunConfig, main
+from skofbsde.fbsde import simulate_block
+from skofbsde.field import load_field
 
 BASE = {
     "spec_version": 1,
@@ -181,6 +183,15 @@ def test_dump_paths(tmp_path, capsys):
     assert len(files) == 3
     header = open(os.path.join(out, "paths", files[0])).readline().strip()
     assert header == "t,W,X1,X2,Y,Z"
+    # each row is the repr text of the simulated path's values
+    rc = RunConfig(json.loads(open(cfg).read()), base_dir=str(tmp_path))
+    f = load_field(os.path.join(out, "field.npy"))
+    for p in simulate_block(f, rc.seed, range(3), rc.n_steps):
+        rows = zip(p.t_grid, p.W, p.X1, p.X2, p.Y, p.Z)
+        want = "t,W,X1,X2,Y,Z\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+        name = os.path.join(out, "paths", f"path_{p.seed:020d}.csv")
+        assert open(name).read() == want, name
 
 
 def test_empirical_measure_cannot_be_solved(tmp_path, capsys):
@@ -868,9 +879,11 @@ def test_malformed_input_exits_1(tmp_path, solved_field, breaker):
     assert out_existed or not os.path.exists(out)
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tmp_path, solved_field):
     # the field solver loads only SciPy's LAPACK module, from its file, on
-    # its first banded solve: no command imports the SciPy package
+    # its first banded solve: no command imports the SciPy package; and
+    # embed and verify on a saved field never load the CSV float formatter
+    cfg, out = str(solved_field.parent / "cfg.json"), str(tmp_path / "e")
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -883,6 +896,11 @@ def test_cli_import_leaves_scipy_unloaded():
         "field.derivative_fields(f, 'coupled_system', g=cfg.g, delta=cfg.delta)\n"
         "assert 'scipy' not in sys.modules, 'scipy imported'\n"
         "assert f.u.shape == (65, 65, 33) and np.isfinite(f.u).all()\n"
+        f"assert cli.main(['embed', '--config', {cfg!r}, '--out', {out!r},\n"
+        f"                 '--field', {str(solved_field / 'field.npy')!r}]) == 0\n"
+        f"assert cli.main(['verify', '--config', {cfg!r}, '--out', {out!r},\n"
+        f"                 '--results', {out + '/embedding.csv'!r}]) == 0\n"
+        "assert 'skofbsde._floattext' not in sys.modules, 'formatter imported'\n"
     )
     root = os.path.join(os.path.dirname(__file__), "..")
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))

@@ -791,6 +791,12 @@ def test_save_load_round_trip(tmp_path, case_uniform_k05):
     for ext in (".csv", ".json", ".npy"):
         a, b = (tmp_path / f"field{ext}"), (tmp_path / f"again{ext}")
         assert a.read_bytes() == b.read_bytes(), ext
+    # the CSV path may not name the .npy file or the sidecar, which would
+    # overwrite it: refused before anything is written
+    for stem, ext in (("a", ".npy"), ("b", ".json")):
+        with pytest.raises(ValueError, match="overwritten"):
+            save_field(f, str(tmp_path / (stem + ext)), diag)
+        assert not list(tmp_path.glob(stem + ".*"))
 
 
 def test_save_load_round_trip_off_default_box(tmp_path, case_uniform_k05):

@@ -226,7 +226,7 @@ def test_failed_save_leaves_no_temporary_file(tmp_path, case_small, forks,
     def failing_open(name, mode="r", *args, **kwargs):
         fh = real_open(name, mode, *args, **kwargs)
         if "w" in mode and str(name).endswith(".part") == (half == "upper"):
-            fh.write("0.5,")
+            fh.write(b"0.5,")
             fh.close()
             raise OSError(28, "No space left on device")
         return fh
