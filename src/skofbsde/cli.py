@@ -386,9 +386,12 @@ def main(argv=None) -> int:
         if getattr(args, "dump_paths", 0) < 0:
             raise ConfigError("--dump-paths must be >= 0")
         if args.command != "verify":
-            # the strong pass's step rule refuses a run before any work
+            # the strong pass's step rule and the path run's memory refuse
+            # a run before any work
             embed_mod.strong_limits(cfg.g.lipschitz, cfg.coefficients,
                                     cfg.embed_steps, cfg.K1)
+            embed_mod.check_path_memory(cfg.n_paths, cfg.n_steps,
+                                        cfg.embed_steps)
 
         if args.command == "solve":
             return cmd_solve(cfg)

@@ -37,12 +37,14 @@ from .coeffs import ProcessCoefficients
 from .errors import ConfigError
 from .fbsde import (FbsdePath, IncrementStreams, _simulate_arrays, map_blocks,
                     normal_increments, path_seed)
-from .field import (DecouplingField, _corner_index, _lerp, _time_cell,
-                    _u1_slab, _unit, _x1_cell, _x2_cell, eval_field)
+from .field import (DecouplingField, _check_memory, _corner_index, _lerp,
+                    _time_cell, _u1_slab, _unit, _x1_cell, _x2_cell,
+                    eval_field)
 
 __all__ = ["WeakEmbedding", "StrongStop", "EmbeddingResult", "weak_embed",
            "weak_embed_ensemble", "strong_stopping_time", "strong_embed_on_W",
-           "coupled_round_trip", "strong_limits", "SIGMA_RATE_TOL"]
+           "coupled_round_trip", "strong_limits", "check_path_memory",
+           "SIGMA_RATE_TOL"]
 
 # step-size rule for the (sigma, Sigma) integration: L_g^2 dr / beta_floor^2
 # must not exceed this
@@ -68,9 +70,14 @@ _STRONG_SEED_SALT = 0xD1FF5EED0001
 _WEAK_BLOCK = 1024
 _STRONG_BLOCK = 2048
 _ROUND_TRIP_BLOCK = 512
-# rows per pass of the weak time change; its (rows, n_steps + 1) clock nodes
-# take 4 MiB at 4096 steps
-_TIME_CHANGE_ROWS = 128
+# rows per pass of the weak time change.  At 4096 steps its (rows,
+# n_steps + 1) clock nodes take 1 MiB and its (rows, 513) r-grid, Y_at, dB
+# and beta arrays 128 KiB each (4 MiB and 513 KiB at 128 rows).  On 512
+# default-field paths the time change took 49-55 ms (medians of 7 runs) at
+# 16 to 128 rows and 59 ms at 8.  32 rows rather than 128 lower the peak RSS
+# of the library acceptance traffic from 167.5 to 162.3 MB; 16 lower it no
+# further
+_TIME_CHANGE_ROWS = 32
 
 
 def _clamp_fraction(clamp_hits: np.ndarray, steps: np.ndarray) -> float:
@@ -119,6 +126,25 @@ def strong_limits(g_lipschitz: float, coeffs: ProcessCoefficients,
                 f"dr = {dr:.3e} too coarse for the time-change rate; "
                 f"increase the embedding n_steps")
     return bound, r_max, K2, dr
+
+
+def check_path_memory(n_paths: int, n_steps: int, embed_steps: int) -> None:
+    """Refuse (:class:`ConfigError`) a path run of ``n_paths`` paths of
+    ``n_steps`` Euler steps and a strong pass of ``embed_steps`` steps
+    whose estimated peak memory is above the machine's physical memory.
+    The command line checks it when it reads the configuration, before any
+    work.
+
+    The estimate counts float64 values, both processes of a split
+    together: the weak blocks' X2 and Y, (block, n_steps + 1) each, and,
+    rounded up, what the peak RSS of ``skofbsde embed`` grew by per strong
+    step (7.0 values, 16 paths, 1e5 to 4e5 steps: the r-grid arrays) and
+    per path (23.0, 2e5 to 4e5 paths: the per-path outputs) on
+    configs/smoke_small.json."""
+    values = (2 * min(n_paths, _WEAK_BLOCK) * (n_steps + 1)
+              + 8 * embed_steps + 24 * n_paths)
+    _check_memory(8 * values, "path run",
+                  "reduce simulation n_paths or n_steps, or embedding n_steps")
 
 
 def tau_bound(f: DecouplingField, coeffs: ProcessCoefficients) -> float:

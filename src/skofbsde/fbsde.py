@@ -237,7 +237,10 @@ def normal_increments(seed: int, n_steps: int, dt: float) -> np.ndarray:
 
 @dataclass
 class FbsdePath:
-    """One simulated trajectory on a uniform grid over the unit horizon."""
+    """One simulated trajectory on a uniform grid over the unit horizon.
+
+    Paths start at the origin, so X1 = W: ``X1`` is ``W``'s array, not a
+    copy, and writing into one writes into the other."""
 
     t_grid: np.ndarray
     W: np.ndarray
@@ -325,7 +328,7 @@ def _simulate_arrays(f: DecouplingField, seeds: np.ndarray, n_steps: int,
 
 def _paths(t_grid, W, X2, Y, Z, zmax, seeds) -> list[FbsdePath]:
     """Whole paths from the arrays of ``_simulate_arrays(..., paths=True)``."""
-    return [FbsdePath(t_grid=t_grid, W=W[i], X1=W[i].copy(), X2=X2[i],
+    return [FbsdePath(t_grid=t_grid, W=W[i], X1=W[i], X2=X2[i],
                       Y=Y[i], Z=Z[i], seed=int(seeds[i]),
                       z_abs_max_raw=float(zmax[i]))
             for i in range(seeds.size)]

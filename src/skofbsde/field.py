@@ -100,13 +100,20 @@ class SolverConfig:
             raise ConfigError(
                 f"time step violates the transport restriction "
                 f"dt <= {CFL_SAFETY} * dx2 / L_g^2; use nt >= {nt_min}")
-        need = _SOLVE_PEAK_ARRAYS * (self.nt + 1) * self.nx1 * self.nx2 * 8
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise ConfigError(
-                f"solver grid needs about {need / 2**30:.3g} GiB of memory "
-                f"at peak, more than the {have / 2**30:.3g} GiB of physical "
-                f"memory; reduce nt, nx1 or nx2")
+        _check_memory(
+            _SOLVE_PEAK_ARRAYS * (self.nt + 1) * self.nx1 * self.nx2 * 8,
+            "solver grid", "reduce nt, nx1 or nx2")
+
+
+def _check_memory(need: int, what: str, remedy: str) -> None:
+    """Refuse, with a :class:`ConfigError`, a run whose estimated peak of
+    ``need`` bytes is above the machine's physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"{what} needs about {need / 2**30:.3g} GiB of memory at peak, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory; "
+            f"{remedy}")
 
 
 @dataclass

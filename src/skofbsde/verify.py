@@ -170,16 +170,17 @@ class OracleField:
         """Cross-check the quadrature against Monte Carlo at the
         ``_ORACLE_PROBES`` points (t, x1), all on the same seeded normals;
         raises at the first probe that is off by more than three standard
-        errors.  ``g`` is evaluated ``_ORACLE_CHUNK`` points at a time into
-        one n-array, so its temporaries stay small."""
-        xi = np.random.default_rng(seed).standard_normal(n)
+        errors.  It holds one n-array: each probe draws the seeded normals
+        into it again, and ``g`` overwrites them ``_ORACLE_CHUNK`` points at
+        a time, so its temporaries stay small."""
         gv = np.empty(n)
         report = {}
         for t, x1 in _ORACLE_PROBES:
             s = np.sqrt(1.0 - t)
+            np.random.default_rng(seed).standard_normal(out=gv)
             for i in range(0, n, _ORACLE_CHUNK):
-                gv[i:i + _ORACLE_CHUNK] = self.g(
-                    x1 + s * xi[i:i + _ORACLE_CHUNK])
+                chunk = gv[i:i + _ORACLE_CHUNK]
+                chunk[:] = self.g(x1 + s * chunk)
             if self.kind == "no_drift":
                 mc, se = gv.mean(), gv.std() / np.sqrt(n)
             else:

@@ -733,6 +733,12 @@ _field_of_other_x1_box = _embed_with("_field_of_other_x1_box",
                                      solver={"x1_lo": -5.0, "x1_hi": 5.0})
 _field_of_other_x2_box = _embed_with("_field_of_other_x2_box",
                                      solver={"x2_hi": 2.0})
+# path runs beyond any machine's memory: refused before any work, not by a
+# traceback from the first allocation of the path loop
+_huge_n_steps = _embed_with("_huge_n_steps", simulation={"n_steps": 10**12})
+_huge_n_paths = _solve_with("_huge_n_paths", simulation={"n_paths": 10**12})
+_huge_embed_steps = _embed_with("_huge_embed_steps",
+                                embedding={"n_steps": 10**12})
 
 # the strong pass's step rule: dr = 5.768e-04 at 4096 steps for this law's
 # L_g of 1.5, refused before any work by each command that runs it
@@ -791,6 +797,9 @@ _MESSAGE = {
     _solver_deriv_floor_eps:
         "unknown config keys in solver: ['deriv_floor_eps']",
     _oversized_grid: "memory",
+    _huge_n_steps: "path run needs about",
+    _huge_n_paths: "path run needs about",
+    _huge_embed_steps: "path run needs about",
     _x1_ends_reversed: "finite x1_lo < x1_hi",
     _nan_x1_lo: "finite x1_lo < x1_hi",
     _x2_hi_zero: "x2_hi > 0",
@@ -855,7 +864,8 @@ def solved_field(tmp_path_factory):
     _nan_delta_deriv_sup, _inf_delta_deriv_sup, _negative_delta_deriv_sup,
     _solver_cutoff_H, _solver_fixpoint_tol, _solver_fixpoint_max_iter,
     _solver_deriv_floor_eps, _field_of_other_nt, _field_of_other_nx2,
-    _field_of_other_x1_box, _field_of_other_x2_box])
+    _field_of_other_x1_box, _field_of_other_x2_box, _huge_n_steps,
+    _huge_n_paths, _huge_embed_steps])
 def test_malformed_input_exits_1(tmp_path, solved_field, breaker):
     cfg = write_config(tmp_path)
     field_dir = tmp_path / "f"

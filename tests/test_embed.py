@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,7 +213,8 @@ def _time_change_reference(coeffs, t_grid, X2, Y, X1_T, g):
 def test_weak_time_change_matches_per_row_reference(case_uniform_k025,
                                                     monkeypatch, beta):
     # the sub-blocked time change against the per-row formulas, bitwise,
-    # with a drift and a time-varying beta (27 rows: sub-blocks of 8 and 3)
+    # with a drift and a time-varying beta (27 rows: sub-blocks of 8 and 3,
+    # and one sub-block at the default row count)
     c = case_uniform_k025.value
     L_g = c["field"].g_lipschitz
     coeffs = ProcessCoefficients(
@@ -219,8 +222,9 @@ def test_weak_time_change_matches_per_row_reference(case_uniform_k025,
         TimeFunction.expression(beta), beta_floor=0.8,
         h_target=1.05 * L_g**2)
     paths = simulate_block(c["field"], 61, range(27), 1024)
-    monkeypatch.setattr(embed, "_TIME_CHANGE_ROWS", 8)
-    for g in (None, c["g"]):
+    for rows, g in itertools.product((8, embed._TIME_CHANGE_ROWS),
+                                     (None, c["g"])):
+        monkeypatch.setattr(embed, "_TIME_CHANGE_ROWS", rows)
         tau, stopped, residual, r_grid, B = embed._weak_time_change(
             coeffs, paths[0].t_grid, np.array([p.X2 for p in paths]),
             np.array([p.Y for p in paths]),

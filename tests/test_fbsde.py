@@ -192,8 +192,9 @@ def test_simulate_block_returns_whole_paths(case_uniform_k025):
     for i, p in enumerate(paths):
         for a in (p.W, p.X1, p.X2, p.Y, p.Z):
             assert a.shape == (n_steps + 1,)
-        # every path starts at the origin
+        # every path starts at the origin, so X1 is W's array
         assert np.array_equal(p.X1, p.W)
+        assert np.shares_memory(p.X1, p.W)
         assert p.W[0] == 0.0 and p.X2[0] == 0.0
         assert np.array_equal(p.W[1:], np.cumsum(
             normal_increments(p.seed, n_steps, 1.0 / n_steps)))
