@@ -267,12 +267,15 @@ def _dump_paths(cfg: RunConfig, f, count: int) -> None:
     from ._floattext import rows_text     # loaded only when paths are dumped
     pdir = os.path.join(cfg.output_dir, "paths")
     os.makedirs(pdir, exist_ok=True)
-    for p in fbsde_mod.simulate_block(f, cfg.seed, range(count), cfg.n_steps):
-        out = os.path.join(pdir, f"path_{p.seed:020d}.csv")
-        with open(out, "wb") as fh:
-            fh.write(b"t,W,X1,X2,Y,Z\n")
-            fh.write(rows_text(np.column_stack(
-                (p.t_grid, p.W, p.X1, p.X2, p.Y, p.Z))))
+    block = embed_mod._DUMP_BLOCK       # each path is keyed by its index
+    for lo in range(0, count, block):
+        for p in fbsde_mod.simulate_block(
+                f, cfg.seed, range(lo, min(lo + block, count)), cfg.n_steps):
+            out = os.path.join(pdir, f"path_{p.seed:020d}.csv")
+            with open(out, "wb") as fh:
+                fh.write(b"t,W,X1,X2,Y,Z\n")
+                fh.write(rows_text(np.column_stack(
+                    (p.t_grid, p.W, p.X1, p.X2, p.Y, p.Z))))
 
 
 def cmd_embed(cfg: RunConfig, field_path: str, dump_paths: int = 0) -> int:

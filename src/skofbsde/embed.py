@@ -70,6 +70,7 @@ _STRONG_SEED_SALT = 0xD1FF5EED0001
 _WEAK_BLOCK = 1024
 _STRONG_BLOCK = 2048
 _ROUND_TRIP_BLOCK = 512
+_DUMP_BLOCK = _WEAK_BLOCK // 2     # `--dump-paths` holds 4 path arrays, not 2
 # rows per pass of the weak time change.  At 4096 steps its (rows,
 # n_steps + 1) clock nodes take 1 MiB and its (rows, 513) r-grid, Y_at, dB
 # and beta arrays 128 KiB each (4 MiB and 513 KiB at 128 rows).  On 512
@@ -140,7 +141,8 @@ def check_path_memory(n_paths: int, n_steps: int, embed_steps: int) -> None:
     rounded up, what the peak RSS of ``skofbsde embed`` grew by per strong
     step (7.0 values, 16 paths, 1e5 to 4e5 steps: the r-grid arrays) and
     per path (23.0, 2e5 to 4e5 paths: the per-path outputs) on
-    configs/smoke_small.json."""
+    configs/smoke_small.json.  The weak term also covers ``--dump-paths``,
+    which runs in blocks of ``_DUMP_BLOCK`` paths."""
     values = (2 * min(n_paths, _WEAK_BLOCK) * (n_steps + 1)
               + 8 * embed_steps + 24 * n_paths)
     _check_memory(8 * values, "path run",

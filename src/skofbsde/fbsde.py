@@ -28,27 +28,26 @@ calls per step, ``eval_field(f, t_k, X1_k, X2_k, "u1")`` and the same with
 
 Every path ensemble here and in the embeddings runs through ``map_blocks``:
 on a machine with two CPUs, the upper half of a large ensemble runs in one
-forked process (``run_halves``); each half runs its blocks of consecutive
-path indices one after another, and the per-path results are copied into
-whole-ensemble arrays in path order, so outputs depend neither on the block
-size nor on the split.
+forked process (``field.run_halves``); each half runs its blocks of
+consecutive path indices one after another, and the per-path results are
+copied into whole-ensemble arrays in path order, so outputs depend neither
+on the block size nor on the split.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .field import (DecouplingField, _corner_index, _lerp, _time_cell,
-                    _u1_slab, _unit, _x1_cell, _x2_cell, eval_field)
+                    _u1_slab, _unit, _x1_cell, _x2_cell, eval_field,
+                    run_halves)
 from .measure import phi_inv
 
 __all__ = ["FbsdePath", "EnsembleResult", "MartingaleReport", "path_seed",
-           "normal_increments", "IncrementStreams", "run_halves", "map_blocks",
+           "normal_increments", "IncrementStreams", "map_blocks",
            "simulate_block", "simulate_ensemble",
            "backward_residual", "martingale_check"]
 
@@ -78,72 +77,6 @@ def path_seed(base_seed: int, index):
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     return int(z[0]) if idx.ndim == 0 else z
-
-
-def run_halves(n: int, fn, minimum: int) -> list:
-    """``[fn(0, h), fn(h, n)]`` with h = n // 2, the second half computed in
-    one forked process, when this process may run on two CPUs and ``n`` is
-    at least ``minimum``; ``[fn(0, n)]`` otherwise.
-
-    The child sends its result back as a pickle and always ends with
-    ``os._exit``: it never returns into the caller's stack.  An exception of
-    the child is raised again here, with its type and message and the
-    child's traceback as a note.  The child is always reaped; it is killed
-    first when this process's half raises.  A fork copies only the calling
-    thread: the package starts no threads, and OpenBLAS stops its own
-    worker threads before a fork.
-    """
-    if n < max(minimum, 2) or len(os.sched_getaffinity(0)) < 2:
-        return [fn(0, n)]
-    h = n // 2
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as out:
-                try:
-                    result = True, fn(h, n)
-                except BaseException as exc:
-                    result = False, _portable(exc)
-                pickle.dump(result, out, protocol=pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    try:
-        with open(r, "rb") as src:
-            first = fn(0, h)
-            try:
-                ok, second = pickle.load(src)
-            except (EOFError, pickle.UnpicklingError):
-                ok, second = False, RuntimeError(
-                    f"the process computing items [{h}, {n}) ended "
-                    f"without a result")
-    except BaseException:
-        from signal import SIGKILL
-        os.kill(pid, SIGKILL)
-        raise
-    finally:
-        os.waitpid(pid, 0)
-    if not ok:
-        raise second
-    return [first, second]
-
-
-def _portable(exc: BaseException) -> BaseException:
-    """``exc`` with the formatted traceback as a note, or a RuntimeError of
-    the same text when ``exc`` does not survive a pickle round trip."""
-    import traceback
-    if hasattr(exc, "add_note"):                    # Python >= 3.11
-        exc.add_note("".join(traceback.format_exception(
-            type(exc), exc, exc.__traceback__)).rstrip())
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
 def map_blocks(n_paths: int, block: int, fn) -> tuple[np.ndarray, ...]:

@@ -17,6 +17,9 @@ per step), explicit in the x2 transport with one-sided differences in the
 direction the state moves (X2 only increases), and a per-step fixed-point
 loop over the gradient coupling.  The explicit part carries the step
 restriction dt <= CFL_SAFETY * dx2 / L_g^2.
+
+``run_halves``, the package's two-process split, lives here beside three of
+its four callers; ``fbsde`` imports it for ``map_blocks``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import importlib.machinery
 import importlib.util
 import json
 import os
+import pickle
 import shutil
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -37,7 +41,7 @@ from .errors import (ConfigError, ContractionError, CutoffActiveError,
 
 __all__ = ["SolverConfig", "DecouplingField", "FieldDiagnostics", "BoundCheck",
            "terminal_layer", "solve_field", "derivative_fields", "eval_field",
-           "field_diagnostics", "save_field", "load_field"]
+           "field_diagnostics", "save_field", "load_field", "run_halves"]
 
 CFL_SAFETY = 0.9
 Z_BOUND_TOL = 1e-2          # tolerance on sup|u1| <= L_g
@@ -114,6 +118,72 @@ def _check_memory(need: int, what: str, remedy: str) -> None:
             f"{what} needs about {need / 2**30:.3g} GiB of memory at peak, "
             f"more than the {have / 2**30:.3g} GiB of physical memory; "
             f"{remedy}")
+
+
+def run_halves(n: int, fn, minimum: int) -> list:
+    """``[fn(0, h), fn(h, n)]`` with h = n // 2, the second half computed in
+    one forked process, when this process may run on two CPUs and ``n`` is
+    at least ``minimum``; ``[fn(0, n)]`` otherwise.
+
+    The child sends its result back as a pickle and always ends with
+    ``os._exit``: it never returns into the caller's stack.  An exception of
+    the child is raised again here, with its type and message and the
+    child's traceback as a note.  The child is always reaped; it is killed
+    first when this process's half raises.  A fork copies only the calling
+    thread: the package starts no threads, and OpenBLAS stops its own
+    worker threads before a fork.
+    """
+    if n < max(minimum, 2) or len(os.sched_getaffinity(0)) < 2:
+        return [fn(0, n)]
+    h = n // 2
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                try:
+                    result = True, fn(h, n)
+                except BaseException as exc:
+                    result = False, _portable(exc)
+                pickle.dump(result, out, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        with open(r, "rb") as src:
+            first = fn(0, h)
+            try:
+                ok, second = pickle.load(src)
+            except (EOFError, pickle.UnpicklingError):
+                ok, second = False, RuntimeError(
+                    f"the process computing items [{h}, {n}) ended "
+                    f"without a result")
+    except BaseException:
+        from signal import SIGKILL
+        os.kill(pid, SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    if not ok:
+        raise second
+    return [first, second]
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """``exc`` with the formatted traceback as a note, or a RuntimeError of
+    the same text when ``exc`` does not survive a pickle round trip."""
+    import traceback
+    if hasattr(exc, "add_note"):                    # Python >= 3.11
+        exc.add_note("".join(traceback.format_exception(
+            type(exc), exc, exc.__traceback__)).rstrip())
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
 @dataclass
@@ -205,15 +275,15 @@ def _d2_up(w: np.ndarray, dx2: float, out: np.ndarray | None = None
     return np.divide(out, dx2, out=out)
 
 
-def _banded_matrix(nx1: int, a: float) -> np.ndarray:
+def _banded_matrix(nx1: int, a: float) -> tuple:
     """I - (dt/2) D11 with zero-curvature boundary rows (u is asymptotically
-    affine in x1 because g is Lipschitz)."""
-    ab = np.zeros((3, nx1))
-    ab[1, :] = 1.0 + 2.0 * a
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[0, 2:] = -a      # superdiagonal, none for boundary row 0
-    ab[2, :-2] = -a     # subdiagonal, none for boundary row nx1-1
-    return ab
+    affine in x1 because g is Lipschitz), as LAPACK ``gtsv``'s operands
+    ``(dl, d, du)``: the sub-, main and superdiagonal."""
+    d = np.full(nx1, 1.0 + 2.0 * a)
+    d[0] = d[-1] = 1.0
+    dl, du = np.full((2, nx1 - 1), -a)
+    dl[-1] = du[0] = 0.0    # the boundary rows have no off-diagonal entry
+    return dl, d, du
 
 
 @functools.cache
@@ -246,20 +316,15 @@ def _gtsv():
     return module.dgtsv
 
 
-def solve_banded(l_and_u, ab, b):
-    """``scipy.linalg.solve_banded(l_and_u, ab, b)`` for the tridiagonal
-    layout ``l_and_u == (1, 1)``, bitwise: LAPACK ``gtsv`` called directly
-    with the diagonals SciPy passes it, without SciPy's argument checks and
-    batching (about 50 us per call).  ``ab`` is the package's own finite
-    matrix; a right-hand side with an inf or a NaN raises ``ValueError``,
-    as SciPy's check does."""
-    if tuple(l_and_u) != (1, 1):
-        raise ValueError(f"only the (1, 1) tridiagonal layout is solved, "
-                         f"not {l_and_u}")
+def solve_banded(diagonals, b):
+    """LAPACK ``gtsv`` on its own operands ``diagonals = (dl, d, du)`` of
+    :func:`_banded_matrix`: bitwise SciPy's ``solve_banded((1, 1), ab, b)``
+    of the same diagonals, without its argument checks and batching (about
+    50 us per call).  A right-hand side with an inf or a NaN raises
+    ``ValueError``, as SciPy's check does."""
     if not np.isfinite(b).all():
         raise ValueError("right-hand side must not contain infs or NaNs")
-    *_, x, info = _gtsv()(ab[2, :-1], ab[1], ab[0, 1:], b,
-                          False, False, False, False)
+    *_, x, info = _gtsv()(*diagonals, b, False, False, False, False)
     if info:
         raise np.linalg.LinAlgError(f"gtsv failed with info = {info}")
     return x
@@ -297,7 +362,9 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
     ``cfg.validate`` checks; ``delta`` is a vectorized callable with
     attribute ``deriv_sup``.  Raises :class:`ContractionError` when the
     per-step fixed point does not converge and :class:`CutoffActiveError`
-    when the gradient cutoff (:func:`_cutoff`) binds.
+    when the gradient cutoff (:func:`_cutoff`) binds: max |z| of the x1
+    stencil is tested once per layer, on the terminal layer before any
+    solve and on each layer once written, with one message that names t.
 
     Within a time step the scheme is separable across x2 columns: the x1
     gradient, the clip, the update and the tridiagonal solve each read one
@@ -313,8 +380,6 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
     split.
     """
     cfg.validate(g.lipschitz)
-    from .fbsde import run_halves       # fbsde imports this module
-
     nt, nx1, nx2 = cfg.nt, cfg.nx1, cfg.nx2
     shape = (nt + 1, nx1, nx2)
     t_grid, x1, x2 = _grids(shape, cfg.x1_lo, cfg.x1_hi, cfg.x2_hi)
@@ -334,12 +399,11 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
     else:
         u = np.empty(shape)
     u[nt] = terminal_layer(g, delta, x1, x2)
-    ab = _banded_matrix(nx1, dt / (2.0 * dx1**2))
+    diagonals = _banded_matrix(nx1, dt / (2.0 * dx1**2))
 
-    def columns(lo: int, hi: int) -> float | None:
-        """Solve the columns [lo, hi) of every layer below T into ``u``.
-        Returns their sup |u1| over all layers, or None when the other half
-        ended first."""
+    def columns(lo: int, hi: int) -> None:
+        """Solve the columns [lo, hi) of every layer below T into ``u``;
+        return early when the other half ended first."""
         peer = None
         if hi - lo < nx2:
             peer = ends[lo > 0]
@@ -356,11 +420,20 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
             y, = struct.unpack("d", got)
             return x if x != x or x >= y else y
 
-        # work arrays of one layer's columns, reused by every iteration;
-        # sup |u1| of the finished layers, tested against the cutoff at the end
+        # work arrays of one layer's columns, reused by every iteration
         z, rhs, diff, v2 = np.empty((4, nx1, hi - lo))
-        u1_sup = float(np.abs(_gradient_into(z, u[nt, :, lo:hi], dx1, axis=0)).max())
+
+        def passive(n: int) -> None:
+            """Raise when max |z| of layer n, over both halves, binds."""
+            _gradient_into(z, u[n, :, lo:hi], dx1, axis=0)
+            z_max = both(float(np.abs(z, out=z).max()))
+            if z_max >= cutoff:
+                raise CutoffActiveError(
+                    f"cutoff not passive at t = {t_grid[n]:.6g}: "
+                    f"max |z| = {z_max:.6g} >= {cutoff:.6g}")
+
         try:
+            passive(nt)
             for n in range(nt - 1, -1, -1):
                 unext = u[n + 1, :, lo:hi]
                 _d2_up(u[n + 1, :, lo:hi + 1], dx2, out=v2)
@@ -374,7 +447,7 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
                     np.multiply(rhs, dt, out=rhs)
                     np.multiply(rhs, v2, out=rhs)
                     np.add(unext, rhs, out=rhs)
-                    unew = solve_banded((1, 1), ab, rhs)
+                    unew = solve_banded(diagonals, rhs)
                     np.subtract(unew, w, out=diff)
                     change = both(float(np.abs(diff, out=diff).max()))
                     residuals.append(change)
@@ -388,29 +461,19 @@ def solve_field(g, delta, cfg: SolverConfig) -> DecouplingField:
                         f"iterations; a smaller time step helps, raise solver.nt",
                         residuals=residuals)
                 u[n, :, lo:hi] = w
-                # after the write: the lower half reads column h next
-                z_max = both(float(np.abs(z, out=z).max()))
-                if z_max >= cutoff:
-                    raise CutoffActiveError(
-                        f"cutoff not passive at t = {t_grid[n]:.6g}: "
-                        f"max |z| = {z_max:.6g} >= {cutoff:.6g}")
-                _gradient_into(z, w, dx1, axis=0)
-                u1_sup = max(u1_sup, float(np.abs(z, out=z).max()))
+                passive(n)
         except (EOFError, ConnectionError):     # the other half ended
-            return None
-        return u1_sup
+            return
 
     if split:
         try:
             # 3 columns or more: the top one reads the one below it
-            u1_sups = run_halves(nx2, columns, 3)
+            run_halves(nx2, columns, 3)
         finally:
             for end in ends:
                 end.close()
     else:
-        u1_sups = [columns(0, nx2)]
-    if max(u1_sups) >= cutoff:
-        raise CutoffActiveError("cutoff not passive: sup |u1| reached the cutoff radius")
+        columns(0, nx2)
     return DecouplingField(t_grid, x1, x2, u, float(g.lipschitz),
                            float(delta.deriv_sup))
 
@@ -469,13 +532,12 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
     if g is None or delta is None:
         raise ConfigError("coupled_system needs g and delta with .derivative")
 
-    from .fbsde import run_halves       # fbsde imports this module
     nt = f.t_grid.size - 1
     nx1, nx2 = f.x1_grid.size, f.x2_grid.size
     dt = f.t_grid[1] - f.t_grid[0]
     dx1 = f.x1_grid[1] - f.x1_grid[0]
     dx2 = f.x2_grid[1] - f.x2_grid[0]
-    ab = _banded_matrix(nx1, dt / (2.0 * dx1**2))
+    diagonals = _banded_matrix(nx1, dt / (2.0 * dx1**2))
     mismatch_tol = 10.0 * (dt + dx1**2 + dx2)
     cutoff = _cutoff(f.g_lipschitz)
     v_terminal = np.empty((2, nx1, nx2))
@@ -499,7 +561,7 @@ def derivative_fields(f: DecouplingField, method: str = "finite_difference",
                 zc = np.clip(u1_next, -cutoff, cutoff)
                 a_coef = zc * zc
                 b_coef = 2.0 * u1_next * u2_next
-                vs = [solve_banded((1, 1), ab, vn + dt * (
+                vs = [solve_banded(diagonals, vn + dt * (
                           a_coef * _d2_up(vn, dx2)
                           + b_coef * _gradient_into(dv, vn, dx1, axis=0)))
                       for vn in vs]
@@ -794,7 +856,6 @@ def save_field(f: DecouplingField, path: str,
         raise ValueError(f"save_field: {path!r} names the .npy file or the "
                          f"sidecar, so the CSV would be overwritten")
     from ._floattext import rows_text
-    from .fbsde import run_halves       # fbsde imports this module
     nt1, nx1, nx2 = f.u.shape
     rows = f.u.reshape(nt1 * nx1, nx2)
     step = max(1, _VALUES_PER_WRITE // nx2)

@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from skofbsde import embed as embed_mod
+from skofbsde import fbsde as fbsde_mod
 from skofbsde.cli import RunConfig, main
 from skofbsde.fbsde import simulate_block
 from skofbsde.field import load_field
@@ -171,27 +173,42 @@ def test_verify_detects_corruption(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_dump_paths(tmp_path, capsys):
+def test_dump_paths(tmp_path, capsys, monkeypatch):
+    # each dumped file is the repr text of the simulated path, for 3 paths
+    # in one block and for 5 paths in blocks patched to 2: no call of
+    # simulate_block gets more paths than a block
     cfg = write_config(tmp_path)
     out = str(tmp_path / "d")
     assert main(["solve", "--config", cfg, "--out", out]) == 0
-    assert main(["embed", "--config", cfg, "--out", out,
-                 "--field", os.path.join(out, "field.csv"),
-                 "--dump-paths", "3"]) == 0
-    capsys.readouterr()
-    files = sorted(os.listdir(os.path.join(out, "paths")))
-    assert len(files) == 3
-    header = open(os.path.join(out, "paths", files[0])).readline().strip()
-    assert header == "t,W,X1,X2,Y,Z"
-    # each row is the repr text of the simulated path's values
     rc = RunConfig(json.loads(open(cfg).read()), base_dir=str(tmp_path))
     f = load_field(os.path.join(out, "field.npy"))
-    for p in simulate_block(f, rc.seed, range(3), rc.n_steps):
-        rows = zip(p.t_grid, p.W, p.X1, p.X2, p.Y, p.Z)
-        want = "t,W,X1,X2,Y,Z\n" + "".join(
-            ",".join(repr(float(v)) for v in row) + "\n" for row in rows)
-        name = os.path.join(out, "paths", f"path_{p.seed:020d}.csv")
-        assert open(name).read() == want, name
+    calls = []
+
+    def spy(f, base_seed, indices, n_steps):
+        calls.append(len(indices))
+        return simulate_block(f, base_seed, indices, n_steps)
+
+    monkeypatch.setattr(fbsde_mod, "simulate_block", spy)
+    for count, block in ((3, embed_mod._DUMP_BLOCK), (5, 2)):
+        monkeypatch.setattr(embed_mod, "_DUMP_BLOCK", block)
+        calls.clear()
+        dump = str(tmp_path / f"dump{count}")
+        assert main(["embed", "--config", cfg, "--out", dump,
+                     "--field", os.path.join(out, "field.csv"),
+                     "--dump-paths", str(count)]) == 0
+        capsys.readouterr()
+        assert sum(calls) == count and max(calls) <= block, calls
+        files = sorted(os.listdir(os.path.join(dump, "paths")))
+        assert len(files) == count
+        header = open(os.path.join(dump, "paths", files[0])).readline()
+        assert header.strip() == "t,W,X1,X2,Y,Z"
+        for p in simulate_block(f, rc.seed, range(count), rc.n_steps):
+            rows = zip(p.t_grid, p.W, p.X1, p.X2, p.Y, p.Z)
+            want = "t,W,X1,X2,Y,Z\n" + "".join(
+                ",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+            name = os.path.join(dump, "paths", f"path_{p.seed:020d}.csv")
+            assert open(name).read() == want, name
+    assert calls == [2, 2, 1]
 
 
 def test_empirical_measure_cannot_be_solved(tmp_path, capsys):

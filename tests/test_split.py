@@ -257,9 +257,11 @@ def test_solve_split_is_bitwise_equal(case_small, forks, nx2):
 def _failing_solve(case, monkeypatch):
     """(g, delta, cfg) of a solve that fails: the fixed point does not
     contract (the case of test_cli's test_contraction_failure_names_the_grid),
-    or the cutoff binds, on sup |u1| at the end (test_field's
-    test_cutoff_must_be_passive) or on max |z| within a step.  The cutoff
-    cases set the radius just above L_g; a fork made later inherits it."""
+    or the cutoff binds, without drift (test_field's
+    test_cutoff_must_be_passive) or with one.  The cutoff cases set the
+    radius just above L_g, which the x1 stencil of the terminal layer
+    reaches: both fail at t = 1, before any layer is solved.  A fork made
+    later inherits the radius."""
     measure, alpha = {"contraction": (TargetMeasure.uniform(0.0, 2.0), 16.0),
                       "cutoff_u1": (TargetMeasure.normal(0.0, 1.0), 0.0),
                       "cutoff_z": (TargetMeasure.normal(0.0, 1.0), 1.0)}[case]
@@ -293,7 +295,7 @@ def test_solve_split_fails_as_one_process(forks, monkeypatch, case):
         assert kind is ContractionError and len(residuals) == 200
     else:
         assert kind is CutoffActiveError
-        assert ("max |z|" in message) == (case == "cutoff_z")
+        assert message == "cutoff not passive at t = 1: max |z| = 1 >= 1"
 
 
 @pytest.mark.parametrize("half, end", [("upper", "exit"), ("upper", "raise"),
@@ -308,13 +310,13 @@ def test_solve_half_failure_ends_both(case_small, forks, monkeypatch, half,
     real = field_mod.solve_banded
     calls = []
 
-    def failing(l_and_u, ab, b):
+    def failing(diagonals, b):
         calls.append(1)
         if len(calls) == 100 and (os.getpid() != parent) == (half == "upper"):
             if end == "exit":
                 os._exit(3)
             raise KeyError(f"{half} half")
-        return real(l_and_u, ab, b)
+        return real(diagonals, b)
 
     def hung(signum, frame):
         raise TimeoutError("a half waits for the other after 30 s")
