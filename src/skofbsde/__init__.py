@@ -9,7 +9,7 @@ time-change system.
 
 from .coeffs import ProcessCoefficients, TimeFunction
 from .embed import (EmbeddingResult, coupled_round_trip, strong_embed_on_W,
-                    strong_stopping_time, weak_embed, weak_embed_ensemble)
+                    weak_embed, weak_embed_ensemble)
 from .fbsde import (FbsdePath, backward_residual, martingale_check,
                     simulate_block, simulate_ensemble)
 from .field import (DecouplingField, SolverConfig, derivative_fields,
@@ -27,8 +27,8 @@ __all__ = [
     "eval_field", "field_diagnostics", "save_field", "load_field",
     "FbsdePath", "simulate_block", "simulate_ensemble", "backward_residual",
     "martingale_check",
-    "weak_embed", "weak_embed_ensemble", "strong_stopping_time",
-    "strong_embed_on_W", "coupled_round_trip", "EmbeddingResult",
+    "weak_embed", "weak_embed_ensemble", "strong_embed_on_W",
+    "coupled_round_trip", "EmbeddingResult",
     "ks_statistic", "wasserstein1", "law_report", "OracleField",
     "__version__",
 ]

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import warnings
@@ -53,7 +52,9 @@ def _take(d: dict, key: str, default=_REQUIRED, kind=None):
     if kind is not None and (not isinstance(v, kind) or isinstance(v, bool)):
         raise ConfigError(f"config key {key!r} has wrong type "
                           f"({type(v).__name__})")
-    if isinstance(v, float) and not math.isfinite(v):
+    # NaN, an infinity or an integer beyond the float range (Python
+    # compares an int with a float exactly)
+    if isinstance(v, (int, float)) and not abs(v) <= sys.float_info.max:
         raise ConfigError(f"config key {key!r} must be a finite number")
     return v
 
@@ -90,11 +91,12 @@ def _take_path(d: dict, key: str, base_dir: str, default=_REQUIRED) -> str:
 
 def build_transform(spec: dict, base_dir: str) -> measure_mod.QuantileTransform:
     # DomainError (a ValueError) from the law's own checks, ValueError or
-    # TypeError from list entries that are not numbers, DiracMeasureError
-    # from a point-mass law
+    # TypeError from list entries that are not numbers, OverflowError from
+    # list entries beyond the float range, DiracMeasureError from a
+    # point-mass law
     try:
         return measure_mod.make_g(_build_measure(spec, base_dir))
-    except (ValueError, TypeError, DiracMeasureError) as exc:
+    except (ValueError, TypeError, OverflowError, DiracMeasureError) as exc:
         raise ConfigError(f"invalid measure: {exc}") from None
 
 
@@ -184,14 +186,11 @@ class RunConfig:
         self.check_simulation()
 
         emb = dict(_take(raw, "embedding", {}, dict))
-        _reject_extras(emb, {"n_steps", "K1", "K2"}, "embedding")
+        # the localization guards are derived by embed.strong_limits
+        _reject_extras(emb, {"n_steps"}, "embedding")
         self.embed_steps = _take(emb, "n_steps", 4096, int)
-        self.K1 = _take(emb, "K1", None, (int, float))
-        self.K2 = _take(emb, "K2", None, (int, float))
         if self.embed_steps < 1:
             raise ConfigError("embedding n_steps out of range")
-        if any(k is not None and k <= 0 for k in (self.K1, self.K2)):
-            raise ConfigError("embedding K1 and K2 must be positive")
 
         self.output_dir = _take_path(raw, "output_dir", base_dir, "out")
 
@@ -225,10 +224,12 @@ class RunConfig:
 
     def check_simulation(self) -> None:
         """Range rule for the simulation keys, also applied to the CLI
-        ``--paths``/``--seed`` overrides."""
-        if self.n_paths < 1 or self.n_steps < 1 or self.seed < 0:
-            raise ConfigError("simulation parameters out of range "
-                              "(need n_paths >= 1, n_steps >= 1, seed >= 0)")
+        ``--paths``/``--seed`` overrides.  A path's key takes the seed
+        modulo 2^64, so a larger seed would silently rerun a smaller one."""
+        if (self.n_paths < 1 or self.n_steps < 1
+                or not 0 <= self.seed < 2**64):
+            raise ConfigError("simulation parameters out of range (need "
+                              "n_paths >= 1, n_steps >= 1, 0 <= seed < 2^64)")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -298,8 +299,7 @@ def cmd_embed(cfg: RunConfig, field_path: str, dump_paths: int = 0) -> int:
         f, cfg.coefficients, cfg.n_paths, cfg.n_steps, cfg.seed, g=cfg.g)
     seeds, tau_w = weak["seeds"], weak["tau_weak"]
     strong = embed_mod.strong_embed_on_W(
-        f, cfg.coefficients, cfg.n_paths, cfg.embed_steps, cfg.seed,
-        g=cfg.g, K1=cfg.K1, K2=cfg.K2)
+        f, cfg.coefficients, cfg.n_paths, cfg.embed_steps, cfg.seed, g=cfg.g)
 
     csv_path = os.path.join(cfg.output_dir, "embedding.csv")
     with open(csv_path, "w") as fh:
@@ -392,7 +392,7 @@ def main(argv=None) -> int:
             # the strong pass's step rule and the path run's memory refuse
             # a run before any work
             embed_mod.strong_limits(cfg.g.lipschitz, cfg.coefficients,
-                                    cfg.embed_steps, cfg.K1)
+                                    cfg.embed_steps)
             embed_mod.check_path_memory(cfg.n_paths, cfg.n_steps,
                                         cfg.embed_steps)
 

@@ -19,11 +19,13 @@ with u1 clamped into [DERIV_FLOOR_EPS, L_g] (positivity holds before the
 terminal time but with no quantitative floor; L_g is the certified upper
 bound).  A block integrates only its live paths.  A path stops at the
 first crossing sigma_r >= 1, located by linear interpolation inside the
-bracketing step, or at a localization guard, r >= K1 or |Sigma| >= K2
-(with the default guards they never bind); one stop step records either
-by path id and drops the path.  Applying the same functional to
-fresh driving noise (the role of the original Brownian motion) produces the
-strong stopping time and the stopped value c + delta_hat(tau) + int beta dW.
+bracketing step, or at a localization guard: the end r_max of the r-grid
+(guard "K1") or |Sigma| >= K2 (guard "K2"), both derived from the certified
+bound by ``strong_limits`` and never binding in practice; one stop step
+records either by path id and drops the path.  Applying the same functional
+to fresh driving noise (the role of the original Brownian motion) produces
+the strong stopping time and the stopped value
+c + delta_hat(tau) + int beta dW.
 """
 
 from __future__ import annotations
@@ -41,10 +43,9 @@ from .field import (DecouplingField, _check_memory, _corner_index, _lerp,
                     _time_cell, _u1_slab, _unit, _x1_cell, _x2_cell,
                     eval_field)
 
-__all__ = ["WeakEmbedding", "StrongStop", "EmbeddingResult", "weak_embed",
-           "weak_embed_ensemble", "strong_stopping_time", "strong_embed_on_W",
-           "coupled_round_trip", "strong_limits", "check_path_memory",
-           "SIGMA_RATE_TOL"]
+__all__ = ["WeakEmbedding", "EmbeddingResult", "weak_embed",
+           "weak_embed_ensemble", "strong_embed_on_W", "coupled_round_trip",
+           "strong_limits", "check_path_memory", "SIGMA_RATE_TOL"]
 
 # step-size rule for the (sigma, Sigma) integration: L_g^2 dr / beta_floor^2
 # must not exceed this
@@ -81,44 +82,27 @@ _DUMP_BLOCK = _WEAK_BLOCK // 2     # `--dump-paths` holds 4 path arrays, not 2
 _TIME_CHANGE_ROWS = 32
 
 
-def _clamp_fraction(clamp_hits: np.ndarray, steps: np.ndarray) -> float:
-    """Share of the integration steps, over all paths, with the clamp
-    active."""
-    return int(clamp_hits.sum()) / max(int(steps.sum()), 1)
-
-
-def _warn_if_clamped(fraction: float, where: str) -> None:
-    if fraction > CLAMP_WARN_FRACTION:
-        warnings.warn(f"u1 floor clamp active on {fraction:.2%} of {where} "
-                      f"steps; the positivity floor may be too coarse",
-                      RuntimeWarning, stacklevel=3)
-
-
 def strong_limits(g_lipschitz: float, coeffs: ProcessCoefficients,
-                  n_steps: int | None = None, K1: float | None = None,
-                  K2: float | None = None):
+                  n_steps: int | None = None):
     """``(tau_bound, r_max, K2, dr)`` of the strong pass.
 
     ``tau_bound`` is H^{-1}(L_g^2), the certified bound on every stopping
-    time.  The r-grid ends at ``r_max = min(K1, T_phys (1 - 1e-9))``, inside
-    the clock table that ends at H(T_phys) = x2_hi; K1 left ``None`` is
-    2 tau_bound.  With the default box 1.05 L_g^2 (and
-    sup beta^2 < 20 beta_floor^2) the cap binds, not K1, and still lies
-    above tau_bound.  K2 left ``None`` is
-    10 sqrt(2 tau_bound) max(sup |beta|, 1), with sup |beta| read on the
-    coefficients' quadrature grid.
+    time.  The localization guards are derived from it.  The r-grid ends
+    at ``r_max = min(2 tau_bound, T_phys (1 - 1e-9))``, inside the clock
+    table that ends at H(T_phys) = x2_hi; with the default box 1.05 L_g^2
+    (and sup beta^2 < 20 beta_floor^2) the cap binds and still lies above
+    tau_bound.  ``K2 = 10 sqrt(2 tau_bound) max(sup |beta|, 1)``, with
+    sup |beta| read on the coefficients' quadrature grid.
 
     ``dr`` is ``None`` unless ``n_steps`` is given; then
     ``dr = r_max / n_steps``, and a :class:`ConfigError` is raised when
     ``dr L_g^2 / beta_floor^2`` exceeds ``SIGMA_RATE_TOL``.  The rule reads
-    only L_g, the clock, K1 and the step count, so the command line checks
-    it when it reads the configuration, before any work.
+    only L_g, the clock and the step count, so the command line checks it
+    when it reads the configuration, before any work.
     """
     bound = float(coeffs.clock_H_inv(g_lipschitz ** 2))
-    r_max = min(2.0 * bound if K1 is None else K1,
-                coeffs.t_phys * (1.0 - 1e-9))
-    if K2 is None:
-        K2 = 10.0 * np.sqrt(max(2.0 * bound, 1e-12)) * max(coeffs.beta_sup, 1.0)
+    r_max = min(2.0 * bound, coeffs.t_phys * (1.0 - 1e-9))
+    K2 = 10.0 * np.sqrt(max(2.0 * bound, 1e-12)) * max(coeffs.beta_sup, 1.0)
     dr = None
     if n_steps is not None:
         dr = r_max / n_steps
@@ -274,29 +258,19 @@ def weak_embed_ensemble(f: DecouplingField, coeffs: ProcessCoefficients,
 # strong construction
 # ----------------------------------------------------------------------------
 
-@dataclass
-class StrongStop:
-    tau: float
-    Sigma_tau: float
-    guard: str                      # "none", "K1" or "K2"
-    sigma_path: np.ndarray
-    clamp_fraction: float
-
-
 def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
                       dB: np.ndarray | IncrementStreams, dr: float,
-                      r_max: float, K2: float, keep_paths: bool = False):
+                      r_max: float, K2: float):
     """Euler integration of the (sigma, Sigma) system for a block of n
     driving paths of M increments each, up to r = min(r_max, M dr).  ``dB``
     is an (n, M) array, or ``IncrementStreams`` of n paths and M steps.
 
     The state (ids, sigma, Sigma, int beta dB) holds the live paths only,
     and the noise is read for their ids.  ``stop`` writes the per-path
-    results of a crossing, a K2 breach or the K1 end by id; stopped paths
-    are then compacted away.  Per path, ``steps`` counts the steps it was
-    live and ``clamp_hits`` those of them with the u1 floor clamp active.
-    With ``keep_paths``, ``sigma_path`` holds each path's sigma per step,
-    frozen after its stop step."""
+    results of a crossing (``guard`` 0), the end of the r-grid (1) or a K2
+    breach (2) by id; stopped paths are then compacted away.  A guard stop
+    is reported, never raised.  Per path, ``steps`` counts the steps it was
+    live and ``clamp_hits`` those of them with the u1 floor clamp active."""
     if isinstance(dB, IncrementStreams):
         n, M, column = len(dB.gens), dB.n_steps, dB.column
     else:
@@ -318,8 +292,6 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
     tau, Sigma_tau, ibw_tau = np.empty((3, n))
     guard = np.zeros(n, dtype=np.int8)       # 0 none, 1 K1, 2 K2
     clamp_hits, steps = np.zeros((2, n), dtype=np.int64)
-    sigma_all = np.zeros(n)             # every path's sigma, for keep_paths
-    sigma_path = [sigma_all.copy()] if keep_paths else None
 
     def stop(done, r, S, I, code, m):
         # the live paths ids[done] stop at r with Sigma S and int beta dB I,
@@ -352,9 +324,6 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
             stop(crossed, r_left[m] + theta * dr,
                  Sigma[crossed] + theta * dSig[crossed],
                  ibw[crossed] + theta * dW_contrib[crossed], 0, m + 1)
-        if keep_paths:                  # a crossed path keeps its sigma
-            sigma_all[ids[~crossed]] = new_sigma[~crossed]
-            sigma_path.append(sigma_all.copy())
         sigma = new_sigma
         Sigma += dSig
         ibw += dW_contrib
@@ -368,34 +337,8 @@ def _integrate_strong(f: DecouplingField, coeffs: ProcessCoefficients,
 
     stop(slice(None), m_max * dr, Sigma, ibw, 1, m_max)
 
-    out = {"tau": tau, "Sigma_tau": Sigma_tau, "int_beta_dB": ibw_tau,
-           "guard": guard, "clamp_hits": clamp_hits, "steps": steps}
-    if keep_paths:
-        out["sigma_path"] = np.stack(sigma_path, axis=1)
-    return out
-
-
-def strong_stopping_time(f: DecouplingField, coeffs: ProcessCoefficients,
-                         dB: np.ndarray, dr: float,
-                         K1: float | None = None,
-                         K2: float | None = None) -> StrongStop:
-    """Integrate one driving path to its stopping time.
-
-    ``dB`` holds Brownian increments on the r-grid with step ``dr``.  A guard
-    stop is reported as ``guard`` "K1" (end of the r-grid) or "K2" (|Sigma|
-    >= K2), not raised.  Warns when the clamp was active on more than 0.1%
-    of the steps.
-    """
-    _, r_max, K2, _ = strong_limits(f.g_lipschitz, coeffs, K1=K1, K2=K2)
-    res = _integrate_strong(f, coeffs, np.asarray(dB, dtype=float)[None, :],
-                            dr, r_max, K2, keep_paths=True)
-    clamp_fraction = _clamp_fraction(res["clamp_hits"], res["steps"])
-    _warn_if_clamped(clamp_fraction, "stopping-time")
-    return StrongStop(tau=float(res["tau"][0]),
-                      Sigma_tau=float(res["Sigma_tau"][0]),
-                      guard={0: "none", 1: "K1", 2: "K2"}[int(res["guard"][0])],
-                      sigma_path=res["sigma_path"][0],
-                      clamp_fraction=clamp_fraction)
+    return {"tau": tau, "Sigma_tau": Sigma_tau, "int_beta_dB": ibw_tau,
+            "guard": guard, "clamp_hits": clamp_hits, "steps": steps}
 
 
 @dataclass
@@ -432,17 +375,16 @@ class EmbeddingResult:
 
 def strong_embed_on_W(f: DecouplingField, coeffs: ProcessCoefficients,
                       n_paths: int, n_steps: int, seed: int,
-                      g=None, K1: float | None = None,
-                      K2: float | None = None) -> EmbeddingResult:
+                      g=None) -> EmbeddingResult:
     """Draw fresh driving noise, run the stopping rule on each path, and
     collect the stopped values c + delta_hat(tau) + int_0^tau beta dW.
 
     When ``g`` is given, the per-path identity stopped = g(Sigma_tau) is
     measured and its mean absolute defect reported as
-    ``strong_identity_mean``.
+    ``strong_identity_mean``.  Warns when the u1 floor clamp was active on
+    more than ``CLAMP_WARN_FRACTION`` of the integration steps of all paths.
     """
-    bound, r_max, K2, dr = strong_limits(f.g_lipschitz, coeffs, n_steps,
-                                         K1, K2)
+    bound, r_max, K2, dr = strong_limits(f.g_lipschitz, coeffs, n_steps)
     c = float(eval_field(f, 0.0, 0.0, 0.0, "u"))
     seeds = path_seed(seed ^ _STRONG_SEED_SALT, np.arange(n_paths))
 
@@ -456,8 +398,11 @@ def strong_embed_on_W(f: DecouplingField, coeffs: ProcessCoefficients,
     tau, Sigma_tau, ibw, guards, clamp_hits, steps = map_blocks(
         n_paths, _STRONG_BLOCK, run_block)
     stopped = c + np.asarray(coeffs.delta_hat(np.minimum(tau, coeffs.t_phys))) + ibw
-    clamp_fraction = _clamp_fraction(clamp_hits, steps)
-    _warn_if_clamped(clamp_fraction, "embedding")
+    clamp_fraction = int(clamp_hits.sum()) / max(int(steps.sum()), 1)
+    if clamp_fraction > CLAMP_WARN_FRACTION:
+        warnings.warn(f"u1 floor clamp active on {clamp_fraction:.2%} of "
+                      f"embedding steps; the positivity floor may be too "
+                      f"coarse", RuntimeWarning, stacklevel=2)
     counts = {"K1": int(np.count_nonzero(guards == 1)),
               "K2": int(np.count_nonzero(guards == 2))}
     identity = None if g is None else float(

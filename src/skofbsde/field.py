@@ -111,13 +111,16 @@ class SolverConfig:
 
 def _check_memory(need: int, what: str, remedy: str) -> None:
     """Refuse, with a :class:`ConfigError`, a run whose estimated peak of
-    ``need`` bytes is above the machine's physical memory."""
+    ``need`` bytes is above the machine's physical memory.  ``need`` is an
+    exact integer of any size: the message divides it as a decimal, which
+    cannot overflow."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
+        from decimal import Decimal
         raise ConfigError(
-            f"{what} needs about {need / 2**30:.3g} GiB of memory at peak, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory; "
-            f"{remedy}")
+            f"{what} needs about {Decimal(need) / 2**30:.3g} GiB of memory "
+            f"at peak, more than the {have / 2**30:.3g} GiB of physical "
+            f"memory; {remedy}")
 
 
 def run_halves(n: int, fn, minimum: int) -> list:

@@ -131,11 +131,18 @@ def test_all_deterministic(tmp_path, capsys):
         assert a == b, name
 
 
-def test_guard_fired_exits_4(tmp_path, capsys):
-    # K1 far below the stopping times: the guard stops every late path, the
-    # per-path results are still written and the run exits 4
+def test_guard_fired_exits_4(tmp_path, capsys, monkeypatch):
+    # the r-grid ends far below the stopping times: the guard stops every
+    # late path, the per-path results are still written and the run exits 4
+    limits = embed_mod.strong_limits
+
+    def short_grid(g_lipschitz, coeffs, n_steps=None):
+        bound, _, K2, _ = limits(g_lipschitz, coeffs)
+        return bound, 0.05, K2, None if n_steps is None else 0.05 / n_steps
+
+    monkeypatch.setattr(embed_mod, "strong_limits", short_grid)
     out = tmp_path / "run"
-    cfg = write_config(tmp_path, embedding={"n_steps": 256, "K1": 0.05})
+    cfg = write_config(tmp_path, embedding={"n_steps": 256})
     assert main(["all", "--config", cfg, "--out", str(out)]) == 4
     assert "localization guards fired" in capsys.readouterr().err
     report = json.loads((out / "law_report.json").read_text())
@@ -674,6 +681,17 @@ def _negative_seed(tmp_path, cfg, field_dir):
             "--field", str(field_dir / "field.csv"), "--seed", "-5"]
 
 
+def _seed_2_64_override(tmp_path, cfg, field_dir):
+    return ["embed", "--config", cfg, "--out", str(tmp_path / "new"),
+            "--field", str(field_dir / "field.json"), "--seed", str(2**64)]
+
+
+def _beyond_float_paths(tmp_path, cfg, field_dir):
+    return ["embed", "--config", cfg, "--out", str(tmp_path / "new"),
+            "--field", str(field_dir / "field.json"),
+            "--paths", str(10**400)]
+
+
 def _negative_dump_paths(tmp_path, cfg, field_dir):
     return ["embed", "--config", cfg, "--out", str(tmp_path / "new"),
             "--field", str(field_dir / "field.csv"), "--dump-paths", "-3"]
@@ -720,9 +738,29 @@ _text_in_samples = _solve_with(
 # a path key takes only a string
 _numeric_csv_path = _solve_with(
     "_numeric_csv_path", measure={"kind": "empirical", "csv": 5})
-_zero_K1 = _solve_with("_zero_K1", embedding={"K1": 0})
-_negative_K1 = _solve_with("_negative_K1", embedding={"K1": -1.0})
-_zero_K2 = _solve_with("_zero_K2", embedding={"K2": 0.0})
+# the localization guards are derived from the certified bound, not keys
+_embedding_K1 = _solve_with("_embedding_K1", embedding={"K1": 0.05})
+_embedding_K2 = _solve_with("_embedding_K2", embedding={"K2": 3.0})
+# integers beyond the float range: refused by the config's number check,
+# not by a traceback from the first float conversion
+_beyond_float_G0 = _solve_with("_beyond_float_G0",
+                               coefficients={"G0": 10**400})
+_beyond_float_alpha_value = _solve_with(
+    "_beyond_float_alpha_value",
+    coefficients={"alpha": {"kind": "const", "value": 10**400}})
+_beyond_float_nt = _solve_with("_beyond_float_nt", solver={"nt": 10**400})
+_beyond_float_n_paths = _solve_with("_beyond_float_n_paths",
+                                    simulation={"n_paths": 10**400})
+_beyond_float_sample = _solve_with(
+    "_beyond_float_sample",
+    measure={"kind": "empirical", "samples": [0, 1, 10**400]})
+# a grid of in-range sizes whose byte count is beyond the float range
+_beyond_float_grid_bytes = _solve_with(
+    "_beyond_float_grid_bytes",
+    solver={"nt": 10**201, "nx1": 10**200, "nx2": 10**200})
+# a path's key takes the seed modulo 2^64: a larger seed is refused, not
+# read as a smaller one
+_seed_2_64 = _solve_with("_seed_2_64", simulation={"seed": 2**64})
 # point masses: the quantile transform g is constant
 _uniform_point_mass = _solve_with(
     "_uniform_point_mass", measure={"kind": "uniform", "lo": 1, "hi": 1})
@@ -846,6 +884,17 @@ _MESSAGE = {
     _field_of_other_nx2: "not compatible with this configuration",
     _field_of_other_x1_box: "not compatible with this configuration",
     _field_of_other_x2_box: "not compatible with this configuration",
+    _embedding_K1: "unknown config keys in embedding: ['K1']",
+    _embedding_K2: "unknown config keys in embedding: ['K2']",
+    _beyond_float_G0: "config key 'G0' must be a finite number",
+    _beyond_float_alpha_value: "config key 'value' must be a finite number",
+    _beyond_float_nt: "config key 'nt' must be a finite number",
+    _beyond_float_n_paths: "config key 'n_paths' must be a finite number",
+    _beyond_float_sample: "invalid measure: int too large to convert",
+    _beyond_float_grid_bytes: "solver grid needs about 1.49e+593 GiB",
+    _beyond_float_paths: "path run needs about 1.79e+393 GiB",
+    _seed_2_64: "0 <= seed < 2^64",
+    _seed_2_64_override: "0 <= seed < 2^64",
 }
 
 
@@ -866,7 +915,7 @@ def solved_field(tmp_path_factory):
     _header_only_results, _nan_results_cell, _negative_seed, _nan_G0,
     _nan_beta_floor, _bool_n_paths, _nan_x2_hi, _uniform_lo_above_hi,
     _normal_negative_sigma, _normal_nan_mu, _piecewise_nan_x, _text_in_samples,
-    _zero_K1, _negative_K1, _zero_K2, _uniform_point_mass, _normal_point_mass,
+    _embedding_K1, _embedding_K2, _uniform_point_mass, _normal_point_mass,
     _oversized_grid, _expr_syntax_error, _expr_division_by_zero, _expr_list,
     _expr_conditional, _expr_string, _expr_subscript, _expr_overflow,
     _solver_T_solve, _solver_T_embed, _solver_T_all, _x1_ends_reversed,
@@ -882,7 +931,10 @@ def solved_field(tmp_path_factory):
     _solver_cutoff_H, _solver_fixpoint_tol, _solver_fixpoint_max_iter,
     _solver_deriv_floor_eps, _field_of_other_nt, _field_of_other_nx2,
     _field_of_other_x1_box, _field_of_other_x2_box, _huge_n_steps,
-    _huge_n_paths, _huge_embed_steps])
+    _huge_n_paths, _huge_embed_steps, _beyond_float_G0,
+    _beyond_float_alpha_value, _beyond_float_nt, _beyond_float_n_paths,
+    _beyond_float_paths, _beyond_float_sample, _beyond_float_grid_bytes,
+    _seed_2_64, _seed_2_64_override])
 def test_malformed_input_exits_1(tmp_path, solved_field, breaker):
     cfg = write_config(tmp_path)
     field_dir = tmp_path / "f"

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from skofbsde import embed
 from skofbsde.coeffs import ProcessCoefficients, TimeFunction
 from skofbsde.embed import (coupled_round_trip, strong_embed_on_W,
-                            strong_stopping_time, tau_bound, weak_embed,
-                            weak_embed_ensemble)
+                            tau_bound, weak_embed, weak_embed_ensemble)
 from skofbsde.errors import ConfigError
 from skofbsde.fbsde import normal_increments, path_seed, simulate_block
 from skofbsde.field import eval_field
@@ -45,26 +44,29 @@ def test_weak_stopped_value_matches_g_of_W1(case_uniform_k05):
 
 def test_strong_stopping_trivial(case_trivial):
     c = case_trivial.value
+    f, coeffs = c["field"], c["coeffs"]
+    _, r_max, K2, _ = embed.strong_limits(f.g_lipschitz, coeffs)
     dr = 1.0 / 2048
-    dB = normal_increments(5, 4096, dr)
-    ss = strong_stopping_time(c["field"], c["coeffs"], dB, dr)
-    assert ss.tau == pytest.approx(1.0, abs=1e-9)
-    assert ss.guard == "none"
-    assert ss.clamp_fraction == 0.0
-    # sigma grows linearly at unit rate
-    k = ss.sigma_path.shape[0] // 2
-    assert ss.sigma_path[k] == pytest.approx(k * dr, abs=1e-9)
+    dB = normal_increments(5, 4096, dr)[None]
+    res = embed._integrate_strong(f, coeffs, dB, dr, r_max, K2)
+    assert res["tau"][0] == pytest.approx(1.0, abs=1e-9)
+    assert res["guard"][0] == 0             # a crossing, no guard
+    assert res["clamp_hits"][0] == 0
+    # sigma grows at unit rate, so it crosses 1 on the 2048th step
+    assert res["steps"][0] == 2048
 
 
 def test_strong_stopping_guard_K2(case_uniform_k05):
     c = case_uniform_k05.value
-    bound = tau_bound(c["field"], c["coeffs"])
+    f, coeffs = c["field"], c["coeffs"]
+    bound, r_max, _, _ = embed.strong_limits(f.g_lipschitz, coeffs)
     dr = bound / 512
-    dB = normal_increments(6, 2048, dr)
-    # a K2 breach is reported like a K1 stop, not raised
-    ss = strong_stopping_time(c["field"], c["coeffs"], dB, dr, K2=1e-4)
-    assert ss.guard == "K2" and ss.tau < bound
-    assert abs(ss.Sigma_tau) >= 1e-4
+    dB = normal_increments(6, 2048, dr)[None]
+    # a K2 breach is reported as guard 2, like the end of the r-grid, not
+    # raised
+    res = embed._integrate_strong(f, coeffs, dB, dr, r_max, 1e-4)
+    assert res["guard"][0] == 2 and res["tau"][0] < bound
+    assert abs(res["Sigma_tau"][0]) >= 1e-4
 
 
 def test_strong_embed_constants(case_uniform_k025):
@@ -143,16 +145,9 @@ def test_strong_limits(case_uniform_k025):
     assert r_max == min(2.0 * bound, cap)
     assert K2 == 10.0 * np.sqrt(2.0 * bound) * max(coeffs.beta_sup, 1.0)
     assert dr is None
-    # explicit guards: K1 only moves the horizon, and only below the cap
-    assert embed.strong_limits(L_g, coeffs, K1=0.05, K2=3.0) == (
-        bound, 0.05, 3.0, None)
-    assert embed.strong_limits(L_g, coeffs, K1=0.05) == (bound, 0.05, K2, None)
-    assert embed.strong_limits(L_g, coeffs, K1=10.0 * cap) == (
-        bound, cap, K2, None)
-    # the step is r_max / n_steps, for the default and an explicit K1
+    # the step is r_max / n_steps
     assert embed.strong_limits(L_g, coeffs, 2048) == (
         bound, r_max, K2, r_max / 2048)
-    assert embed.strong_limits(L_g, coeffs, 512, K1=0.05)[3] == 0.05 / 512
 
 
 def test_strong_limits_default_K2_reads_sup_beta():
@@ -291,16 +286,15 @@ def _strong_reference(f, coeffs, dB, dr, r_max, K2):
     """The strong rule one path at a time: the same Euler step in plain
     Python, with ``eval_field`` on one-element arrays.  A path stops at its
     first crossing (interpolated inside the step), at |Sigma| >= K2 after a
-    step, or at the end of the r-grid (K1)."""
+    step, or at the end of the r-grid (guard 1)."""
     m_max = min(dB.shape[1], int(np.ceil(r_max / dr)))
     r_left = np.arange(m_max) * dr
     beta_r = np.asarray(coeffs.beta(r_left))
     H_r = np.asarray(coeffs.clock_H(r_left))
     floor, L_g = embed.DERIV_FLOOR_EPS, f.g_lipschitz
-    rows, paths, clamp_hits, steps = [], [], [], []
+    rows, clamp_hits, steps = [], [], []
     for dB_j in dB:
         sigma = Sigma = ibw = 0.0
-        path = [sigma]
         clamp_hits.append(0)
         steps.append(0)
         for m in range(m_max):
@@ -317,36 +311,35 @@ def _strong_reference(f, coeffs, dB, dr, r_max, K2):
                 theta = (1.0 - sigma) / dsig
                 row = (r_left[m] + theta * dr, Sigma + theta * dSig,
                        ibw + theta * dW, 0)
-                path.append(sigma)
                 break
             sigma, Sigma, ibw = sigma + dsig, Sigma + dSig, ibw + dW
-            path.append(sigma)
             if abs(Sigma) >= K2:
                 row = (r_left[m] + dr, Sigma, ibw, 2)
                 break
         else:
             row = (m_max * dr, Sigma, ibw, 1)
         rows.append(row)
-        paths.append(path)
     tau, Sigma_tau, ibw_tau, guard = map(np.array, zip(*rows))
     return {"tau": tau, "Sigma_tau": Sigma_tau, "int_beta_dB": ibw_tau,
             "guard": guard.astype(np.int8),
             "clamp_hits": np.array(clamp_hits, dtype=np.int64),
-            "steps": np.array(steps, dtype=np.int64)}, paths
+            "steps": np.array(steps, dtype=np.int64)}
 
 
 def test_strong_rule_matches_per_path_reference_with_mixed_stops(
         case_uniform_k025, monkeypatch):
-    # K1 and K2 chosen so that crossings, K2 breaches and K1 ends all occur
-    # among the 37 paths (seed 3: 19 / 5 / 13)
+    # r_max and K2 far below their derived values, so that crossings, K2
+    # breaches and ends of the r-grid all occur among the 37 paths (seed 3:
+    # 19 / 5 / 13)
     c = case_uniform_k025.value
     f, coeffs = c["field"], c["coeffs"]
-    K1, K2, n_steps = 0.1, 1.5, 512
-    _, r_max, K2, dr = embed.strong_limits(f.g_lipschitz, coeffs, n_steps,
-                                           K1, K2)
+    r_max, K2, n_steps = 0.1, 1.5, 512
+    bound, cap_r_max, cap_K2, _ = embed.strong_limits(f.g_lipschitz, coeffs)
+    assert r_max < cap_r_max and K2 < cap_K2
+    dr = r_max / n_steps
     seeds = path_seed(3 ^ embed._STRONG_SEED_SALT, np.arange(37))
     dB = np.array([normal_increments(int(s), n_steps, dr) for s in seeds])
-    ref, ref_paths = _strong_reference(f, coeffs, dB, dr, r_max, K2)
+    ref = _strong_reference(f, coeffs, dB, dr, r_max, K2)
     assert set(ref["guard"].tolist()) == {0, 1, 2}
 
     def check(res, expect):
@@ -355,27 +348,24 @@ def test_strong_rule_matches_per_path_reference_with_mixed_stops(
             assert np.array_equal(res[key], want), key
             assert np.asarray(res[key]).dtype == np.asarray(want).dtype, key
 
-    # one dense block holding all three kinds of stop, with every path's
-    # sigma frozen after its stop step.  One crossing path gets a large
-    # increment at its crossing step, so that step also leaves |Sigma| >= K2
-    # (dSig >= 10 K2 / L_g); it stays a crossing, since whether sigma crosses
-    # depends only on the state before the step
+    # one dense block holding all three kinds of stop.  One crossing path
+    # gets a large increment at its crossing step, so that step also leaves
+    # |Sigma| >= K2 (dSig >= 10 K2 / L_g); it stays a crossing, since
+    # whether sigma crosses depends only on the state before the step
     j0 = int(np.flatnonzero(ref["guard"] == 0)[0])
     dense = dB.copy()
-    dense[j0, len(ref_paths[j0]) - 2] = 10.0 * K2
-    row0, _ = _strong_reference(f, coeffs, dense[j0:j0 + 1], dr, r_max, K2)
+    dense[j0, ref["steps"][j0] - 1] = 10.0 * K2
+    row0 = _strong_reference(f, coeffs, dense[j0:j0 + 1], dr, r_max, K2)
     assert row0["guard"][0] == 0
     dense_ref = {key: np.array(want) for key, want in ref.items()}
     for key in ("tau", "Sigma_tau", "int_beta_dB"):
         dense_ref[key][j0] = row0[key][0]
-    res = embed._integrate_strong(f, coeffs, dense, dr, r_max, K2,
-                                  keep_paths=True)
-    check(res, dense_ref)
-    width = max(len(p) for p in ref_paths)
-    assert np.array_equal(res["sigma_path"], np.array(
-        [p + p[-1:] * (width - len(p)) for p in ref_paths]))
+    check(embed._integrate_strong(f, coeffs, dense, dr, r_max, K2), dense_ref)
 
-    # the streamed noise through strong_embed_on_W, at two block sizes
+    # the streamed noise through strong_embed_on_W, at two block sizes, with
+    # the limits above in place of the derived ones
+    monkeypatch.setattr(embed, "strong_limits",
+                        lambda *args: (bound, r_max, K2, dr))
     integrate = embed._integrate_strong
     blocks = []
 
@@ -387,7 +377,7 @@ def test_strong_rule_matches_per_path_reference_with_mixed_stops(
     for block in (5, 16):
         blocks.clear()
         monkeypatch.setattr(embed, "_STRONG_BLOCK", block)
-        er = strong_embed_on_W(f, coeffs, 37, n_steps, seed=3, K1=K1, K2=K2)
+        er = strong_embed_on_W(f, coeffs, 37, n_steps, seed=3)
         assert len(blocks) == -(-37 // block)
         check({key: (np.concatenate([b[key] for b in blocks])
                      if isinstance(ref[key], np.ndarray)
@@ -396,19 +386,6 @@ def test_strong_rule_matches_per_path_reference_with_mixed_stops(
         assert er.guard_counts == {
             "K1": int(np.count_nonzero(ref["guard"] == 1)),
             "K2": int(np.count_nonzero(ref["guard"] == 2))}
-    monkeypatch.setattr(embed, "_integrate_strong", integrate)
-
-    # the one-path rule keeps sigma up to and including the stop step: at a
-    # crossing the last value repeats, at a breach it is the breached step
-    for kind in (0, 1, 2):
-        j = int(np.flatnonzero(ref["guard"] == kind)[0])
-        one = embed._integrate_strong(f, coeffs, dB[j:j + 1], dr, r_max, K2,
-                                      keep_paths=True)
-        assert np.array_equal(one["sigma_path"][0], ref_paths[j])
-        ss = strong_stopping_time(f, coeffs, dB[j], dr, K1=K1, K2=K2)
-        assert np.array_equal(ss.sigma_path, ref_paths[j])
-        assert (ss.tau, ss.Sigma_tau) == (ref["tau"][j], ref["Sigma_tau"][j])
-        assert ss.guard == ("none", "K1", "K2")[kind]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
