@@ -739,8 +739,9 @@ _text_in_samples = _solve_with(
 _numeric_csv_path = _solve_with(
     "_numeric_csv_path", measure={"kind": "empirical", "csv": 5})
 # the localization guards are derived from the certified bound, not keys
-_embedding_K1 = _solve_with("_embedding_K1", embedding={"K1": 0.05})
-_embedding_K2 = _solve_with("_embedding_K2", embedding={"K2": 3.0})
+_zero_K1 = _solve_with("_zero_K1", embedding={"K1": 0})
+_negative_K1 = _solve_with("_negative_K1", embedding={"K1": -1.0})
+_zero_K2 = _solve_with("_zero_K2", embedding={"K2": 0.0})
 # integers beyond the float range: refused by the config's number check,
 # not by a traceback from the first float conversion
 _beyond_float_G0 = _solve_with("_beyond_float_G0",
@@ -884,8 +885,9 @@ _MESSAGE = {
     _field_of_other_nx2: "not compatible with this configuration",
     _field_of_other_x1_box: "not compatible with this configuration",
     _field_of_other_x2_box: "not compatible with this configuration",
-    _embedding_K1: "unknown config keys in embedding: ['K1']",
-    _embedding_K2: "unknown config keys in embedding: ['K2']",
+    _zero_K1: "unknown config keys in embedding: ['K1']",
+    _negative_K1: "unknown config keys in embedding: ['K1']",
+    _zero_K2: "unknown config keys in embedding: ['K2']",
     _beyond_float_G0: "config key 'G0' must be a finite number",
     _beyond_float_alpha_value: "config key 'value' must be a finite number",
     _beyond_float_nt: "config key 'nt' must be a finite number",
@@ -915,8 +917,8 @@ def solved_field(tmp_path_factory):
     _header_only_results, _nan_results_cell, _negative_seed, _nan_G0,
     _nan_beta_floor, _bool_n_paths, _nan_x2_hi, _uniform_lo_above_hi,
     _normal_negative_sigma, _normal_nan_mu, _piecewise_nan_x, _text_in_samples,
-    _embedding_K1, _embedding_K2, _uniform_point_mass, _normal_point_mass,
-    _oversized_grid, _expr_syntax_error, _expr_division_by_zero, _expr_list,
+    _zero_K1, _negative_K1, _zero_K2, _uniform_point_mass,
+    _normal_point_mass, _oversized_grid, _expr_syntax_error, _expr_division_by_zero, _expr_list,
     _expr_conditional, _expr_string, _expr_subscript, _expr_overflow,
     _solver_T_solve, _solver_T_embed, _solver_T_all, _x1_ends_reversed,
     _nan_x1_lo, _x2_hi_zero, _x2_hi_negative, _non_integer_shape,
